@@ -1,8 +1,10 @@
 """Command-line pipeline: optimal-level computation, stabilization, re-verification.
 
-Exit codes: 0 success, 2 input/problem error, 3 search exhausted,
-4 certificate contradiction (a correctness alarm: the norm condition and the
-zero scan disagreed).  Reports are deterministic JSON; plot data goes to CSV.
+Exit codes: 0 success, 1 `verify` failed or the optimal-level search found no
+singular level in the bracket, 2 input/problem error, 3 search exhausted or numerical failure
+(a zero scan or root extraction that did not converge), 4 certificate
+contradiction (a correctness alarm: the norm condition and the zero scan
+disagreed).  Reports are deterministic JSON; plot data goes to CSV.
 """
 
 from __future__ import annotations
@@ -23,23 +25,17 @@ from .finite import (
     build_p1p2,
     build_U,
     certify_u_norm,
+    fig3_tuples,
+    fig5_lattice,
     mu_opt_search,
     np_interpolant,
     pick_points,
     stabilize_finite,
 )
 from .infinite import InfSearchConfig, SearchExhausted, stabilize_infinite, sweep_report
-from .rational import FrequencyGrid
-from .stability import finitely_many_poles, peak_data, properness_criterion, rhp_zero_scan, scan_window_for
-from .synthesis import (
-    CertificateContradiction,
-    GammaSearchError,
-    UParam,
-    build_context,
-    build_controller,
-    gamma_opt,
-    verify_performance,
-)
+from .rational import FrequencyGrid, RootConvergenceError
+from .stability import ScanError, certify, finitely_many_poles, properness_criterion, scan_window_for
+from .synthesis import CertificateContradiction, GammaSearchError, UParam, build_context, gamma_opt
 
 __all__ = ["main"]
 
@@ -53,14 +49,6 @@ def _default_bracket(weights, grid: FrequencyGrid):
             "weight magnitude is nearly flat; supply options.gamma_bracket"
         )
     return lo * 1.02, hi * 0.98
-
-
-def _excluded_of(ctx):
-    out = [complex(b) for b in ctx.betas]
-    out += [complex(np.conj(b)) for b in ctx.betas if b.imag != 0]
-    out += [complex(a) for a in ctx.alphas]
-    out += [complex(np.conj(a)) for a in ctx.alphas if a.imag != 0]
-    return out
 
 
 def _complex_pairs(zs):
@@ -94,6 +82,7 @@ def _run_infinite(plant, weights, opts, rho, ctx, emit_dir):
         interp_a=opts.interp_a, grid=opts.grid,
     )
     res = stabilize_infinite(plant, weights, cfg, ctx=ctx)
+    scan = res.cert.scan
     payload = {
         "u_inf": res.u.u_inf,
         "u_z": res.u.u_z,
@@ -102,21 +91,21 @@ def _run_infinite(plant, weights, opts, rho, ctx, emit_dir):
         "eta_max": res.peak.eta_max,
         "f_inf": res.asym.f_inf,
         "k": res.asym.k,
-        "scan_sigma_max": res.scan.sigma_max,
-        "scan_omega_bound": res.scan.omega_bound,
-        "excluded_zeros": _complex_pairs(res.scan.excluded),
-        "residual_zeros": _complex_pairs(res.scan.zeros),
+        "scan_sigma_max": scan.sigma_max,
+        "scan_omega_bound": scan.omega_bound,
+        "excluded_zeros": _complex_pairs(scan.excluded),
+        "residual_zeros": _complex_pairs(scan.zeros),
         "candidates_tried": res.candidates_tried,
         "U_norm": res.u.sup_norm(),
-        "verified_norm": res.verified_norm,
-        "stable": res.stable,
+        "verified_norm": res.cert.norm,
+        "stable": res.cert.stable,
     }
     if emit_dir:
         rows = sweep_report(plant, weights, cfg, ctx=ctx)
         rpt.write_fig1_sweep(emit_dir, rows)
         rpt.write_fig2_zgrid(
-            emit_dir, res.controller.loop_denominator,
-            res.scan.sigma_max, res.scan.omega_bound,
+            emit_dir, res.cert.controller.loop_denominator,
+            scan.sigma_max, scan.omega_bound,
         )
     return payload
 
@@ -128,6 +117,7 @@ def _run_finite(plant, weights, opts, rho, emit_dir):
         integer_bound=opts.integer_bound, a=opts.a, interp_a=opts.interp_a,
         grid=opts.grid,
     )
+    p1p2, scan = res.p1p2, res.cert.scan
     payload = {
         "central": res.central,
         "mu": res.mu,
@@ -135,33 +125,33 @@ def _run_finite(plant, weights, opts, rho, emit_dir):
         "q": res.q if np.isscalar(res.q) else None,
         "conformal_a": opts.a,
         "U_norm": res.U_norm,
-        "verified_norm": res.verified_norm,
-        "stable": res.stable,
-        "p_roots": _complex_pairs(res.p1p2.p_roots if res.p1p2 else []),
-        "s_roots": _complex_pairs(res.p1p2.s_roots if res.p1p2 else []),
-        "node_roots": _complex_pairs(res.p1p2.node_roots or [] if res.p1p2 else []),
-        "artifact_roots": _complex_pairs(
-            res.p1p2.artifact_roots or [] if res.p1p2 else []
-        ),
-        "scan_sigma_max": res.scan.sigma_max,
-        "scan_omega_bound": res.scan.omega_bound,
-        "residual_zeros": _complex_pairs(res.scan.zeros),
+        "verified_norm": res.cert.norm,
+        "stable": res.cert.stable,
+        "p_roots": _complex_pairs(p1p2.p_roots),
+        "s_roots": _complex_pairs(p1p2.s_roots),
+        "node_roots": _complex_pairs(p1p2.node_roots or []),
+        "artifact_roots": _complex_pairs(p1p2.artifact_roots or []),
+        "scan_sigma_max": scan.sigma_max,
+        "scan_omega_bound": scan.omega_bound,
+        "residual_zeros": _complex_pairs(scan.zeros),
     }
-    if res.p1p2 and res.p1p2.s_roots:
-        z, w = pick_points(res.p1p2, opts.a)
+    if p1p2.s_roots:
+        z, w = pick_points(p1p2, opts.a)
         payload["z_points"] = _complex_pairs(z)
         payload["w_points"] = _complex_pairs(w)
-        mu_opt_val, _, _ = mu_opt_search(z, w, opts.integer_bound)
-        payload["mu_opt"] = mu_opt_val
+        integers = res.integers
+        if res.central:
+            # the search stopped before the Pick problem; solve it for the report
+            mu_opt, integers, _ = mu_opt_search(z, w, opts.integer_bound)
+        else:
+            mu_opt = res.mu_opt
+        payload["mu_opt"] = mu_opt
     if emit_dir:
         rpt.write_fig2_zgrid(
-            emit_dir, res.controller.loop_denominator,
-            res.scan.sigma_max, res.scan.omega_bound,
+            emit_dir, res.cert.controller.loop_denominator,
+            scan.sigma_max, scan.omega_bound,
         )
-        if res.p1p2 and res.p1p2.s_roots:
-            from .finite import fig3_tuples
-
-            z, w = pick_points(res.p1p2, opts.a)
+        if p1p2.s_roots:
             bound = opts.integer_bound
             _, _, table = mu_opt_search(
                 z, w, bound, feasibility_tuples=fig3_tuples(z, bound)
@@ -169,23 +159,9 @@ def _run_finite(plant, weights, opts, rho, emit_dir):
             rpt.write_fig3_mu(emit_dir, table)
             if res.U is not None:
                 rpt.write_fig4_umag(emit_dir, res.U, opts.grid)
-            rows = []
-            mu_opt_val = payload.get("mu_opt", res.mu)
-            for mult in (1.02, 1.05, 1.1, 1.2, 1.5, 2.0):
-                mu = mu_opt_val * mult
-                pp = PickProblem(a=opts.a, z=z, w=w, n=res.integers or (0, 0), mu=mu)
-                try:
-                    interp = np_interpolant(pp)
-                except FiniteSearchError:
-                    continue
-                for ui in np.arange(-1.0, 1.0001, 0.02):
-                    U = build_U(res.p1p2, interp, mu, float(ui), opts.a)
-                    try:
-                        un = certify_u_norm(U, opts.grid)
-                    except FiniteSearchError:
-                        continue
-                    rows.append((mu, float(ui), un, un <= 1.0))
-            rpt.write_fig5_ranges(emit_dir, rows)
+            rpt.write_fig5_ranges(
+                emit_dir, fig5_lattice(p1p2, z, w, mu_opt, integers, opts.a, opts.grid)
+            )
     return payload
 
 
@@ -260,16 +236,10 @@ def cmd_verify(args):
             print("fail: stored U lies in the infinite-pole class "
                   "(limit of |F L_U| exceeds one)")
             return 1
-        controller = build_controller(plant, weights, ctx, u)
-        pk = peak_data(ctx, u)
-        sig, om = scan_window_for(ctx, plant, u, pk)
-        scan = rhp_zero_scan(
-            controller.loop_denominator, sig * 2, om * 2,
-            excluded=_excluded_of(ctx),
-        )
+        sig, om = scan_window_for(ctx, plant, u)
     elif branch in ("finite-search", "central-stable"):
         if branch == "central-stable":
-            ucall = UParam(0.0)
+            u = UParam(0.0)
         else:
             p1p2 = build_p1p2(plant, ctx)
             z, w = pick_points(p1p2, float(result["conformal_a"]))
@@ -278,28 +248,24 @@ def cmd_verify(args):
                 n=tuple(result["integers"]), mu=float(result["mu"]),
             )
             interp = np_interpolant(pp)
-            ucall = build_U(p1p2, interp, pp.mu, float(result["q"]), pp.a)
-            un = certify_u_norm(ucall, dense)
+            u = build_U(p1p2, interp, pp.mu, float(result["q"]), pp.a)
+            un = certify_u_norm(u, dense)
             if un > 1.0 + 1e-6:
                 failures.append(f"free-parameter norm re-check failed: {un:.6f}")
-        controller = build_controller(plant, weights, ctx, ucall)
-        sig = float(result["scan_sigma_max"]) * 2
-        om = float(result["scan_omega_bound"]) * 2
-        scan = rhp_zero_scan(
-            controller.loop_denominator, sig, om, excluded=_excluded_of(ctx)
-        )
+        sig, om = float(result["scan_sigma_max"]), float(result["scan_omega_bound"])
     else:
         print(f"fail: unknown branch {branch!r}")
         return 1
-    if scan.zeros:
-        failures.append(f"scan found {len(scan.zeros)} residual RHP zero(s)")
-    norm, ok = verify_performance(controller, weights, dense)
-    if not ok:
-        failures.append(f"performance norm {norm:.6f} exceeds {rho * 1.001:.6f}")
+    # twice the stabilize window on each side
+    cert = certify(plant, weights, ctx, u, (sig * 2, om * 2), dense)
+    if not cert.stable:
+        failures.append(f"scan found {len(cert.scan.zeros)} residual RHP zero(s)")
+    elif not cert.norm_ok:
+        failures.append(f"performance norm {cert.norm:.6f} exceeds {rho * 1.001:.6f}")
     if failures:
         print("fail: " + "; ".join(failures))
         return 1
-    print(f"pass: scan clean, norm {norm:.6f} <= {rho * 1.001:.6f}")
+    print(f"pass: scan clean, norm {cert.norm:.6f} <= {rho * 1.001:.6f}")
     return 0
 
 
@@ -339,6 +305,9 @@ def main(argv=None):
         if frontier:
             for row in frontier[:10]:
                 print(f"  frontier: {row}", file=sys.stderr)
+        return 3
+    except (ScanError, RootConvergenceError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except CertificateContradiction as exc:
         print(f"certificate contradiction: {exc}", file=sys.stderr)

@@ -15,17 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rational import FrequencyGrid, Poly, RationalFn, blaschke, poly_roots
-from .stability import RegionScan, rhp_zero_scan
-from .synthesis import (
-    CertificateContradiction,
-    Controller,
-    SynthesisContext,
-    UParam,
-    build_context,
-    build_controller,
-    verify_performance,
+from .rational import (
+    FrequencyGrid, NonFiniteResponse, Poly, RationalFn, blaschke, poly_roots, sup_norm_on_grid,
 )
+from .stability import Certificate, certify, rhp_zero_scan
+from .synthesis import CertificateContradiction, SynthesisContext, UParam, build_context
 
 __all__ = [
     "P1P2",
@@ -41,6 +35,7 @@ __all__ = [
     "np_interpolant",
     "build_U",
     "certify_u_norm",
+    "fig5_lattice",
     "stabilize_finite",
 ]
 
@@ -119,7 +114,6 @@ class QuasiPoly:
 class P1P2:
     p1: QuasiPoly
     p2: QuasiPoly
-    den: QuasiPoly | None       # shared denominator factor (nE * nm_d * dF), unused in ratios
     p_roots: list               # RHP zeros of P1
     s_roots: list               # all RHP zeros of P2
     M_tilde_d: RationalFn
@@ -149,12 +143,7 @@ def build_p1p2(plant, ctx: SynthesisContext) -> P1P2:
     B2 = L1.mirror() * nF * nM
     q1 = QuasiPoly(A1, B1, plant.h)
     q2 = QuasiPoly(A2, B2, plant.h)
-    excluded = (
-        [complex(b) for b in ctx.betas]
-        + [complex(np.conj(b)) for b in ctx.betas if b.imag != 0]
-        + [complex(a) for a in ctx.alphas]
-        + [complex(np.conj(a)) for a in ctx.alphas if a.imag != 0]
-    )
+    excluded = ctx.excluded_zeros()
     p_roots, scan1 = q1.rhp_zeros(excluded)
     s_roots, scan2 = q2.rhp_zeros(excluded)
     Mtd = blaschke(p_roots) if p_roots else RationalFn.one()
@@ -173,7 +162,7 @@ def build_p1p2(plant, ctx: SynthesisContext) -> P1P2:
         else:
             nodes.append(r)
     return P1P2(
-        p1=q1, p2=q2, den=None, p_roots=p_roots, s_roots=s_roots,
+        p1=q1, p2=q2, p_roots=p_roots, s_roots=s_roots,
         M_tilde_d=Mtd, scans=(scan1, scan2),
         node_roots=nodes, artifact_roots=artifacts,
     )
@@ -354,10 +343,10 @@ class NPInterpolant:
     unique: bool
 
     def _g_raw(self, zz, qv):
-        t = qv
-        for z0, sig in zip(reversed(self.points_used), reversed(self.sigmas)):
-            if sig is None:
-                continue
+        # a unique interpolant ends in a unimodular constant instead of qv
+        free = len(self.sigmas) - self.unique
+        t = np.full_like(zz, self.sigmas[-1]) if self.unique else qv
+        for z0, sig in zip(reversed(self.points_used[:free]), reversed(self.sigmas[:free])):
             B = _blaschke_disk(zz, z0)
             t = (sig + B * t) / (1.0 + np.conj(sig) * B * t)
         return (1.0 - t) / (1.0 + t)
@@ -418,17 +407,6 @@ def np_interpolant(pp: PickProblem) -> NPInterpolant:
     interp = NPInterpolant(
         z=z, targets=b, sigmas=sigmas, points_used=points_used, unique=unique
     )
-    if unique:
-        # nothing left to choose; the terminal unimodular constant closes the chart
-        def graw_unique(zz, qv):
-            t = np.full_like(np.asarray(zz, dtype=complex), interp.sigmas[-1])
-            for z0, sig in zip(reversed(interp.points_used[:-1]),
-                               reversed(interp.sigmas[:-1])):
-                B = _blaschke_disk(zz, z0)
-                t = (sig + B * t) / (1.0 + np.conj(sig) * B * t)
-            return (1.0 - t) / (1.0 + t)
-
-        interp._g_raw = graw_unique
     resid = np.abs(interp.g(z, 0.0) - b)
     if resid.max() > 1e-7 * (1 + np.abs(b).max()):
         raise FiniteSearchError(f"interpolation residual too large: {resid.max():.3e}")
@@ -484,18 +462,11 @@ def build_U(p1p2: P1P2, interp: NPInterpolant, mu, Q, a=1.0) -> UComposite:
 
 def certify_u_norm(U: UComposite, grid: FrequencyGrid | None = None):
     """Grid-certified sup of |U(jw)| including the asymptotic tail value."""
-    grid = grid or FrequencyGrid()
-    om = grid.omegas()
-    vals = np.abs(U(1j * om))
-    if not np.all(np.isfinite(vals)):
-        bad = om[~np.isfinite(vals)][0]
-        raise FiniteSearchError(f"U evaluation failed at omega={bad:g}")
-    i = int(np.argmax(vals))
-    lo, hi = om[max(i - 1, 0)], om[min(i + 1, len(om) - 1)]
-    from .rational import golden_max
-
-    _, v = golden_max(lambda w: float(np.abs(U(np.array([1j * w]))[0])), lo, hi)
-    return max(float(vals[i]), float(v), abs(U.limit_at_infinity))
+    try:
+        v, _ = sup_norm_on_grid(U, grid or FrequencyGrid())
+    except NonFiniteResponse as exc:
+        raise FiniteSearchError(f"U evaluation failed at omega={exc.omega:g}") from None
+    return max(v, abs(U.limit_at_infinity))
 
 
 def _coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om):
@@ -527,49 +498,37 @@ class FinSearchResult:
     q: object
     U: UComposite | None
     U_norm: float
-    stable: bool
-    verified_norm: float
-    scan: RegionScan | None
+    cert: Certificate
     ctx: SynthesisContext
-    p1p2: P1P2 | None
-    controller: Controller
+    p1p2: P1P2
     central: bool = False
-    mu_table: list = field(default_factory=list)
+    mu_table: list = field(default_factory=list)   # (tuple, mu_min) of mu_opt_search
+
+    @property
+    def mu_opt(self):
+        return min(mu for _, mu in self.mu_table if mu is not None)
 
 
 def _default_mu_schedule(mu_opt):
     return [mu_opt * f for f in (1.02, 1.05, 1.1, 1.2, 1.5, 2.0)]
 
 
-def _final_certify(plant, weights, ctx, u_callable, grid):
-    controller = build_controller(plant, weights, ctx, u_callable)
-    om_probe = np.logspace(-3, 4, 1500)
-    mag = np.abs(
-        plant.mn(1j * om_probe) * ctx.F(1j * om_probe)
-        * controller.L_U(1j * om_probe)
-    )
-    above = np.nonzero(mag >= 0.95)[0]
-    om_bound = om_probe[above[-1]] * 1.5 + 5.0 if len(above) else 5.0
-    sig_max = 5.0
-    # truncation soundness: delay contraction along the right edge
-    for _ in range(6):
-        edge = sig_max + 1j * np.linspace(0.0, om_bound, 400)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gain = np.abs(plant.mn(edge) * ctx.F(edge) * controller.L_U(edge))
-        if np.all(np.isfinite(gain)) and gain.max() < 1.0:
-            break
-        sig_max *= 2.0
-    excluded = (
-        [complex(b) for b in ctx.betas]
-        + [complex(np.conj(b)) for b in ctx.betas if b.imag != 0]
-        + [complex(al) for al in ctx.alphas]
-        + [complex(np.conj(al)) for al in ctx.alphas if al.imag != 0]
-    )
-    scan = rhp_zero_scan(
-        controller.loop_denominator, sig_max, om_bound, excluded=excluded
-    )
-    norm, ok = verify_performance(controller, weights, grid)
-    return controller, scan, norm, ok
+def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a=1.0, grid=None):
+    """(mu, Q, ||U||, ||U|| <= 1) over the default mu steps above mu_opt and
+    constant Q in [-1, 1] at step 0.02; steps without an interpolant are left out."""
+    rows = []
+    for mu in _default_mu_schedule(mu_opt):
+        try:
+            interp = np_interpolant(PickProblem(a=a, z=z, w=w, n=integers, mu=mu))
+        except FiniteSearchError:
+            continue
+        for qv in np.arange(-1.0, 1.0001, 0.02):
+            try:
+                un = certify_u_norm(build_U(p1p2, interp, mu, float(qv), a), grid)
+            except FiniteSearchError:
+                continue
+            rows.append((mu, float(qv), un, un <= 1.0))
+    return rows
 
 
 def stabilize_finite(plant, weights, rho_schedule, mu_schedule=None,
@@ -587,17 +546,14 @@ def stabilize_finite(plant, weights, rho_schedule, mu_schedule=None,
         ctx = build_context(plant, weights, rho, "suboptimal", interp_a)
         p1p2 = build_p1p2(plant, ctx)
         if not p1p2.p_roots:
-            controller, scan, norm, ok = _final_certify(
-                plant, weights, ctx, UParam(0.0), grid
-            )
-            if scan.zeros or not ok:
+            cert = certify(plant, weights, ctx, UParam(0.0), grid=grid)
+            if not (cert.stable and cert.norm_ok):
                 raise FiniteSearchError(
                     "central controller expected stable but certification failed"
                 )
             return FinSearchResult(
                 rho=rho, mu=np.nan, integers=(), q=0.0, U=None, U_norm=0.0,
-                stable=True, verified_norm=norm, scan=scan, ctx=ctx, p1p2=p1p2,
-                controller=controller, central=True,
+                cert=cert, ctx=ctx, p1p2=p1p2, central=True,
             )
         z, w = pick_points(p1p2, a)
         mu_opt, best_tuple, table = mu_opt_search(z, w, integer_bound)
@@ -609,12 +565,11 @@ def stabilize_finite(plant, weights, rho_schedule, mu_schedule=None,
             U0 = build_U(p1p2, interp0, pp0.mu, 0.0, a)
             n0 = certify_u_norm(U0, grid)
             if n0 <= 1.0 + 1e-9:
-                controller, scan, vnorm, ok = _final_certify(plant, weights, ctx, U0, grid)
-                if not scan.zeros and ok:
+                cert = certify(plant, weights, ctx, U0, grid=grid)
+                if cert.stable and cert.norm_ok:
                     return FinSearchResult(
                         rho=rho, mu=pp0.mu, integers=best_tuple, q=0.0, U=U0,
-                        U_norm=n0, stable=True, verified_norm=vnorm, scan=scan,
-                        ctx=ctx, p1p2=p1p2, controller=controller, mu_table=table,
+                        U_norm=n0, cert=cert, ctx=ctx, p1p2=p1p2, mu_table=table,
                     )
         except FiniteSearchError as exc:
             last_exc = exc
@@ -650,20 +605,17 @@ def stabilize_finite(plant, weights, rho_schedule, mu_schedule=None,
                         continue
                     if un > 1.0 + 1e-9:
                         continue
-                    controller, scan, vnorm, ok = _final_certify(
-                        plant, weights, ctx, U, grid
-                    )
-                    if scan.zeros or not ok:
+                    cert = certify(plant, weights, ctx, U, grid=grid)
+                    if not (cert.stable and cert.norm_ok):
                         raise CertificateContradiction(
                             "the free-parameter norm condition held but the "
                             f"independent certification failed (mu={mu:.6g}, "
-                            f"q={qv:.4g}, residual zeros={len(scan.zeros)}, "
-                            f"norm ok={ok})"
+                            f"q={qv:.4g}, residual zeros={len(cert.scan.zeros)}, "
+                            f"norm ok={cert.norm_ok})"
                         )
                     return FinSearchResult(
                         rho=rho, mu=float(mu), integers=tup, q=qv, U=U,
-                        U_norm=un, stable=True, verified_norm=vnorm, scan=scan,
-                        ctx=ctx, p1p2=p1p2, controller=controller, mu_table=table,
+                        U_norm=un, cert=cert, ctx=ctx, p1p2=p1p2, mu_table=table,
                     )
     raise FiniteSearchError(
         "schedules exhausted: this method fails to provide a stable controller"

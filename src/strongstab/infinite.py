@@ -16,23 +16,15 @@ import numpy as np
 from .rational import FrequencyGrid, poly_roots
 from .stability import (
     AsymptoticData,
+    Certificate,
     PeakData,
-    RegionScan,
     admissible_uinf,
     asymptotics,
+    certify,
     peak_data,
-    rhp_zero_scan,
     scan_window_for,
 )
-from .synthesis import (
-    CertificateContradiction,
-    Controller,
-    SynthesisContext,
-    UParam,
-    build_context,
-    build_controller,
-    verify_performance,
-)
+from .synthesis import CertificateContradiction, SynthesisContext, UParam, build_context
 
 __all__ = [
     "InfSearchConfig",
@@ -66,13 +58,10 @@ class InfSearchConfig:
 class InfSearchResult:
     u: UParam
     peak: PeakData
-    scan: RegionScan
-    verified_norm: float
-    stable: bool
+    cert: Certificate
     candidates_tried: int
     asym: AsymptoticData
     ctx: SynthesisContext
-    controller: Controller
 
 
 def l1u_stability_range(ctx: SynthesisContext, step=1e-3):
@@ -169,38 +158,19 @@ def stabilize_infinite(plant, weights, cfg: InfSearchConfig,
     candidates.sort(key=_rank_key)
     frontier = []
     for u, pk in candidates[: cfg.scan_budget]:
-        controller = build_controller(plant, weights, ctx, u)
-        sig_max, om_bound = scan_window_for(ctx, plant, u, pk)
-        # truncation soundness: the delay term must contract the loop gain
-        # below one along the right edge of the window
-        for _ in range(6):
-            edge = sig_max + 1j * np.linspace(0.0, om_bound, 400)
-            gain = np.abs(plant.mn(edge) * ctx.F(edge) * controller.L_U(edge))
-            if gain.max() < 1.0:
-                break
-            sig_max *= 2.0
-        excluded = (
-            [complex(b) for b in ctx.betas]
-            + [complex(np.conj(b)) for b in ctx.betas if b.imag != 0]
-            + [complex(al) for al in ctx.alphas]
-            + [complex(np.conj(al)) for al in ctx.alphas if al.imag != 0]
-        )
-        scan = rhp_zero_scan(
-            controller.loop_denominator, sig_max, om_bound, excluded=excluded
-        )
-        frontier.append((u, pk, len(scan.zeros)))
-        if scan.zeros:
+        window = scan_window_for(ctx, plant, u, pk)
+        cert = certify(plant, weights, ctx, u, window, cfg.grid)
+        frontier.append((u, pk, len(cert.scan.zeros)))
+        if not cert.stable:
             continue
-        norm, ok = verify_performance(controller, weights, cfg.grid)
-        if not ok:
+        if not cert.norm_ok:
             raise CertificateContradiction(
                 f"scan certified stability at u_inf={u.u_inf:.4g} but the "
-                f"closed-loop norm {norm:.6g} exceeded the level"
+                f"closed-loop norm {cert.norm:.6g} exceeded the level"
             )
         return InfSearchResult(
-            u=u, peak=pk, scan=scan, verified_norm=norm, stable=True,
-            candidates_tried=len(frontier), asym=asym, ctx=ctx,
-            controller=controller,
+            u=u, peak=pk, cert=cert, candidates_tried=len(frontier), asym=asym,
+            ctx=ctx,
         )
     raise SearchExhausted(
         "all scanned candidates kept right-half-plane zeros",

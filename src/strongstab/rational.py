@@ -21,6 +21,7 @@ __all__ = [
     "FrequencyGrid",
     "RootConvergenceError",
     "PoleEvaluationError",
+    "NonFiniteResponse",
     "poly_roots",
     "poly_from_roots",
     "blaschke",
@@ -53,6 +54,14 @@ class PoleEvaluationError(ZeroDivisionError):
     def __init__(self, msg, at=None):
         super().__init__(msg)
         self.at = at
+
+
+class NonFiniteResponse(RuntimeError):
+    """A frequency response is not finite on the grid; carries the first such omega."""
+
+    def __init__(self, omega):
+        super().__init__(f"frequency response not finite at omega={omega:g}")
+        self.omega = omega
 
 
 class Poly:
@@ -500,30 +509,23 @@ def golden_max(fun, a, b, iters=50):
 
 
 def sup_norm_on_grid(evaluator, grid: FrequencyGrid):
-    """Sup of |evaluator(j omega)| over the grid, refined around the peak.
+    """(sup, omega) of |evaluator(j omega)| over the grid, refined around the peak.
 
-    `evaluator` receives an ndarray of complex points j*omega and must return
-    the complex response array.  Failures propagate with the offending
-    frequency attached.
+    `evaluator` receives an ndarray of complex points j*omega and returns the
+    response array.  The grid argmax is refined by golden section between its
+    neighbours.  A response that is not finite somewhere on the grid raises
+    NonFiniteResponse naming the first such frequency.
     """
     om = grid.omegas()
-    try:
-        vals = np.abs(evaluator(1j * om))
-    except PoleEvaluationError:
-        raise
-    except Exception as exc:  # re-raise, attaching what we were doing
-        raise RuntimeError(f"frequency response evaluation failed on grid: {exc}") from exc
+    vals = np.abs(evaluator(1j * om))
     if not np.all(np.isfinite(vals)):
-        bad = om[~np.isfinite(vals)][0]
-        raise RuntimeError(f"frequency response not finite at omega={bad:g}")
+        raise NonFiniteResponse(float(om[~np.isfinite(vals)][0]))
     i = int(np.argmax(vals))
-    lo = om[max(i - 1, 0)]
-    hi = om[min(i + 1, len(om) - 1)]
 
     def f(w):
         return float(np.abs(evaluator(np.array([1j * w]))[0]))
 
-    w, v = golden_max(f, lo, hi)
+    w, v = golden_max(f, om[max(i - 1, 0)], om[min(i + 1, len(om) - 1)])
     if v >= vals[i]:
         return float(v), float(w)
     return float(vals[i]), float(om[i])

@@ -1,10 +1,12 @@
 """Unstable-pole analysis for the delay loop 1 + e^{-hs} M F L_U.
 
-Three layers: leading-coefficient asymptotics (finite/infinite pole class and
+Four layers: leading-coefficient asymptotics (finite/infinite pole class and
 the admissible range of the free parameter's high-frequency gain), exact
-crossing/peak data for |F L_U| on the imaginary axis, and a rigorous
+crossing/peak data for |F L_U| on the imaginary axis, a rigorous
 argument-principle scan that counts and locates right-half-plane zeros of an
-analytic callable on a rectangle, with known cancelling zeros deflated out.
+analytic callable on a rectangle, with known cancelling zeros deflated out,
+and `certify`, the one acceptance test every design passes: a clean scan of
+the loop denominator, then the closed-loop norm bound.
 """
 
 from __future__ import annotations
@@ -14,14 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rational import Poly, poly_roots
-from .synthesis import DelayPlant, SynthesisContext, UParam, WeightPair
+from .synthesis import (
+    Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
+    verify_performance,
+)
 
 __all__ = [
     "AsymptoticData",
+    "Certificate",
     "PeakData",
     "RegionScan",
     "ScanError",
     "asymptotics",
+    "certify",
     "fl_limit_at_infinity",
     "finitely_many_poles",
     "admissible_uinf",
@@ -352,21 +359,17 @@ def _subdivide(f, slo, shi, wlo, whi, depth, out, counter, loc_tol=1e-6, max_dep
 
 
 def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
-                  sigma_min: float = 0.0, omega_min: float | None = None,
-                  window_check=None) -> RegionScan:
+                  sigma_min: float = 0.0, omega_min: float | None = None) -> RegionScan:
     """Count and locate zeros of `f` in [sigma_min, sigma_max] x [om_min, om_bound].
 
     `excluded` lists known zeros (for example the cancelled zeros of E and m_d
     on or near the contour); they are divided out pointwise before the winding
     computation, which both removes them from the count and keeps the contour
-    away from vanishing values.  `window_check`, when given, is called with the
-    window and may raise to veto an unsound truncation.
+    away from vanishing values.
     """
     if omega_min is None:
         omega_min = -omega_bound
     excluded = [complex(z) for z in excluded]
-    if window_check is not None:
-        window_check(sigma_max, omega_bound)
 
     def fd(s):
         s = np.asarray(s, dtype=complex)
@@ -409,3 +412,74 @@ def scan_window_for(ctx: SynthesisContext, plant: DelayPlant, u: UParam,
         sigma_max = 5.0 + 10.0 * eta
         omega_bound = (peak.omega_max or 0.0) * 1.1 + 10.0
     return float(sigma_max), float(omega_bound)
+
+
+# ---------------------------------------------------------------------------
+# certificate
+# ---------------------------------------------------------------------------
+
+# The right edge of a scan window may move out this many times (doubling
+# sigma_max each time) before the window is declared unsound.
+EDGE_DOUBLINGS = 6
+
+
+@dataclass
+class Certificate:
+    """Both checks of one design.
+
+    `scan` holds the window actually scanned and the excluded zeros; `norm`
+    and `norm_ok` stay None/False when the scan found zeros, because the norm
+    check then has nothing left to decide.
+    """
+
+    controller: Controller
+    scan: RegionScan
+    norm: float | None = None
+    norm_ok: bool = False
+
+    @property
+    def stable(self):
+        return not self.scan.zeros
+
+
+def _probe_window(controller: Controller):
+    """Window from where |e^{-hs} M F L_U| stays at or above 0.95 on the axis."""
+    om = np.logspace(-3, 4, 1500)
+    mag = np.abs(controller.loop_gain(1j * om))
+    above = np.nonzero(mag >= 0.95)[0]
+    return 5.0, (om[above[-1]] * 1.5 + 5.0 if len(above) else 5.0)
+
+
+def _contracting_edge(controller: Controller, sigma_max, omega_bound):
+    """Move the right edge out until the delay contracts the loop gain below
+    one along it, so no zero lies beyond the window."""
+    for _ in range(EDGE_DOUBLINGS + 1):
+        edge = sigma_max + 1j * np.linspace(0.0, omega_bound, 400)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = np.abs(controller.loop_gain(edge))
+        if gain.max() < 1.0:
+            return sigma_max
+        sigma_max *= 2.0
+    raise ScanError(
+        f"loop gain still reaches one on the right edge sigma={sigma_max / 2:g} "
+        f"after {EDGE_DOUBLINGS} doublings"
+    )
+
+
+def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
+            window=None, grid=None) -> Certificate:
+    """Build the controller for `u`, scan its loop denominator for RHP zeros
+    and, only when the scan is clean, check the closed-loop norm on `grid`.
+
+    `window` is (sigma_max, omega_bound); None takes the bound from a probe of
+    the loop gain on the axis.  Either way the right edge is then pushed out
+    until the loop gain contracts along it (ScanError when it never does).
+    """
+    controller = build_controller(plant, weights, ctx, u)
+    sigma_max, omega_bound = window or _probe_window(controller)
+    sigma_max = _contracting_edge(controller, sigma_max, omega_bound)
+    scan = rhp_zero_scan(controller.loop_denominator, sigma_max, omega_bound,
+                         excluded=ctx.excluded_zeros())
+    if scan.zeros:
+        return Certificate(controller, scan)
+    return Certificate(controller, scan, *verify_performance(controller, weights, grid))

@@ -23,10 +23,11 @@ from .rational import (
     FrequencyGrid,
     Poly,
     RationalFn,
+    NonFiniteResponse,
     blaschke,
-    golden_max,
     poly_from_roots,
     poly_roots,
+    sup_norm_on_grid,
 )
 
 __all__ = [
@@ -396,6 +397,15 @@ class SynthesisContext:
     def ell(self):
         return len(self.alphas)
 
+    def excluded_zeros(self):
+        """RHP zeros of E and m_d with their conjugates: the interpolation
+        conditions cancel them structurally, so every zero scan divides them out."""
+        out = [complex(b) for b in self.betas]
+        out += [complex(np.conj(b)) for b in self.betas if b.imag != 0]
+        out += [complex(a) for a in self.alphas]
+        out += [complex(np.conj(a)) for a in self.alphas if a.imag != 0]
+        return out
+
 
 def build_context(plant: DelayPlant, weights: WeightPair, level: float,
                   mode="suboptimal", interp_a=1.0) -> SynthesisContext:
@@ -580,6 +590,10 @@ class Controller:
         num, den = self._lu(s)
         return num / den
 
+    def loop_gain(self, s):
+        """e^{-hs} M F L_U, whose magnitude bounds the scan window."""
+        return self.plant.mn(s) * self.ctx.F(s) * self.L_U(s)
+
     def loop_denominator(self, s):
         """1 + m_n F L_U, cleared of the L_U denominator's zeros: returns
         (L1 + L2~ U) + m_n F (L2 + L1~ U), whose RHP zeros are the controller
@@ -591,7 +605,7 @@ class Controller:
     def sensitivity_pair(self, omegas):
         """(S, T) on the imaginary axis via the internally cancelled forms."""
         s = 1j * np.asarray(omegas, dtype=float)
-        x = self.plant.mn(s) * self.ctx.F(s) * self.L_U(s)
+        x = self.loop_gain(s)
         Ev = self.ctx.E(s)
         D = 1.0 + x * (1.0 + Ev)
         small = np.abs(D) < 1e-10
@@ -625,22 +639,17 @@ def build_controller(plant, weights, ctx: SynthesisContext, u,
 
 def verify_performance(controller: Controller, weights: WeightPair,
                        grid: FrequencyGrid | None = None, slack=1e-3):
-    """Sup over the grid of sqrt(|W1 S|^2 + |W2 T|^2) and the level check."""
-    grid = grid or FrequencyGrid()
-    om = grid.omegas()
-    S, T = controller.sensitivity_pair(om)
-    w1 = weights.W1(1j * om)
-    w2 = 0.0 if weights.W2.is_zero else weights.W2(1j * om)
-    stack = np.sqrt(np.abs(w1 * S) ** 2 + np.abs(w2 * T) ** 2)
-    i = int(np.argmax(stack))
+    """Sup over the grid of sqrt(|W1 S|^2 + |W2 T|^2) and the level check.
 
-    def f(w):
-        Sw, Tw = controller.sensitivity_pair(np.array([w]))
-        a = weights.W1(np.array([1j * w]))[0] * Sw[0]
-        b = 0.0 if weights.W2.is_zero else weights.W2(np.array([1j * w]))[0] * Tw[0]
-        return float(np.sqrt(abs(a) ** 2 + abs(b) ** 2))
+    A stack that is not finite on the grid fails the check with norm inf.
+    """
+    def stack(s):
+        S, T = controller.sensitivity_pair(s.imag)
+        w2 = 0.0 if weights.W2.is_zero else weights.W2(s)
+        return np.sqrt(np.abs(weights.W1(s) * S) ** 2 + np.abs(w2 * T) ** 2)
 
-    lo, hi = om[max(i - 1, 0)], om[min(i + 1, len(om) - 1)]
-    _, v = golden_max(f, lo, hi)
-    norm = max(float(stack[i]), float(v))
+    try:
+        norm, _ = sup_norm_on_grid(stack, grid or FrequencyGrid())
+    except NonFiniteResponse:
+        return float("inf"), False
     return norm, norm <= controller.ctx.level * (1.0 + slack)

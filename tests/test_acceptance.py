@@ -85,17 +85,17 @@ def test_criterion_3_admissible_ranges(ex1_ctx):
 def test_criterion_4_search_outcome(ex1_search, ex1_ctx):
     res = ex1_search
     beta_ok = all(
-        min(abs(z - 1.056j), abs(z + 1.056j)) <= 5e-3 for z in res.scan.excluded
+        min(abs(z - 1.056j), abs(z + 1.056j)) <= 5e-3 for z in res.cert.scan.excluded
     )
     ok = (
         abs(res.u.u_inf - (-0.813)) <= 2e-3
         and abs(res.peak.omega_max - 19.458) <= 0.5
-        and len(res.scan.zeros) == 0
+        and len(res.cert.scan.zeros) == 0
         and beta_ok
-        and res.verified_norm <= 0.814 * (1 + 1e-3)
+        and res.cert.norm <= 0.814 * (1 + 1e-3)
     )
     record(4, ok, f"u_inf={res.u.u_inf}, omega_max={res.peak.omega_max:.4f}, "
-                  f"residual zeros={len(res.scan.zeros)}, norm={res.verified_norm:.6f}")
+                  f"residual zeros={len(res.cert.scan.zeros)}, norm={res.cert.norm:.6f}")
 
 
 def test_criterion_5_pole_chains(ex1, ex1_gamma, ex1_ctx):
@@ -179,13 +179,13 @@ def test_criterion_8_value_anchor(ex2_p1p2):
 def test_criterion_9_final_design_certificates(ex2_search):
     res = ex2_search
     ok = (
-        res.stable
+        res.cert.stable
         and res.U_norm <= 1.0 + 1e-9
-        and len(res.scan.zeros) == 0
-        and res.verified_norm <= 1.9454 * (1 + 1e-3)
+        and len(res.cert.scan.zeros) == 0
+        and res.cert.norm <= 1.9454 * (1 + 1e-3)
     )
     record(9, ok, f"mu={res.mu:.4f}, q={res.q}, ||U||={res.U_norm:.5f}, "
-                  f"norm={res.verified_norm:.6f}, scan clean={not res.scan.zeros}")
+                  f"norm={res.cert.norm:.6f}, scan clean={not res.cert.scan.zeros}")
 
 
 @pytest.mark.xfail(
@@ -341,7 +341,7 @@ def test_criterion_10_np_residuals(ex2_p1p2):
 def test_criterion_11_non_implication_witness(ex1_search):
     res = ex1_search
     # sufficient condition violated (eta_max > 1) yet certified stable
-    ok = res.peak.eta_max > 1.0 and res.stable and len(res.scan.zeros) == 0
+    ok = res.peak.eta_max > 1.0 and res.cert.stable and len(res.cert.scan.zeros) == 0
     record(11, ok, f"eta_max={res.peak.eta_max:.4f} > 1 and design certified stable")
 
 

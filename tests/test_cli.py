@@ -146,6 +146,22 @@ class TestCSVs:
         assert max(sigs) == pytest.approx(rep["result"]["scan_sigma_max"], rel=1e-9)
         assert max(oms) == pytest.approx(rep["result"]["scan_omega_bound"], rel=1e-9)
 
+    def test_central_stable_branch_emits_fig5(self, tmp_path):
+        # the central design carries no branch integers; the fig-5 lattice
+        # takes the Pick optimum's tuple (a coarse grid keeps the run short)
+        cfg = json.loads(pathlib.Path(EX2).read_text())
+        cfg["options"]["grid"]["points"] = 400
+        cfg["options"]["search"]["integer_bound"] = 3
+        p = tmp_path / "ex2_coarse.json"
+        p.write_text(json.dumps(cfg))
+        out, plots = tmp_path / "report.json", tmp_path / "plots"
+        rc = main(["stabilize", str(p), "--rho", "1.96",
+                   "--emit-plots", str(plots), "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["branch"] == "central-stable"
+        with open(plots / "fig5_ranges.csv") as fh:
+            assert len(list(csv.DictReader(fh))) > 0
+
     def test_fig3_fig4_fig5(self, ex2_run):
         _, plots, _ = ex2_run
         with open(plots / "fig3_mu.csv") as fh:
@@ -184,6 +200,19 @@ class TestExitCodes:
         rc = main(["stabilize", EX1, "--rho", "0.814"])
         assert rc == 4
         assert "contradiction" in capsys.readouterr().err
+
+    def test_non_contracting_scan_edge_exits_3(self, monkeypatch, capsys):
+        from strongstab.synthesis import Controller
+
+        # |loop gain| = 1 everywhere: no right edge makes the delay contract it
+        monkeypatch.setattr(
+            Controller, "loop_gain",
+            lambda self, s: np.ones_like(np.asarray(s), dtype=complex),
+        )
+        rc = main(["stabilize", EX1, "--rho", "0.814"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
 class TestVerify:

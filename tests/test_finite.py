@@ -224,17 +224,17 @@ class TestBuildU:
 class TestStabilizeFinite:
     def test_ex2_outcome(self, ex2_search):
         res = ex2_search
-        assert res.stable and not res.central
+        assert res.cert.stable and not res.central
         assert res.U_norm <= 1.0 + 1e-9
-        assert res.verified_norm <= 1.9454 * 1.001
-        assert res.scan.zeros == []
+        assert res.cert.norm <= 1.9454 * 1.001
+        assert res.cert.scan.zeros == []
         assert res.mu > 60.0
         assert res.integers == (0, 0)
 
     def test_ex2_norm_condition_certificate(self, ex2_search):
         # the two certificates agree: grid norm condition and clean scan
         assert certify_u_norm(ex2_search.U) <= 1.0 + 1e-9
-        assert len(ex2_search.scan.zeros) == 0
+        assert len(ex2_search.cert.scan.zeros) == 0
 
     def test_central_short_circuit(self):
         plant = DelayPlant(h=0.3, M=RationalFn.one(), m_d=RationalFn.one(),
@@ -244,9 +244,9 @@ class TestStabilizeFinite:
             W2=RationalFn(Poly([0.8, 0.4]), Poly([1.0])),
         )
         res = stabilize_finite(plant, weights, [1.2987], a=1.0, interp_a=1.0)
-        assert res.central and res.stable
+        assert res.central and res.cert.stable
         assert res.U is None and res.U_norm == 0.0
-        assert res.verified_norm <= 1.2987 * 1.001
+        assert res.cert.norm <= 1.2987 * 1.001
 
     def test_exhausted_schedule(self, ex2, ex2_ctx):
         plant, weights, opts = ex2

@@ -22,18 +22,18 @@ class TestL1UStability:
 class TestSearch:
     def test_ex1_outcome(self, ex1_search):
         res = ex1_search
-        assert res.stable
+        assert res.cert.stable
         assert res.u.u_inf == pytest.approx(-0.813, abs=2e-3)
         assert res.u.is_constant
         assert res.peak.omega_max == pytest.approx(19.458, abs=0.5)
         assert res.peak.eta_max > 1.0
-        assert res.scan.zeros == []
-        assert res.verified_norm <= 0.814 * 1.001
+        assert res.cert.scan.zeros == []
+        assert res.cert.norm <= 0.814 * 1.001
 
     def test_ex1_excluded_are_E_zeros(self, ex1_search, ex1_ctx):
         expected = {complex(b) for b in ex1_ctx.betas}
         expected |= {complex(np.conj(b)) for b in ex1_ctx.betas}
-        assert set(ex1_search.scan.excluded) == expected
+        assert set(ex1_search.cert.scan.excluded) == expected
         for b in ex1_ctx.betas:
             assert abs(b - 1.056j) < 5e-3
 
@@ -42,10 +42,10 @@ class TestSearch:
         plant, weights, _ = ex1
         res = ex1_search
         scan = rhp_zero_scan(
-            res.controller.loop_denominator,
-            res.scan.sigma_max * 2,
-            res.scan.omega_bound * 2,
-            excluded=res.scan.excluded,
+            res.cert.controller.loop_denominator,
+            res.cert.scan.sigma_max * 2,
+            res.cert.scan.omega_bound * 2,
+            excluded=res.cert.scan.excluded,
         )
         assert scan.zeros == []
 

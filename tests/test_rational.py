@@ -3,6 +3,7 @@ import pytest
 
 from strongstab.rational import (
     FrequencyGrid,
+    NonFiniteResponse,
     PoleEvaluationError,
     Poly,
     RationalFn,
@@ -169,3 +170,14 @@ class TestSupNorm:
         val, w = sup_norm_on_grid(lambda s: f(s), FrequencyGrid())
         assert w == pytest.approx(np.sqrt(4 - 0.02**2 / 2), rel=1e-4)
         assert val == pytest.approx(1 / (0.02 * np.sqrt(4 - 0.02**2 / 4)), rel=1e-6)
+
+    def test_non_finite_response_names_frequency(self):
+        grid = FrequencyGrid()
+        bad = grid.omegas()[1234]
+
+        def f(s):
+            return np.where(s.imag >= bad, np.inf, 1.0)
+
+        with pytest.raises(NonFiniteResponse) as info:
+            sup_norm_on_grid(f, grid)
+        assert info.value.omega == bad

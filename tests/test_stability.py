@@ -7,6 +7,7 @@ from strongstab.stability import (
     ScanError,
     admissible_uinf,
     asymptotics,
+    certify,
     chain_abscissa,
     finitely_many_poles,
     fl_limit_at_infinity,
@@ -14,7 +15,7 @@ from strongstab.stability import (
     properness_criterion,
     rhp_zero_scan,
 )
-from strongstab.synthesis import DelayPlant, UParam, WeightPair
+from strongstab.synthesis import Controller, DelayPlant, UParam, WeightPair
 
 
 class TestAsymptotics:
@@ -196,11 +197,27 @@ class TestScan:
         for z in scan.zeros:
             assert z.real == pytest.approx(sig, abs=0.15)
 
-    def test_window_guard_callback(self):
-        p = poly_from_roots([0.5], 1.0)
 
-        def veto(sig, om):
-            raise ScanError("window rejected")
+class TestCertify:
+    def test_dirty_scan_skips_the_norm_check(self, ex1, ex1_ctx):
+        # the central controller keeps its pole chain, so the norm is not run
+        plant, weights, _ = ex1
+        cert = certify(plant, weights, ex1_ctx, UParam(0.0), (6.0, 100.0))
+        assert not cert.stable and len(cert.scan.zeros) == 4
+        assert cert.norm is None and cert.norm_ok is False
+        assert cert.scan.excluded == ex1_ctx.excluded_zeros()
 
-        with pytest.raises(ScanError):
-            rhp_zero_scan(lambda s: p(s), 2.0, 2.0, window_check=veto)
+    def test_clean_scan_runs_the_norm_check(self, ex1, ex1_ctx):
+        plant, weights, opts = ex1
+        cert = certify(plant, weights, ex1_ctx, UParam(-0.814), grid=opts.grid)
+        assert cert.stable and cert.norm_ok
+        assert cert.norm <= 0.814 * 1.001
+
+    def test_non_contracting_edge_raises(self, ex1, ex1_ctx, monkeypatch):
+        plant, weights, _ = ex1
+        monkeypatch.setattr(
+            Controller, "loop_gain",
+            lambda self, s: np.ones_like(np.asarray(s), dtype=complex),
+        )
+        with pytest.raises(ScanError, match="doublings"):
+            certify(plant, weights, ex1_ctx, UParam(-0.814), (8.0, 100.0))
