@@ -3,9 +3,10 @@
 Everything downstream (weighting filters, inner/outer plant factors, spectral
 factors, interpolation data) is carried by `Poly` and `RationalFn`.  Polynomial
 coefficients are stored in ascending order, so ``Poly([1.0, 0.6])`` is
-``1 + 0.6 s``.  Root extraction uses a simultaneous Aberth-Ehrlich iteration,
-which keeps the package free of external eigensolvers; degrees in this problem
-class never exceed roughly a dozen.
+``1 + 0.6 s``.  Roots are the eigenvalues of the companion matrix (`np.roots`;
+a real matrix gives exact conjugate pairs, Edelman & Murakami 1995), polished
+by a few guarded Newton steps; degrees in this problem class never exceed
+roughly a dozen.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ REAL_SNAP_TOL = 1e-9
 
 
 class RootConvergenceError(RuntimeError):
-    """Aberth iteration failed; carries the worst residual seen."""
+    """Root extraction failed its residual or pairing check; carries the worst value."""
 
     def __init__(self, msg, worst_residual=None):
         super().__init__(msg)
@@ -194,65 +195,27 @@ def poly_from_roots(roots, leading=1.0):
     return Poly(c.real * leading)
 
 
-def _aberth(c, tol_root, max_iter):
-    """All roots of the monic complex polynomial with ascending coeffs `c`."""
-    n = len(c) - 1
-    if n == 0:
-        return np.array([], dtype=complex)
-    if n == 1:
-        return np.array([-c[0] / c[1]], dtype=complex)
-    cm = c / c[-1]
-    # Cauchy-style inclusion radius with a deterministic, asymmetric spread of
-    # initial guesses (symmetric starts can stall on symmetric polynomials).
-    radius = 1.0 + np.abs(cm[:-1]).max()
-    k = np.arange(n)
-    z = radius * np.exp(1j * (2 * np.pi * k / n + 0.4)) * (1 + 0.05 * ((k % 3) - 1))
-
-    dm = cm[1:] * np.arange(1, n + 1)
-
-    def val(x, coeffs):
-        r = np.zeros_like(x)
-        for a in coeffs[::-1]:
-            r = r * x + a
-        return r
-
-    for _ in range(max_iter):
-        pv = val(z, cm)
-        dv = val(z, dm)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        corr = 1.0 - w * np.sum(1.0 / diff, axis=1)
-        corr = np.where(np.abs(corr) < 1e-12, 1e-12, corr)
-        step = w / corr
-        z = z - step
-        if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-15:
-            break
-
-    # Newton polish against the original (non-normalized) polynomial.
-    d = c[1:] * np.arange(1, n + 1)
-    for _ in range(3):
-        pv = val(z, c)
-        dv = val(z, d)
-        mask = np.abs(dv) > 0
-        z = np.where(mask, z - pv / np.where(mask, dv, 1.0), z)
-
-    scale = np.array([np.sum(np.abs(c) * np.abs(zi) ** np.arange(n + 1)) for zi in z])
-    resid = np.abs(val(z, c)) / np.maximum(scale, 1e-300)
-    worst = float(resid.max())
-    if worst > tol_root * 1e3:
-        raise RootConvergenceError(
-            f"root iteration did not converge (worst residual {worst:.3e})", worst
-        )
-    return z
-
-
-def poly_roots(p: Poly, tol_root=1e-12, max_iter=200) -> RootSet:
+def poly_roots(p: Poly, tol_root=1e-12) -> RootSet:
     """Roots of `p` with conjugate symmetry enforced by explicit pairing."""
     if p.is_zero:
         raise ValueError("cannot extract roots of the zero polynomial")
-    z = _aberth(p.c.astype(complex), tol_root, max_iter)
+    z = np.roots(p.c[::-1]).astype(complex)
+    # Newton polish against the polynomial itself; a step is kept only where
+    # it lowers |p|, since Newton overshoots at multiple roots
+    pv = p(z)
+    dp = p.deriv()
+    for _ in range(3):
+        dv = dp(z)
+        zn = z - pv / np.where(dv == 0, 1.0, dv)
+        pn = p(zn)
+        better = (dv != 0) & (np.abs(pn) < np.abs(pv))
+        z, pv = np.where(better, zn, z), np.where(better, pn, pv)
+    if len(z):
+        worst = float((np.abs(pv) / np.maximum(p.scale_at(z), 1e-300)).max())
+        if worst > tol_root * 1e3:
+            raise RootConvergenceError(
+                f"root extraction failed its residual check (worst {worst:.3e})", worst
+            )
     # snap near-real roots
     z = np.where(np.abs(z.imag) < REAL_SNAP_TOL * (1 + np.abs(z.real)), z.real + 0j, z)
 

@@ -228,6 +228,16 @@ class TestVerify:
         assert rc == 0
         assert capsys.readouterr().out.startswith("pass")
 
+    def test_ex2_double_root_level(self, tmp_path, capsys):
+        # at this level the spectral factor's double root x = 5 used to split
+        # into a non-conjugate pair and stop stabilize with a traceback
+        out = tmp_path / "report.json"
+        rc = main(["stabilize", EX2, "--rho", "1.945398944586238", "--out", str(out)])
+        assert rc == 0
+        rc = main(["verify", EX2, "--report", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("pass:")
+
     def test_tampered_u_fails_with_pole_class_diagnostic(self, ex1_run, tmp_path,
                                                          capsys):
         rep, _, _ = ex1_run
