@@ -222,8 +222,7 @@ def poly_roots(p: Poly, tol_root=1e-12) -> RootSet:
     # pair complex roots with their conjugates and average the pair
     used = np.zeros(len(z), dtype=bool)
     roots = []
-    order = np.argsort([(zi.real, abs(zi.imag)) for zi in z], axis=0)[:, 0]
-    for i in order:
+    for i in np.argsort(z.real):
         if used[i]:
             continue
         zi = z[i]
@@ -241,7 +240,7 @@ def poly_roots(p: Poly, tol_root=1e-12) -> RootSet:
                 best, bestd = j, d
         if best < 0 or bestd > 1e-6 * (1 + abs(zi)):
             # clustered (multiple) real roots split across the axis by the
-            # iteration's noise floor; absorb them rather than failing
+            # eigensolver's noise floor; absorb them rather than failing
             if abs(zi.imag) < 1e-6 * (1 + abs(zi)):
                 roots.append(complex(zi.real))
                 used[i] = True

@@ -443,7 +443,8 @@ class Certificate:
 
 
 def _probe_window(controller: Controller):
-    """Window from where |e^{-hs} M F L_U| stays at or above 0.95 on the axis."""
+    """(5, omega_bound) with omega_bound half again past the last axis
+    frequency where |e^{-hs} M F L_U| >= 0.95, plus 5."""
     om = np.logspace(-3, 4, 1500)
     mag = np.abs(controller.loop_gain(1j * om))
     above = np.nonzero(mag >= 0.95)[0]

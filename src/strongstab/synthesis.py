@@ -21,9 +21,9 @@ import numpy as np
 
 from .rational import (
     FrequencyGrid,
+    NonFiniteResponse,
     Poly,
     RationalFn,
-    NonFiniteResponse,
     blaschke,
     poly_from_roots,
     poly_roots,

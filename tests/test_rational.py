@@ -68,6 +68,20 @@ class TestPolyRoots:
         with pytest.raises(ValueError):
             poly_roots(Poly([0.0]))
 
+    def test_double_real_root(self):
+        # the zero W1 and W2 share at s = -sqrt(5) in example 2 makes x = 5 a
+        # double root of the spectral ratio's x-polynomial
+        for coeffs in (
+            # numerator at rho = 1.945398944586238
+            [-1.2150791078313732, 0.4860316431325493, -0.048603164313254926],
+            # an exact double root, where an unguarded Newton step overshoots
+            [-0.6645339354010678, 0.2658135741604273, -0.026581357416042742],
+        ):
+            rs = poly_roots(Poly(coeffs))
+            assert sum(rs.multiplicities) == 2
+            for r in rs.roots:
+                assert abs(r - 5.0) <= 1e-6
+
 
 class TestRationalFn:
     def test_mirror_flips_odd_coefficients(self):
@@ -100,20 +114,6 @@ class TestRationalFn:
         f = RationalFn(Poly([-1.0, 1.0]), Poly([1.0, 1.0]))
         om = np.logspace(-2, 2, 50)
         np.testing.assert_allclose(np.abs(f(1j * om)), 1.0, atol=1e-12)
-
-    def test_double_real_root(self):
-        # the zero W1 and W2 share at s = -sqrt(5) in example 2 makes x = 5 a
-        # double root of the spectral ratio's x-polynomial
-        for coeffs in (
-            # numerator at rho = 1.945398944586238
-            [-1.2150791078313732, 0.4860316431325493, -0.048603164313254926],
-            # an exact double root, where an unguarded Newton step overshoots
-            [-0.6645339354010678, 0.2658135741604273, -0.026581357416042742],
-        ):
-            rs = poly_roots(Poly(coeffs))
-            assert sum(rs.multiplicities) == 2
-            for r in rs.roots:
-                assert abs(r - 5.0) <= 1e-6
 
     def test_pole_eval_raises(self):
         f = RationalFn(Poly([1.0]), Poly([1.0, 1.0]))
