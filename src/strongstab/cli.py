@@ -113,7 +113,7 @@ def _run_infinite(plant, weights, opts, rho, ctx, emit_dir):
 def _run_finite(plant, weights, opts, rho, emit_dir):
     q_grid = np.arange(-1.0, 1.0 + opts.q_step / 2, opts.q_step)
     res = stabilize_finite(
-        plant, weights, [rho], mu_schedule=opts.mu_schedule, q_grid=q_grid,
+        plant, weights, rho, mu_schedule=opts.mu_schedule, q_grid=q_grid,
         integer_bound=opts.integer_bound, a=opts.a, interp_a=opts.interp_a,
         grid=opts.grid,
     )

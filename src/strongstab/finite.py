@@ -207,13 +207,8 @@ def pick_matrix(pp: PickProblem) -> np.ndarray:
     if np.any(pp.w == 0):
         raise FiniteSearchError("w_i = 0 makes the logarithmic data singular")
     b = pp.targets()
-    z = pp.z
-    n = len(z)
-    Q = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            Q[i, k] = (b[i] + np.conj(b[k])) / (1.0 - z[i] * np.conj(z[k]))
-    return Q
+    z = np.asarray(pp.z)
+    return (b[:, None] + np.conj(b)) / (1.0 - z[:, None] * np.conj(z))
 
 
 def pick_min_eig(pp: PickProblem) -> float:
@@ -281,41 +276,31 @@ def fig3_tuples(z, bound):
 def mu_opt_search(z, w, integer_bound=20, feasibility_tuples=None):
     """Smallest mu making the Pick matrix PSD over the admitted integer tuples.
 
-    Returns (mu_opt, best_tuple, table) where table holds (tuple, mu_min or
-    None) for every candidate, for reporting.  The search bisects in mu for
-    each tuple; tuples that stay indefinite up to the cap are recorded as
-    infeasible.
+    Returns (mu_opt, best_tuple, table) where table holds (tuple, mu_min) for
+    every candidate, for reporting; ties go to the first tuple.  The targets
+    depend on mu only through log mu, so the Pick matrix is Q0 + 2 log(mu) K
+    with Q0 its value at mu = 1 and K the positive definite Szego kernel
+    1/(1 - z_i conj(z_k)) of the nodes.  With K = L L^H, each tuple's
+    threshold is mu_min = exp(-lambda_min(L^-1 Q0 L^-H) / 2) in closed form.
     """
     tuples = feasibility_tuples
     if tuples is None:
         tuples = _design_tuples(z, integer_bound)
-    wmax = float(np.abs(w).max())
-    cap = wmax * np.exp(2 * np.pi * (integer_bound + 2))
+    z = np.asarray(z)
+    try:
+        L = np.linalg.cholesky(1.0 / (1.0 - z[:, None] * np.conj(z)))
+    except np.linalg.LinAlgError:
+        raise FiniteSearchError(
+            "interpolation nodes are not distinct points of the open unit disk"
+        ) from None
+    Linv = np.linalg.inv(L)
     table = []
-    best = (np.inf, None)
     for tup in tuples:
-        lo, hi = wmax, wmax * 4.0
-        def eig(mu):
-            return pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu))
-        while eig(hi) < -1e-10 and hi < cap:
-            hi *= 4.0
-        if eig(hi) < -1e-10:
-            table.append((tup, None))
-            continue
-        for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            if eig(mid) >= -1e-10:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-6 * hi:
-                break
-        table.append((tup, float(hi)))
-        if hi < best[0]:
-            best = (float(hi), tup)
-    if best[1] is None:
-        raise FiniteSearchError("no integer tuple admits a PSD Pick matrix")
-    return best[0], best[1], table
+        Q0 = pick_matrix(PickProblem(a=1.0, z=z, w=w, n=tup, mu=1.0))
+        lam = np.linalg.eigvalsh(Linv @ Q0 @ Linv.conj().T)[0]
+        table.append((tup, float(np.exp(-lam / 2))))
+    best_tuple, mu_opt = min(table, key=lambda row: row[1])
+    return mu_opt, best_tuple, table
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +491,7 @@ class FinSearchResult:
 
     @property
     def mu_opt(self):
-        return min(mu for _, mu in self.mu_table if mu is not None)
+        return min(mu for _, mu in self.mu_table)
 
 
 def _default_mu_schedule(mu_opt):
@@ -531,10 +516,10 @@ def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a=1.0, grid=None):
     return rows
 
 
-def stabilize_finite(plant, weights, rho_schedule, mu_schedule=None,
+def stabilize_finite(plant, weights, rho, mu_schedule=None,
                      q_grid=None, integer_bound=20, a=1.0, interp_a=1.0,
                      grid: FrequencyGrid | None = None) -> FinSearchResult:
-    """Escalating search: levels rho, then mu above the Pick optimum, then the
+    """Escalating search at level rho: mu above the Pick optimum, then the
     residual parameter Q, certifying the first design whose U fits the unit
     ball; the accepted controller is re-certified by an independent scan and a
     closed-loop norm check."""
@@ -542,81 +527,78 @@ def stabilize_finite(plant, weights, rho_schedule, mu_schedule=None,
     if q_grid is None:
         q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
     last_exc = None
-    for rho in rho_schedule:
-        ctx = build_context(plant, weights, rho, "suboptimal", interp_a)
-        p1p2 = build_p1p2(plant, ctx)
-        if not p1p2.p_roots:
-            cert = certify(plant, weights, ctx, UParam(0.0), grid=grid)
-            if not (cert.stable and cert.norm_ok):
-                raise FiniteSearchError(
-                    "central controller expected stable but certification failed"
-                )
-            return FinSearchResult(
-                rho=rho, mu=np.nan, integers=(), q=0.0, U=None, U_norm=0.0,
-                cert=cert, ctx=ctx, p1p2=p1p2, central=True,
+    ctx = build_context(plant, weights, rho, "suboptimal", interp_a)
+    p1p2 = build_p1p2(plant, ctx)
+    if not p1p2.p_roots:
+        cert = certify(plant, weights, ctx, UParam(0.0), grid=grid)
+        if not (cert.stable and cert.norm_ok):
+            raise FiniteSearchError(
+                "central controller expected stable but certification failed"
             )
-        z, w = pick_points(p1p2, a)
-        mu_opt, best_tuple, table = mu_opt_search(z, w, integer_bound)
+        return FinSearchResult(
+            rho=rho, mu=np.nan, integers=(), q=0.0, U=None, U_norm=0.0,
+            cert=cert, ctx=ctx, p1p2=p1p2, central=True,
+        )
+    z, w = pick_points(p1p2, a)
+    mu_opt, best_tuple, table = mu_opt_search(z, w, integer_bound)
 
-        # unique interpolant exactly at the optimum
-        try:
-            pp0 = PickProblem(a=a, z=z, w=w, n=best_tuple, mu=mu_opt * (1 + 1e-9))
-            interp0 = np_interpolant(pp0)
-            U0 = build_U(p1p2, interp0, pp0.mu, 0.0, a)
-            n0 = certify_u_norm(U0, grid)
-            if n0 <= 1.0 + 1e-9:
-                cert = certify(plant, weights, ctx, U0, grid=grid)
-                if cert.stable and cert.norm_ok:
-                    return FinSearchResult(
-                        rho=rho, mu=pp0.mu, integers=best_tuple, q=0.0, U=U0,
-                        U_norm=n0, cert=cert, ctx=ctx, p1p2=p1p2, mu_table=table,
-                    )
-        except FiniteSearchError as exc:
-            last_exc = exc
+    # unique interpolant exactly at the optimum
+    try:
+        pp0 = PickProblem(a=a, z=z, w=w, n=best_tuple, mu=mu_opt * (1 + 1e-9))
+        interp0 = np_interpolant(pp0)
+        U0 = build_U(p1p2, interp0, pp0.mu, 0.0, a)
+        n0 = certify_u_norm(U0, grid)
+        if n0 <= 1.0 + 1e-9:
+            cert = certify(plant, weights, ctx, U0, grid=grid)
+            if cert.stable and cert.norm_ok:
+                return FinSearchResult(
+                    rho=rho, mu=pp0.mu, integers=best_tuple, q=0.0, U=U0,
+                    U_norm=n0, cert=cert, ctx=ctx, p1p2=p1p2, mu_table=table,
+                )
+    except FiniteSearchError as exc:
+        last_exc = exc
 
-        om_coarse = grid.omegas()
-        for mu in (mu_schedule or _default_mu_schedule(mu_opt)):
-            if mu <= mu_opt:
+    om_coarse = grid.omegas()
+    for mu in (mu_schedule or _default_mu_schedule(mu_opt)):
+        if mu <= mu_opt:
+            continue
+        feasible_tuples = [tup for tup, mu_min in table if mu_min < mu]
+        for tup in feasible_tuples:
+            pp = PickProblem(a=a, z=z, w=w, n=tup, mu=mu)
+            try:
+                interp = np_interpolant(pp)
+            except FiniteSearchError as exc:
+                last_exc = exc
                 continue
-            feasible_tuples = [
-                tup for tup, mu_min in table if mu_min is not None and mu_min < mu
-            ] or [best_tuple]
-            for tup in feasible_tuples:
-                pp = PickProblem(a=a, z=z, w=w, n=tup, mu=mu)
+            # coarse vectorized sweep first, then fully certify candidates
+            # in order of increasing grid norm: the accepted design carries
+            # the largest margin the sweep can offer
+            coarse = _coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om_coarse)
+            order = np.argsort(coarse)
+            for idx in order:
+                if coarse[idx] > 1.0 + 1e-9:
+                    break
+                qv = float(q_grid[idx])
+                U = build_U(p1p2, interp, mu, qv, a)
                 try:
-                    interp = np_interpolant(pp)
+                    un = certify_u_norm(U, grid)
                 except FiniteSearchError as exc:
                     last_exc = exc
                     continue
-                # coarse vectorized sweep first, then fully certify candidates
-                # in order of increasing grid norm: the accepted design carries
-                # the largest margin the sweep can offer
-                coarse = _coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om_coarse)
-                order = np.argsort(coarse)
-                for idx in order:
-                    if coarse[idx] > 1.0 + 1e-9:
-                        break
-                    qv = float(q_grid[idx])
-                    U = build_U(p1p2, interp, mu, qv, a)
-                    try:
-                        un = certify_u_norm(U, grid)
-                    except FiniteSearchError as exc:
-                        last_exc = exc
-                        continue
-                    if un > 1.0 + 1e-9:
-                        continue
-                    cert = certify(plant, weights, ctx, U, grid=grid)
-                    if not (cert.stable and cert.norm_ok):
-                        raise CertificateContradiction(
-                            "the free-parameter norm condition held but the "
-                            f"independent certification failed (mu={mu:.6g}, "
-                            f"q={qv:.4g}, residual zeros={len(cert.scan.zeros)}, "
-                            f"norm ok={cert.norm_ok})"
-                        )
-                    return FinSearchResult(
-                        rho=rho, mu=float(mu), integers=tup, q=qv, U=U,
-                        U_norm=un, cert=cert, ctx=ctx, p1p2=p1p2, mu_table=table,
+                if un > 1.0 + 1e-9:
+                    continue
+                cert = certify(plant, weights, ctx, U, grid=grid)
+                if not (cert.stable and cert.norm_ok):
+                    raise CertificateContradiction(
+                        "the free-parameter norm condition held but the "
+                        f"independent certification failed (mu={mu:.6g}, "
+                        f"q={qv:.4g}, residual zeros={len(cert.scan.zeros)}, "
+                        f"norm ok={cert.norm_ok})"
                     )
+                return FinSearchResult(
+                    rho=rho, mu=float(mu), integers=tup, q=qv, U=U,
+                    U_norm=un, cert=cert, ctx=ctx, p1p2=p1p2, mu_table=table,
+                )
     raise FiniteSearchError(
         "schedules exhausted: this method fails to provide a stable controller"
         + (f" (last issue: {last_exc})" if last_exc else "")

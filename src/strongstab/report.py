@@ -87,7 +87,7 @@ def write_fig2_zgrid(directory, zfun, sigma_max, omega_bound, ns=81, nw=161):
 
 
 def write_fig3_mu(directory, table):
-    """(n2, mu_min) feasibility profile; empty mu_min when never PSD."""
+    """(n2, mu_min) feasibility profile."""
     rows = [(tup[-1], mu) for tup, mu in table]
     _write(os.path.join(directory, "fig3_mu.csv"), "n2,mu_min", rows)
 

@@ -25,6 +25,7 @@ from .rational import (
     Poly,
     RationalFn,
     blaschke,
+    golden_max,
     poly_from_roots,
     poly_roots,
     sup_norm_on_grid,
@@ -458,8 +459,7 @@ def _sigma_min_at(plant, weights, gamma):
     return smin, v, degree
 
 
-def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket, coarse=200,
-              rel_tol=1e-6) -> GammaOptResult:
+def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket, coarse=200) -> GammaOptResult:
     """Largest level in the bracket at which the optimal system is singular.
 
     Scans the smallest singular value of the homogeneous system on a coarse
@@ -487,23 +487,15 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket, coarse=200,
         right = vals[i + 1] if not np.isnan(vals[i + 1]) else np.inf
         if vals[i] <= left and vals[i] <= right:
             dips.append(i)
-    # refine tighter than the reporting tolerance so the singular value can
-    # actually reach its floor (it grows linearly away from the dip)
-    inner_tol = min(rel_tol, 1e-9)
+
+    def negsig(g):
+        try:
+            return -_sigma_min_at(plant, weights, g)[0]
+        except (FactorizationError, InterpolationError):
+            return -np.inf
+
     for i in sorted(dips, key=lambda i: -gs[i]):
-        a, b = gs[max(i - 1, 0)], gs[min(i + 1, coarse - 1)]
-        def negsig(g):
-            try:
-                return -_sigma_min_at(plant, weights, g)[0]
-            except (FactorizationError, InterpolationError):
-                return -np.inf
-        while (b - a) > inner_tol * gs[i]:
-            m1, m2 = a + (b - a) / 3, b - (b - a) / 3
-            if negsig(m1) > negsig(m2):
-                b = m2
-            else:
-                a = m1
-        gstar = 0.5 * (a + b)
+        gstar, _ = golden_max(negsig, gs[max(i - 1, 0)], gs[min(i + 1, coarse - 1)])
         try:
             smin, v, degree = _sigma_min_at(plant, weights, gstar)
         except (FactorizationError, InterpolationError) as exc:

@@ -69,5 +69,5 @@ def ex1_search(ex1, ex1_ctx):
 def ex2_search(ex2):
     plant, weights, opts = ex2
     return stabilize_finite(
-        plant, weights, [EX2_RHO], a=opts.a, interp_a=opts.interp_a, grid=opts.grid
+        plant, weights, EX2_RHO, a=opts.a, interp_a=opts.interp_a, grid=opts.grid
     )

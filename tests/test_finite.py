@@ -135,9 +135,53 @@ class TestPickMatrix:
 
         z, w = pick_points(ex2_p1p2, 1.0)
         _, _, table = mu_opt_search(z, w, 3, feasibility_tuples=fig3_tuples(z, 3))
-        feasible = {t[1]: mu for t, mu in table if mu is not None}
+        feasible = {t[1]: mu for t, mu in table}
         assert min(feasible, key=lambda k: feasible[k]) == 0
         assert feasible[1] > feasible[0] and feasible[-1] > feasible[0]
+
+    def test_central_level_threshold_is_exactly_one(self, ex2_central_p1p2):
+        # P1 has no RHP zeros, so w = 1 and the all-zero tuple's Pick matrix
+        # vanishes at mu = 1: the threshold is exactly one
+        z, w = pick_points(ex2_central_p1p2, 1.0)
+        mu_opt, tup, _ = mu_opt_search(z, w, 20)
+        assert mu_opt == 1.0
+        assert tup == (0,) * len(z)
+
+    @pytest.mark.parametrize("z", [[0.3 + 0.1j, 0.3 + 0.1j], [2.0 + 0j]])
+    def test_nodes_off_the_open_disk_rejected(self, z):
+        z = np.array(z)
+        with pytest.raises(FiniteSearchError, match="distinct points"):
+            mu_opt_search(z, np.ones(len(z), dtype=complex), 0,
+                          feasibility_tuples=[(0,) * len(z)])
+
+    @pytest.mark.parametrize("data", ["ex2_p1p2", "ex2_central_p1p2"])
+    def test_every_tuple_threshold_brackets_psd(self, data, request):
+        z, w = pick_points(request.getfixturevalue(data), 1.0)
+        _, _, table = mu_opt_search(z, w, 20)
+        assert len(table) == {2: 41, 4: 1681}[len(z)]
+        for tup, mu_min in table:
+            lo = pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_min * (1 - 1e-9)))
+            hi = pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_min * (1 + 1e-9)))
+            assert lo < 0 <= hi, tup
+
+    @pytest.mark.parametrize("data", ["ex2_p1p2", "ex2_central_p1p2"])
+    def test_thresholds_match_generalized_eigenvalue_oracle(self, data, request):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        z, w = pick_points(request.getfixturevalue(data), 1.0)
+        K = 1.0 / (1.0 - z[:, None] * np.conj(z))
+        _, _, table = mu_opt_search(z, w, 20)
+        for tup, mu_min in table:
+            Q0 = pick_matrix(PickProblem(a=1.0, z=z, w=w, n=tup, mu=1.0))
+            lam = scipy_linalg.eigh(Q0, K, eigvals_only=True)[0]
+            assert mu_min == pytest.approx(np.exp(-lam / 2), rel=1e-12), tup
+
+
+@pytest.fixture(scope="module")
+def ex2_central_p1p2(ex2):
+    # example 2 at a level where the central controller is stable
+    plant, weights, opts = ex2
+    ctx = build_context(plant, weights, 1.96, "suboptimal", opts.interp_a)
+    return build_p1p2(plant, ctx)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +287,7 @@ class TestStabilizeFinite:
             W1=RationalFn(Poly([2.0, 1.0]), Poly([1.0, 1.0])),
             W2=RationalFn(Poly([0.8, 0.4]), Poly([1.0])),
         )
-        res = stabilize_finite(plant, weights, [1.2987], a=1.0, interp_a=1.0)
+        res = stabilize_finite(plant, weights, 1.2987, a=1.0, interp_a=1.0)
         assert res.central and res.cert.stable
         assert res.U is None and res.U_norm == 0.0
         assert res.cert.norm <= 1.2987 * 1.001
@@ -251,5 +295,5 @@ class TestStabilizeFinite:
     def test_exhausted_schedule(self, ex2, ex2_ctx):
         plant, weights, opts = ex2
         with pytest.raises(FiniteSearchError):
-            stabilize_finite(plant, weights, [1.9454], mu_schedule=[61.0],
+            stabilize_finite(plant, weights, 1.9454, mu_schedule=[61.0],
                              a=opts.a, interp_a=opts.interp_a)
