@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rational import (
-    FrequencyGrid, NonFiniteResponse, Poly, RationalFn, blaschke, poly_roots, sup_norm_on_grid,
+    FrequencyGrid, NonFiniteResponse, Poly, RationalFn, blaschke, poly_roots, refine_peak,
+    sup_norm_on_grid,
 )
 from .stability import Certificate, certify, rhp_zero_scan
 from .synthesis import CertificateContradiction, SynthesisContext, UParam, build_context
@@ -327,33 +328,52 @@ class NPInterpolant:
     points_used: list
     unique: bool
 
-    def _g_raw(self, zz, qv):
-        # a unique interpolant ends in a unimodular constant instead of qv
-        free = len(self.sigmas) - self.unique
-        t = np.full_like(zz, self.sigmas[-1]) if self.unique else qv
-        for z0, sig in zip(reversed(self.points_used[:free]), reversed(self.sigmas[:free])):
-            B = _blaschke_disk(zz, z0)
-            t = (sig + B * t) / (1.0 + np.conj(sig) * B * t)
-        return (1.0 - t) / (1.0 + t)
-
-    def g(self, zz, q):
-        """Evaluate g at zz (array ok) for the free parameter q.
-
-        `q` is a real constant or a callable on disk points with values in the
-        closed unit disk.  Conjugate symmetry g(conj z) = conj g(z) is enforced
-        by averaging the raw chart with its reflected copy.
-        """
+    def factors(self, zz):
+        """The q-independent part of g at zz: each free stage's sigma, Blaschke
+        factor B and conj(sigma) B, at zz and at conj(zz), innermost stage first."""
         zz = np.asarray(zz, dtype=complex)
+        # a unique interpolant ends in a unimodular constant instead of q
+        free = len(self.sigmas) - self.unique
+        stages = list(zip(reversed(self.points_used[:free]), reversed(self.sigmas[:free])))
+
+        def at(x):
+            out = []
+            for z0, sig in stages:
+                B = _blaschke_disk(x, z0)
+                out.append((sig, B, np.conj(sig) * B))
+            return out
+
+        return zz, at(zz), at(np.conj(zz))
+
+    def recurse(self, fac, q):
+        """g at the points of `fac` (from `factors`) for the free parameter q.
+
+        `q` is a real constant, an array of constants (one per point) or a
+        callable on disk points with values in the closed unit disk.
+        Conjugate symmetry g(conj z) = conj g(z) is enforced by averaging the
+        raw chart with its reflected copy.
+        """
+        zz, fa, fb = fac
         if self.unique:
-            qa = np.zeros_like(zz)
-            qb = np.zeros_like(zz)
+            qa = np.full_like(zz, self.sigmas[-1])
+            qb = qa
         elif callable(q):
             qa = np.asarray(q(zz), dtype=complex)
             qb = np.asarray(q(np.conj(zz)), dtype=complex)
         else:
-            qa = np.full_like(zz, complex(q))
+            qa = np.full_like(zz, q)
             qb = qa
-        return 0.5 * (self._g_raw(zz, qa) + np.conj(self._g_raw(np.conj(zz), qb)))
+        return 0.5 * (self._schur(fa, qa) + np.conj(self._schur(fb, qb)))
+
+    @staticmethod
+    def _schur(stages, t):
+        for sig, B, cB in stages:
+            t = (sig + B * t) / (1.0 + cB * t)
+        return (1.0 - t) / (1.0 + t)
+
+    def g(self, zz, q):
+        """Evaluate g at zz (array ok) for the free parameter q (see `recurse`)."""
+        return self.recurse(self.factors(zz), q)
 
     def boundary_min_real(self, q, n=2048):
         th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
@@ -402,6 +422,27 @@ def np_interpolant(pp: PickProblem) -> NPInterpolant:
 # U construction and certification
 # ---------------------------------------------------------------------------
 
+class _UAtPoints:
+    """The q-independent parts of U at fixed points s: P1/P2, mu M~_d(s) and
+    the interpolant's factors at (s-a)/(s+a).  Calling it with q gives U(s)."""
+
+    def __init__(self, p1p2: P1P2, interp: NPInterpolant, mu, a, s):
+        s = np.asarray(s, dtype=complex)
+        self.interp = interp
+        self.fac = interp.factors((s - a) / (s + a))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.den = mu * p1p2.M_tilde_d(s)
+            self.ratio = p1p2.ratio(s)
+
+    def inv_SU(self, q):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.exp(self.interp.recurse(self.fac, q)) / self.den
+
+    def __call__(self, q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.inv_SU(q) - 1.0) * self.ratio
+
+
 class UComposite:
     """U(s) = (e^{G(s)}/(mu M~_d(s)) - 1) (P1/P2)(s) with G = g((s-a)/(s+a), q)."""
 
@@ -412,18 +453,11 @@ class UComposite:
         self.q = q
         self.a = float(a)
 
-    def G(self, s):
-        zz = (np.asarray(s, dtype=complex) - self.a) / (np.asarray(s) + self.a)
-        return self.interp.g(zz, self.q)
-
     def inv_SU(self, s):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.exp(self.G(s)) / (self.mu * self.p1p2.M_tilde_d(s))
+        return _UAtPoints(self.p1p2, self.interp, self.mu, self.a, s).inv_SU(self.q)
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (self.inv_SU(s) - 1.0) * self.p1p2.ratio(s)
+        return _UAtPoints(self.p1p2, self.interp, self.mu, self.a, s)(self.q)
 
     @property
     def limit_at_infinity(self):
@@ -455,20 +489,31 @@ def certify_u_norm(U: UComposite, grid: FrequencyGrid | None = None):
 
 
 def _coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om):
-    """Grid-only sup of |U| for every candidate q (no peak refinement)."""
-    s = 1j * om
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = p1p2.ratio(s)
-        mtd = p1p2.M_tilde_d(s)
-    zz = (s - a) / (s + a)
+    """Grid-only sup of |U| for every candidate q (no peak refinement); inf
+    where U is not finite on the grid."""
+    u = _UAtPoints(p1p2, interp, mu, a, 1j * om)
     out = np.full(len(q_grid), np.inf)
     for i, qv in enumerate(q_grid):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            G = interp.g(zz, float(qv))
-            vals = np.abs((np.exp(G) / (mu * mtd) - 1.0) * ratio)
+        vals = np.abs(u(float(qv)))
         if np.all(np.isfinite(vals)):
             out[i] = vals.max()
     return out
+
+
+def _q_candidates(p1p2, interp, mu, q_grid, a, om):
+    """Indices of the q values whose grid sup of |U| over om is at most
+    1 + 1e-9, in increasing order of that sup (ties by index).
+
+    The sup over the sub-grid om[::10] is a lower bound on the full one, so a
+    q it already puts above the threshold is dropped before the full grid
+    without changing the result.
+    """
+    q_grid = np.asarray(q_grid)
+    alive = np.flatnonzero(_coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om[::10])
+                           <= 1.0 + 1e-9)
+    full = _coarse_norm_sweep(p1p2, interp, mu, q_grid[alive], a, om)
+    ok = full <= 1.0 + 1e-9
+    return alive[ok][np.argsort(full[ok], kind="stable")]
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +543,48 @@ def _default_mu_schedule(mu_opt):
     return [mu_opt * f for f in (1.02, 1.05, 1.1, 1.2, 1.5, 2.0)]
 
 
+def _lattice_step(p1p2, interp, mu, qs, a, om):
+    """(mu, Q, ||U||, ||U|| <= 1) for each constant Q in qs at one mu step,
+    equal to `certify_u_norm(build_U(p1p2, interp, mu, Q, a))` on the grid om
+    and leaving out the Q values where that raises.  Each grid maximum is
+    taken one Q at a time from shared q-independent arrays; the peaks are then
+    refined together."""
+    on_grid = _UAtPoints(p1p2, interp, mu, a, 1j * om)
+    kept, at, peak = [], [], []
+    for qv in qs:
+        vals = np.abs(on_grid(float(qv)))
+        if np.all(np.isfinite(vals)):
+            i = int(np.argmax(vals))
+            kept.append(float(qv))
+            at.append(i)
+            peak.append(vals[i])
+    if not kept:
+        return []
+    qk = np.array(kept)
+
+    def absu(w):
+        return np.abs(_UAtPoints(p1p2, interp, mu, a, 1j * w)(qk))
+
+    sup, _ = refine_peak(absu, om, np.array(at), np.array(peak))
+    rows = []
+    for qv, v in zip(kept, sup):
+        un = max(float(v), abs(build_U(p1p2, interp, mu, qv, a).limit_at_infinity))
+        rows.append((mu, qv, un, un <= 1.0))
+    return rows
+
+
 def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a=1.0, grid=None):
     """(mu, Q, ||U||, ||U|| <= 1) over the default mu steps above mu_opt and
     constant Q in [-1, 1] at step 0.02; steps without an interpolant are left out."""
+    om = (grid or FrequencyGrid()).omegas()
+    qs = np.arange(-1.0, 1.0001, 0.02)
     rows = []
     for mu in _default_mu_schedule(mu_opt):
         try:
             interp = np_interpolant(PickProblem(a=a, z=z, w=w, n=integers, mu=mu))
         except FiniteSearchError:
             continue
-        for qv in np.arange(-1.0, 1.0001, 0.02):
-            try:
-                un = certify_u_norm(build_U(p1p2, interp, mu, float(qv), a), grid)
-            except FiniteSearchError:
-                continue
-            rows.append((mu, float(qv), un, un <= 1.0))
+        rows += _lattice_step(p1p2, interp, mu, qs, a, om)
     return rows
 
 
@@ -573,11 +645,7 @@ def stabilize_finite(plant, weights, rho, mu_schedule=None,
             # coarse vectorized sweep first, then fully certify candidates
             # in order of increasing grid norm: the accepted design carries
             # the largest margin the sweep can offer
-            coarse = _coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om_coarse)
-            order = np.argsort(coarse)
-            for idx in order:
-                if coarse[idx] > 1.0 + 1e-9:
-                    break
+            for idx in _q_candidates(p1p2, interp, mu, q_grid, a, om_coarse):
                 qv = float(q_grid[idx])
                 U = build_U(p1p2, interp, mu, qv, a)
                 try:

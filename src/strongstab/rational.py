@@ -30,6 +30,7 @@ __all__ = [
     "relative_degree",
     "sup_norm_on_grid",
     "golden_max",
+    "refine_peak",
 ]
 
 # Two roots are "the same" when they differ by less than this, relative to
@@ -452,31 +453,52 @@ class FrequencyGrid:
 
 
 def golden_max(fun, a, b, iters=50):
-    """Golden-section maximization of a scalar function on [a, b]."""
+    """Golden-section maximization of `fun` on [a, b].
+
+    `a` and `b` may be arrays of brackets, searched in lock-step: `fun` then
+    receives one point per bracket and returns their values, and every bracket
+    takes exactly the steps it takes alone.  Scalar brackets hand `fun` Python
+    floats and return a Python float abscissa.
+    """
+    at = float if np.ndim(a) == 0 and np.ndim(b) == 0 else np.asarray
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     gr = (np.sqrt(5.0) - 1) / 2
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
-    f1, f2 = fun(x1), fun(x2)
+    f1, f2 = fun(at(x1)), fun(at(x2))
     for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = fun(x1)
-    x = 0.5 * (a + b)
+        up = f1 < f2    # keep [x1, b] and probe a new x2, else [a, x2] and a new x1
+        a = np.where(up, x1, a)
+        b = np.where(up, b, x2)
+        new = np.where(up, a + gr * (b - a), b - gr * (b - a))
+        fnew = fun(at(new))
+        x1, x2 = np.where(up, x2, new), np.where(up, new, x1)
+        f1, f2 = np.where(up, f2, fnew), np.where(up, fnew, f1)
+    x = at(0.5 * (a + b))
     return x, fun(x)
+
+
+def refine_peak(fun, om, i, peak):
+    """Golden-section refinement of a grid maximum `peak` found at om[i].
+
+    The bracket is the argmax's two neighbours, and the refined value replaces
+    the grid value only where it is not smaller.  `i` and `peak` may be arrays
+    of grid maxima, refined in lock-step by one `golden_max` with `fun` mapping
+    one frequency per maximum to its value.  Returns (sup, omega).
+    """
+    last = len(om) - 1
+    w, v = golden_max(fun, om[np.maximum(i - 1, 0)], om[np.minimum(i + 1, last)])
+    keep = v >= peak
+    return np.where(keep, v, peak), np.where(keep, w, om[i])
 
 
 def sup_norm_on_grid(evaluator, grid: FrequencyGrid):
     """(sup, omega) of |evaluator(j omega)| over the grid, refined around the peak.
 
     `evaluator` receives an ndarray of complex points j*omega and returns the
-    response array.  The grid argmax is refined by golden section between its
-    neighbours.  A response that is not finite somewhere on the grid raises
-    NonFiniteResponse naming the first such frequency.
+    response array.  The grid argmax is refined by `refine_peak`.  A response
+    that is not finite somewhere on the grid raises NonFiniteResponse naming
+    the first such frequency.
     """
     om = grid.omegas()
     vals = np.abs(evaluator(1j * om))
@@ -487,7 +509,5 @@ def sup_norm_on_grid(evaluator, grid: FrequencyGrid):
     def f(w):
         return float(np.abs(evaluator(np.array([1j * w]))[0]))
 
-    w, v = golden_max(f, om[max(i - 1, 0)], om[min(i + 1, len(om) - 1)])
-    if v >= vals[i]:
-        return float(v), float(w)
-    return float(vals[i]), float(om[i])
+    v, w = refine_peak(f, om, i, vals[i])
+    return float(v), float(w)

@@ -14,7 +14,8 @@ from strongstab.finite import (
     pick_points,
     stabilize_finite,
 )
-from strongstab.rational import Poly, RationalFn
+from strongstab.finite import _coarse_norm_sweep, _lattice_step, _q_candidates
+from strongstab.rational import FrequencyGrid, Poly, RationalFn
 from strongstab.synthesis import DelayPlant, WeightPair, build_context
 
 
@@ -297,3 +298,41 @@ class TestStabilizeFinite:
         with pytest.raises(FiniteSearchError):
             stabilize_finite(plant, weights, 1.9454, mu_schedule=[61.0],
                              a=opts.a, interp_a=opts.interp_a)
+
+
+class TestQSweep:
+    """The pruned q sweep and the fig-5 lattice step against their one-Q-at-a-time
+    references, on example 2 at the accepting mu with the tuple (0, 0)."""
+
+    @pytest.fixture(scope="class")
+    def accepting(self, ex2, ex2_p1p2, ex2_search):
+        _, _, opts = ex2
+        z, w = pick_points(ex2_p1p2, opts.a)
+        mu = ex2_search.mu
+        return mu, opts.a, np_interpolant(PickProblem(a=opts.a, z=z, w=w, n=(0, 0), mu=mu))
+
+    def test_two_stage_sweep_is_exact(self, ex2_p1p2, accepting):
+        mu, a, interp = accepting
+        om = FrequencyGrid().omegas()
+        q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
+        sub = _coarse_norm_sweep(ex2_p1p2, interp, mu, q_grid, a, om[::10])
+        full = _coarse_norm_sweep(ex2_p1p2, interp, mu, q_grid, a, om)
+        assert np.all(sub <= full)
+        one_stage = [i for i in np.argsort(full) if full[i] <= 1.0 + 1e-9]
+        assert one_stage   # the accepting step has candidates to order
+        assert list(_q_candidates(ex2_p1p2, interp, mu, q_grid, a, om)) == one_stage
+
+    def test_lattice_step_equals_certify_u_norm(self, ex2_p1p2, accepting):
+        mu, a, interp = accepting
+        # the NaN parameter makes U non-finite on the grid: that row is left out
+        qs = np.append(np.arange(-1.0, 1.0001, 0.02), np.nan)
+        ref = []
+        for qv in qs:
+            try:
+                un = certify_u_norm(build_U(ex2_p1p2, interp, mu, float(qv), a))
+            except FiniteSearchError:
+                continue
+            ref.append((mu, float(qv), un, un <= 1.0))
+        assert len(ref) == len(qs) - 1
+        assert _lattice_step(ex2_p1p2, interp, mu, qs, a, FrequencyGrid().omegas()) == ref
+

@@ -8,6 +8,7 @@ from strongstab.rational import (
     Poly,
     RationalFn,
     blaschke,
+    golden_max,
     mirror,
     poly_from_roots,
     poly_roots,
@@ -195,3 +196,30 @@ class TestSupNorm:
         with pytest.raises(NonFiniteResponse) as info:
             sup_norm_on_grid(f, grid)
         assert info.value.omega == bad
+
+
+class TestGoldenMax:
+    @staticmethod
+    def f(x):
+        # flat on [0.75, 1.25], so a bracket inside it has f1 == f2 at every
+        # step, and an interior peak near x = 3
+        d = np.maximum(np.abs(x - 1.0) - 0.25, 0.0)
+        return np.maximum(x - 2.0, 0.0) * np.maximum(4.0 - x, 0.0) - 0.01 * d * d * (x + 3.0)
+
+    def test_batched_equals_scalar_calls(self):
+        lo = np.array([0.0, 0.8, -1.0, 2.0, 1.1])
+        hi = np.array([2.0, 1.2, 0.3, 5.0, 1.1 + 1e-9])
+        seen = []
+
+        def scalar_f(x):
+            seen.append(type(x))
+            return self.f(x)
+
+        xb, vb = golden_max(self.f, lo, hi)
+        for k in range(len(lo)):
+            x, v = golden_max(scalar_f, lo[k], hi[k])
+            assert type(x) is float
+            assert x == xb[k] and v == vb[k]
+        assert set(seen) == {float}
+        assert self.f(0.8) == self.f(1.2)   # the flat bracket really is flat
+
