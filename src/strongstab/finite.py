@@ -329,8 +329,8 @@ class NPInterpolant:
     unique: bool
 
     def factors(self, zz):
-        """The q-independent part of g at zz: each free stage's sigma, Blaschke
-        factor B and conj(sigma) B, at zz and at conj(zz), innermost stage first."""
+        """The q-independent part of g at zz: each free stage's sigma and
+        Blaschke factor, at zz and at conj(zz), innermost stage first."""
         zz = np.asarray(zz, dtype=complex)
         # a unique interpolant ends in a unimodular constant instead of q
         free = len(self.sigmas) - self.unique
@@ -340,7 +340,7 @@ class NPInterpolant:
             out = []
             for z0, sig in stages:
                 B = _blaschke_disk(x, z0)
-                out.append((sig, B, np.conj(sig) * B))
+                out.append((sig, B))
             return out
 
         return zz, at(zz), at(np.conj(zz))
@@ -367,8 +367,8 @@ class NPInterpolant:
 
     @staticmethod
     def _schur(stages, t):
-        for sig, B, cB in stages:
-            t = (sig + B * t) / (1.0 + cB * t)
+        for sig, B in stages:
+            t = (sig + B * t) / (1.0 + np.conj(sig) * B * t)
         return (1.0 - t) / (1.0 + t)
 
     def g(self, zz, q):

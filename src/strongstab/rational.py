@@ -460,20 +460,26 @@ def golden_max(fun, a, b, iters=50):
     takes exactly the steps it takes alone.  Scalar brackets hand `fun` Python
     floats and return a Python float abscissa.
     """
-    at = float if np.ndim(a) == 0 and np.ndim(b) == 0 else np.asarray
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    gr = (np.sqrt(5.0) - 1) / 2
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        at, a, b = float, float(a), float(b)
+
+        def pick(c, x, y):
+            return x if c else y
+    else:
+        at, pick = np.asarray, np.where
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    gr = (float(np.sqrt(5.0)) - 1) / 2
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
     f1, f2 = fun(at(x1)), fun(at(x2))
     for _ in range(iters):
         up = f1 < f2    # keep [x1, b] and probe a new x2, else [a, x2] and a new x1
-        a = np.where(up, x1, a)
-        b = np.where(up, b, x2)
-        new = np.where(up, a + gr * (b - a), b - gr * (b - a))
+        a = pick(up, x1, a)
+        b = pick(up, b, x2)
+        new = pick(up, a + gr * (b - a), b - gr * (b - a))
         fnew = fun(at(new))
-        x1, x2 = np.where(up, x2, new), np.where(up, new, x1)
-        f1, f2 = np.where(up, f2, fnew), np.where(up, fnew, f1)
+        x1, x2 = pick(up, x2, new), pick(up, new, x1)
+        f1, f2 = pick(up, f2, fnew), pick(up, fnew, f1)
     x = at(0.5 * (a + b))
     return x, fun(x)
 
