@@ -488,16 +488,23 @@ def certify_u_norm(U: UComposite, grid: FrequencyGrid | None = None):
     return max(v, abs(U.limit_at_infinity))
 
 
+def _grid_peaks(u: _UAtPoints, qs):
+    """(argmax, max) of |U| over u's points for each constant q in qs, taken
+    one q at a time; (-1, inf) where U is not finite at some point."""
+    at = np.full(len(qs), -1)
+    peak = np.full(len(qs), np.inf)
+    for k, qv in enumerate(qs):
+        vals = np.abs(u(float(qv)))
+        if np.all(np.isfinite(vals)):
+            at[k] = np.argmax(vals)
+            peak[k] = vals[at[k]]
+    return at, peak
+
+
 def _coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om):
     """Grid-only sup of |U| for every candidate q (no peak refinement); inf
     where U is not finite on the grid."""
-    u = _UAtPoints(p1p2, interp, mu, a, 1j * om)
-    out = np.full(len(q_grid), np.inf)
-    for i, qv in enumerate(q_grid):
-        vals = np.abs(u(float(qv)))
-        if np.all(np.isfinite(vals)):
-            out[i] = vals.max()
-    return out
+    return _grid_peaks(_UAtPoints(p1p2, interp, mu, a, 1j * om), q_grid)[1]
 
 
 def _q_candidates(p1p2, interp, mu, q_grid, a, om):
@@ -546,28 +553,20 @@ def _default_mu_schedule(mu_opt):
 def _lattice_step(p1p2, interp, mu, qs, a, om):
     """(mu, Q, ||U||, ||U|| <= 1) for each constant Q in qs at one mu step,
     equal to `certify_u_norm(build_U(p1p2, interp, mu, Q, a))` on the grid om
-    and leaving out the Q values where that raises.  Each grid maximum is
-    taken one Q at a time from shared q-independent arrays; the peaks are then
-    refined together."""
-    on_grid = _UAtPoints(p1p2, interp, mu, a, 1j * om)
-    kept, at, peak = [], [], []
-    for qv in qs:
-        vals = np.abs(on_grid(float(qv)))
-        if np.all(np.isfinite(vals)):
-            i = int(np.argmax(vals))
-            kept.append(float(qv))
-            at.append(i)
-            peak.append(vals[i])
-    if not kept:
+    and leaving out the Q values where that raises.  The grid maxima come from
+    shared q-independent arrays; their peaks are refined together."""
+    at, peak = _grid_peaks(_UAtPoints(p1p2, interp, mu, a, 1j * om), qs)
+    ok = at >= 0
+    if not ok.any():
         return []
-    qk = np.array(kept)
+    qk = np.asarray(qs, dtype=float)[ok]
 
     def absu(w):
         return np.abs(_UAtPoints(p1p2, interp, mu, a, 1j * w)(qk))
 
-    sup, _ = refine_peak(absu, om, np.array(at), np.array(peak))
+    sup, _ = refine_peak(absu, om, at[ok], peak[ok])
     rows = []
-    for qv, v in zip(kept, sup):
+    for qv, v in zip(qk.tolist(), sup):
         un = max(float(v), abs(build_U(p1p2, interp, mu, qv, a).limit_at_infinity))
         rows.append((mu, qv, un, un <= 1.0))
     return rows
