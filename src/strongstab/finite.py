@@ -337,11 +337,7 @@ class NPInterpolant:
         stages = list(zip(reversed(self.points_used[:free]), reversed(self.sigmas[:free])))
 
         def at(x):
-            out = []
-            for z0, sig in stages:
-                B = _blaschke_disk(x, z0)
-                out.append((sig, B))
-            return out
+            return [(sig, _blaschke_disk(x, z0)) for z0, sig in stages]
 
         return zz, at(zz), at(np.conj(zz))
 
