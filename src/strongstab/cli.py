@@ -1,8 +1,11 @@
 """Command-line pipeline: optimal-level computation, stabilization, re-verification.
 
 Exit codes: 0 success, 1 `verify` failed or the optimal-level search found no
-singular level in the bracket, 2 input/problem error, 3 search exhausted or numerical failure
-(a zero scan or root extraction that did not converge), 4 certificate
+singular level in the bracket, 2 input/problem error (including a `verify`
+report that lacks a field), 3 search exhausted or numerical failure (a zero
+scan or root extraction that did not converge, a spectral factorization or
+interpolation system that broke down, an evaluation at a pole, or a
+closed-loop denominator that vanished on the axis), 4 certificate
 contradiction (a correctness alarm: the norm condition and the zero scan
 disagreed).  Reports are deterministic JSON; plot data goes to CSV.
 """
@@ -18,7 +21,7 @@ import time
 import numpy as np
 
 from . import report as rpt
-from .config import ConfigError, load_problem
+from .config import ConfigError, _need, load_problem
 from .finite import (
     FiniteSearchError,
     PickProblem,
@@ -33,9 +36,18 @@ from .finite import (
     stabilize_finite,
 )
 from .infinite import InfSearchConfig, SearchExhausted, stabilize_infinite, sweep_report
-from .rational import FrequencyGrid, RootConvergenceError
+from .rational import FrequencyGrid, PoleEvaluationError, RootConvergenceError
 from .stability import ScanError, certify, finitely_many_poles, properness_criterion, scan_window_for
-from .synthesis import CertificateContradiction, GammaSearchError, UParam, build_context, gamma_opt
+from .synthesis import (
+    CertificateContradiction,
+    ClosedLoopSingular,
+    FactorizationError,
+    GammaSearchError,
+    InterpolationError,
+    UParam,
+    build_context,
+    gamma_opt,
+)
 
 __all__ = ["main"]
 
@@ -53,6 +65,13 @@ def _default_bracket(weights, grid: FrequencyGrid):
 
 def _complex_pairs(zs):
     return [[z.real, z.imag] for z in zs]
+
+
+def _report_number(doc, key, path):
+    try:
+        return float(_need(doc, key, path))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}", "expected a number") from None
 
 
 def cmd_gamma_opt(args):
@@ -222,16 +241,25 @@ def cmd_stabilize(args):
 
 def cmd_verify(args):
     plant, weights, opts = load_problem(args.config)
-    with open(args.report) as fh:
-        rep = json.load(fh)
-    rho = float(rep["rho"])
-    branch = rep["branch"]
-    result = rep["result"]
+    try:
+        with open(args.report) as fh:
+            rep = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(args.report, "report file not found")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(args.report, f"invalid JSON: {exc}")
+    rho = _report_number(rep, "rho", "report")
+    branch = _need(rep, "branch", "report")
+    result = _need(rep, "result", "report", dict)
+
+    def number(key):
+        return _report_number(result, key, "report.result")
+
     dense = FrequencyGrid(opts.grid.lo, opts.grid.hi, opts.grid.points * 2)
     ctx = build_context(plant, weights, rho, "suboptimal", opts.interp_a)
     failures = []
     if branch == "infinite-search":
-        u = UParam(float(result["u_inf"]), float(result["u_z"]), float(result["u_p"]))
+        u = UParam(number("u_inf"), number("u_z"), number("u_p"))
         if not finitely_many_poles(ctx, u):
             print("fail: stored U lies in the infinite-pole class "
                   "(limit of |F L_U| exceeds one)")
@@ -242,17 +270,17 @@ def cmd_verify(args):
             u = UParam(0.0)
         else:
             p1p2 = build_p1p2(plant, ctx)
-            z, w = pick_points(p1p2, float(result["conformal_a"]))
+            z, w = pick_points(p1p2, number("conformal_a"))
             pp = PickProblem(
-                a=float(result["conformal_a"]), z=z, w=w,
-                n=tuple(result["integers"]), mu=float(result["mu"]),
+                a=number("conformal_a"), z=z, w=w,
+                n=tuple(_need(result, "integers", "report.result", list)), mu=number("mu"),
             )
             interp = np_interpolant(pp)
-            u = build_U(p1p2, interp, pp.mu, float(result["q"]), pp.a)
+            u = build_U(p1p2, interp, pp.mu, number("q"), pp.a)
             un = certify_u_norm(u, dense)
             if un > 1.0 + 1e-6:
                 failures.append(f"free-parameter norm re-check failed: {un:.6f}")
-        sig, om = float(result["scan_sigma_max"]), float(result["scan_omega_bound"])
+        sig, om = number("scan_sigma_max"), number("scan_omega_bound")
     else:
         print(f"fail: unknown branch {branch!r}")
         return 1
@@ -306,7 +334,8 @@ def main(argv=None):
             for row in frontier[:10]:
                 print(f"  frontier: {row}", file=sys.stderr)
         return 3
-    except (ScanError, RootConvergenceError) as exc:
+    except (ScanError, RootConvergenceError, FactorizationError, InterpolationError,
+            PoleEvaluationError, ClosedLoopSingular) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except CertificateContradiction as exc:

@@ -371,11 +371,6 @@ class NPInterpolant:
         """Evaluate g at zz (array ok) for the free parameter q (see `recurse`)."""
         return self.recurse(self.factors(zz), q)
 
-    def boundary_min_real(self, q, n=2048):
-        th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        zb = (1.0 - 1e-9) * np.exp(1j * th)
-        return float(self.g(zb, q).real.min())
-
 
 def np_interpolant(pp: PickProblem) -> NPInterpolant:
     b = pp.targets()

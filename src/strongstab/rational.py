@@ -458,7 +458,8 @@ def golden_max(fun, a, b, iters=50):
     `a` and `b` may be arrays of brackets, searched in lock-step: `fun` then
     receives one point per bracket and returns their values, and every bracket
     takes exactly the steps it takes alone.  Scalar brackets hand `fun` Python
-    floats and return a Python float abscissa.
+    floats and return a Python float abscissa.  The last call of `fun` is at
+    the returned abscissa, and its value is returned with it.
     """
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         at, a, b = float, float(a), float(b)

@@ -37,6 +37,7 @@ __all__ = [
     "InterpolationError",
     "GammaSearchError",
     "CertificateContradiction",
+    "ClosedLoopSingular",
     "DelayPlant",
     "WeightPair",
     "UParam",
@@ -50,6 +51,7 @@ __all__ = [
     "beta_zeros",
     "interpolation_rows",
     "solve_interpolation",
+    "LevelBuilder",
     "build_context",
     "gamma_opt",
     "GammaOptResult",
@@ -74,6 +76,10 @@ class InterpolationError(RuntimeError):
 
 class GammaSearchError(RuntimeError):
     pass
+
+
+class ClosedLoopSingular(RuntimeError):
+    """The closed-loop denominator nearly vanished on the imaginary axis."""
 
 
 class CertificateContradiction(RuntimeError):
@@ -158,26 +164,35 @@ class WeightPair:
 # E, G, F
 # ---------------------------------------------------------------------------
 
-def build_E(level: float, W1: RationalFn) -> RationalFn:
-    """E = W1(-s) W1(s) / level^2 - 1, reduced over a common denominator."""
+def _para(W: RationalFn) -> RationalFn:
+    """W(-s) W(s), reduced over a common denominator."""
+    return RationalFn(W.num * W.num.mirror(), W.den * W.den.mirror())
+
+
+def _over_level(para: RationalFn, level: float) -> RationalFn:
+    """para / level^2 - 1 over the common denominator level^2 para.den."""
     if level <= 0:
         raise ValueError("level must be positive")
-    para = RationalFn(W1.num * W1.num.mirror(), W1.den * W1.den.mirror())
-    num = para.num - Poly(para.den.c * level**2)
-    return RationalFn(num, Poly(para.den.c * level**2))
+    den = Poly(para.den.c * level**2)
+    return RationalFn(para.num - den, den)
+
+
+def _ratio(E: RationalFn, level: float, w2para: RationalFn | None) -> RationalFn:
+    """R = 1 - (W2(-s)W2(s)/level^2 - 1) E, given E and W2(-s)W2(s) (None for W2 = 0)."""
+    if w2para is None:
+        return RationalFn(E.num + E.den, E.den)
+    VE = _over_level(w2para, level) * E
+    return RationalFn(VE.den - VE.num, VE.den)
+
+
+def build_E(level: float, W1: RationalFn) -> RationalFn:
+    """E = W1(-s) W1(s) / level^2 - 1, reduced over a common denominator."""
+    return _over_level(_para(W1), level)
 
 
 def spectral_ratio(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
     """R = 1 - (W2(-s)W2(s)/level^2 - 1) E; G G(-s) = 1/R."""
-    E = build_E(level, W1)
-    if W2.is_zero:
-        return RationalFn(E.num + E.den, E.den)
-    w2para = RationalFn(W2.num * W2.num.mirror(), W2.den * W2.den.mirror())
-    V = RationalFn(
-        w2para.num - Poly(w2para.den.c * level**2), Poly(w2para.den.c * level**2)
-    )
-    VE = V * E
-    return RationalFn(VE.den - VE.num, VE.den)
+    return _ratio(build_E(level, W1), level, None if W2.is_zero else _para(W2))
 
 
 def _stable_half(even_poly: Poly, what: str):
@@ -217,7 +232,11 @@ def _stable_half(even_poly: Poly, what: str):
 
 def spectral_factor(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
     """Stable, minimum-phase G with G(s)G(-s) = R(s)^{-1} and G(0) > 0."""
-    R = spectral_ratio(level, W1, W2)
+    return _factor(spectral_ratio(level, W1, W2))
+
+
+def _factor(R: RationalFn) -> RationalFn:
+    """The spectral factor G of 1/R (see `spectral_factor`)."""
     num_stab = _stable_half(R.den, "spectral factor numerator")
     den_stab = _stable_half(R.num, "spectral factor denominator")
     gnum = poly_from_roots([complex(r) for r in num_stab], 1.0)
@@ -261,14 +280,19 @@ def beta_zeros(E: RationalFn):
     return reps
 
 
-def build_F(level: float, W1: RationalFn, W2: RationalFn):
-    """(F, etas, G): F = G * prod (s - eta)/(s + eta), oriented so F(0) > 0."""
-    G = spectral_factor(level, W1, W2)
-    etas = eta_mirror_poles(W1)
-    F = (G * blaschke(etas)).reduced() if etas else G
+def _complete(G: RationalFn, inner: RationalFn | None):
+    """(F, G) with F = G inner, both negated when needed so that F(0) > 0."""
+    F = (G * inner).reduced() if inner is not None else G
     if F(0.0).real < 0:
         F = F * -1.0
         G = G * -1.0
+    return F, G
+
+
+def build_F(level: float, W1: RationalFn, W2: RationalFn):
+    """(F, etas, G): F = G * prod (s - eta)/(s + eta), oriented so F(0) > 0."""
+    etas = eta_mirror_poles(W1)
+    F, G = _complete(spectral_factor(level, W1, W2), blaschke(etas) if etas else None)
     return F, etas, G
 
 
@@ -287,18 +311,17 @@ def _reject_repeated(points, what):
 
 
 def interpolation_rows(plant: DelayPlant, F: RationalFn, E: RationalFn,
-                       level: float, degree: int, extra_a: float | None):
+                       degree: int, extra_a: float | None, betas, alphas):
     """Real matrix of the homogeneous interpolation conditions.
 
-    Unknown vector: [L1 coefficients (ascending), L2 coefficients], each of
-    length degree+1.  Complex conditions contribute their real and imaginary
-    parts as separate rows; redundant conjugate rows are harmless since the
-    solve goes through an SVD.
+    The conditions sit at `betas` (the E zeros of `beta_zeros(E)`) and
+    `alphas` (the plant poles, already checked for repeats).  Unknown vector:
+    [L1 coefficients (ascending), L2 coefficients], each of length degree+1.
+    Complex conditions contribute their real and imaginary parts as separate
+    rows; redundant conjugate rows are harmless since the solve goes through
+    an SVD.
     """
-    betas = beta_zeros(E)
-    alphas = plant.alpha_roots()
     _reject_repeated(betas, "E zeros")
-    _reject_repeated(alphas, "plant poles")
     n = degree + 1
     rows = []
 
@@ -326,7 +349,7 @@ def interpolation_rows(plant: DelayPlant, F: RationalFn, E: RationalFn,
 
     if not rows:
         raise InterpolationError("no interpolation conditions: degenerate problem")
-    return np.array(rows), betas, alphas
+    return np.array(rows)
 
 
 def _nullvector(A):
@@ -340,9 +363,9 @@ def _nullvector(A):
     return smin, vt[-1]
 
 
-def solve_interpolation(plant, F, E, level, degree, extra_a):
+def solve_interpolation(plant, F, E, degree, extra_a, betas, alphas):
     """(L1, L2, sigma_min, residual) with L1 normalized monic."""
-    A, betas, alphas = interpolation_rows(plant, F, E, level, degree, extra_a)
+    A = interpolation_rows(plant, F, E, degree, extra_a, betas, alphas)
     smin, v = _nullvector(A)
     n = degree + 1
     l1c, l2c = v[:n], v[n:]
@@ -358,7 +381,7 @@ def solve_interpolation(plant, F, E, level, degree, extra_a):
     rel = resid / max(scale, 1e-300)
     if extra_a is not None and abs(L1(-float(extra_a))) < 1e-9 * (1 + np.abs(l1c).max()):
         raise InterpolationError("side constraint L1(-a) != 0 violated")
-    return L1, L2, smin, rel, betas, alphas
+    return L1, L2, smin, rel
 
 
 def L1_pad(p: Poly, n):
@@ -408,13 +431,48 @@ class SynthesisContext:
         return out
 
 
+class LevelBuilder:
+    """The level-independent data of one problem, and the per-level synthesis data.
+
+    Holds W1(-s)W1(s), W2(-s)W2(s), the mirrored W1 poles `etas` with their
+    Blaschke product, and the plant's right-half-plane poles `alphas` (checked
+    once for repeats).  `at(level)` builds E once and derives R, G, F and the
+    E zeros from it; `gamma_opt` and `build_context` both go through it.
+    """
+
+    def __init__(self, plant: DelayPlant, weights: WeightPair):
+        self.plant = plant
+        self.w1para = _para(weights.W1)
+        self.w2para = None if weights.W2.is_zero else _para(weights.W2)
+        self.etas = eta_mirror_poles(weights.W1)
+        self.inner = blaschke(self.etas) if self.etas else None
+        self.alphas = plant.alpha_roots()
+        _reject_repeated(self.alphas, "plant poles")
+
+    def at(self, level: float):
+        """(E, R, F, G, betas) at `level`; see `build_E`, `spectral_ratio`, `build_F`."""
+        E = _over_level(self.w1para, level)
+        R = _ratio(E, level, self.w2para)
+        F, G = _complete(_factor(R), self.inner)
+        return E, R, F, G, beta_zeros(E)
+
+    def optimal_sigma_min(self, level: float):
+        """(sigma_min, null vector, degree) of the optimal homogeneous system."""
+        E, _, F, _, betas = self.at(level)
+        degree = len(betas) + len(self.alphas) - 1
+        if degree < 0:
+            raise InterpolationError("no interpolation conditions at this level")
+        smin, v = _nullvector(
+            interpolation_rows(self.plant, F, E, degree, None, betas, self.alphas)
+        )
+        return smin, v, degree
+
+
 def build_context(plant: DelayPlant, weights: WeightPair, level: float,
                   mode="suboptimal", interp_a=1.0) -> SynthesisContext:
-    E = build_E(level, weights.W1)
-    R = spectral_ratio(level, weights.W1, weights.W2)
-    F, etas, G = build_F(level, weights.W1, weights.W2)
-    betas = beta_zeros(E)
-    alphas = plant.alpha_roots()
+    levels = LevelBuilder(plant, weights)
+    E, R, F, G, betas = levels.at(level)
+    alphas = levels.alphas
     n1l = len(betas) + len(alphas)
     if mode == "optimal":
         degree, extra = n1l - 1, None
@@ -422,12 +480,10 @@ def build_context(plant: DelayPlant, weights: WeightPair, level: float,
         degree, extra = n1l, float(interp_a)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    L1, L2, smin, rel, betas, alphas = solve_interpolation(
-        plant, F, E, level, degree, extra
-    )
+    L1, L2, smin, rel = solve_interpolation(plant, F, E, degree, extra, betas, alphas)
     return SynthesisContext(
         level=float(level), mode=mode, E=E, G=G, F=F, R=R,
-        betas=betas, alphas=alphas, etas=etas,
+        betas=betas, alphas=alphas, etas=levels.etas,
         L1=L1, L2=L2, interp_a=extra, sigma_min=smin, residual=rel,
     )
 
@@ -446,61 +502,61 @@ class GammaOptResult:
     diagnostics: dict
 
 
-def _sigma_min_at(plant, weights, gamma):
-    E = build_E(gamma, weights.W1)
-    F, _, _ = build_F(gamma, weights.W1, weights.W2)
-    betas = beta_zeros(E)
-    alphas = plant.alpha_roots()
-    degree = len(betas) + len(alphas) - 1
-    if degree < 0:
-        raise InterpolationError("no interpolation conditions at this level")
-    A, _, _ = interpolation_rows(plant, F, E, gamma, degree, None)
-    smin, v = _nullvector(A)
-    return smin, v, degree
-
-
 def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket, coarse=200) -> GammaOptResult:
     """Largest level in the bracket at which the optimal system is singular.
 
-    Scans the smallest singular value of the homogeneous system on a coarse
-    grid, then golden-section refines every dip starting from the largest
-    level.  Factorization obstructions and interpolation degeneracies at scan
-    points are collected rather than fatal, so the caller can tell which
-    failure mode ended the search.
+    Walks a coarse grid of the smallest singular value of the homogeneous
+    system from the top of the bracket down, evaluating each level just before
+    the level above it is tested as a dip (a local minimum).  Each dip is
+    golden-section refined as soon as it is found, and the first refined dip
+    with sigma_min < 1e-6 is returned, so only the grid levels from the top
+    down to that dip are evaluated.  `diagnostics["dips"]` counts the dips
+    refined; `infeasible_points` lists the evaluated grid levels (ascending),
+    then the refined dips, at which a factorization obstruction or an
+    interpolation degeneracy was collected rather than fatal, so the caller
+    can tell which failure mode ended the search.
     """
     glo, ghi = bracket
     if not (0 < glo < ghi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
+    levels = LevelBuilder(plant, weights)
     gs = np.linspace(glo, ghi, coarse)
     vals = np.full(coarse, np.nan)
-    infeasible = []
-    for i, g in enumerate(gs):
-        try:
-            vals[i], _, _ = _sigma_min_at(plant, weights, g)
-        except (FactorizationError, InterpolationError) as exc:
-            infeasible.append((float(g), str(exc)))
-    dips = []
-    for i in range(1, coarse - 1):
-        if np.isnan(vals[i]):
-            continue
-        left = vals[i - 1] if not np.isnan(vals[i - 1]) else np.inf
-        right = vals[i + 1] if not np.isnan(vals[i + 1]) else np.inf
-        if vals[i] <= left and vals[i] <= right:
-            dips.append(i)
+    grid_bad, refined_bad = [], []
+    last = None     # the most recent refinement evaluation, or its exception
 
     def negsig(g):
+        nonlocal last
         try:
-            return -_sigma_min_at(plant, weights, g)[0]
-        except (FactorizationError, InterpolationError):
-            return -np.inf
-
-    for i in sorted(dips, key=lambda i: -gs[i]):
-        gstar, _ = golden_max(negsig, gs[max(i - 1, 0)], gs[min(i + 1, coarse - 1)])
-        try:
-            smin, v, degree = _sigma_min_at(plant, weights, gstar)
+            last = levels.optimal_sigma_min(g)
         except (FactorizationError, InterpolationError) as exc:
-            infeasible.append((float(gstar), str(exc)))
+            last = exc
+            return -np.inf
+        return -last[0]
+
+    def is_dip(i):
+        if np.isnan(vals[i]):
+            return False
+        left = vals[i - 1] if not np.isnan(vals[i - 1]) else np.inf
+        right = vals[i + 1] if not np.isnan(vals[i + 1]) else np.inf
+        return vals[i] <= left and vals[i] <= right
+
+    dips = 0
+    for j in range(coarse - 1, -1, -1):
+        try:
+            vals[j] = levels.optimal_sigma_min(gs[j])[0]
+        except (FactorizationError, InterpolationError) as exc:
+            grid_bad.append((float(gs[j]), str(exc)))
+        i = j + 1
+        if i > coarse - 2 or not is_dip(i):
             continue
+        dips += 1
+        # golden_max's last evaluation is at gstar, so `last` is the result there
+        gstar, _ = golden_max(negsig, gs[i - 1], gs[i + 1])
+        if isinstance(last, Exception):
+            refined_bad.append((float(gstar), str(last)))
+            continue
+        smin, v, degree = last
         if smin < 1e-6:
             n = degree + 1
             l1c, l2c = v[:n], v[n:]
@@ -509,12 +565,12 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket, coarse=200) -> Ga
                 l1c = l1c / l1c[-1]
             return GammaOptResult(
                 gamma=float(gstar), L1=Poly(l1c), L2=Poly(l2c), sigma_min=float(smin),
-                infeasible_points=infeasible,
-                diagnostics={"bracket": (float(glo), float(ghi)), "dips": len(dips)},
+                infeasible_points=grid_bad[::-1] + refined_bad,
+                diagnostics={"bracket": (float(glo), float(ghi)), "dips": dips},
             )
     raise GammaSearchError(
         "no singular level found in bracket; widen the bracket "
-        f"(dips tried: {len(dips)}, infeasible points: {len(infeasible)})"
+        f"(dips tried: {dips}, infeasible points: {len(grid_bad) + len(refined_bad)})"
     )
 
 
@@ -603,17 +659,11 @@ class Controller:
         small = np.abs(D) < 1e-10
         if np.any(small):
             w = np.asarray(omegas)[small][0]
-            raise RuntimeError(
+            raise ClosedLoopSingular(
                 f"closed-loop denominator nearly singular at omega={w:g}; "
                 "the loop is unstable or marginal"
             )
         return (1.0 + x) / D, Ev * x / D
-
-    def C(self, s):
-        s = np.asarray(s, dtype=complex)
-        num, den = self._lu(s)
-        lead = self.ctx.E(s) * self.plant.m_d(s) * self.ctx.F(s) / self.plant.N_o(s)
-        return lead * num / (den + self.plant.mn(s) * self.ctx.F(s) * num)
 
 
 def build_controller(plant, weights, ctx: SynthesisContext, u,

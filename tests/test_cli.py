@@ -5,7 +5,10 @@ import pathlib
 import numpy as np
 import pytest
 
+import strongstab.cli as cli
 from strongstab.cli import main
+from strongstab.rational import PoleEvaluationError
+from strongstab.synthesis import ClosedLoopSingular, FactorizationError, InterpolationError
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 EX1 = str(CONFIG_DIR / "example1.json")
@@ -213,6 +216,58 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "doublings" in err
+
+    @pytest.mark.parametrize("field", ["rho", "branch", "result"])
+    def test_report_missing_field_exits_2(self, field, ex1_run, tmp_path, capsys):
+        rep, _, _ = ex1_run
+        p = tmp_path / "partial.json"
+        p.write_text(json.dumps({k: v for k, v in rep.items() if k != field}))
+        rc = main(["verify", EX1, "--report", str(p)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and f"report.{field}" in err
+
+    def test_non_numeric_report_field_exits_2(self, ex1_run, tmp_path, capsys):
+        rep, _, _ = ex1_run
+        bad = json.loads(json.dumps(rep))
+        bad["result"]["u_inf"] = None
+        p = tmp_path / "non_numeric.json"
+        p.write_text(json.dumps(bad))
+        rc = main(["verify", EX1, "--report", str(p)])
+        assert rc == 2
+        assert "report.result.u_inf: expected a number" in capsys.readouterr().err
+
+    def test_unreadable_report_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "truncated.json"
+        p.write_text("{")
+        assert main(["verify", EX1, "--report", str(p)]) == 2
+        assert main(["verify", EX1, "--report", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.count("input error:") == 2
+
+    @pytest.mark.parametrize("exc", [
+        FactorizationError("forced"),
+        InterpolationError("forced"),
+        PoleEvaluationError("forced", 0.0),
+        ClosedLoopSingular("forced"),
+    ], ids=lambda e: type(e).__name__)
+    def test_numerical_failures_exit_3(self, exc, ex1_run, monkeypatch, capsys):
+        def boom(*a, **k):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_context", boom)
+        rc = main(["verify", EX1, "--report", str(ex1_run[2])])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical failure: forced")
+
+    def test_repeated_plant_poles_exit_3(self, tmp_path, capsys):
+        cfg = json.loads(pathlib.Path(EX1).read_text())
+        cfg["plant"]["m_d"] = {"num": [1.0, -2.0, 1.0], "den": [1.0, 2.0, 1.0]}
+        p = tmp_path / "double_pole.json"
+        p.write_text(json.dumps(cfg))
+        rc = main(["gamma-opt", str(p)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "plant poles" in err
 
 
 class TestVerify:

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
-from strongstab.rational import FrequencyGrid, Poly, RationalFn, poly_roots
+from strongstab import synthesis
+from strongstab.rational import FrequencyGrid, Poly, RationalFn, golden_max, poly_roots
 from strongstab.synthesis import (
+    ClosedLoopSingular,
+    Controller,
     FactorizationError,
     GammaSearchError,
     InterpolationError,
     DelayPlant,
+    LevelBuilder,
     UParam,
     WeightPair,
+    _nullvector,
+    beta_zeros,
     build_context,
     build_controller,
     build_E,
     build_F,
     gamma_opt,
+    interpolation_rows,
     spectral_factor,
     spectral_ratio,
     verify_performance,
@@ -162,6 +169,72 @@ class TestInterpolation:
         assert np.all(E * lam >= -1e-9 * np.abs(lam).max())
 
 
+def full_scan_gamma_opt(plant, weights, bracket, coarse=200):
+    """Reference: sigma_min on the whole coarse grid first, then every dip
+    refined from the top down, each refinement evaluated once more at its
+    optimum.  Built on the public one-level functions, not on LevelBuilder."""
+    def sigma_min_at(g):
+        E = build_E(g, weights.W1)
+        F, _, _ = build_F(g, weights.W1, weights.W2)
+        betas, alphas = beta_zeros(E), plant.alpha_roots()
+        degree = len(betas) + len(alphas) - 1
+        if degree < 0:
+            raise InterpolationError("no interpolation conditions at this level")
+        smin, v = _nullvector(interpolation_rows(plant, F, E, degree, None, betas, alphas))
+        return smin, v, degree
+
+    glo, ghi = bracket
+    gs = np.linspace(glo, ghi, coarse)
+    vals = np.full(coarse, np.nan)
+    for i, g in enumerate(gs):
+        try:
+            vals[i] = sigma_min_at(g)[0]
+        except (FactorizationError, InterpolationError):
+            pass
+    dips = []
+    for i in range(1, coarse - 1):
+        if np.isnan(vals[i]):
+            continue
+        left = vals[i - 1] if not np.isnan(vals[i - 1]) else np.inf
+        right = vals[i + 1] if not np.isnan(vals[i + 1]) else np.inf
+        if vals[i] <= left and vals[i] <= right:
+            dips.append(i)
+
+    def negsig(g):
+        try:
+            return -sigma_min_at(g)[0]
+        except (FactorizationError, InterpolationError):
+            return -np.inf
+
+    for i in sorted(dips, key=lambda i: -gs[i]):
+        gstar, _ = golden_max(negsig, gs[i - 1], gs[i + 1])
+        try:
+            smin, v, degree = sigma_min_at(gstar)
+        except (FactorizationError, InterpolationError):
+            continue
+        if smin < 1e-6:
+            n = degree + 1
+            l1c, l2c = v[:n], v[n:]
+            if abs(l1c[-1]) > 1e-9 * np.abs(v).max():
+                l2c = l2c / l1c[-1]
+                l1c = l1c / l1c[-1]
+            return float(gstar), float(smin), l1c, l2c, len(dips)
+    raise AssertionError("reference scan found no singular level")
+
+
+def synthetic_sigma(monkeypatch, sigma):
+    """Replace the optimal system's sigma_min by `sigma(level)`; returns the
+    list of levels evaluated."""
+    seen = []
+
+    def fake(self, level):
+        seen.append(level)
+        return sigma(level), np.array([1.0, -1.0]), 0
+
+    monkeypatch.setattr(LevelBuilder, "optimal_sigma_min", fake)
+    return seen
+
+
 class TestGammaOpt:
     def test_ex1_level(self, ex1_gamma):
         assert ex1_gamma.gamma == pytest.approx(0.8108, abs=1e-3)
@@ -172,14 +245,57 @@ class TestGammaOpt:
         assert ex2_gamma.gamma == pytest.approx(1.9452, abs=1e-3)
         assert ex2_gamma.L2.c[-1] / ex2_gamma.L1.c[-1] == pytest.approx(1.0, abs=1e-6)
 
-    def test_sigma_min_bracketing(self, ex1, ex1_gamma):
-        from strongstab.synthesis import _sigma_min_at
+    @pytest.mark.parametrize("example", ["ex1_gamma", "ex2_gamma"])
+    def test_equals_full_scan_reference(self, example, request):
+        plant, weights, opts = request.getfixturevalue(example.split("_")[0])
+        res = request.getfixturevalue(example)
+        gamma, smin, l1c, l2c, _ = full_scan_gamma_opt(plant, weights, opts.gamma_bracket)
+        assert res.gamma == gamma
+        assert res.sigma_min == smin
+        assert np.array_equal(res.L1.c, l1c)
+        assert np.array_equal(res.L2.c, l2c)
 
+    @pytest.mark.parametrize("example, budget", [("ex1", 152), ("ex2", 93)])
+    def test_evaluation_budget(self, example, budget, request, monkeypatch):
+        plant, weights, opts = request.getfixturevalue(example)
+        calls = []
+        rows = synthesis.interpolation_rows
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "interpolation_rows", counted)
+        gamma_opt(plant, weights, opts.gamma_bracket)
+        assert len(calls) <= budget
+
+    def test_non_singular_dip_above_is_passed_over(self, ex1, monkeypatch):
         plant, weights, _ = ex1
+        seen = synthetic_sigma(
+            monkeypatch, lambda g: min(abs(g - 2.5) + 0.05, abs(g - 1.5))
+        )
+        res = gamma_opt(plant, weights, (1.0, 3.0))
+        assert res.gamma == pytest.approx(1.5, abs=1e-9)
+        assert res.sigma_min < 1e-6
+        assert res.diagnostics["dips"] == 2
+        gs = np.linspace(1.0, 3.0, 200)
+        dip = int(np.argmin(np.abs(gs - 1.5)))
+        assert min(seen) == gs[dip - 1]     # nothing below the dip's left neighbour
+
+    def test_no_singular_level_scans_whole_grid(self, ex1, monkeypatch):
+        plant, weights, _ = ex1
+        seen = synthetic_sigma(monkeypatch, lambda g: abs(g - 2.02) + 0.05)
+        with pytest.raises(GammaSearchError, match=r"dips tried: 1, infeasible points: 0"):
+            gamma_opt(plant, weights, (1.0, 3.0))
+        assert set(np.linspace(1.0, 3.0, 200)) <= set(seen)
+
+    def test_sigma_min_bracketing(self, ex1, ex1_gamma):
+        plant, weights, _ = ex1
+        levels = LevelBuilder(plant, weights)
         g = ex1_gamma.gamma
-        assert _sigma_min_at(plant, weights, g)[0] < 1e-6
-        assert _sigma_min_at(plant, weights, g - 2e-3)[0] > 1e-4
-        assert _sigma_min_at(plant, weights, g + 2e-3)[0] > 1e-4
+        assert levels.optimal_sigma_min(g)[0] < 1e-6
+        assert levels.optimal_sigma_min(g - 2e-3)[0] > 1e-4
+        assert levels.optimal_sigma_min(g + 2e-3)[0] > 1e-4
 
     def test_degenerate_problem_reports_bracket_failure(self):
         plant = DelayPlant(h=0.0, M=RationalFn.one(), m_d=RationalFn.one(),
@@ -212,6 +328,14 @@ class TestController:
                                     "suboptimal", 1.985)
             build_controller(plant, weights, bad_ctx, UParam(0.0),
                              gamma_opt_value=ex1_gamma.gamma)
+
+    def test_singular_closed_loop_raises_typed_error(self, ex1, ex1_ctx, monkeypatch):
+        plant, weights, _ = ex1
+        ctrl = build_controller(plant, weights, ex1_ctx, UParam(0.0))
+        # a loop gain of -1/(1 + E) puts D = 1 + x (1 + E) at zero everywhere
+        monkeypatch.setattr(Controller, "loop_gain", lambda self, s: -1.0 / (1.0 + self.ctx.E(s)))
+        with pytest.raises(ClosedLoopSingular, match="omega=0.5"):
+            ctrl.sensitivity_pair(np.array([0.5, 2.0]))
 
     def test_verify_performance_matches_manual_stack(self, ex1, ex1_ctx):
         plant, weights, opts = ex1
