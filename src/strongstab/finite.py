@@ -205,11 +205,13 @@ def pick_points(p1p2: P1P2, a: float = 1.0):
 
 
 def pick_matrix(pp: PickProblem) -> np.ndarray:
+    """The Pick matrix of `pp`; a stack of them when pp.n is a 2-D array of
+    branch-integer tuples, one row per tuple."""
     if np.any(pp.w == 0):
         raise FiniteSearchError("w_i = 0 makes the logarithmic data singular")
     b = pp.targets()
     z = np.asarray(pp.z)
-    return (b[:, None] + np.conj(b)) / (1.0 - z[:, None] * np.conj(z))
+    return (b[..., :, None] + np.conj(b)[..., None, :]) / (1.0 - z[:, None] * np.conj(z))
 
 
 def pick_min_eig(pp: PickProblem) -> float:
@@ -274,6 +276,11 @@ def fig3_tuples(z, bound):
     return out
 
 
+# Tuples per stacked eigenvalue call in mu_opt_search: bounds the memory of
+# large tuple sets (example 2 at rho = 2.0 has 117,649 tuples of 12 x 12).
+_TUPLE_CHUNK = 1 << 8
+
+
 def mu_opt_search(z, w, integer_bound=20, feasibility_tuples=None):
     """Smallest mu making the Pick matrix PSD over the admitted integer tuples.
 
@@ -283,6 +290,7 @@ def mu_opt_search(z, w, integer_bound=20, feasibility_tuples=None):
     with Q0 its value at mu = 1 and K the positive definite Szego kernel
     1/(1 - z_i conj(z_k)) of the nodes.  With K = L L^H, each tuple's
     threshold is mu_min = exp(-lambda_min(L^-1 Q0 L^-H) / 2) in closed form.
+    The tuples are stacked, at most _TUPLE_CHUNK matrices per eigenvalue call.
     """
     tuples = feasibility_tuples
     if tuples is None:
@@ -295,11 +303,14 @@ def mu_opt_search(z, w, integer_bound=20, feasibility_tuples=None):
             "interpolation nodes are not distinct points of the open unit disk"
         ) from None
     Linv = np.linalg.inv(L)
-    table = []
-    for tup in tuples:
-        Q0 = pick_matrix(PickProblem(a=1.0, z=z, w=w, n=tup, mu=1.0))
-        lam = np.linalg.eigvalsh(Linv @ Q0 @ Linv.conj().T)[0]
-        table.append((tup, float(np.exp(-lam / 2))))
+    ns = np.asarray(tuples)
+    lam = np.concatenate([
+        np.linalg.eigvalsh(
+            Linv @ pick_matrix(PickProblem(a=1.0, z=z, w=w, n=chunk, mu=1.0)) @ Linv.conj().T
+        )[:, 0]
+        for chunk in np.split(ns, range(_TUPLE_CHUNK, len(ns), _TUPLE_CHUNK))
+    ])
+    table = list(zip(tuples, np.exp(-lam / 2).tolist()))
     best_tuple, mu_opt = min(table, key=lambda row: row[1])
     return mu_opt, best_tuple, table
 
@@ -344,21 +355,22 @@ class NPInterpolant:
     def recurse(self, fac, q):
         """g at the points of `fac` (from `factors`) for the free parameter q.
 
-        `q` is a real constant, an array of constants (one per point) or a
+        `q` is a real constant, an array of constants (one per point), a
+        column of constants q[:, None] (one row of g per constant, every row
+        taking the same elementwise operations as that constant alone) or a
         callable on disk points with values in the closed unit disk.
         Conjugate symmetry g(conj z) = conj g(z) is enforced by averaging the
         raw chart with its reflected copy.
         """
         zz, fa, fb = fac
         if self.unique:
-            qa = np.full_like(zz, self.sigmas[-1])
-            qb = qa
-        elif callable(q):
+            # q is ignored, keeping its shape: the chart ends in a unimodular constant
+            q = np.full(() if callable(q) else np.shape(q), self.sigmas[-1])
+        if callable(q):
             qa = np.asarray(q(zz), dtype=complex)
             qb = np.asarray(q(np.conj(zz)), dtype=complex)
         else:
-            qa = np.full_like(zz, q)
-            qb = qa
+            qa = qb = np.full(np.broadcast_shapes(np.shape(q), zz.shape), q, dtype=complex)
         return 0.5 * (self._schur(fa, qa) + np.conj(self._schur(fb, qb)))
 
     @staticmethod
@@ -420,6 +432,7 @@ class _UAtPoints:
     def __init__(self, p1p2: P1P2, interp: NPInterpolant, mu, a, s):
         s = np.asarray(s, dtype=complex)
         self.interp = interp
+        self.size = s.size
         self.fac = interp.factors((s - a) / (s + a))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.den = mu * p1p2.M_tilde_d(s)
@@ -479,16 +492,28 @@ def certify_u_norm(U: UComposite, grid: FrequencyGrid | None = None):
     return max(v, abs(U.limit_at_infinity))
 
 
+# (q, point) pairs per evaluation in _grid_peaks; larger blocks raise peak
+# memory and run no faster.
+_BLOCK = 1 << 12
+
+
 def _grid_peaks(u: _UAtPoints, qs):
-    """(argmax, max) of |U| over u's points for each constant q in qs, taken
-    one q at a time; (-1, inf) where U is not finite at some point."""
+    """(argmax, max) of |U| over u's points for each constant q in qs;
+    (-1, inf) where U is not finite at some point.
+
+    The q values go through `u` in blocks of at most _BLOCK (q, point) pairs,
+    one row per q, so each row equals the evaluation of its q alone.
+    """
+    qs = np.asarray(qs, dtype=float)
     at = np.full(len(qs), -1)
     peak = np.full(len(qs), np.inf)
-    for k, qv in enumerate(qs):
-        vals = np.abs(u(float(qv)))
-        if np.all(np.isfinite(vals)):
-            at[k] = np.argmax(vals)
-            peak[k] = vals[at[k]]
+    step = max(1, _BLOCK // u.size)
+    for k in range(0, len(qs), step):
+        vals = np.abs(u(qs[k:k + step, None]))
+        i = np.argmax(vals, axis=1)
+        ok = np.isfinite(vals).all(axis=1)
+        at[k:k + step][ok] = i[ok]
+        peak[k:k + step][ok] = vals[ok, i[ok]]
     return at, peak
 
 
@@ -502,15 +527,26 @@ def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     """Indices of the q values whose grid sup of |U| over om is at most
     1 + 1e-9, in increasing order of that sup (ties by index).
 
-    The sup over the sub-grid om[::10] is a lower bound on the full one, so a
-    q it already puts above the threshold is dropped before the full grid
-    without changing the result.
+    The sup over any subset of om is a lower bound on the full one, so a q it
+    already puts above the threshold (or where U is not finite) is dropped
+    without changing the result.  Three stages do that, each on the survivors
+    of the last: the witness frequencies, which are the sub-grid argmax points
+    of the pilot values q_grid[::50] whose sub-grid sup exceeds the threshold;
+    the sub-grid om[::10]; and the full grid om.
     """
+    thr = 1.0 + 1e-9
     q_grid = np.asarray(q_grid)
-    alive = np.flatnonzero(_coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om[::10])
-                           <= 1.0 + 1e-9)
+    sub = om[::10]
+    u_sub = _UAtPoints(p1p2, interp, mu, a, 1j * sub)
+    at, peak = _grid_peaks(u_sub, q_grid[::50])
+    # sorted(set(...)), not np.unique: the first np.unique call keeps ~1 MB
+    witness = sub[sorted(set(at[(at >= 0) & (peak > thr)].tolist()))]
+    alive = np.arange(len(q_grid))
+    if witness.size:
+        alive = np.flatnonzero(_coarse_norm_sweep(p1p2, interp, mu, q_grid, a, witness) <= thr)
+    alive = alive[_grid_peaks(u_sub, q_grid[alive])[1] <= thr]
     full = _coarse_norm_sweep(p1p2, interp, mu, q_grid[alive], a, om)
-    ok = full <= 1.0 + 1e-9
+    ok = full <= thr
     return alive[ok][np.argsort(full[ok], kind="stable")]
 
 

@@ -8,6 +8,7 @@ run-dependent (timing, hostnames) enters unless explicitly requested.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -35,9 +36,9 @@ def fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     v = float(x)
-    if np.isnan(v):
+    if math.isnan(v):
         return '"nan"'
-    if np.isinf(v):
+    if math.isinf(v):
         return '"inf"' if v > 0 else '"-inf"'
     return f"{v:.12g}"
 

@@ -14,7 +14,11 @@ from strongstab.finite import (
     pick_points,
     stabilize_finite,
 )
-from strongstab.finite import _coarse_norm_sweep, _lattice_step, _q_candidates
+from strongstab import finite
+from strongstab.finite import (
+    _BLOCK, _UAtPoints, _coarse_norm_sweep, _default_mu_schedule, _design_tuples, _grid_peaks,
+    _lattice_step, _q_candidates, fig3_tuples,
+)
 from strongstab.rational import FrequencyGrid, Poly, RationalFn
 from strongstab.synthesis import DelayPlant, WeightPair, build_context
 
@@ -132,8 +136,6 @@ class TestPickMatrix:
         assert lo < 0 <= hi + 1e-10
 
     def test_mu_profile_minimum_at_zero_tuple(self, ex2_p1p2):
-        from strongstab.finite import fig3_tuples
-
         z, w = pick_points(ex2_p1p2, 1.0)
         _, _, table = mu_opt_search(z, w, 3, feasibility_tuples=fig3_tuples(z, 3))
         feasible = {t[1]: mu for t, mu in table}
@@ -175,6 +177,24 @@ class TestPickMatrix:
             Q0 = pick_matrix(PickProblem(a=1.0, z=z, w=w, n=tup, mu=1.0))
             lam = scipy_linalg.eigh(Q0, K, eigvals_only=True)[0]
             assert mu_min == pytest.approx(np.exp(-lam / 2), rel=1e-12), tup
+
+    @pytest.mark.parametrize("data", ["ex2_p1p2", "ex2_central_p1p2"])
+    def test_stacked_search_equals_per_tuple_reference(self, data, request, monkeypatch):
+        # a chunk of 16 puts chunk boundaries inside both the 41-tuple and
+        # the 1681-tuple sets
+        monkeypatch.setattr(finite, "_TUPLE_CHUNK", 16)
+        z, w = pick_points(request.getfixturevalue(data), 1.0)
+        Linv = np.linalg.inv(np.linalg.cholesky(1.0 / (1.0 - z[:, None] * np.conj(z))))
+        for tuples in (_design_tuples(z, 20), fig3_tuples(z, 20)):
+            ref = []
+            for tup in tuples:
+                Q0 = pick_matrix(PickProblem(a=1.0, z=z, w=w, n=tup, mu=1.0))
+                lam = np.linalg.eigvalsh(Linv @ Q0 @ Linv.conj().T)[0]
+                ref.append((tup, float(np.exp(-lam / 2))))
+            mu_opt, best, table = mu_opt_search(z, w, 20, feasibility_tuples=tuples)
+            assert len(tuples) > 16 and len(tuples) % 16 != 0
+            assert table == ref
+            assert (best, mu_opt) == min(ref, key=lambda row: row[1])
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +337,50 @@ class TestQSweep:
         z, w = pick_points(ex2_p1p2, opts.a)
         mu = ex2_search.mu
         return mu, opts.a, np_interpolant(PickProblem(a=opts.a, z=z, w=w, n=(0, 0), mu=mu))
+
+    @pytest.mark.parametrize("stride", [1, 10, 30])
+    def test_grid_peaks_equals_one_q_at_a_time(self, ex2_p1p2, accepting, stride):
+        mu, a, interp = accepting
+        u = _UAtPoints(ex2_p1p2, interp, mu, a, 1j * FrequencyGrid().omegas()[::stride])
+        # the NaN parameter makes U non-finite at every point
+        qs = np.append(np.arange(-1.0, 1.0001, 0.02), np.nan)
+        rows = max(1, _BLOCK // u.size)
+        assert rows == 1 or len(qs) % rows != 0
+        ref_at, ref_peak = [], []
+        for qv in qs:
+            vals = np.abs(u(float(qv)))
+            i = int(np.argmax(vals)) if np.all(np.isfinite(vals)) else -1
+            ref_at.append(i)
+            ref_peak.append(vals[i] if i >= 0 else np.inf)
+        at, peak = _grid_peaks(u, qs)
+        assert at.tolist() == ref_at and peak.tolist() == ref_peak
+        assert (at[-1], peak[-1]) == (-1, np.inf)
+        at, peak = _grid_peaks(u, [])
+        assert at.shape == peak.shape == (0,)
+
+    def test_witness_sweep_equals_two_stage_rule(self, ex2, ex2_p1p2, ex2_search):
+        _, _, opts = ex2
+        z, w = pick_points(ex2_p1p2, opts.a)
+        om = opts.grid.omegas()
+        q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
+        table = ex2_search.mu_table
+        steps = [(mu, tup) for mu in _default_mu_schedule(ex2_search.mu_opt)
+                 for tup, mu_min in table if mu_min < mu]
+        steps = steps[:steps.index((ex2_search.mu, ex2_search.integers)) + 1]
+        survivors = []
+        for mu, tup in steps:
+            interp = np_interpolant(PickProblem(a=opts.a, z=z, w=w, n=tup, mu=mu))
+            # every tenth frequency first, then the full grid
+            sub = _coarse_norm_sweep(ex2_p1p2, interp, mu, q_grid, opts.a, om[::10])
+            alive = np.flatnonzero(sub <= 1.0 + 1e-9)
+            full = _coarse_norm_sweep(ex2_p1p2, interp, mu, q_grid[alive], opts.a, om)
+            ok = full <= 1.0 + 1e-9
+            ref = alive[ok][np.argsort(full[ok], kind="stable")]
+            got = _q_candidates(ex2_p1p2, interp, mu, q_grid, opts.a, om)
+            assert got.tolist() == ref.tolist(), (mu, tup)
+            survivors.append(len(alive))
+        # the search's steps: six reject every q on the sub-grid
+        assert survivors == [0, 0, 0, 82, 0, 0, 0, 431]
 
     def test_two_stage_sweep_is_exact(self, ex2_p1p2, accepting):
         mu, a, interp = accepting
