@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rational import FrequencyGrid, poly_roots
+from .rational import FrequencyGrid
 from .stability import (
     AsymptoticData,
     Certificate,
     PeakData,
+    _cleared_lu_polys,
+    _roots_of_nonzero,
     admissible_uinf,
     asymptotics,
     certify,
@@ -34,6 +36,10 @@ __all__ = [
     "stabilize_infinite",
     "sweep_report",
 ]
+
+
+# Candidates per stacked root extraction: bounds the stacks' memory.
+_CHUNK = 64
 
 
 class SearchExhausted(RuntimeError):
@@ -67,14 +73,10 @@ class InfSearchResult:
 def l1u_stability_range(ctx: SynthesisContext, step=1e-3):
     """Largest interval of constant u_inf in [-1, 1] keeping L_1U Hurwitz."""
     us = np.arange(-1.0, 1.0 + step / 2, step)
-    ok = np.zeros(len(us), dtype=bool)
-    L1, L2m = ctx.L1, ctx.L2.mirror()
-    for i, u in enumerate(us):
-        p = L1 + L2m * float(u)
-        if p.degree == 0:
-            ok[i] = p.c[0] != 0.0
-            continue
-        ok[i] = all(r.real < 0 for r in poly_roots(p).expanded())
+    ok = np.array([
+        h for chunk in _chunks([UParam(float(u)) for u in us])
+        for h in _first_failure_raised(_l1u_hurwitz(ctx, chunk))
+    ])
     if not ok.any():
         return None
     runs = []
@@ -91,6 +93,31 @@ def l1u_stability_range(ctx: SynthesisContext, step=1e-3):
     return float(us[lo]), float(us[hi])
 
 
+def _l1u_hurwitz(ctx: SynthesisContext, us):
+    """Per U in `us`: is the cleared L_1U = L1 (u_p + s) + u_inf (u_z + s) L2~ Hurwitz?
+
+    All roots come from one stacked `poly_roots` call; a failed extraction is
+    returned as its exception in place of the flag.
+    """
+    dens = [_cleared_lu_polys(ctx, u)[1] for u in us]
+    return [
+        rs if isinstance(rs, Exception)
+        else not p.is_zero and all(r.real < 0 for r in rs.expanded())
+        for p, rs in zip(dens, _roots_of_nonzero(dens))
+    ]
+
+
+def _chunks(seq):
+    return [seq[i : i + _CHUNK] for i in range(0, len(seq), _CHUNK)]
+
+
+def _first_failure_raised(results):
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
+
+
 def _interval_grid(intervals, step):
     # march on round multiples of the step, keeping both endpoints
     pts = []
@@ -105,21 +132,41 @@ def _interval_grid(intervals, step):
     return np.array(sorted(set(np.round(pts, 12))))
 
 
-def _lu_den_stable(ctx, u: UParam):
-    from .stability import _cleared_lu_polys
-
-    _, L1U = _cleared_lu_polys(ctx, u)
-    if L1U.is_zero:
-        return False
-    if L1U.degree == 0:
-        return True
-    return all(r.real < 0 for r in poly_roots(L1U).expanded())
-
-
 def _rank_key(entry):
     u, pk = entry
     wm = pk.omega_max if pk.omega_max is not None else 0.0
     return (wm, pk.eta_max, abs(u.u_inf), u.u_p)
+
+
+def _candidates(ctx, cfg: InfSearchConfig, intervals):
+    """(u, PeakData) of every grid U with ||U|| <= 1, a Hurwitz L_1U and a finite crossing.
+
+    Candidates go in chunks of `_CHUNK` through the stacked Hurwitz test and
+    `peak_data`; a failed root extraction raises the error that a loop over
+    the candidates one at a time would meet first.
+    """
+    us = []
+    for up in cfg.up_grid:
+        for uz in cfg.uz_grid:
+            for ui in _interval_grid(intervals, cfg.uinf_step):
+                u = UParam(float(ui), float(uz), float(up))
+                if u.sup_norm() <= 1.0:
+                    us.append(u)
+    candidates = []
+    for chunk in _chunks(us):
+        hurwitz = _l1u_hurwitz(ctx, chunk)
+        # a loop over single candidates stops at the first failed L_1U
+        # extraction, or before it in an earlier candidate's peak data: rank
+        # the candidates before it, then raise it
+        n = next((i for i, h in enumerate(hurwitz) if isinstance(h, Exception)),
+                 len(chunk))
+        stable = [u for u, h in zip(chunk[:n], hurwitz) if h]
+        for u, pk in zip(stable, peak_data(ctx, stable)):
+            if pk.omega_max is not None and not np.isfinite(pk.omega_max):
+                continue
+            candidates.append((u, pk))
+        _first_failure_raised(hurwitz)
+    return candidates
 
 
 def stabilize_infinite(plant, weights, cfg: InfSearchConfig,
@@ -139,19 +186,7 @@ def stabilize_infinite(plant, weights, cfg: InfSearchConfig,
             "unstable-pole count finite"
         )
 
-    candidates = []
-    for up in cfg.up_grid:
-        for uz in cfg.uz_grid:
-            for ui in _interval_grid(intervals, cfg.uinf_step):
-                u = UParam(float(ui), float(uz), float(up))
-                if u.sup_norm() > 1.0:
-                    continue
-                if not _lu_den_stable(ctx, u):
-                    continue
-                pk = peak_data(ctx, u)
-                if pk.omega_max is not None and not np.isfinite(pk.omega_max):
-                    continue
-                candidates.append((u, pk))
+    candidates = _candidates(ctx, cfg, intervals)
     if not candidates:
         raise SearchExhausted("no candidate passed the L_1U stability filter")
 
@@ -183,13 +218,15 @@ def sweep_report(plant, weights, cfg: InfSearchConfig,
     """(u_inf, omega_max, eta_max) over the admissible constant-U range."""
     ctx = ctx or build_context(plant, weights, cfg.rho, "suboptimal", cfg.interp_a)
     asym = asymptotics(ctx)
-    rows = []
+    us = []
     for lo, hi in admissible_uinf(asym):
         for ui in _interval_grid([(lo, hi)], cfg.uinf_step):
             u = UParam(float(ui))
-            if u.sup_norm() > 1.0:
-                continue
-            pk = peak_data(ctx, u)
+            if u.sup_norm() <= 1.0:
+                us.append(u)
+    rows = []
+    for chunk in _chunks(us):
+        for u, pk in zip(chunk, peak_data(ctx, chunk)):
             wm = pk.omega_max
-            rows.append((float(ui), None if wm is None else float(wm), pk.eta_max))
+            rows.append((u.u_inf, None if wm is None else float(wm), pk.eta_max))
     return rows

@@ -3,10 +3,13 @@
 Everything downstream (weighting filters, inner/outer plant factors, spectral
 factors, interpolation data) is carried by `Poly` and `RationalFn`.  Polynomial
 coefficients are stored in ascending order, so ``Poly([1.0, 0.6])`` is
-``1 + 0.6 s``.  Roots are the eigenvalues of the companion matrix (`np.roots`;
-a real matrix gives exact conjugate pairs, Edelman & Murakami 1995), polished
-by a few guarded Newton steps; degrees in this problem class never exceed
-roughly a dozen.
+``1 + 0.6 s``.  Roots are the eigenvalues of the companion matrix (as in
+`np.roots`; a real matrix gives exact conjugate pairs, Edelman & Murakami
+1995), polished by at most three guarded Newton steps that stop as soon as no
+root improves; degrees in this problem class never exceed roughly a dozen.
+`poly_roots` also takes a list: polynomials of one length and one count of
+low-order zeros then share one stacked eigensolve and one array polish, and
+each gets bitwise the roots it gets alone.
 """
 
 from __future__ import annotations
@@ -196,31 +199,99 @@ def poly_from_roots(roots, leading=1.0):
     return Poly(c.real * leading)
 
 
-def poly_roots(p: Poly, tol_root=1e-12) -> RootSet:
-    """Roots of `p` with conjugate symmetry enforced by explicit pairing."""
-    if p.is_zero:
-        raise ValueError("cannot extract roots of the zero polynomial")
-    z = np.roots(p.c[::-1]).astype(complex)
-    # Newton polish against the polynomial itself; a step is kept only where
-    # it lowers |p|, since Newton overshoots at multiple roots
-    pv = p(z)
-    dp = p.deriv()
-    for _ in range(3):
-        dv = dp(z)
-        zn = z - pv / np.where(dv == 0, 1.0, dv)
-        pn = p(zn)
-        better = (dv != 0) & (np.abs(pn) < np.abs(pv))
-        z, pv = np.where(better, zn, z), np.where(better, pn, pv)
-    if len(z):
-        worst = float((np.abs(pv) / np.maximum(p.scale_at(z), 1e-300)).max())
-        if worst > tol_root * 1e3:
-            raise RootConvergenceError(
-                f"root extraction failed its residual check (worst {worst:.3e})", worst
-            )
-    # snap near-real roots
-    z = np.where(np.abs(z.imag) < REAL_SNAP_TOL * (1 + np.abs(z.real)), z.real + 0j, z)
+def poly_roots(p, tol_root=1e-12):
+    """Roots of `p` with conjugate symmetry enforced by explicit pairing.
 
-    # pair complex roots with their conjugates and average the pair
+    `p` may also be a sequence of polynomials.  The result is then a list
+    holding, per polynomial, its `RootSet` or the exception its extraction
+    raised (returned, not raised, so that a caller looping over candidates
+    can raise the one it would have met first).  Polynomials of one length
+    and one count of low-order zeros share one stacked eigensolve and
+    polish; each row's roots are bitwise those it gets alone.  Only an
+    eigensolver failure (`np.linalg.LinAlgError`, say for a non-finite
+    coefficient) is raised for the whole call.
+    """
+    if isinstance(p, Poly):
+        (out,) = _roots_of([p], tol_root)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    return _roots_of(list(p), tol_root)
+
+
+def _roots_of(ps, tol_root):
+    out = [None] * len(ps)
+    stacks = {}
+    for i, q in enumerate(ps):
+        if q.is_zero:
+            out[i] = ValueError("cannot extract roots of the zero polynomial")
+        else:
+            key = (len(q.c), int(np.flatnonzero(q.c)[0]))
+            stacks.setdefault(key, []).append(i)
+    for (_, low), idx in stacks.items():
+        rows = _stacked_roots(np.array([ps[i].c for i in idx]), low, tol_root)
+        for i, res in zip(idx, rows):
+            out[i] = res
+    return out
+
+
+def _horner(C, Z):
+    """Row k of C (ascending coefficients) evaluated at row k of Z, as `Poly.__call__`."""
+    r = np.zeros_like(Z)
+    for k in range(C.shape[1] - 1, -1, -1):
+        r = r * Z + C[:, k : k + 1]
+    return r
+
+
+def _stacked_roots(C, low, tol_root):
+    """RootSet or exception per row of C, whose rows share `low` low-order zeros.
+
+    The companion matrices are those of `np.roots` (zero roots appended), and
+    one `eigvals` call solves the stack.  The guarded Newton polish keeps a
+    step only where it lowers |p|, since Newton overshoots at multiple roots;
+    a step that improves no entry leaves every later step the same, so the
+    polish stops there.
+    """
+    K, m = C.shape
+    if m == 1:
+        return [RootSet([], []) for _ in range(K)]
+    Z = np.zeros((K, m - 1), dtype=complex)
+    n = m - 1 - low
+    if n:
+        A = np.zeros((K, n, n))
+        A[:, 0, :] = -C[:, low:-1][:, ::-1] / C[:, -1:]
+        A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        Z[:, :n] = np.linalg.eigvals(A)
+    Cd = C[:, 1:] * np.arange(1, m)
+    pv = _horner(C, Z)
+    for _ in range(3):
+        dv = _horner(Cd, Z)
+        zn = Z - pv / np.where(dv == 0, 1.0, dv)
+        pn = _horner(C, zn)
+        better = (dv != 0) & (np.abs(pn) < np.abs(pv))
+        if not better.any():
+            break
+        Z, pv = np.where(better, zn, Z), np.where(better, pn, pv)
+    worst = (np.abs(pv) / np.maximum(_horner(np.abs(C), np.abs(Z)), 1e-300)).max(axis=1)
+    # snap near-real roots
+    Z = np.where(np.abs(Z.imag) < REAL_SNAP_TOL * (1 + np.abs(Z.real)), Z.real + 0j, Z)
+    out = []
+    for k in range(K):
+        w = float(worst[k])
+        if w > tol_root * 1e3:
+            out.append(RootConvergenceError(
+                f"root extraction failed its residual check (worst {w:.3e})", w
+            ))
+            continue
+        try:
+            out.append(_paired_roots(Z[k]))
+        except RootConvergenceError as exc:
+            out.append(exc)
+    return out
+
+
+def _paired_roots(z):
+    """Pair complex roots with their conjugates, then cluster multiplicities."""
     used = np.zeros(len(z), dtype=bool)
     roots = []
     for i in np.argsort(z.real):

@@ -97,8 +97,10 @@ def _cleared_lu_polys(ctx: SynthesisContext, u: UParam):
 
 def fl_limit_at_infinity(ctx: SynthesisContext, u: UParam) -> float:
     """lim_{w->inf} |F(jw) L_U(jw)| from leading coefficients only."""
-    f_inf = _f_infinity(ctx)
-    L2U, L1U = _cleared_lu_polys(ctx, u)
+    return _fl_limit(_f_infinity(ctx), *_cleared_lu_polys(ctx, u))
+
+
+def _fl_limit(f_inf, L2U, L1U):
     d = max(L2U.degree, L1U.degree)
     c2 = L2U.c[d] if L2U.degree == d else 0.0
     c1 = L1U.c[d] if L1U.degree == d else 0.0
@@ -174,52 +176,66 @@ def _abs2_to_x(p: Poly):
     return _even_to_x(p * p.mirror())
 
 
-def peak_data(ctx: SynthesisContext, u: UParam, grid=None) -> PeakData:
-    """Largest |F L_U| = 1 crossing and the supremum over [0, inf).
+def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
+    """Largest |F L_U| = 1 crossing and the supremum over [0, inf), per U in `us`.
 
     Everything is rational on the axis, so crossings and stationary points are
     polynomial roots in x = w^2; no frequency grid is involved.  When the
     controller has infinitely many unstable poles the crossing frequency is
-    reported as +inf.
+    reported as +inf.  The crossing and stationary-point polynomials of all
+    candidates are solved in two stacked `poly_roots` calls; a failed
+    extraction raises the error the first failing candidate meets.
     """
-    L2U, L1U = _cleared_lu_polys(ctx, u)
     numR_x = _even_to_x(ctx.R.num)
     denR_x = _even_to_x(ctx.R.den)
-    N_x = denR_x * _abs2_to_x(L2U)     # |F L_U|^2 = N_x / D_x
-    D_x = numR_x * _abs2_to_x(L1U)
+    f_inf = _f_infinity(ctx)
+    cands = []
+    for u in us:
+        L2U, L1U = _cleared_lu_polys(ctx, u)
+        N_x = denR_x * _abs2_to_x(L2U)     # |F L_U|^2 = N_x / D_x
+        D_x = numR_x * _abs2_to_x(L1U)
+        T = N_x - D_x                      # crossings: sign changes of N - D
+        Q = N_x.deriv() * D_x - N_x * D_x.deriv()   # stationary points of N/D
+        cands.append((N_x, D_x, T, Q, _fl_limit(f_inf, L2U, L1U)))
+    t_roots = _roots_of_nonzero([c[2] for c in cands])
+    q_roots = _roots_of_nonzero([c[3] for c in cands])
 
-    def mag2(x):
-        return N_x(x).real / D_x(x).real
-
-    lim = fl_limit_at_infinity(ctx, u)
-
-    # crossings: sign changes of N - D
-    T = N_x - D_x
-    crossings = []
-    if not T.is_zero and T.degree > 0:
-        for r in poly_roots(T).roots:
+    out = []
+    for (N_x, D_x, T, Q, lim), t_rs, q_rs in zip(cands, t_roots, q_roots):
+        crossings = []
+        for r in _roots_or_raise(t_rs):
             if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 1e-12:
                 x = r.real
                 dx = 1e-6 * (1 + x)
                 if (T(x - dx).real) * (T(x + dx).real) < 0:
                     crossings.append(np.sqrt(x))
-    omega_max = max(crossings) if crossings else None
-    if lim > 1.0 + 1e-12:
-        omega_max = float(np.inf)
+        omega_max = max(crossings) if crossings else None
+        if lim > 1.0 + 1e-12:
+            omega_max = float(np.inf)
 
-    # supremum: stationary points of N/D plus x = 0 and the limit
-    cands = [0.0]
-    Q = N_x.deriv() * D_x - N_x * D_x.deriv()
-    if not Q.is_zero and Q.degree > 0:
-        for r in poly_roots(Q).roots:
+        # supremum: stationary points of N/D plus x = 0 and the limit
+        xs = [0.0]
+        for r in _roots_or_raise(q_rs):
             if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 0:
-                cands.append(r.real)
-    eta = max(np.sqrt(max(mag2(x), 0.0)) for x in cands)
-    eta = max(eta, lim)
-    return PeakData(
-        omega_max=float(omega_max) if omega_max is not None else None,
-        eta_max=float(eta),
-    )
+                xs.append(r.real)
+        eta = max(np.sqrt(max(N_x(x).real / D_x(x).real, 0.0)) for x in xs)
+        eta = max(eta, lim)
+        out.append(PeakData(
+            omega_max=float(omega_max) if omega_max is not None else None,
+            eta_max=float(eta),
+        ))
+    return out
+
+
+def _roots_of_nonzero(polys):
+    """`poly_roots` per poly (RootSet or exception), the zero polynomial counted root-free."""
+    return poly_roots([Poly([1.0]) if p.is_zero else p for p in polys])
+
+
+def _roots_or_raise(rs):
+    if isinstance(rs, Exception):
+        raise rs
+    return rs.roots
 
 
 def chain_abscissa(h: float, fl_limit: float):
@@ -400,7 +416,7 @@ def scan_window_for(ctx: SynthesisContext, plant: DelayPlant, u: UParam,
     Beyond sigma_max the delay factor contracts the loop gain below one, and
     beyond the omega bound |F L_U| stays below one, so no zeros are lost.
     """
-    peak = peak or peak_data(ctx, u)
+    peak = peak or peak_data(ctx, [u])[0]
     if peak.omega_max is not None and not np.isfinite(peak.omega_max):
         raise ScanError("infinitely many unstable poles: no finite window exists")
     eta = max(peak.eta_max, 1.0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import strongstab.infinite as infinite
+import strongstab.stability as stability
 from strongstab.infinite import (
     InfSearchConfig,
     SearchExhausted,
@@ -8,7 +10,8 @@ from strongstab.infinite import (
     stabilize_infinite,
     sweep_report,
 )
-from strongstab.stability import rhp_zero_scan
+from strongstab.rational import RootConvergenceError, poly_roots
+from strongstab.stability import admissible_uinf, asymptotics, peak_data, rhp_zero_scan
 from strongstab.synthesis import UParam, build_context
 
 
@@ -80,7 +83,7 @@ class TestSufficientCondition:
         plant, weights, _ = ex1
         ctx = dataclasses.replace(ex1_ctx, L2=ex1_ctx.L2 * 0.4)
         u = UParam(0.0)
-        pk = peak_data(ctx, u)
+        pk = peak_data(ctx, [u])[0]
         assert pk.eta_max <= 1.0
         ctrl = build_controller(plant, weights, ctx, u)
         sig, om = scan_window_for(ctx, plant, u, pk)
@@ -121,7 +124,7 @@ class TestSweep:
         from strongstab.stability import peak_data
 
         u = UParam(-0.99)
-        pk = peak_data(ex1_ctx, u)
+        pk = peak_data(ex1_ctx, [u])[0]
         om = np.linspace(1e-5, 200.0, 100001)
         mag = np.abs(
             ex1_ctx.F(1j * om)
@@ -129,3 +132,88 @@ class TestSweep:
             / (ex1_ctx.L1(1j * om) + ex1_ctx.L2(-1j * om) * u.u_inf)
         )
         assert pk.eta_max == pytest.approx(mag.max(), rel=1e-3)
+
+
+def reference_hurwitz(ctx, u):
+    L1U = stability._cleared_lu_polys(ctx, u)[1]
+    if L1U.degree == 0:
+        return L1U.c[0] != 0.0
+    return all(r.real < 0 for r in poly_roots(L1U).expanded())
+
+
+class TestChunkedCandidates:
+    """Chunked, stacked root extraction against loops over one candidate at a time."""
+
+    @pytest.fixture(params=[0.814, 0.8140000003])
+    def level(self, request, ex1, ex1_ctx, monkeypatch):
+        # a chunk size that puts chunk boundaries inside every candidate list
+        monkeypatch.setattr(infinite, "_CHUNK", 7)
+        plant, weights, opts = ex1
+        rho = request.param
+        ctx = ex1_ctx if rho == 0.814 else build_context(
+            plant, weights, rho, "suboptimal", opts.interp_a)
+        return ctx, InfSearchConfig(rho=rho, interp_a=opts.interp_a)
+
+    def test_candidates_equal_one_at_a_time(self, level):
+        ctx, cfg = level
+        intervals = admissible_uinf(asymptotics(ctx))
+        expected = []
+        for ui in infinite._interval_grid(intervals, cfg.uinf_step):
+            u = UParam(float(ui))
+            if u.sup_norm() > 1.0 or not reference_hurwitz(ctx, u):
+                continue
+            pk = peak_data(ctx, [u])[0]
+            if pk.omega_max is not None and not np.isfinite(pk.omega_max):
+                continue
+            expected.append((u, pk))
+        assert len(expected) > 100
+        assert infinite._candidates(ctx, cfg, intervals) == expected
+
+    def test_sweep_rows_equal_one_at_a_time(self, level, ex1):
+        ctx, cfg = level
+        plant, weights, _ = ex1
+        expected = []
+        for lo, hi in admissible_uinf(asymptotics(ctx)):
+            for ui in infinite._interval_grid([(lo, hi)], cfg.uinf_step):
+                pk = peak_data(ctx, [UParam(float(ui))])[0]
+                wm = pk.omega_max
+                expected.append((float(ui), None if wm is None else float(wm), pk.eta_max))
+        assert sweep_report(plant, weights, cfg, ctx=ctx) == expected
+
+    def test_l1u_range_equals_one_at_a_time(self, level):
+        ctx, _ = level
+        us = np.arange(-1.0, 1.0 + 1e-3 / 2, 1e-3)
+        ok = [reference_hurwitz(ctx, UParam(float(u))) for u in us]
+        runs, start = [], None
+        for i, good in enumerate(ok + [False]):
+            if good and start is None:
+                start = i
+            if not good and start is not None:
+                runs.append((start, i - 1))
+                start = None
+        lo, hi = max(runs, key=lambda r: r[1] - r[0])
+        assert l1u_stability_range(ctx) == (float(us[lo]), float(us[hi]))
+
+    @pytest.mark.parametrize("t_fails", [True, False])
+    def test_first_failure_in_candidate_order_is_raised(self, level, monkeypatch, t_fails):
+        # L_1U of the sixth candidate fails; the crossing polynomial of the
+        # third fails too when `t_fails`, and that candidate comes first
+        ctx, cfg = level
+        real = poly_roots
+        calls = []
+
+        def failing_roots(ps):
+            # the first chunk's calls: L_1U, then T, then Q
+            out = real(ps)
+            calls.append(len(ps))
+            if len(calls) == 1:
+                out[5] = RootConvergenceError("L_1U of candidate 5")
+            if len(calls) == 2 and t_fails:
+                out[2] = RootConvergenceError("T of candidate 2")
+            return out
+
+        monkeypatch.setattr(stability, "poly_roots", failing_roots)
+        with pytest.raises(RootConvergenceError) as info:
+            infinite._candidates(ctx, cfg, admissible_uinf(asymptotics(ctx)))
+        assert str(info.value) == ("T of candidate 2" if t_fails else "L_1U of candidate 5")
+        assert calls == [7, 5, 5]   # peak data only for the candidates before the failure

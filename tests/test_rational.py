@@ -1,12 +1,18 @@
+import struct
+
 import numpy as np
 import pytest
 
+import strongstab.rational as rational
+import strongstab.synthesis as synthesis
 from strongstab.rational import (
     FrequencyGrid,
     NonFiniteResponse,
     PoleEvaluationError,
     Poly,
     RationalFn,
+    RootConvergenceError,
+    RootSet,
     blaschke,
     golden_max,
     mirror,
@@ -82,6 +88,155 @@ class TestPolyRoots:
             assert sum(rs.multiplicities) == 2
             for r in rs.roots:
                 assert abs(r - 5.0) <= 1e-6
+
+
+def reference_poly_roots(p, tol_root=1e-12):
+    """The per-polynomial extraction that the stacked `poly_roots` replaced."""
+    if p.is_zero:
+        raise ValueError("cannot extract roots of the zero polynomial")
+    z = np.roots(p.c[::-1]).astype(complex)
+    pv = p(z)
+    dp = p.deriv()
+    for _ in range(3):
+        dv = dp(z)
+        zn = z - pv / np.where(dv == 0, 1.0, dv)
+        pn = p(zn)
+        better = (dv != 0) & (np.abs(pn) < np.abs(pv))
+        z, pv = np.where(better, zn, z), np.where(better, pn, pv)
+    if len(z):
+        worst = float((np.abs(pv) / np.maximum(p.scale_at(z), 1e-300)).max())
+        if worst > tol_root * 1e3:
+            raise RootConvergenceError(
+                f"root extraction failed its residual check (worst {worst:.3e})", worst
+            )
+    z = np.where(np.abs(z.imag) < rational.REAL_SNAP_TOL * (1 + np.abs(z.real)),
+                 z.real + 0j, z)
+    used = np.zeros(len(z), dtype=bool)
+    roots = []
+    for i in np.argsort(z.real):
+        if used[i]:
+            continue
+        zi = z[i]
+        if zi.imag == 0:
+            roots.append(complex(zi))
+            used[i] = True
+            continue
+        best, bestd = -1, np.inf
+        for j in range(len(z)):
+            if j == i or used[j] or z[j].imag == 0:
+                continue
+            d = abs(z[j] - np.conj(zi))
+            if d < bestd:
+                best, bestd = j, d
+        if best < 0 or bestd > 1e-6 * (1 + abs(zi)):
+            if abs(zi.imag) < 1e-6 * (1 + abs(zi)):
+                roots.append(complex(zi.real))
+                used[i] = True
+                continue
+            raise RootConvergenceError(f"conjugate pairing failed for root {zi}", bestd)
+        paired = 0.5 * (zi + np.conj(z[best]))
+        roots.append(complex(paired))
+        roots.append(complex(np.conj(paired)))
+        used[i] = used[best] = True
+    out_roots, out_mult = [], []
+    for r in roots:
+        for k, rr in enumerate(out_roots):
+            if abs(r - rr) <= rational.ROOT_MATCH_TOL * (1 + abs(rr)):
+                out_mult[k] += 1
+                break
+        else:
+            out_roots.append(r)
+            out_mult.append(1)
+    return RootSet(out_roots, out_mult)
+
+
+def bits(result):
+    """A root extraction's outcome, bit for bit: roots and multiplicities, or the error."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return [struct.pack("<dd", r.real, r.imag) for r in result.roots], result.multiplicities
+
+
+def reference_bits(p, tol_root=1e-12):
+    try:
+        return bits(reference_poly_roots(p, tol_root))
+    except (ValueError, RootConvergenceError) as exc:
+        return bits(exc)
+
+
+def single_bits(p, tol_root=1e-12):
+    try:
+        return bits(poly_roots(p, tol_root))
+    except (ValueError, RootConvergenceError) as exc:
+        return bits(exc)
+
+
+def assert_stacked_equals_reference(polys, tol_root=1e-12):
+    expected = [reference_bits(p, tol_root) for p in polys]
+    assert [bits(r) for r in poly_roots(polys, tol_root)] == expected
+    assert [single_bits(p, tol_root) for p in polys] == expected
+
+
+class TestStackedPolyRoots:
+    @pytest.mark.parametrize("config", ["ex1", "ex2"])
+    def test_gamma_opt_scan_polynomials(self, config, request, monkeypatch):
+        plant, weights, opts = request.getfixturevalue(config)
+        seen = []
+        original = rational.poly_roots
+
+        def record(p, tol_root=1e-12):
+            seen.append(p)
+            return original(p, tol_root)
+
+        monkeypatch.setattr(rational, "poly_roots", record)
+        monkeypatch.setattr(synthesis, "poly_roots", record)
+        synthesis.gamma_opt(plant, weights, opts.gamma_bracket)
+        monkeypatch.undo()
+        assert len(seen) > 300
+        assert len({len(p.c) for p in seen}) > 1    # one call mixes lengths
+        assert_stacked_equals_reference(seen)
+
+    def test_random_real_polynomials(self):
+        rng = np.random.default_rng(2024)
+        polys = [Poly(rng.standard_normal(d + 1)) for d in rng.integers(0, 13, 400)]
+        assert_stacked_equals_reference(polys)
+
+    def test_low_order_zeros(self):
+        rng = np.random.default_rng(7)
+        polys = []
+        for low in range(4):
+            for d in range(low, 9):
+                c = rng.standard_normal(d + 1)
+                c[:low] = 0.0
+                polys.append(Poly(c))
+        polys += [Poly([0.0, 0.0, 3.0]), Poly([0.0, 2.0]), Poly([0.0, -1.0, 0.0, 2.0])]
+        assert_stacked_equals_reference(polys)
+
+    def test_double_root_at_five(self):
+        # (s - 5)^2, where the unguarded Newton polish once overshot
+        polys = [Poly([25.0, -10.0, 1.0]),
+                 Poly([-1.2150791078313732, 0.4860316431325493, -0.048603164313254926]),
+                 Poly([-0.6645339354010678, 0.2658135741604273, -0.026581357416042742])]
+        assert_stacked_equals_reference(polys)
+        assert poly_roots(polys)[0].multiplicities == [2]
+
+    def test_mixed_lengths_keep_order(self):
+        polys = [Poly([2.0]), Poly([1.0, 0.0, 1.0]), Poly([2.0, 1.0]),
+                 Poly([4.9943, -0.0574, 1.0]), Poly([2.0, 0.3, -1.1, 1.0]), Poly([-3.0])]
+        assert_stacked_equals_reference(polys)
+
+    def test_failed_rows_leave_the_others_alone(self):
+        # at this tolerance x^2 - 2 fails the residual check (its residual is
+        # 1.1e-16) while x^2 - 4 and x^2 - 9 have exact roots; the zero
+        # polynomial fails on its own as well
+        polys = [Poly([-4.0, 0.0, 1.0]), Poly([-2.0, 0.0, 1.0]), Poly([-9.0, 0.0, 1.0]),
+                 Poly([0.0]), Poly([6.0, -5.0, 1.0])]
+        out = poly_roots(polys, tol_root=1e-20)
+        assert [type(r) for r in out] == [RootSet, RootConvergenceError, RootSet,
+                                          ValueError, RootSet]
+        assert_stacked_equals_reference(polys, tol_root=1e-20)
+        with pytest.raises(RootConvergenceError):
+            poly_roots(polys[1], tol_root=1e-20)
 
 
 class TestRationalFn:

@@ -88,7 +88,7 @@ class TestAdmissibleUinf:
 
 class TestPeakData:
     def test_ex1_best_candidate(self, ex1_ctx):
-        pk = peak_data(ex1_ctx, UParam(-0.8137))
+        pk = peak_data(ex1_ctx, [UParam(-0.8137)])[0]
         assert pk.omega_max == pytest.approx(19.469, abs=1e-2)
         assert pk.eta_max == pytest.approx(1.2644, abs=1e-3)
 
@@ -104,7 +104,7 @@ class TestPeakData:
             assert abs(num / den) == pytest.approx(1.0, rel=1e-9)
 
     def test_no_crossing_when_contractive(self, ex2_ctx):
-        pk = peak_data(ex2_ctx, UParam(0.0))
+        pk = peak_data(ex2_ctx, [UParam(0.0)])[0]
         # |F L_U| starts above one here, so crossings exist; instead check a
         # shrunken parameter keeps eta finite and matches a dense grid
         om = np.linspace(1e-4, 50, 200001)
@@ -117,15 +117,15 @@ class TestPeakData:
         )
 
     def test_infinite_case_reported(self, ex1_ctx):
-        pk = peak_data(ex1_ctx, UParam(0.0))
+        pk = peak_data(ex1_ctx, [UParam(0.0)])[0]
         assert pk.omega_max == np.inf
 
     def test_monotone_scaling_never_shrinks_omega_max(self, ex1_ctx):
         import dataclasses
 
-        pk1 = peak_data(ex1_ctx, UParam(-0.8137))
+        pk1 = peak_data(ex1_ctx, [UParam(-0.8137)])[0]
         ctx_scaled = dataclasses.replace(ex1_ctx, L2=ex1_ctx.L2 * 1.02)
-        pk2 = peak_data(ctx_scaled, UParam(-0.8137))
+        pk2 = peak_data(ctx_scaled, [UParam(-0.8137)])[0]
         assert pk2.omega_max >= pk1.omega_max - 1e-9
 
 
