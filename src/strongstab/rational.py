@@ -211,15 +211,7 @@ def poly_roots(p, tol_root=1e-12):
     eigensolver failure (`np.linalg.LinAlgError`, say for a non-finite
     coefficient) is raised for the whole call.
     """
-    if isinstance(p, Poly):
-        (out,) = _roots_of([p], tol_root)
-        if isinstance(out, Exception):
-            raise out
-        return out
-    return _roots_of(list(p), tol_root)
-
-
-def _roots_of(ps, tol_root):
+    ps = [p] if isinstance(p, Poly) else list(p)
     out = [None] * len(ps)
     stacks = {}
     for i, q in enumerate(ps):
@@ -232,7 +224,11 @@ def _roots_of(ps, tol_root):
         rows = _stacked_roots(np.array([ps[i].c for i in idx]), low, tol_root)
         for i, res in zip(idx, rows):
             out[i] = res
-    return out
+    if not isinstance(p, Poly):
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 def _horner(C, Z):
