@@ -24,9 +24,9 @@ from . import report as rpt
 from .config import ConfigError, _need, load_problem
 from .finite import (
     FiniteSearchError,
+    FiniteU,
     PickProblem,
     build_p1p2,
-    build_U,
     certify_u_norm,
     fig3_tuples,
     fig5_lattice,
@@ -141,15 +141,15 @@ def _run_finite(plant, weights, opts, rho, emit_dir):
         "central": res.central,
         "mu": res.mu,
         "integers": list(res.integers),
-        "q": res.q if np.isscalar(res.q) else None,
+        "q": res.q,
         "conformal_a": opts.a,
         "U_norm": res.U_norm,
         "verified_norm": res.cert.norm,
         "stable": res.cert.stable,
         "p_roots": _complex_pairs(p1p2.p_roots),
         "s_roots": _complex_pairs(p1p2.s_roots),
-        "node_roots": _complex_pairs(p1p2.node_roots or []),
-        "artifact_roots": _complex_pairs(p1p2.artifact_roots or []),
+        "node_roots": _complex_pairs(p1p2.node_roots),
+        "artifact_roots": _complex_pairs(p1p2.artifact_roots),
         "scan_sigma_max": scan.sigma_max,
         "scan_omega_bound": scan.omega_bound,
         "residual_zeros": _complex_pairs(scan.zeros),
@@ -269,15 +269,17 @@ def cmd_verify(args):
         if branch == "central-stable":
             u = UParam(0.0)
         else:
+            a = number("conformal_a")
             p1p2 = build_p1p2(plant, ctx)
-            z, w = pick_points(p1p2, number("conformal_a"))
+            z, w = pick_points(p1p2, a)
             pp = PickProblem(
-                a=number("conformal_a"), z=z, w=w,
-                n=tuple(_need(result, "integers", "report.result", list)), mu=number("mu"),
+                z=z, w=w, n=tuple(_need(result, "integers", "report.result", list)),
+                mu=number("mu"),
             )
-            interp = np_interpolant(pp)
-            u = build_U(p1p2, interp, pp.mu, number("q"), pp.a)
+            u = FiniteU(p1p2, np_interpolant(pp), pp.mu, number("q"), a)
             un = certify_u_norm(u, dense)
+            if np.isnan(un):
+                raise FiniteSearchError("stored U is not finite on the frequency grid")
             if un > 1.0 + 1e-6:
                 failures.append(f"free-parameter norm re-check failed: {un:.6f}")
         sig, om = number("scan_sigma_max"), number("scan_omega_bound")

@@ -7,6 +7,11 @@ function g at the images of P2's unstable zeros, with the logarithm's branch
 freedom carried by explicit integers, a feasibility level mu bounded below by
 the Pick matrix, and a residual Schur-class parameter searched until the
 resulting U fits inside the unit ball.
+
+`FiniteU` is that U for one constant residual parameter q or an array of
+them; `UAtPoints` holds its q-independent parts at fixed points, so many q
+share them; `certify_u_norm` is the one grid certificate of ||U||, one norm
+per constant.
 """
 
 from __future__ import annotations
@@ -15,10 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rational import (
-    FrequencyGrid, NonFiniteResponse, Poly, RationalFn, blaschke, poly_roots, refine_peak,
-    sup_norm_on_grid,
-)
+from .rational import FrequencyGrid, Poly, RationalFn, blaschke, poly_roots, refine_peak
 from .stability import Certificate, certify, rhp_zero_scan
 from .synthesis import CertificateContradiction, SynthesisContext, UParam, build_context
 
@@ -34,7 +36,8 @@ __all__ = [
     "pick_min_eig",
     "mu_opt_search",
     "np_interpolant",
-    "build_U",
+    "UAtPoints",
+    "FiniteU",
     "certify_u_norm",
     "fig5_lattice",
     "stabilize_finite",
@@ -107,8 +110,7 @@ class QuasiPoly:
 
     def rhp_zeros(self, excluded):
         sig_max, om_bound = self.scan_window()
-        scan = rhp_zero_scan(self, sig_max, om_bound, excluded=excluded)
-        return scan.zeros, scan
+        return rhp_zero_scan(self, sig_max, om_bound, excluded=excluded).zeros
 
 
 @dataclass
@@ -118,9 +120,8 @@ class P1P2:
     p_roots: list               # RHP zeros of P1
     s_roots: list               # all RHP zeros of P2
     M_tilde_d: RationalFn
-    scans: tuple
-    node_roots: list | None = None      # P2 zeros used as interpolation nodes
-    artifact_roots: list | None = None  # parameterization artifacts near interp_a
+    node_roots: list        # P2 zeros used as interpolation nodes
+    artifact_roots: list    # parameterization artifacts near interp_a
 
     def ratio(self, s):
         """(P1/P2)(s); the common denominators cancel exactly."""
@@ -145,8 +146,8 @@ def build_p1p2(plant, ctx: SynthesisContext) -> P1P2:
     q1 = QuasiPoly(A1, B1, plant.h)
     q2 = QuasiPoly(A2, B2, plant.h)
     excluded = ctx.excluded_zeros()
-    p_roots, scan1 = q1.rhp_zeros(excluded)
-    s_roots, scan2 = q2.rhp_zeros(excluded)
+    p_roots = q1.rhp_zeros(excluded)
+    s_roots = q2.rhp_zeros(excluded)
     Mtd = blaschke(p_roots) if p_roots else RationalFn.one()
 
     # The extra interpolation condition pins L2(-interp_a) up to an e^{-h a}
@@ -164,8 +165,7 @@ def build_p1p2(plant, ctx: SynthesisContext) -> P1P2:
             nodes.append(r)
     return P1P2(
         p1=q1, p2=q2, p_roots=p_roots, s_roots=s_roots,
-        M_tilde_d=Mtd, scans=(scan1, scan2),
-        node_roots=nodes, artifact_roots=artifacts,
+        M_tilde_d=Mtd, node_roots=nodes, artifact_roots=artifacts,
     )
 
 
@@ -175,7 +175,6 @@ def build_p1p2(plant, ctx: SynthesisContext) -> P1P2:
 
 @dataclass
 class PickProblem:
-    a: float
     z: np.ndarray           # disk points, conjugate-closed, Im>0 first
     w: np.ndarray           # 1 / M_tilde_d(s_i)
     n: tuple                # branch integers
@@ -187,12 +186,11 @@ class PickProblem:
 
 def pick_points(p1p2: P1P2, a: float = 1.0):
     """Disk images z_i = (s_i - a)/(s_i + a) and targets w_i = 1/M_tilde_d(s_i)."""
-    sset = p1p2.node_roots if p1p2.node_roots is not None else p1p2.s_roots
-    if not sset:
+    if not p1p2.node_roots:
         raise FiniteSearchError("P2 has no right-half-plane zeros to interpolate")
     if a <= 0:
         raise ValueError("conformal parameter a must be positive")
-    s = np.array(sorted(sset, key=lambda r: (-r.imag, r.real)), dtype=complex)
+    s = np.array(sorted(p1p2.node_roots, key=lambda r: (-r.imag, r.real)), dtype=complex)
     for si in s:
         for pi in p1p2.p_roots:
             if abs(si - pi) < 1e-9 * (1 + abs(si)):
@@ -306,7 +304,7 @@ def mu_opt_search(z, w, integer_bound=20, feasibility_tuples=None):
     ns = np.asarray(tuples)
     lam = np.concatenate([
         np.linalg.eigvalsh(
-            Linv @ pick_matrix(PickProblem(a=1.0, z=z, w=w, n=chunk, mu=1.0)) @ Linv.conj().T
+            Linv @ pick_matrix(PickProblem(z=z, w=w, n=chunk, mu=1.0)) @ Linv.conj().T
         )[:, 0]
         for chunk in np.split(ns, range(_TUPLE_CHUNK, len(ns), _TUPLE_CHUNK))
     ])
@@ -333,8 +331,6 @@ class NPInterpolant:
     the working level, the interpolant is unique and q is ignored.
     """
 
-    z: np.ndarray
-    targets: np.ndarray
     sigmas: list
     points_used: list
     unique: bool
@@ -355,23 +351,18 @@ class NPInterpolant:
     def recurse(self, fac, q):
         """g at the points of `fac` (from `factors`) for the free parameter q.
 
-        `q` is a real constant, an array of constants (one per point), a
+        `q` is a real constant, an array of constants (one per point) or a
         column of constants q[:, None] (one row of g per constant, every row
-        taking the same elementwise operations as that constant alone) or a
-        callable on disk points with values in the closed unit disk.
+        taking the same elementwise operations as that constant alone).
         Conjugate symmetry g(conj z) = conj g(z) is enforced by averaging the
         raw chart with its reflected copy.
         """
         zz, fa, fb = fac
         if self.unique:
             # q is ignored, keeping its shape: the chart ends in a unimodular constant
-            q = np.full(() if callable(q) else np.shape(q), self.sigmas[-1])
-        if callable(q):
-            qa = np.asarray(q(zz), dtype=complex)
-            qb = np.asarray(q(np.conj(zz)), dtype=complex)
-        else:
-            qa = qb = np.full(np.broadcast_shapes(np.shape(q), zz.shape), q, dtype=complex)
-        return 0.5 * (self._schur(fa, qa) + np.conj(self._schur(fb, qb)))
+            q = np.full(np.shape(q), self.sigmas[-1])
+        t = np.full(np.broadcast_shapes(np.shape(q), zz.shape), q, dtype=complex)
+        return 0.5 * (self._schur(fa, t) + np.conj(self._schur(fb, t)))
 
     @staticmethod
     def _schur(stages, t):
@@ -412,9 +403,7 @@ def np_interpolant(pp: PickProblem) -> NPInterpolant:
             nxt_pts.append(zz)
             nxt_vals.append((vv - s0) / (B * (1.0 - np.conj(s0) * vv)))
         cur_pts, cur_vals = nxt_pts, nxt_vals
-    interp = NPInterpolant(
-        z=z, targets=b, sigmas=sigmas, points_used=points_used, unique=unique
-    )
+    interp = NPInterpolant(sigmas=sigmas, points_used=points_used, unique=unique)
     resid = np.abs(interp.g(z, 0.0) - b)
     if resid.max() > 1e-7 * (1 + np.abs(b).max()):
         raise FiniteSearchError(f"interpolation residual too large: {resid.max():.3e}")
@@ -425,9 +414,10 @@ def np_interpolant(pp: PickProblem) -> NPInterpolant:
 # U construction and certification
 # ---------------------------------------------------------------------------
 
-class _UAtPoints:
+class UAtPoints:
     """The q-independent parts of U at fixed points s: P1/P2, mu M~_d(s) and
-    the interpolant's factors at (s-a)/(s+a).  Calling it with q gives U(s)."""
+    the interpolant's factors at (s-a)/(s+a).  Calling it with q (see
+    `NPInterpolant.recurse`) gives U(s)."""
 
     def __init__(self, p1p2: P1P2, interp: NPInterpolant, mu, a, s):
         s = np.asarray(s, dtype=complex)
@@ -447,49 +437,53 @@ class _UAtPoints:
             return (self.inv_SU(q) - 1.0) * self.ratio
 
 
-class UComposite:
-    """U(s) = (e^{G(s)}/(mu M~_d(s)) - 1) (P1/P2)(s) with G = g((s-a)/(s+a), q)."""
+@dataclass(frozen=True, eq=False)
+class FiniteU:
+    """U(s) = (e^{G(s)}/(mu M~_d(s)) - 1) (P1/P2)(s) with G = g((s-a)/(s+a), q).
 
-    def __init__(self, p1p2: P1P2, interp: NPInterpolant, mu, q, a):
-        self.p1p2 = p1p2
-        self.interp = interp
-        self.mu = float(mu)
-        self.q = q
-        self.a = float(a)
+    `q` is one real constant or a 1-D array of them: `certify_u_norm` gives
+    one norm per constant, and calling U(s) takes one constant.
+    """
 
-    def inv_SU(self, s):
-        return _UAtPoints(self.p1p2, self.interp, self.mu, self.a, s).inv_SU(self.q)
+    p1p2: P1P2
+    interp: NPInterpolant
+    mu: float
+    q: float | np.ndarray
+    a: float = 1.0
+
+    def at(self, s):
+        return UAtPoints(self.p1p2, self.interp, self.mu, self.a, s)
 
     def __call__(self, s):
-        return _UAtPoints(self.p1p2, self.interp, self.mu, self.a, s)(self.q)
-
-    @property
-    def limit_at_infinity(self):
-        # z -> 1, M~_d -> 1, P1/P2 -> ratio of leading coefficients
-        g1 = complex(self.interp.g(np.array([1.0 - 1e-12 + 0j]), self.q)[0])
-        lead = self.p1p2.p1.A.c[-1] / self.p1p2.p2.A.c[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (np.exp(g1) / self.mu - 1.0) * lead
+        return self.at(s)(self.q)
 
 
-def build_U(p1p2: P1P2, interp: NPInterpolant, mu, Q, a=1.0) -> UComposite:
-    if isinstance(Q, UParam):
-        Q.validate()
-        qc = Q.u_inf if Q.is_constant else (
-            lambda zz: Q((1.0 + zz) / (1.0 - zz) * a)   # back through the disk map
-        )
-    else:
-        qc = Q
-    return UComposite(p1p2, interp, mu, qc, a)
+def certify_u_norm(U: FiniteU, grid: FrequencyGrid | None = None):
+    """Grid-certified sup of |U(jw)| for each constant of U.q: an array for
+    an array of constants, a float for one.
 
+    The grid maximum of each constant is refined by `refine_peak`, all
+    constants in lock-step, then raised to the omega -> infinity limit of |U|
+    where that is larger (np.fmax: a NaN limit keeps the grid value).  A
+    constant at which U is not finite somewhere on the grid reads NaN.
+    """
+    om = (grid or FrequencyGrid()).omegas()
+    qs = np.atleast_1d(np.asarray(U.q, dtype=float))
+    at, peak = _grid_peaks(U.at(1j * om), qs)
+    ok = at >= 0
+    sup = np.full(len(qs), np.nan)
+    if ok.any():
+        def absu(w):
+            return np.abs(U.at(1j * w)(qs[ok]))
 
-def certify_u_norm(U: UComposite, grid: FrequencyGrid | None = None):
-    """Grid-certified sup of |U(jw)| including the asymptotic tail value."""
-    try:
-        v, _ = sup_norm_on_grid(U, grid or FrequencyGrid())
-    except NonFiniteResponse as exc:
-        raise FiniteSearchError(f"U evaluation failed at omega={exc.omega:g}") from None
-    return max(v, abs(U.limit_at_infinity))
+        sup[ok] = refine_peak(absu, om, at[ok], peak[ok])[0]
+    # z -> 1, M~_d -> 1, P1/P2 -> ratio of leading coefficients
+    lead = U.p1p2.p1.A.c[-1] / U.p1p2.p2.A.c[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g1 = U.interp.g(np.array([1.0 - 1e-12 + 0j]), qs[:, None])[:, 0]
+        tail = np.abs((np.exp(g1) / U.mu - 1.0) * lead)
+    norms = np.where(ok, np.fmax(sup, tail), np.nan)
+    return norms if np.ndim(U.q) else float(norms[0])
 
 
 # (q, point) pairs per evaluation in _grid_peaks; larger blocks raise peak
@@ -497,7 +491,7 @@ def certify_u_norm(U: UComposite, grid: FrequencyGrid | None = None):
 _BLOCK = 1 << 12
 
 
-def _grid_peaks(u: _UAtPoints, qs):
+def _grid_peaks(u: UAtPoints, qs):
     """(argmax, max) of |U| over u's points for each constant q in qs;
     (-1, inf) where U is not finite at some point.
 
@@ -517,12 +511,6 @@ def _grid_peaks(u: _UAtPoints, qs):
     return at, peak
 
 
-def _coarse_norm_sweep(p1p2, interp, mu, q_grid, a, om):
-    """Grid-only sup of |U| for every candidate q (no peak refinement); inf
-    where U is not finite on the grid."""
-    return _grid_peaks(_UAtPoints(p1p2, interp, mu, a, 1j * om), q_grid)[1]
-
-
 def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     """Indices of the q values whose grid sup of |U| over om is at most
     1 + 1e-9, in increasing order of that sup (ties by index).
@@ -537,15 +525,16 @@ def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     thr = 1.0 + 1e-9
     q_grid = np.asarray(q_grid)
     sub = om[::10]
-    u_sub = _UAtPoints(p1p2, interp, mu, a, 1j * sub)
+    u_sub = UAtPoints(p1p2, interp, mu, a, 1j * sub)
     at, peak = _grid_peaks(u_sub, q_grid[::50])
     # sorted(set(...)), not np.unique: the first np.unique call keeps ~1 MB
     witness = sub[sorted(set(at[(at >= 0) & (peak > thr)].tolist()))]
     alive = np.arange(len(q_grid))
     if witness.size:
-        alive = np.flatnonzero(_coarse_norm_sweep(p1p2, interp, mu, q_grid, a, witness) <= thr)
+        u_wit = UAtPoints(p1p2, interp, mu, a, 1j * witness)
+        alive = np.flatnonzero(_grid_peaks(u_wit, q_grid)[1] <= thr)
     alive = alive[_grid_peaks(u_sub, q_grid[alive])[1] <= thr]
-    full = _coarse_norm_sweep(p1p2, interp, mu, q_grid[alive], a, om)
+    full = _grid_peaks(UAtPoints(p1p2, interp, mu, a, 1j * om), q_grid[alive])[1]
     ok = full <= thr
     return alive[ok][np.argsort(full[ok], kind="stable")]
 
@@ -559,8 +548,8 @@ class FinSearchResult:
     rho: float
     mu: float
     integers: tuple
-    q: object
-    U: UComposite | None
+    q: float
+    U: FiniteU | None
     U_norm: float
     cert: Certificate
     ctx: SynthesisContext
@@ -577,40 +566,20 @@ def _default_mu_schedule(mu_opt):
     return [mu_opt * f for f in (1.02, 1.05, 1.1, 1.2, 1.5, 2.0)]
 
 
-def _lattice_step(p1p2, interp, mu, qs, a, om):
-    """(mu, Q, ||U||, ||U|| <= 1) for each constant Q in qs at one mu step,
-    equal to `certify_u_norm(build_U(p1p2, interp, mu, Q, a))` on the grid om
-    and leaving out the Q values where that raises.  The grid maxima come from
-    shared q-independent arrays; their peaks are refined together."""
-    at, peak = _grid_peaks(_UAtPoints(p1p2, interp, mu, a, 1j * om), qs)
-    ok = at >= 0
-    if not ok.any():
-        return []
-    qk = np.asarray(qs, dtype=float)[ok]
-
-    def absu(w):
-        return np.abs(_UAtPoints(p1p2, interp, mu, a, 1j * w)(qk))
-
-    sup, _ = refine_peak(absu, om, at[ok], peak[ok])
-    rows = []
-    for qv, v in zip(qk.tolist(), sup):
-        un = max(float(v), abs(build_U(p1p2, interp, mu, qv, a).limit_at_infinity))
-        rows.append((mu, qv, un, un <= 1.0))
-    return rows
-
-
 def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a=1.0, grid=None):
     """(mu, Q, ||U||, ||U|| <= 1) over the default mu steps above mu_opt and
-    constant Q in [-1, 1] at step 0.02; steps without an interpolant are left out."""
-    om = (grid or FrequencyGrid()).omegas()
+    constant Q in [-1, 1] at step 0.02; steps without an interpolant and Q
+    values at which U is not finite on the grid are left out."""
     qs = np.arange(-1.0, 1.0001, 0.02)
     rows = []
     for mu in _default_mu_schedule(mu_opt):
         try:
-            interp = np_interpolant(PickProblem(a=a, z=z, w=w, n=integers, mu=mu))
+            interp = np_interpolant(PickProblem(z=z, w=w, n=integers, mu=mu))
         except FiniteSearchError:
             continue
-        rows += _lattice_step(p1p2, interp, mu, qs, a, om)
+        norms = certify_u_norm(FiniteU(p1p2, interp, mu, qs, a), grid)
+        keep = ~np.isnan(norms)
+        rows += [(mu, qv, un, un <= 1.0) for qv, un in zip(qs[keep].tolist(), norms[keep])]
     return rows
 
 
@@ -642,9 +611,9 @@ def stabilize_finite(plant, weights, rho, mu_schedule=None,
 
     # unique interpolant exactly at the optimum
     try:
-        pp0 = PickProblem(a=a, z=z, w=w, n=best_tuple, mu=mu_opt * (1 + 1e-9))
+        pp0 = PickProblem(z=z, w=w, n=best_tuple, mu=mu_opt * (1 + 1e-9))
         interp0 = np_interpolant(pp0)
-        U0 = build_U(p1p2, interp0, pp0.mu, 0.0, a)
+        U0 = FiniteU(p1p2, interp0, pp0.mu, 0.0, a)
         n0 = certify_u_norm(U0, grid)
         if n0 <= 1.0 + 1e-9:
             cert = certify(plant, weights, ctx, U0, grid=grid)
@@ -662,7 +631,7 @@ def stabilize_finite(plant, weights, rho, mu_schedule=None,
             continue
         feasible_tuples = [tup for tup, mu_min in table if mu_min < mu]
         for tup in feasible_tuples:
-            pp = PickProblem(a=a, z=z, w=w, n=tup, mu=mu)
+            pp = PickProblem(z=z, w=w, n=tup, mu=mu)
             try:
                 interp = np_interpolant(pp)
             except FiniteSearchError as exc:
@@ -673,13 +642,9 @@ def stabilize_finite(plant, weights, rho, mu_schedule=None,
             # the largest margin the sweep can offer
             for idx in _q_candidates(p1p2, interp, mu, q_grid, a, om_coarse):
                 qv = float(q_grid[idx])
-                U = build_U(p1p2, interp, mu, qv, a)
-                try:
-                    un = certify_u_norm(U, grid)
-                except FiniteSearchError as exc:
-                    last_exc = exc
-                    continue
-                if un > 1.0 + 1e-9:
+                U = FiniteU(p1p2, interp, mu, qv, a)
+                un = certify_u_norm(U, grid)
+                if not un <= 1.0 + 1e-9:
                     continue
                 cert = certify(plant, weights, ctx, U, grid=grid)
                 if not (cert.stable and cert.norm_ok):

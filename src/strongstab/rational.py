@@ -509,7 +509,7 @@ def blaschke(roots) -> RationalFn:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Logarithmic frequency grid with golden-section peak refinement."""
+    """Logarithmic frequency grid; `refine_peak` refines maxima found on it."""
 
     lo: float = 1e-3
     hi: float = 1e4

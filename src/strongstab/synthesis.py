@@ -613,10 +613,6 @@ class UParam:
             return self.u_inf * np.ones_like(np.asarray(s, dtype=complex))
         return self.u_inf * (self.u_z + np.asarray(s)) / (self.u_p + np.asarray(s))
 
-    @property
-    def limit_at_infinity(self):
-        return self.u_inf
-
 
 class Controller:
     """Suboptimal controller C = E m_d N_o^{-1} F L_U / (1 + m_n F L_U)."""
@@ -624,7 +620,7 @@ class Controller:
     def __init__(self, plant: DelayPlant, ctx: SynthesisContext, u):
         self.plant = plant
         self.ctx = ctx
-        self.u = u  # callable s-array -> complex array (UParam or composite)
+        self.u = u  # callable s-array -> complex array (UParam or finite.FiniteU)
 
     def _lu(self, s):
         s = np.asarray(s, dtype=complex)
@@ -645,7 +641,8 @@ class Controller:
     def loop_denominator(self, s):
         """1 + m_n F L_U, cleared of the L_U denominator's zeros: returns
         (L1 + L2~ U) + m_n F (L2 + L1~ U), whose RHP zeros are the controller
-        poles (the L_U denominator is checked stable separately)."""
+        poles.  Only the infinite search checks that the L_U denominator is
+        stable (`infinite._l1u_hurwitz`); `certify` does not."""
         s = np.asarray(s, dtype=complex)
         num, den = self._lu(s)
         return den + self.plant.mn(s) * self.ctx.F(s) * num
@@ -676,7 +673,7 @@ def build_controller(plant, weights, ctx: SynthesisContext, u,
                 f"suboptimal level {ctx.level} must exceed the optimal level "
                 f"{gamma_opt_value}"
             )
-    return Controller(plant, ctx, u if callable(u) else UParam(float(u)))
+    return Controller(plant, ctx, u)
 
 
 def verify_performance(controller: Controller, weights: WeightPair,

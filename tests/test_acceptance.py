@@ -21,7 +21,8 @@ from strongstab import (
     blaschke,
     build_context,
     build_controller,
-    build_U,
+    FiniteU,
+    UAtPoints,
     certify_u_norm,
     chain_abscissa,
     finitely_many_poles,
@@ -159,8 +160,8 @@ def test_criterion_7_w_anchor(ex2_p1p2):
 def test_criterion_8_pick_bracketing(ex2_p1p2):
     z, w = pick_points(ex2_p1p2, 1.0)
     mu_opt, tup, _ = mu_opt_search(z, w, 20)
-    lo = pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_opt - 1e-2))
-    hi = pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_opt + 1e-2))
+    lo = pick_min_eig(PickProblem(z=z, w=w, n=tup, mu=mu_opt - 1e-2))
+    hi = pick_min_eig(PickProblem(z=z, w=w, n=tup, mu=mu_opt + 1e-2))
     ok = tup == (0, 0) and lo < 0 <= hi + 1e-10
     record(8, ok, f"mu_opt={mu_opt:.4f} at n={tup}; eig(mu-+1e-2)=({lo:.2e},{hi:.2e})")
 
@@ -195,17 +196,17 @@ def test_criterion_9_final_design_certificates(ex2_search):
            "u_inf = 0.323 with ||U|| = 0.9924 is not reproducible",
 )
 def test_criterion_9_mu64_anchor(ex2, ex2_p1p2):
-    from strongstab.finite import _coarse_norm_sweep
+    from strongstab.finite import _grid_peaks
 
     plant, weights, opts = ex2
     z, w = pick_points(ex2_p1p2, opts.a)
-    interp = np_interpolant(PickProblem(a=opts.a, z=z, w=w, n=(0, 0), mu=64.0))
+    interp = np_interpolant(PickProblem(z=z, w=w, n=(0, 0), mu=64.0))
     q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
-    coarse = _coarse_norm_sweep(ex2_p1p2, interp, 64.0, q_grid, opts.a,
-                                FrequencyGrid().omegas())
+    coarse = _grid_peaks(UAtPoints(ex2_p1p2, interp, 64.0, opts.a,
+                                   1j * FrequencyGrid().omegas()), q_grid)[1]
     i = int(np.argmin(coarse))
     best_u = float(q_grid[i])
-    best_norm = certify_u_norm(build_U(ex2_p1p2, interp, 64.0, best_u, opts.a))
+    best_norm = certify_u_norm(FiniteU(ex2_p1p2, interp, 64.0, best_u, opts.a))
     ok = best_norm <= 1.0 + 1e-9 and abs(best_u - 0.323) <= 5e-3 \
         and abs(best_norm - 0.9924) <= 1e-2
     record("9a", ok, f"mu=64 best: u={best_u}, ||U||={best_norm:.5f} "
@@ -330,7 +331,7 @@ def test_criterion_10_pick_scalar_threshold():
 def test_criterion_10_np_residuals(ex2_p1p2):
     z, w = pick_points(ex2_p1p2, 1.0)
     mu_opt, tup, _ = mu_opt_search(z, w, 5)
-    pp = PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_opt * 1.15)
+    pp = PickProblem(z=z, w=w, n=tup, mu=mu_opt * 1.15)
     interp = np_interpolant(pp)
     worst = max(
         float(np.abs(interp.g(pp.z, q) - pp.targets()).max()) for q in (0.0, 0.5, -0.5)

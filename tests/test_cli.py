@@ -303,3 +303,14 @@ class TestVerify:
         rc = main(["verify", EX1, "--report", str(p)])
         assert rc == 1
         assert "infinite-pole class" in capsys.readouterr().out
+
+    def test_non_finite_stored_u_exits_3(self, ex2_run, tmp_path, capsys):
+        # a NaN residual parameter makes U non-finite on the whole grid
+        rep, _, _ = ex2_run
+        bad = json.loads(json.dumps(rep))
+        bad["result"]["q"] = "nan"
+        p = tmp_path / "nan_q.json"
+        p.write_text(json.dumps(bad))
+        rc = main(["verify", EX2, "--report", str(p)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("search exhausted:")

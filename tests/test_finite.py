@@ -3,9 +3,10 @@ import pytest
 
 from strongstab.finite import (
     FiniteSearchError,
+    FiniteU,
     PickProblem,
+    UAtPoints,
     build_p1p2,
-    build_U,
     certify_u_norm,
     mu_opt_search,
     np_interpolant,
@@ -16,8 +17,7 @@ from strongstab.finite import (
 )
 from strongstab import finite
 from strongstab.finite import (
-    _BLOCK, _UAtPoints, _coarse_norm_sweep, _default_mu_schedule, _design_tuples, _grid_peaks,
-    _lattice_step, _q_candidates, fig3_tuples,
+    _BLOCK, _default_mu_schedule, _design_tuples, _grid_peaks, _q_candidates, fig3_tuples,
 )
 from strongstab.rational import FrequencyGrid, Poly, RationalFn
 from strongstab.synthesis import DelayPlant, WeightPair, build_context
@@ -66,7 +66,7 @@ class TestP1P2:
         A = Poly([2.0, -3.0, 1.0])      # zeros at 1 and 2
         B = Poly([0.5, 0.1])
         q = QuasiPoly(A, B, 0.0)
-        zeros, _ = q.rhp_zeros([])
+        zeros = q.rhp_zeros([])
         total = A + B
         expected = [r for r in poly_roots(total).expanded() if r.real > 0]
         assert len(zeros) == len(expected)
@@ -114,7 +114,7 @@ class TestPickPoints:
 class TestPickMatrix:
     def test_hermitian(self, ex2_p1p2):
         z, w = pick_points(ex2_p1p2, 1.0)
-        Q = pick_matrix(PickProblem(a=1.0, z=z, w=w, n=(0, 0), mu=70.0))
+        Q = pick_matrix(PickProblem(z=z, w=w, n=(0, 0), mu=70.0))
         np.testing.assert_allclose(Q, Q.conj().T, atol=1e-12)
 
     def test_scalar_threshold_exact(self):
@@ -125,14 +125,14 @@ class TestPickMatrix:
 
     def test_large_mu_psd(self, ex2_p1p2):
         z, w = pick_points(ex2_p1p2, 1.0)
-        assert pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=(0, 0), mu=1e6)) >= 0
+        assert pick_min_eig(PickProblem(z=z, w=w, n=(0, 0), mu=1e6)) >= 0
 
     def test_ex2_mu_opt_and_bracketing(self, ex2_p1p2):
         z, w = pick_points(ex2_p1p2, 1.0)
         mu_opt, tup, table = mu_opt_search(z, w, 20)
         assert tup == (0, 0)
-        lo = pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_opt - 1e-2))
-        hi = pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_opt + 1e-2))
+        lo = pick_min_eig(PickProblem(z=z, w=w, n=tup, mu=mu_opt - 1e-2))
+        hi = pick_min_eig(PickProblem(z=z, w=w, n=tup, mu=mu_opt + 1e-2))
         assert lo < 0 <= hi + 1e-10
 
     def test_mu_profile_minimum_at_zero_tuple(self, ex2_p1p2):
@@ -163,8 +163,8 @@ class TestPickMatrix:
         _, _, table = mu_opt_search(z, w, 20)
         assert len(table) == {2: 41, 4: 1681}[len(z)]
         for tup, mu_min in table:
-            lo = pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_min * (1 - 1e-9)))
-            hi = pick_min_eig(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_min * (1 + 1e-9)))
+            lo = pick_min_eig(PickProblem(z=z, w=w, n=tup, mu=mu_min * (1 - 1e-9)))
+            hi = pick_min_eig(PickProblem(z=z, w=w, n=tup, mu=mu_min * (1 + 1e-9)))
             assert lo < 0 <= hi, tup
 
     @pytest.mark.parametrize("data", ["ex2_p1p2", "ex2_central_p1p2"])
@@ -174,7 +174,7 @@ class TestPickMatrix:
         K = 1.0 / (1.0 - z[:, None] * np.conj(z))
         _, _, table = mu_opt_search(z, w, 20)
         for tup, mu_min in table:
-            Q0 = pick_matrix(PickProblem(a=1.0, z=z, w=w, n=tup, mu=1.0))
+            Q0 = pick_matrix(PickProblem(z=z, w=w, n=tup, mu=1.0))
             lam = scipy_linalg.eigh(Q0, K, eigvals_only=True)[0]
             assert mu_min == pytest.approx(np.exp(-lam / 2), rel=1e-12), tup
 
@@ -188,7 +188,7 @@ class TestPickMatrix:
         for tuples in (_design_tuples(z, 20), fig3_tuples(z, 20)):
             ref = []
             for tup in tuples:
-                Q0 = pick_matrix(PickProblem(a=1.0, z=z, w=w, n=tup, mu=1.0))
+                Q0 = pick_matrix(PickProblem(z=z, w=w, n=tup, mu=1.0))
                 lam = np.linalg.eigvalsh(Linv @ Q0 @ Linv.conj().T)[0]
                 ref.append((tup, float(np.exp(-lam / 2))))
             mu_opt, best, table = mu_opt_search(z, w, 20, feasibility_tuples=tuples)
@@ -209,7 +209,7 @@ def ex2_central_p1p2(ex2):
 def problem(ex2_p1p2):
     z, w = pick_points(ex2_p1p2, 1.0)
     mu_opt, tup, _ = mu_opt_search(z, w, 5)
-    pp = PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu_opt * 1.2)
+    pp = PickProblem(z=z, w=w, n=tup, mu=mu_opt * 1.2)
     return pp, np_interpolant(pp)
 
 
@@ -262,7 +262,7 @@ class TestInterpolant:
         # with the free parameter ignored
         z = np.array([0.4 + 0.0j])
         w = np.array([3.0 + 0.0j])
-        pp = PickProblem(a=1.0, z=z, w=w, n=(0,), mu=3.0)
+        pp = PickProblem(z=z, w=w, n=(0,), mu=3.0)
         interp = np_interpolant(pp)
         assert interp.unique
         zz = np.array([0.1 + 0.2j, -0.3j])
@@ -272,7 +272,7 @@ class TestInterpolant:
     def test_infeasible_mu_rejected(self, ex2_p1p2):
         z, w = pick_points(ex2_p1p2, 1.0)
         with pytest.raises(FiniteSearchError):
-            np_interpolant(PickProblem(a=1.0, z=z, w=w, n=(0, 0), mu=1.0))
+            np_interpolant(PickProblem(z=z, w=w, n=(0, 0), mu=1.0))
 
 
 class TestBuildU:
@@ -280,11 +280,10 @@ class TestBuildU:
         z, w = pick_points(ex2_p1p2, 1.0)
         mu_opt, tup, _ = mu_opt_search(z, w, 5)
         mu = mu_opt * 1.2
-        interp = np_interpolant(PickProblem(a=1.0, z=z, w=w, n=tup, mu=mu))
+        interp = np_interpolant(PickProblem(z=z, w=w, n=tup, mu=mu))
         om = np.logspace(-3, 3, 800)
         for q in (0.0, 0.5, -0.5):
-            U = build_U(ex2_p1p2, interp, mu, q, 1.0)
-            SU_mag = 1.0 / np.abs(U.inv_SU(1j * om))
+            SU_mag = 1.0 / np.abs(UAtPoints(ex2_p1p2, interp, mu, 1.0, 1j * om).inv_SU(q))
             assert SU_mag.max() <= mu * (1 + 1e-9)
 
     def test_conjugate_symmetric_response(self, ex2_search):
@@ -328,20 +327,21 @@ class TestStabilizeFinite:
 
 
 class TestQSweep:
-    """The pruned q sweep and the fig-5 lattice step against their one-Q-at-a-time
-    references, on example 2 at the accepting mu with the tuple (0, 0)."""
+    """The pruned q sweep and the many-Q `certify_u_norm` against their
+    one-Q-at-a-time references, on example 2 at the accepting mu with the
+    tuple (0, 0)."""
 
     @pytest.fixture(scope="class")
     def accepting(self, ex2, ex2_p1p2, ex2_search):
         _, _, opts = ex2
         z, w = pick_points(ex2_p1p2, opts.a)
         mu = ex2_search.mu
-        return mu, opts.a, np_interpolant(PickProblem(a=opts.a, z=z, w=w, n=(0, 0), mu=mu))
+        return mu, opts.a, np_interpolant(PickProblem(z=z, w=w, n=(0, 0), mu=mu))
 
     @pytest.mark.parametrize("stride", [1, 10, 30])
     def test_grid_peaks_equals_one_q_at_a_time(self, ex2_p1p2, accepting, stride):
         mu, a, interp = accepting
-        u = _UAtPoints(ex2_p1p2, interp, mu, a, 1j * FrequencyGrid().omegas()[::stride])
+        u = UAtPoints(ex2_p1p2, interp, mu, a, 1j * FrequencyGrid().omegas()[::stride])
         # the NaN parameter makes U non-finite at every point
         qs = np.append(np.arange(-1.0, 1.0001, 0.02), np.nan)
         rows = max(1, _BLOCK // u.size)
@@ -369,11 +369,12 @@ class TestQSweep:
         steps = steps[:steps.index((ex2_search.mu, ex2_search.integers)) + 1]
         survivors = []
         for mu, tup in steps:
-            interp = np_interpolant(PickProblem(a=opts.a, z=z, w=w, n=tup, mu=mu))
+            interp = np_interpolant(PickProblem(z=z, w=w, n=tup, mu=mu))
             # every tenth frequency first, then the full grid
-            sub = _coarse_norm_sweep(ex2_p1p2, interp, mu, q_grid, opts.a, om[::10])
+            sub = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, opts.a, 1j * om[::10]), q_grid)[1]
             alive = np.flatnonzero(sub <= 1.0 + 1e-9)
-            full = _coarse_norm_sweep(ex2_p1p2, interp, mu, q_grid[alive], opts.a, om)
+            full = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, opts.a, 1j * om),
+                               q_grid[alive])[1]
             ok = full <= 1.0 + 1e-9
             ref = alive[ok][np.argsort(full[ok], kind="stable")]
             got = _q_candidates(ex2_p1p2, interp, mu, q_grid, opts.a, om)
@@ -386,24 +387,36 @@ class TestQSweep:
         mu, a, interp = accepting
         om = FrequencyGrid().omegas()
         q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
-        sub = _coarse_norm_sweep(ex2_p1p2, interp, mu, q_grid, a, om[::10])
-        full = _coarse_norm_sweep(ex2_p1p2, interp, mu, q_grid, a, om)
+        sub = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, a, 1j * om[::10]), q_grid)[1]
+        full = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, a, 1j * om), q_grid)[1]
         assert np.all(sub <= full)
         one_stage = [i for i in np.argsort(full) if full[i] <= 1.0 + 1e-9]
         assert one_stage   # the accepting step has candidates to order
         assert list(_q_candidates(ex2_p1p2, interp, mu, q_grid, a, om)) == one_stage
 
-    def test_lattice_step_equals_certify_u_norm(self, ex2_p1p2, accepting):
-        mu, a, interp = accepting
-        # the NaN parameter makes U non-finite on the grid: that row is left out
-        qs = np.append(np.arange(-1.0, 1.0001, 0.02), np.nan)
-        ref = []
-        for qv in qs:
-            try:
-                un = certify_u_norm(build_U(ex2_p1p2, interp, mu, float(qv), a))
-            except FiniteSearchError:
-                continue
-            ref.append((mu, float(qv), un, un <= 1.0))
-        assert len(ref) == len(qs) - 1
-        assert _lattice_step(ex2_p1p2, interp, mu, qs, a, FrequencyGrid().omegas()) == ref
-
+    @pytest.mark.parametrize("case", ["accepting", "central_level"])
+    def test_many_q_certify_u_norm_equals_one_q_at_a_time(self, case, request, ex2,
+                                                          ex2_central_p1p2):
+        qs = np.arange(-1.0, 1.0001, 0.02)
+        if case == "accepting":
+            p1p2 = request.getfixturevalue("ex2_p1p2")
+            mu, a, interp = request.getfixturevalue("accepting")
+            # the NaN parameter makes U non-finite on the grid: its row reads NaN
+            qs = np.append(qs, np.nan)
+        else:
+            # rho = 1.96: the omega -> infinity limit of |U| is NaN at Q = -1,
+            # and the row keeps its grid value
+            p1p2, a = ex2_central_p1p2, ex2[2].a
+            z, w = pick_points(p1p2, a)
+            mu_opt, tup, _ = mu_opt_search(z, w, 20)
+            mu = 1.02 * mu_opt
+            interp = np_interpolant(PickProblem(z=z, w=w, n=tup, mu=mu))
+        norms = certify_u_norm(FiniteU(p1p2, interp, mu, qs, a))
+        ref = [certify_u_norm(FiniteU(p1p2, interp, mu, float(qv), a)) for qv in qs]
+        assert norms.shape == qs.shape
+        assert all(type(v) is float for v in ref)
+        np.testing.assert_array_equal(norms, ref)
+        if case == "accepting":
+            assert np.isnan(norms[-1]) and np.isfinite(norms[:-1]).all()
+        else:
+            assert qs[0] == -1.0 and np.isfinite(norms).all()
