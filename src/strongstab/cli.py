@@ -129,12 +129,12 @@ def _run_infinite(plant, weights, opts, rho, ctx, emit_dir):
     return payload
 
 
-def _run_finite(plant, weights, opts, rho, emit_dir):
+def _run_finite(plant, weights, opts, rho, ctx, emit_dir):
     q_grid = np.arange(-1.0, 1.0 + opts.q_step / 2, opts.q_step)
     res = stabilize_finite(
         plant, weights, rho, mu_schedule=opts.mu_schedule, q_grid=q_grid,
         integer_bound=opts.integer_bound, a=opts.a, interp_a=opts.interp_a,
-        grid=opts.grid,
+        grid=opts.grid, ctx=ctx,
     )
     p1p2, scan = res.p1p2, res.cert.scan
     payload = {
@@ -211,7 +211,7 @@ def cmd_stabilize(args):
         payload = _run_infinite(plant, weights, opts, args.rho, ctx, emit_dir)
         branch_name = "infinite-search"
     else:
-        payload = _run_finite(plant, weights, opts, args.rho, emit_dir)
+        payload = _run_finite(plant, weights, opts, args.rho, ctx, emit_dir)
         branch_name = "central-stable" if payload.get("central") else "finite-search"
     doc = {
         "schema": rpt.SCHEMA,

@@ -513,14 +513,22 @@ def _grid_peaks(u: UAtPoints, qs):
 
 def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     """Indices of the q values whose grid sup of |U| over om is at most
-    1 + 1e-9, in increasing order of that sup (ties by index).
+    1 + 1e-9, in increasing order of that sup (ties by index), yielded
+    lazily: the search stops at the first accepted candidate.
 
     The sup over any subset of om is a lower bound on the full one, so a q it
     already puts above the threshold (or where U is not finite) is dropped
-    without changing the result.  Three stages do that, each on the survivors
-    of the last: the witness frequencies, which are the sub-grid argmax points
-    of the pilot values q_grid[::50] whose sub-grid sup exceeds the threshold;
-    the sub-grid om[::10]; and the full grid om.
+    without changing the result.  Two stages do that for every q, the second
+    on the survivors of the first: the witness frequencies, which are the
+    sub-grid argmax points of the pilot values q_grid[::50] whose sub-grid
+    sup exceeds the threshold; and the sub-grid om[::10].  Each survivor then
+    carries its sub-grid sup as a lower bound, and the full grid is taken
+    best first: the live q of smallest (bound, index) is yielded if its bound
+    is its full-grid sup, and otherwise evaluated on the full grid alone.
+    The argmax of that evaluation is one more witness: every other survivor
+    not yet on the full grid is evaluated there, its bound raised to the
+    value, and dropped if that is above the threshold.  A yielded q's sup is
+    at most every live bound, hence at most every live q's sup.
     """
     thr = 1.0 + 1e-9
     q_grid = np.asarray(q_grid)
@@ -533,10 +541,28 @@ def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     if witness.size:
         u_wit = UAtPoints(p1p2, interp, mu, a, 1j * witness)
         alive = np.flatnonzero(_grid_peaks(u_wit, q_grid)[1] <= thr)
-    alive = alive[_grid_peaks(u_sub, q_grid[alive])[1] <= thr]
-    full = _grid_peaks(UAtPoints(p1p2, interp, mu, a, 1j * om), q_grid[alive])[1]
-    ok = full <= thr
-    return alive[ok][np.argsort(full[ok], kind="stable")]
+    bound = _grid_peaks(u_sub, q_grid[alive])[1]
+    keep = bound <= thr
+    alive, bound = alive[keep], bound[keep]
+    exact = np.zeros(len(alive), dtype=bool)
+    u_full = None
+    while alive.size:
+        # alive stays in increasing order, so the first minimum has the least index
+        k = int(np.argmin(bound))
+        if exact[k]:
+            yield int(alive[k])
+            bound[k] = np.inf   # taken: the filter below drops it
+        else:
+            if u_full is None:
+                u_full = UAtPoints(p1p2, interp, mu, a, 1j * om)
+            i, full = _grid_peaks(u_full, q_grid[alive[k:k + 1]])
+            bound[k], exact[k] = full[0], True
+            rest = ~exact
+            if i[0] >= 0 and rest.any():
+                u_wit = UAtPoints(p1p2, interp, mu, a, 1j * om[i])
+                bound[rest] = np.fmax(bound[rest], _grid_peaks(u_wit, q_grid[alive[rest]])[1])
+        keep = bound <= thr
+        alive, bound, exact = alive[keep], bound[keep], exact[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +605,25 @@ def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a=1.0, grid=None):
             continue
         norms = certify_u_norm(FiniteU(p1p2, interp, mu, qs, a), grid)
         keep = ~np.isnan(norms)
-        rows += [(mu, qv, un, un <= 1.0) for qv, un in zip(qs[keep].tolist(), norms[keep])]
+        rows += [(mu, qv, un, un <= 1.0)
+                 for qv, un in zip(qs[keep].tolist(), norms[keep].tolist())]
     return rows
 
 
 def stabilize_finite(plant, weights, rho, mu_schedule=None,
                      q_grid=None, integer_bound=20, a=1.0, interp_a=1.0,
-                     grid: FrequencyGrid | None = None) -> FinSearchResult:
+                     grid: FrequencyGrid | None = None,
+                     ctx: SynthesisContext | None = None) -> FinSearchResult:
     """Escalating search at level rho: mu above the Pick optimum, then the
     residual parameter Q, certifying the first design whose U fits the unit
     ball; the accepted controller is re-certified by an independent scan and a
-    closed-loop norm check."""
+    closed-loop norm check.  `ctx`, when given, must be the suboptimal context
+    of (plant, weights, rho, interp_a)."""
     grid = grid or FrequencyGrid()
     if q_grid is None:
         q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
     last_exc = None
-    ctx = build_context(plant, weights, rho, "suboptimal", interp_a)
+    ctx = ctx or build_context(plant, weights, rho, "suboptimal", interp_a)
     p1p2 = build_p1p2(plant, ctx)
     if not p1p2.p_roots:
         cert = certify(plant, weights, ctx, UParam(0.0), grid=grid)

@@ -29,6 +29,8 @@ SCHEMA = "strongstab-report/1"
 
 def fmt(x):
     """Canonical 12-significant-digit rendering of a float."""
+    if type(x) is float and math.isfinite(x):
+        return f"{x:.12g}"
     if x is None:
         return "null"
     if isinstance(x, (bool, np.bool_)):
@@ -80,10 +82,9 @@ def write_fig2_zgrid(directory, zfun, sigma_max, omega_bound, ns=81, nw=161):
     """|Z| over the certification window [0, sigma_max] x [0, omega_bound]."""
     sigs = np.linspace(0.0, sigma_max, ns)
     oms = np.linspace(0.0, omega_bound, nw)
-    rows = []
-    for sg in sigs:
-        vals = np.abs(zfun(sg + 1j * oms))
-        rows.extend((sg, om, v) for om, v in zip(oms, vals))
+    vals = np.abs(zfun(sigs[:, None] + 1j * oms)).tolist()
+    rows = [(sg, om, v) for sg, row in zip(sigs.tolist(), vals)
+            for om, v in zip(oms.tolist(), row)]
     _write(os.path.join(directory, "fig2_zgrid.csv"), "sigma,omega,absZ", rows)
 
 
@@ -97,7 +98,7 @@ def write_fig4_umag(directory, ufun, grid):
     om = grid.omegas()
     vals = np.abs(ufun(1j * om))
     _write(os.path.join(directory, "fig4_umag.csv"), "omega,absU",
-           list(zip(om, vals)))
+           zip(om.tolist(), vals.tolist()))
 
 
 def write_fig5_ranges(directory, rows):

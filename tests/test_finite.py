@@ -326,6 +326,9 @@ class TestStabilizeFinite:
                              a=opts.a, interp_a=opts.interp_a)
 
 
+Q_GRID = np.arange(-1.0, 1.0 + 5e-4, 1e-3)   # the search's default q grid
+
+
 class TestQSweep:
     """The pruned q sweep and the many-Q `certify_u_norm` against their
     one-Q-at-a-time references, on example 2 at the accepting mu with the
@@ -378,21 +381,72 @@ class TestQSweep:
             ok = full <= 1.0 + 1e-9
             ref = alive[ok][np.argsort(full[ok], kind="stable")]
             got = _q_candidates(ex2_p1p2, interp, mu, q_grid, opts.a, om)
-            assert got.tolist() == ref.tolist(), (mu, tup)
+            assert list(got) == ref.tolist(), (mu, tup)
             survivors.append(len(alive))
         # the search's steps: six reject every q on the sub-grid
         assert survivors == [0, 0, 0, 82, 0, 0, 0, 431]
 
-    def test_two_stage_sweep_is_exact(self, ex2_p1p2, accepting):
+    @pytest.fixture(scope="class")
+    def full_sups(self, ex2_p1p2, accepting):
+        """Every q of the search's grid on the full frequency grid at the
+        accepting step, and the one-stage candidate list they give."""
+        mu, a, interp = accepting
+        full = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, a, 1j * FrequencyGrid().omegas()),
+                           Q_GRID)[1]
+        return full, [int(i) for i in np.argsort(full, kind="stable") if full[i] <= 1.0 + 1e-9]
+
+    def test_two_stage_sweep_is_exact(self, ex2_p1p2, accepting, full_sups):
         mu, a, interp = accepting
         om = FrequencyGrid().omegas()
-        q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
-        sub = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, a, 1j * om[::10]), q_grid)[1]
-        full = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, a, 1j * om), q_grid)[1]
+        full, one_stage = full_sups
+        sub = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, a, 1j * om[::10]), Q_GRID)[1]
         assert np.all(sub <= full)
-        one_stage = [i for i in np.argsort(full) if full[i] <= 1.0 + 1e-9]
         assert one_stage   # the accepting step has candidates to order
-        assert list(_q_candidates(ex2_p1p2, interp, mu, q_grid, a, om)) == one_stage
+        assert list(_q_candidates(ex2_p1p2, interp, mu, Q_GRID, a, om)) == one_stage
+
+    def test_duplicated_q_values_come_out_by_index(self, ex2_p1p2, accepting, full_sups):
+        # each q twice: the two copies tie exactly, and the lower index goes first
+        mu, a, interp = accepting
+        got = _q_candidates(ex2_p1p2, interp, mu, np.repeat(Q_GRID, 2), a,
+                            FrequencyGrid().omegas())
+        assert list(got) == [j for i in full_sups[1] for j in (2 * i, 2 * i + 1)]
+
+    def test_search_resumes_after_a_rejected_candidate(self, ex2, ex2_search, full_sups,
+                                                       monkeypatch):
+        plant, weights, opts = ex2
+        rejected = []
+
+        def reject_first(U, grid=None):
+            # the accepting step's first candidate is the search's first
+            if U.mu == ex2_search.mu and not rejected:
+                rejected.append(U.q)
+                return 2.0
+            return certify_u_norm(U, grid)
+
+        monkeypatch.setattr(finite, "certify_u_norm", reject_first)
+        res = stabilize_finite(plant, weights, 1.9454, a=opts.a, interp_a=opts.interp_a,
+                               grid=opts.grid)
+        first, second = full_sups[1][:2]
+        assert rejected == [Q_GRID[first]] == [ex2_search.q]
+        assert (res.mu, res.integers, res.q) == (ex2_search.mu, (0, 0), Q_GRID[second])
+        assert res.U_norm <= 1.0 + 1e-9 and res.cert.stable
+
+    def test_search_evaluates_few_full_grid_rows(self, ex2, monkeypatch):
+        # at 1.9454 the search took 515 full-grid q rows when it ranked every
+        # sub-grid survivor; best first it takes 5, two of them in certify_u_norm
+        plant, weights, opts = ex2
+        n = opts.grid.points
+        rows = []
+
+        def counted(u, qs):
+            if u.size == n:
+                rows.append(len(qs))
+            return _grid_peaks(u, qs)
+
+        monkeypatch.setattr(finite, "_grid_peaks", counted)
+        stabilize_finite(plant, weights, 1.9454, a=opts.a, interp_a=opts.interp_a,
+                         grid=opts.grid)
+        assert sum(rows) <= 10
 
     @pytest.mark.parametrize("case", ["accepting", "central_level"])
     def test_many_q_certify_u_norm_equals_one_q_at_a_time(self, case, request, ex2,
