@@ -4,14 +4,15 @@ Four layers: leading-coefficient asymptotics (finite/infinite pole class and
 the admissible range of the free parameter's high-frequency gain), exact
 crossing/peak data for |F L_U| on the imaginary axis, a rigorous
 argument-principle scan that counts and locates right-half-plane zeros of an
-analytic callable on a rectangle, with known cancelling zeros deflated out,
-and `certify`, the one acceptance test every design passes: a clean scan of
-the loop denominator, then the closed-loop norm bound.
+analytic callable on a rectangle, with known cancelling zeros deflated out and
+each contour segment (subdivision cuts included) marched once per scan, and
+`certify`, the one acceptance test every design passes: a clean scan of the
+loop denominator, then the closed-loop norm bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,16 +272,19 @@ class RegionScan:
     excluded: list
     winding_total: int
     cells_scanned: int = 0
-    notes: list = field(default_factory=list)
 
 
-def _edge_arg_change(f, z0, z1, init_n=64, max_n=60000, small_tol=1e-9):
-    """Total argument change of f along the straight segment z0 -> z1."""
-    ts = np.linspace(0.0, 1.0, init_n)
-    vals = np.asarray(f(z0 + (z1 - z0) * ts), dtype=complex)
+_MARCH_TS = np.linspace(0.0, 1.0, 64)
+_SMALL_TOL = 1e-9   # a sample this small relative to the segment's largest is a zero on it
+
+
+def _refine_march(f, z0, z1, ts, vals, max_n=60000):
+    """Total argument change of f along the straight segment z0 -> z1, from
+    its samples `vals` at `ts`, bisecting each step whose phase jumps by more
+    than pi/2."""
     for _ in range(40):
         mags = np.abs(vals)
-        if np.any(~np.isfinite(mags)) or mags.min() <= small_tol * max(mags.max(), 1e-30):
+        if np.any(~np.isfinite(mags)) or mags.min() <= _SMALL_TOL * max(mags.max(), 1e-30):
             at = z0 + (z1 - z0) * ts[int(np.argmin(mags))]
             raise ScanError(f"contour passes too close to a zero near s={at:.6g}")
         dph = np.angle(vals[1:] / vals[:-1])
@@ -297,42 +301,77 @@ def _edge_arg_change(f, z0, z1, init_n=64, max_n=60000, small_tol=1e-9):
     raise ScanError("edge refinement did not settle")
 
 
-def _winding_rect(f, slo, shi, wlo, whi):
-    corners = [
-        (complex(slo, wlo), complex(shi, wlo)),
-        (complex(shi, wlo), complex(shi, whi)),
-        (complex(shi, whi), complex(slo, whi)),
-        (complex(slo, whi), complex(slo, wlo)),
-    ]
-    total = sum(_edge_arg_change(f, a, b) for a, b in corners)
-    w = total / (2 * np.pi)
-    wi = int(np.rint(w))
-    if abs(w - wi) > 0.1:
-        raise ScanError(f"winding number did not converge to an integer: {w:.4f}")
-    return wi
+def _march(f, memo, segs):
+    """Argument change of f along each segment (z0, z1) of `segs`.
+
+    `memo` holds every segment marched so far in one scan; a segment found
+    there, or found reversed (read negated), is not marched again.  The first
+    samples of all new segments go through f in one call, and only the rows
+    that fail `_refine_march`'s checks enter its refinement loop.
+    """
+    new = []
+    for seg in segs:
+        if not any(k in memo or k in new for k in (seg, seg[::-1])):
+            new.append(seg)
+    if new:
+        z0, z1 = np.array(new).T[:, :, None]
+        vals = np.asarray(f((z0 + (z1 - z0) * _MARCH_TS).ravel()), dtype=complex)
+        vals = vals.reshape(len(new), len(_MARCH_TS))
+        mags = np.abs(vals)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dph = np.angle(vals[:, 1:] / vals[:, :-1])
+            ok = (np.isfinite(mags).all(axis=1)
+                  & (mags.min(axis=1) > _SMALL_TOL * np.maximum(mags.max(axis=1), 1e-30))
+                  & (np.abs(dph) <= np.pi / 2).all(axis=1))
+        for seg, row, d, good in zip(new, vals, dph, ok):
+            memo[seg] = float(d.sum()) if good else _refine_march(f, *seg, _MARCH_TS, row)
+    return [memo[s] if s in memo else -memo[s[::-1]] for s in segs]
 
 
-def _newton_zero(f, z0, tol=1e-11, iters=80):
-    z = z0
+def _windings(f, memo, cells, counter):
+    """Winding number of f around each cell (slo, shi, wlo, whi); every cell
+    counts as one scanned cell."""
+    corners = [(complex(a, c), complex(b, c), complex(b, d), complex(a, d))
+               for a, b, c, d in cells]
+    changes = _march(f, memo, [(q[k], q[(k + 1) % 4]) for q in corners for k in range(4)])
+    winds = []
+    for i in range(len(cells)):
+        w = sum(changes[4 * i:4 * i + 4]) / (2 * np.pi)
+        wi = int(np.rint(w))
+        if abs(w - wi) > 0.1:
+            raise ScanError(f"winding number did not converge to an integer: {w:.4f}")
+        counter[0] += 1
+        winds.append(wi)
+    return winds
+
+
+def _newton_zero(f, cell, tol=1e-11, iters=80):
+    """Newton's method from the centre of the leaf `cell`; ScanError unless it
+    converges to a point inside the cell."""
+    slo, shi, wlo, whi = cell
+    z = complex(0.5 * (slo + shi), 0.5 * (wlo + whi))
     for _ in range(iters):
         dz = 1e-7 * (1.0 + abs(z))
         d = (f(np.array([z + dz]))[0] - f(np.array([z - dz]))[0]) / (2 * dz)
         if d == 0:
-            break
+            raise ScanError(f"zero derivative in a leaf cell near s={z:.6g}")
         step = f(np.array([z]))[0] / d
         z = z - step
         if abs(step) < tol * (1 + abs(z)):
-            return z
-    return z
+            if slo <= z.real <= shi and wlo <= z.imag <= whi:
+                return z
+            raise ScanError(f"Newton left its leaf cell for s={z:.6g}")
+    raise ScanError(f"Newton did not converge in a leaf cell near s={z:.6g}")
 
 
-def _safe_cut(f, lo, hi, fixed, vertical, avoid=()):
+def _safe_cut(f, memo, lo, hi, fixed, vertical, avoid=()):
     """Pick a cut coordinate between lo and hi whose line the phase march can
     traverse; the march itself aborts when a zero sits on the line, so a
-    successful traversal certifies the cut.  Coordinates near `avoid` values
-    are skipped: on such lines (the real axis, where a real-coefficient
-    function is real-valued) an even number of zeros between samples produces
-    no observable phase change, defeating the refinement criterion."""
+    successful traversal certifies the cut, and its value stays in `memo` for
+    the two cells that share the line.  Coordinates near `avoid` values are
+    skipped: on such lines (the real axis, where a real-coefficient function
+    is real-valued) an even number of zeros between samples produces no
+    observable phase change, defeating the refinement criterion."""
     for frac in (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7):
         cut = lo + frac * (hi - lo)
         if any(abs(cut - av) < 0.02 * (hi - lo) for av in avoid):
@@ -342,36 +381,34 @@ def _safe_cut(f, lo, hi, fixed, vertical, avoid=()):
         else:
             z0, z1 = complex(fixed[0], cut), complex(fixed[1], cut)
         try:
-            _edge_arg_change(f, z0, z1)
+            _march(f, memo, [(z0, z1)])
         except ScanError:
             continue
         return cut
     raise ScanError("could not place a subdivision cut away from zeros")
 
 
-def _subdivide(f, slo, shi, wlo, whi, depth, out, counter, loc_tol=1e-6, max_depth=60):
-    wind = _winding_rect(f, slo, shi, wlo, whi)
-    counter[0] += 1
+def _subdivide(f, memo, cell, wind, depth, out, counter, max_depth=60):
+    """Locate the `wind` zeros in `cell` (slo, shi, wlo, whi) in leaves below 1e-4."""
+    slo, shi, wlo, whi = cell
     if wind < 0:
         raise ScanError("negative winding: the function has poles in the region")
     if wind == 0:
         return
-    if max(shi - slo, whi - wlo) < loc_tol or (wind >= 1 and max(shi - slo, whi - wlo) < 1e-4):
-        z0 = complex(0.5 * (slo + shi), 0.5 * (wlo + whi))
-        z = _newton_zero(f, z0)
-        out.extend([z] * wind)
+    if max(shi - slo, whi - wlo) < 1e-4:
+        out.extend([_newton_zero(f, cell)] * wind)
         return
     if depth > max_depth:
         raise ScanError("subdivision depth exceeded")
     if (shi - slo) >= (whi - wlo):
-        cut = _safe_cut(f, slo, shi, (wlo, whi), vertical=True)
-        _subdivide(f, slo, cut, wlo, whi, depth + 1, out, counter, loc_tol, max_depth)
-        _subdivide(f, cut, shi, wlo, whi, depth + 1, out, counter, loc_tol, max_depth)
+        cut = _safe_cut(f, memo, slo, shi, (wlo, whi), vertical=True)
+        kids = [(slo, cut, wlo, whi), (cut, shi, wlo, whi)]
     else:
         avoid = (0.0,) if wlo < 0.0 < whi else ()
-        cut = _safe_cut(f, wlo, whi, (slo, shi), vertical=False, avoid=avoid)
-        _subdivide(f, slo, shi, wlo, cut, depth + 1, out, counter, loc_tol, max_depth)
-        _subdivide(f, slo, shi, cut, whi, depth + 1, out, counter, loc_tol, max_depth)
+        cut = _safe_cut(f, memo, wlo, whi, (slo, shi), vertical=False, avoid=avoid)
+        kids = [(slo, shi, wlo, cut), (slo, shi, cut, whi)]
+    for kid, kid_wind in zip(kids, _windings(f, memo, kids, counter)):
+        _subdivide(f, memo, kid, kid_wind, depth + 1, out, counter, max_depth)
 
 
 def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
@@ -394,9 +431,10 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
             v = v / (s - z0)
         return v
 
-    zeros = []
-    counter = [0]
-    _subdivide(fd, sigma_min, sigma_max, omega_min, omega_bound, 0, zeros, counter)
+    zeros, counter, memo = [], [0], {}
+    window = (sigma_min, sigma_max, omega_min, omega_bound)
+    [wind] = _windings(fd, memo, [window], counter)
+    _subdivide(fd, memo, window, wind, 0, zeros, counter)
     inside = [
         z for z in excluded
         if sigma_min < z.real < sigma_max and omega_min < z.imag < omega_bound

@@ -20,6 +20,7 @@ from strongstab.finite import (
     _BLOCK, _default_mu_schedule, _design_tuples, _grid_peaks, _q_candidates, fig3_tuples,
 )
 from strongstab.rational import FrequencyGrid, Poly, RationalFn
+from strongstab.stability import rhp_zero_scan
 from strongstab.synthesis import DelayPlant, WeightPair, build_context
 
 
@@ -72,6 +73,53 @@ class TestP1P2:
         assert len(zeros) == len(expected)
         for e in expected:
             assert min(abs(z - e) for z in zeros) < 1e-8
+
+
+def _p1p2_scans(monkeypatch, plant, ctx):
+    """build_p1p2's two scans (P1, then P2), each with the points it sampled."""
+    scans = []
+
+    def recording(f, *args, **kwargs):
+        points = [0]
+
+        def counted(s):
+            points[0] += np.size(s)
+            return f(s)
+
+        scans.append((rhp_zero_scan(counted, *args, **kwargs), points))
+        return scans[-1][0]
+
+    monkeypatch.setattr(finite, "rhp_zero_scan", recording)
+    build_p1p2(plant, ctx)
+    return [(scan, points[0]) for scan, points in scans]
+
+
+class TestP1P2Scans:
+    # Zeros with Im >= 0; the scans also find the conjugates.  The cell
+    # counts pin the subdivision tree.
+    @pytest.mark.parametrize("rho, cells, zeros", [
+        (1.9454, (127, 195), ([0.0286982048540 + 2.2346468677508j],
+                              [0.0296651393454 + 2.2346456294617j, 3.0000005971714])),
+        (1.96, (1, 313), ([], [0.0490975993551 + 4.0252420972723j,
+                               0.0744618496888 + 2.1777343963856j, 3.0000533567300])),
+    ])
+    def test_cells_and_zeros_pinned(self, ex2, monkeypatch, rho, cells, zeros):
+        plant, weights, opts = ex2
+        ctx = build_context(plant, weights, rho, "suboptimal", opts.interp_a)
+        scans = _p1p2_scans(monkeypatch, plant, ctx)
+        assert tuple(scan.cells_scanned for scan, _ in scans) == cells
+        for (scan, _), upper in zip(scans, zeros):
+            want = sorted(upper + [np.conj(z) for z in upper if z.imag > 0],
+                          key=lambda z: (z.imag, z.real))
+            got = sorted(scan.zeros, key=lambda z: (z.imag, z.real))
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_central_p2_scan_samples_few_points_per_cell(self, ex2, monkeypatch):
+        plant, weights, opts = ex2
+        ctx = build_context(plant, weights, 1.96, "suboptimal", opts.interp_a)
+        scan, points = _p1p2_scans(monkeypatch, plant, ctx)[1]
+        assert points < 200 * scan.cells_scanned
 
 
 class TestPickPoints:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from strongstab import stability
 from strongstab.rational import Poly, RationalFn, poly_from_roots
 from strongstab.stability import (
     AsymptoticData,
+    ScanError,
     admissible_uinf,
     asymptotics,
     certify,
@@ -195,6 +197,68 @@ class TestScan:
         sig = np.log(fl_limit_at_infinity(ex1_ctx, UParam(0.0))) / 0.1
         for z in scan.zeros:
             assert z.real == pytest.approx(sig, abs=0.15)
+
+    def test_zero_on_the_window_boundary_raises(self):
+        p = poly_from_roots([4.0 + 1.0j, 4.0 - 1.0j], 1.0)
+        with pytest.raises(ScanError, match="too close to a zero"):
+            rhp_zero_scan(lambda s: p(s), 4.0, 4.0)
+
+    def test_pole_inside_the_window_raises(self):
+        p = poly_from_roots([1.0 + 1.0j, 1.0 - 1.0j], 1.0)
+        with pytest.raises(ScanError, match="negative winding"):
+            rhp_zero_scan(lambda s: 1.0 / p(s), 4.0, 4.0)
+
+    def test_zero_on_the_first_cut_line_moves_the_cut(self, monkeypatch):
+        # the square window is first cut at sigma = 2 (fraction 0.5), through
+        # the zero; that march fails and the cut moves to fraction 0.45
+        cuts, safe_cut = [], stability._safe_cut
+
+        def recording(*args, **kwargs):
+            cuts.append(safe_cut(*args, **kwargs))
+            return cuts[-1]
+
+        monkeypatch.setattr(stability, "_safe_cut", recording)
+        p = poly_from_roots([2.0 + 1.0j, 2.0 - 1.0j], 1.0)
+        scan = rhp_zero_scan(lambda s: p(s), 4.0, 4.0, omega_min=0.0)
+        assert cuts[0] == pytest.approx(1.8)
+        assert scan.winding_total == 1
+        assert scan.zeros[0] == pytest.approx(2.0 + 1.0j, abs=1e-8)
+
+    def test_segment_table_marches_each_segment_once(self):
+        # one segment passes 1e-3 from a zero and needs refinement
+        p = poly_from_roots([1.0 + 1.0j, 1.0 - 1.0j, 0.5 + 2.0j, 0.5 - 2.0j, 3.0], 1.0)
+        calls = []
+
+        def f(s):
+            calls.append(np.size(s))
+            return p(s)
+
+        segs = [(0.0 + 1.001j, 2.0 + 1.001j), (2.0 + 0.0j, 2.0 + 3.0j),
+                (-1.0 - 1.0j, 1.0 + 2.0j)]
+        memo = {}
+        got = stability._march(f, memo, segs + [(b, a) for a, b in segs] + segs)
+        assert got == [*got[:3], *(-v for v in got[:3]), *got[:3]]
+        assert calls[0] == 3 * 64 and len(memo) == 3
+        assert len(calls) > 1  # the first segment went through refinement
+        ts = np.linspace(0.0, 1.0, 64)
+        for (z0, z1), v in zip(segs, got):
+            # the batch equals the one-segment march on the same samples
+            assert stability._refine_march(p, z0, z1, ts, p(z0 + (z1 - z0) * ts)) == v
+            # a fresh reversed march reads the negated value
+            assert stability._march(p, {}, [(z1, z0)])[0] == pytest.approx(-v, abs=1e-12)
+        n_calls = len(calls)
+        assert stability._march(f, memo, segs[:1]) == got[:1]
+        assert len(calls) == n_calls
+
+    @pytest.mark.parametrize("f, cell, match", [
+        (lambda s: np.ones_like(s), (0.0, 1e-4, 0.0, 1e-4), "zero derivative"),
+        (lambda s: s - 5.0, (0.0, 1e-4, 0.0, 1e-4), "left its leaf cell"),
+        # a real start stays on the real axis, where s^2 + 1 has no zero
+        (lambda s: s * s + 1.0, (0.5, 0.5001, 0.0, 0.0), "did not converge"),
+    ])
+    def test_leaf_newton_failures_raise(self, f, cell, match):
+        with pytest.raises(ScanError, match=match):
+            stability._newton_zero(f, cell)
 
 
 class TestCertify:
