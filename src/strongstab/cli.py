@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -186,7 +185,6 @@ def _run_finite(plant, weights, opts, rho, ctx, emit_dir):
 
 def cmd_stabilize(args):
     plant, weights, opts = load_problem(args.config)
-    t0 = time.monotonic()
     bracket = opts.gamma_bracket or _default_bracket(weights, opts.grid)
     gres = gamma_opt(plant, weights, bracket)
     if args.rho <= gres.gamma:
@@ -228,8 +226,6 @@ def cmd_stabilize(args):
             "norm_slack": 1e-3,
         },
     }
-    if args.timing:
-        doc["timing_s"] = round(time.monotonic() - t0, 3)
     text = rpt.render_json(doc)
     if args.out:
         with open(args.out, "w") as fh:
@@ -315,7 +311,6 @@ def main(argv=None):
     s.add_argument("--method", choices=("auto", "infinite", "finite"), default="auto")
     s.add_argument("--emit-plots", metavar="DIR", default=None)
     s.add_argument("--out", metavar="FILE", default=None)
-    s.add_argument("--timing", action="store_true")
     v = sub.add_parser("verify", help="re-certify a stabilize report from scratch")
     v.add_argument("config")
     v.add_argument("--report", required=True)

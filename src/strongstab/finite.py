@@ -11,7 +11,7 @@ resulting U fits inside the unit ball.
 `FiniteU` is that U for one constant residual parameter q or an array of
 them; `UAtPoints` holds its q-independent parts at fixed points, so many q
 share them; `certify_u_norm` is the one grid certificate of ||U||, one norm
-per constant.
+per constant, taken by `rational.grid_sup` like the closed-loop norm.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rational import FrequencyGrid, Poly, RationalFn, blaschke, poly_roots, refine_peak
+from .rational import FrequencyGrid, Poly, RationalFn, blaschke, grid_peaks, grid_sup, poly_roots
 from .stability import Certificate, certify, rhp_zero_scan
 from .synthesis import CertificateContradiction, SynthesisContext, UParam, build_context
 
@@ -462,53 +462,29 @@ def certify_u_norm(U: FiniteU, grid: FrequencyGrid | None = None):
     """Grid-certified sup of |U(jw)| for each constant of U.q: an array for
     an array of constants, a float for one.
 
-    The grid maximum of each constant is refined by `refine_peak`, all
-    constants in lock-step, then raised to the omega -> infinity limit of |U|
-    where that is larger (np.fmax: a NaN limit keeps the grid value).  A
-    constant at which U is not finite somewhere on the grid reads NaN.
+    `grid_sup` takes the sup on the grid, all constants in lock-step; each is
+    then raised to the omega -> infinity limit of |U| where that is larger
+    (np.fmax: a NaN limit keeps the grid value).  A constant at which U is
+    not finite somewhere on the grid reads NaN.
     """
     om = (grid or FrequencyGrid()).omegas()
     qs = np.atleast_1d(np.asarray(U.q, dtype=float))
-    at, peak = _grid_peaks(U.at(1j * om), qs)
-    ok = at >= 0
-    sup = np.full(len(qs), np.nan)
-    if ok.any():
-        def absu(w):
-            return np.abs(U.at(1j * w)(qs[ok]))
-
-        sup[ok] = refine_peak(absu, om, at[ok], peak[ok])[0]
+    u = U.at(1j * om)
+    sup = grid_sup(lambda k0, k1: u(qs[k0:k1, None]),
+                   lambda w, k: U.at(1j * w)(qs[k]), len(qs), om)
     # z -> 1, M~_d -> 1, P1/P2 -> ratio of leading coefficients
     lead = U.p1p2.p1.A.c[-1] / U.p1p2.p2.A.c[-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g1 = U.interp.g(np.array([1.0 - 1e-12 + 0j]), qs[:, None])[:, 0]
         tail = np.abs((np.exp(g1) / U.mu - 1.0) * lead)
-    norms = np.where(ok, np.fmax(sup, tail), np.nan)
+    norms = np.where(np.isnan(sup), np.nan, np.fmax(sup, tail))
     return norms if np.ndim(U.q) else float(norms[0])
 
 
-# (q, point) pairs per evaluation in _grid_peaks; larger blocks raise peak
-# memory and run no faster.
-_BLOCK = 1 << 12
-
-
 def _grid_peaks(u: UAtPoints, qs):
-    """(argmax, max) of |U| over u's points for each constant q in qs;
-    (-1, inf) where U is not finite at some point.
-
-    The q values go through `u` in blocks of at most _BLOCK (q, point) pairs,
-    one row per q, so each row equals the evaluation of its q alone.
-    """
+    """`grid_peaks` of |U| over u's points, one row per constant q in qs."""
     qs = np.asarray(qs, dtype=float)
-    at = np.full(len(qs), -1)
-    peak = np.full(len(qs), np.inf)
-    step = max(1, _BLOCK // u.size)
-    for k in range(0, len(qs), step):
-        vals = np.abs(u(qs[k:k + step, None]))
-        i = np.argmax(vals, axis=1)
-        ok = np.isfinite(vals).all(axis=1)
-        at[k:k + step][ok] = i[ok]
-        peak[k:k + step][ok] = vals[ok, i[ok]]
-    return at, peak
+    return grid_peaks(lambda k0, k1: u(qs[k0:k1, None]), len(qs), u.size)
 
 
 def _q_candidates(p1p2, interp, mu, q_grid, a, om):

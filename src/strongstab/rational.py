@@ -25,15 +25,14 @@ __all__ = [
     "FrequencyGrid",
     "RootConvergenceError",
     "PoleEvaluationError",
-    "NonFiniteResponse",
     "poly_roots",
     "poly_from_roots",
     "blaschke",
     "mirror",
     "relative_degree",
-    "sup_norm_on_grid",
     "golden_max",
-    "refine_peak",
+    "grid_peaks",
+    "grid_sup",
 ]
 
 # Two roots are "the same" when they differ by less than this, relative to
@@ -59,14 +58,6 @@ class PoleEvaluationError(ZeroDivisionError):
     def __init__(self, msg, at=None):
         super().__init__(msg)
         self.at = at
-
-
-class NonFiniteResponse(RuntimeError):
-    """A frequency response is not finite on the grid; carries the first such omega."""
-
-    def __init__(self, omega):
-        super().__init__(f"frequency response not finite at omega={omega:g}")
-        self.omega = omega
 
 
 class Poly:
@@ -509,7 +500,7 @@ def blaschke(roots) -> RationalFn:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Logarithmic frequency grid; `refine_peak` refines maxima found on it."""
+    """Logarithmic frequency grid; `grid_sup` takes axis suprema on it."""
 
     lo: float = 1e-3
     hi: float = 1e4
@@ -552,36 +543,47 @@ def golden_max(fun, a, b, iters=50):
     return x, fun(x)
 
 
-def refine_peak(fun, om, i, peak):
-    """Golden-section refinement of a grid maximum `peak` found at om[i].
+# (row, point) values per evaluation in grid_peaks; larger blocks raise peak
+# memory and run no faster.
+_BLOCK = 1 << 12
 
-    The bracket is the argmax's two neighbours, and the refined value replaces
-    the grid value only where it is not smaller.  `i` and `peak` may be arrays
-    of grid maxima, refined in lock-step by one `golden_max` with `fun` mapping
-    one frequency per maximum to its value.  Returns (sup, omega).
+
+def grid_peaks(rows, n, size):
+    """(argmax, max) of |rows| for each of n rows of `size` points each;
+    (-1, inf) for a row that is not finite at some point.
+
+    `rows(k0, k1)` returns the responses of rows k0 .. k1-1 as a
+    (k1 - k0, size) array.  It is called in blocks of at most _BLOCK values,
+    so each row equals its evaluation alone.
     """
-    last = len(om) - 1
-    w, v = golden_max(fun, om[np.maximum(i - 1, 0)], om[np.minimum(i + 1, last)])
-    keep = v >= peak
-    return np.where(keep, v, peak), np.where(keep, w, om[i])
+    at = np.full(n, -1)
+    peak = np.full(n, np.inf)
+    step = max(1, _BLOCK // size)
+    for k in range(0, n, step):
+        vals = np.abs(rows(k, min(k + step, n)))
+        i = np.argmax(vals, axis=1)
+        ok = np.isfinite(vals).all(axis=1)
+        at[k:k + step][ok] = i[ok]
+        peak[k:k + step][ok] = vals[ok, i[ok]]
+    return at, peak
 
 
-def sup_norm_on_grid(evaluator, grid: FrequencyGrid):
-    """(sup, omega) of |evaluator(j omega)| over the grid, refined around the peak.
+def grid_sup(rows, point, n, om):
+    """Sup of |response| over the frequencies om for each of n rows; NaN
+    for a row that is not finite at some frequency of om.
 
-    `evaluator` receives an ndarray of complex points j*omega and returns the
-    response array.  The grid argmax is refined by `refine_peak`.  A response
-    that is not finite somewhere on the grid raises NonFiniteResponse naming
-    the first such frequency.
+    `rows` gives the responses on om as in `grid_peaks`, and `point(w, k)`
+    those of rows k at the frequencies w, one frequency per row.  Each grid
+    maximum is refined by one lock-step `golden_max` between its argmax's two
+    neighbours, and the refined value replaces the grid value only where it
+    is not smaller.
     """
-    om = grid.omegas()
-    vals = np.abs(evaluator(1j * om))
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteResponse(float(om[~np.isfinite(vals)][0]))
-    i = int(np.argmax(vals))
-
-    def f(w):
-        return float(np.abs(evaluator(np.array([1j * w]))[0]))
-
-    v, w = refine_peak(f, om, i, vals[i])
-    return float(v), float(w)
+    at, peak = grid_peaks(rows, n, len(om))
+    ok = np.flatnonzero(at >= 0)
+    sup = np.full(n, np.nan)
+    if ok.size:
+        i, last = at[ok], len(om) - 1
+        _, v = golden_max(lambda w: np.abs(point(w, ok)),
+                          om[np.maximum(i - 1, 0)], om[np.minimum(i + 1, last)])
+        sup[ok] = np.where(v >= peak[ok], v, peak[ok])
+    return sup

@@ -2,7 +2,7 @@
 
 Reports must be byte-identical across runs for identical inputs: keys keep
 insertion order, floats are rendered with 12 significant digits, and nothing
-run-dependent (timing, hostnames) enters unless explicitly requested.
+run-dependent (timing, hostnames) enters.
 """
 
 from __future__ import annotations

@@ -21,14 +21,13 @@ import numpy as np
 
 from .rational import (
     FrequencyGrid,
-    NonFiniteResponse,
     Poly,
     RationalFn,
     blaschke,
     golden_max,
+    grid_sup,
     poly_from_roots,
     poly_roots,
-    sup_norm_on_grid,
 )
 
 __all__ = [
@@ -687,8 +686,9 @@ def verify_performance(controller: Controller, weights: WeightPair,
         w2 = 0.0 if weights.W2.is_zero else weights.W2(s)
         return np.sqrt(np.abs(weights.W1(s) * S) ** 2 + np.abs(w2 * T) ** 2)
 
-    try:
-        norm, _ = sup_norm_on_grid(stack, grid or FrequencyGrid())
-    except NonFiniteResponse:
+    om = (grid or FrequencyGrid()).omegas()
+    norm = float(grid_sup(lambda k0, k1: stack(1j * om)[None],
+                          lambda w, k: stack(1j * w), 1, om)[0])
+    if np.isnan(norm):
         return float("inf"), False
     return norm, norm <= controller.ctx.level * (1.0 + slack)

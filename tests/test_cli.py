@@ -119,6 +119,11 @@ class TestStabilizeReports:
         rep, _, _ = ex1_run
         assert "timing_s" not in rep
 
+    def test_timing_flag_is_gone(self):
+        with pytest.raises(SystemExit) as info:
+            main(["stabilize", EX1, "--rho", "0.814", "--timing"])
+        assert info.value.code == 2
+
     def test_stabilize_report_byte_identical(self, ex1_run, tmp_path):
         _, _, out = ex1_run
         again = tmp_path / "again.json"

@@ -7,7 +7,6 @@ import strongstab.rational as rational
 import strongstab.synthesis as synthesis
 from strongstab.rational import (
     FrequencyGrid,
-    NonFiniteResponse,
     PoleEvaluationError,
     Poly,
     RationalFn,
@@ -15,11 +14,11 @@ from strongstab.rational import (
     RootSet,
     blaschke,
     golden_max,
+    grid_sup,
     mirror,
     poly_from_roots,
     poly_roots,
     relative_degree,
-    sup_norm_on_grid,
 )
 
 
@@ -322,35 +321,61 @@ class TestBlaschke:
             assert np.abs(np.abs(b(1j * om)) - 1.0).max() <= 1e-10
 
 
+def sup_of(fs, om):
+    """grid_sup of one row per function in fs, and the frequencies at which
+    `point` saw each row, in call order."""
+    seen = [[] for _ in fs]
+
+    def rows(k0, k1):
+        return np.array([fs[k](1j * om) for k in range(k0, k1)])
+
+    def point(w, k):
+        for wi, ki in zip(w.tolist(), k.tolist()):
+            seen[ki].append(wi)
+        return np.array([fs[ki](1j * np.array([wi]))[0] for wi, ki in zip(w, k)])
+
+    return grid_sup(rows, point, len(fs), om), seen
+
+
 class TestSupNorm:
     def test_all_pass_is_one(self):
         b = blaschke([1.0, 0.5 + 2j, 0.5 - 2j])
-        val, _ = sup_norm_on_grid(lambda s: b(s), FrequencyGrid())
+        (val,), _ = sup_of([b], FrequencyGrid().omegas())
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_low_pass_peak_at_origin(self):
         f = RationalFn(Poly([1.0]), Poly([1.0, 1.0]))
-        val, w = sup_norm_on_grid(lambda s: f(s), FrequencyGrid())
+        (val,), (seen,) = sup_of([f], FrequencyGrid().omegas())
         assert val == pytest.approx(1.0, rel=1e-6)
-        assert w == pytest.approx(1e-3, rel=0.1)  # grid edge
+        assert seen[-1] == pytest.approx(1e-3, rel=0.1)  # grid edge
 
     def test_interior_peak_refined(self):
         # resonance: 1/(s^2 + 0.02 s + 4): peak near omega = 2
         f = RationalFn(Poly([1.0]), Poly([4.0, 0.02, 1.0]))
-        val, w = sup_norm_on_grid(lambda s: f(s), FrequencyGrid())
-        assert w == pytest.approx(np.sqrt(4 - 0.02**2 / 2), rel=1e-4)
+        om = FrequencyGrid().omegas()
+        (val,), (seen,) = sup_of([f], om)
+        # golden_max's last evaluation is at the refined abscissa
+        assert seen[-1] == pytest.approx(np.sqrt(4 - 0.02**2 / 2), rel=1e-4)
         assert val == pytest.approx(1 / (0.02 * np.sqrt(4 - 0.02**2 / 4)), rel=1e-6)
+        # the one-row lock-step refinement is the scalar rule, bit for bit
+        vals = np.abs(f(1j * om))
+        i = int(np.argmax(vals))
+        _, v = golden_max(lambda w: float(np.abs(f(np.array([1j * w])))[0]),
+                          om[i - 1], om[i + 1])
+        assert v > vals[i] and val == v
 
-    def test_non_finite_response_names_frequency(self):
-        grid = FrequencyGrid()
-        bad = grid.omegas()[1234]
+    def test_non_finite_row_reads_nan(self):
+        om = FrequencyGrid().omegas()
+        bad = om[1234]
+        b = blaschke([1.0, 0.5 + 2j, 0.5 - 2j])
+        f = RationalFn(Poly([1.0]), Poly([4.0, 0.02, 1.0]))
 
-        def f(s):
-            return np.where(s.imag >= bad, np.inf, 1.0)
+        def g(s):
+            return np.where(s.imag == bad, np.inf, f(s))
 
-        with pytest.raises(NonFiniteResponse) as info:
-            sup_norm_on_grid(f, grid)
-        assert info.value.omega == bad
+        both, seen = sup_of([b, g, f], om)
+        assert np.isnan(both[1]) and seen[1] == []
+        assert both[0] == sup_of([b], om)[0][0] and both[2] == sup_of([f], om)[0][0]
 
 
 class TestGoldenMax:

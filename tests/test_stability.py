@@ -250,6 +250,20 @@ class TestScan:
         assert stability._march(f, memo, segs[:1]) == got[:1]
         assert len(calls) == n_calls
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: two zeros within one of the march's 64 sample "
+               "steps alias a -330 degree phase step to +30 degrees, below the "
+               "pi/2 refinement rule",
+    )
+    def test_march_resolves_two_close_zeros(self):
+        p = poly_from_roots([1.0 + 1e-3j, 1.0 - 1e-3j, 0.5 + 2.0j, 0.5 - 2.0j, 3.0], 1.0)
+        z0, z1 = 0.002j, 2.0 + 0.002j
+        v = p(z0 + (z1 - z0) * np.linspace(0.0, 1.0, 2_000_001))
+        dense = np.angle(v[1:] / v[:-1]).sum()     # -6.2751 rad
+        assert dense == pytest.approx(-6.2751, abs=1e-4)
+        assert stability._march(p, {}, [(z0, z1)])[0] == pytest.approx(dense, abs=0.1)
+
     @pytest.mark.parametrize("f, cell, match", [
         (lambda s: np.ones_like(s), (0.0, 1e-4, 0.0, 1e-4), "zero derivative"),
         (lambda s: s - 5.0, (0.0, 1e-4, 0.0, 1e-4), "left its leaf cell"),

@@ -3,6 +3,7 @@ import pytest
 
 from strongstab import synthesis
 from strongstab.rational import FrequencyGrid, Poly, RationalFn, golden_max, poly_roots
+from strongstab.stability import certify
 from strongstab.synthesis import (
     ClosedLoopSingular,
     Controller,
@@ -347,6 +348,39 @@ class TestController:
         assert ok
         assert norm >= manual.max() - 1e-12
         assert norm == pytest.approx(manual.max(), rel=1e-6)
+
+    def test_verify_performance_equals_scalar_refinement_bitwise(self, ex1, ex1_ctx):
+        # the rule before grid_sup: grid argmax, scalar golden_max between its
+        # neighbours, the refined value kept only where it is not smaller
+        plant, weights, opts = ex1
+        ctrl = build_controller(plant, weights, ex1_ctx, UParam(-0.814))
+
+        def stack(s):
+            S, T = ctrl.sensitivity_pair(s.imag)
+            w2 = 0.0 if weights.W2.is_zero else weights.W2(s)
+            return np.sqrt(np.abs(weights.W1(s) * S) ** 2 + np.abs(w2 * T) ** 2)
+
+        om = opts.grid.omegas()
+        vals = np.abs(stack(1j * om))
+        i, last = int(np.argmax(vals)), len(om) - 1
+        _, v = golden_max(lambda w: float(np.abs(stack(np.array([1j * w])))[0]),
+                          om[max(i - 1, 0)], om[min(i + 1, last)])
+        ref = v if v >= vals[i] else float(vals[i])
+        norm, ok = verify_performance(ctrl, weights, opts.grid)
+        assert type(norm) is float and norm == ref and ok
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_stack_fails_the_norm_check(self, ex1, ex1_ctx):
+        plant, weights, opts = ex1
+        bad = opts.grid.omegas()[1234]
+
+        def u(s):
+            return np.where(s == 1j * bad, np.nan, -0.814)
+
+        ctrl = build_controller(plant, weights, ex1_ctx, u)
+        assert verify_performance(ctrl, weights, opts.grid) == (float("inf"), False)
+        cert = certify(plant, weights, ex1_ctx, u, grid=opts.grid)
+        assert cert.stable and cert.norm == float("inf") and cert.norm_ok is False
 
 
 class TestUParam:
