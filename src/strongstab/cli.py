@@ -34,7 +34,7 @@ from .finite import (
     pick_points,
     stabilize_finite,
 )
-from .infinite import InfSearchConfig, SearchExhausted, stabilize_infinite, sweep_report
+from .infinite import SearchExhausted, stabilize_infinite, sweep_report
 from .rational import FrequencyGrid, PoleEvaluationError, RootConvergenceError
 from .stability import ScanError, certify, finitely_many_poles, properness_criterion, scan_window_for
 from .synthesis import (
@@ -43,6 +43,7 @@ from .synthesis import (
     FactorizationError,
     GammaSearchError,
     InterpolationError,
+    NORM_SLACK,
     UParam,
     build_context,
     gamma_opt,
@@ -93,13 +94,8 @@ def cmd_gamma_opt(args):
     return 0
 
 
-def _run_infinite(plant, weights, opts, rho, ctx, emit_dir):
-    cfg = InfSearchConfig(
-        rho=rho, uinf_step=opts.uinf_step, up_grid=opts.up_grid,
-        uz_grid=opts.uz_grid, scan_budget=opts.scan_budget,
-        interp_a=opts.interp_a, grid=opts.grid,
-    )
-    res = stabilize_infinite(plant, weights, cfg, ctx=ctx)
+def _run_infinite(plant, weights, ctx, opts, emit_dir):
+    res = stabilize_infinite(plant, weights, ctx, opts)
     scan = res.cert.scan
     payload = {
         "u_inf": res.u.u_inf,
@@ -119,22 +115,17 @@ def _run_infinite(plant, weights, opts, rho, ctx, emit_dir):
         "stable": res.cert.stable,
     }
     if emit_dir:
-        rows = sweep_report(plant, weights, cfg, ctx=ctx)
+        rows = sweep_report(ctx, opts)
         rpt.write_fig1_sweep(emit_dir, rows)
         rpt.write_fig2_zgrid(
             emit_dir, res.cert.controller.loop_denominator,
             scan.sigma_max, scan.omega_bound,
         )
-    return payload
+    return payload, res.cert
 
 
-def _run_finite(plant, weights, opts, rho, ctx, emit_dir):
-    q_grid = np.arange(-1.0, 1.0 + opts.q_step / 2, opts.q_step)
-    res = stabilize_finite(
-        plant, weights, rho, mu_schedule=opts.mu_schedule, q_grid=q_grid,
-        integer_bound=opts.integer_bound, a=opts.a, interp_a=opts.interp_a,
-        grid=opts.grid, ctx=ctx,
-    )
+def _run_finite(plant, weights, ctx, opts, emit_dir):
+    res = stabilize_finite(plant, weights, ctx, opts)
     p1p2, scan = res.p1p2, res.cert.scan
     payload = {
         "central": res.central,
@@ -180,7 +171,7 @@ def _run_finite(plant, weights, opts, rho, ctx, emit_dir):
             rpt.write_fig5_ranges(
                 emit_dir, fig5_lattice(p1p2, z, w, mu_opt, integers, opts.a, opts.grid)
             )
-    return payload
+    return payload, res.cert
 
 
 def cmd_stabilize(args):
@@ -206,10 +197,10 @@ def cmd_stabilize(args):
     if emit_dir:
         os.makedirs(emit_dir, exist_ok=True)
     if branch == "infinite":
-        payload = _run_infinite(plant, weights, opts, args.rho, ctx, emit_dir)
+        payload, cert = _run_infinite(plant, weights, ctx, opts, emit_dir)
         branch_name = "infinite-search"
     else:
-        payload = _run_finite(plant, weights, opts, args.rho, ctx, emit_dir)
+        payload, cert = _run_finite(plant, weights, ctx, opts, emit_dir)
         branch_name = "central-stable" if payload.get("central") else "finite-search"
     doc = {
         "schema": rpt.SCHEMA,
@@ -221,9 +212,9 @@ def cmd_stabilize(args):
         "branch": branch_name,
         "result": payload,
         "certificates": {
-            "scan_clean": len(payload["residual_zeros"]) == 0,
-            "norm_ok": payload["verified_norm"] <= args.rho * (1 + 1e-3),
-            "norm_slack": 1e-3,
+            "scan_clean": cert.stable,
+            "norm_ok": cert.norm_ok,
+            "norm_slack": NORM_SLACK,
         },
     }
     text = rpt.render_json(doc)
@@ -284,14 +275,15 @@ def cmd_verify(args):
         return 1
     # twice the stabilize window on each side
     cert = certify(plant, weights, ctx, u, (sig * 2, om * 2), dense)
+    bound = rho * (1 + NORM_SLACK)
     if not cert.stable:
         failures.append(f"scan found {len(cert.scan.zeros)} residual RHP zero(s)")
     elif not cert.norm_ok:
-        failures.append(f"performance norm {cert.norm:.6f} exceeds {rho * 1.001:.6f}")
+        failures.append(f"performance norm {cert.norm:.6f} exceeds {bound:.6f}")
     if failures:
         print("fail: " + "; ".join(failures))
         return 1
-    print(f"pass: scan clean, norm {cert.norm:.6f} <= {rho * 1.001:.6f}")
+    print(f"pass: scan clean, norm {cert.norm:.6f} <= {bound:.6f}")
     return 0
 
 

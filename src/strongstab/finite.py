@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Options
 from .rational import FrequencyGrid, Poly, RationalFn, blaschke, grid_peaks, grid_sup, poly_roots
 from .stability import Certificate, certify, rhp_zero_scan
-from .synthesis import CertificateContradiction, SynthesisContext, UParam, build_context
+from .synthesis import CertificateContradiction, SynthesisContext, UParam
 
 __all__ = [
     "P1P2",
@@ -547,14 +548,12 @@ def _q_candidates(p1p2, interp, mu, q_grid, a, om):
 
 @dataclass
 class FinSearchResult:
-    rho: float
     mu: float
     integers: tuple
     q: float
     U: FiniteU | None
     U_norm: float
     cert: Certificate
-    ctx: SynthesisContext
     p1p2: P1P2
     central: bool = False
     mu_table: list = field(default_factory=list)   # (tuple, mu_min) of mu_opt_search
@@ -586,20 +585,34 @@ def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a=1.0, grid=None):
     return rows
 
 
-def stabilize_finite(plant, weights, rho, mu_schedule=None,
-                     q_grid=None, integer_bound=20, a=1.0, interp_a=1.0,
-                     grid: FrequencyGrid | None = None,
-                     ctx: SynthesisContext | None = None) -> FinSearchResult:
-    """Escalating search at level rho: mu above the Pick optimum, then the
-    residual parameter Q, certifying the first design whose U fits the unit
-    ball; the accepted controller is re-certified by an independent scan and a
-    closed-loop norm check.  `ctx`, when given, must be the suboptimal context
-    of (plant, weights, rho, interp_a)."""
-    grid = grid or FrequencyGrid()
-    if q_grid is None:
-        q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
+def _accepted(plant, weights, ctx, U: FiniteU, grid):
+    """(||U||, certificate) of a candidate, or None when ||U|| > 1 on the grid.
+
+    A candidate inside the unit ball must pass the independent certification:
+    when it does not, the norm condition and the certificate disagree, and
+    CertificateContradiction is raised rather than trying the next candidate.
+    """
+    un = certify_u_norm(U, grid)
+    if not un <= 1.0 + 1e-9:
+        return None
+    cert = certify(plant, weights, ctx, U, grid=grid)
+    if not (cert.stable and cert.norm_ok):
+        raise CertificateContradiction(
+            "the free-parameter norm condition held but the "
+            f"independent certification failed (mu={U.mu:.6g}, "
+            f"q={U.q:.4g}, residual zeros={len(cert.scan.zeros)}, "
+            f"norm ok={cert.norm_ok})"
+        )
+    return un, cert
+
+
+def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> FinSearchResult:
+    """Escalating search at level ctx.level: mu above the Pick optimum, then
+    the residual parameter Q, certifying the first design whose U fits the
+    unit ball; the accepted controller is re-certified by an independent scan
+    and a closed-loop norm check."""
+    grid, a = opts.grid, opts.a
     last_exc = None
-    ctx = ctx or build_context(plant, weights, rho, "suboptimal", interp_a)
     p1p2 = build_p1p2(plant, ctx)
     if not p1p2.p_roots:
         cert = certify(plant, weights, ctx, UParam(0.0), grid=grid)
@@ -608,30 +621,30 @@ def stabilize_finite(plant, weights, rho, mu_schedule=None,
                 "central controller expected stable but certification failed"
             )
         return FinSearchResult(
-            rho=rho, mu=np.nan, integers=(), q=0.0, U=None, U_norm=0.0,
-            cert=cert, ctx=ctx, p1p2=p1p2, central=True,
+            mu=np.nan, integers=(), q=0.0, U=None, U_norm=0.0, cert=cert,
+            p1p2=p1p2, central=True,
         )
     z, w = pick_points(p1p2, a)
-    mu_opt, best_tuple, table = mu_opt_search(z, w, integer_bound)
+    mu_opt, best_tuple, table = mu_opt_search(z, w, opts.integer_bound)
 
     # unique interpolant exactly at the optimum
+    pp0 = PickProblem(z=z, w=w, n=best_tuple, mu=mu_opt * (1 + 1e-9))
     try:
-        pp0 = PickProblem(z=z, w=w, n=best_tuple, mu=mu_opt * (1 + 1e-9))
         interp0 = np_interpolant(pp0)
-        U0 = FiniteU(p1p2, interp0, pp0.mu, 0.0, a)
-        n0 = certify_u_norm(U0, grid)
-        if n0 <= 1.0 + 1e-9:
-            cert = certify(plant, weights, ctx, U0, grid=grid)
-            if cert.stable and cert.norm_ok:
-                return FinSearchResult(
-                    rho=rho, mu=pp0.mu, integers=best_tuple, q=0.0, U=U0,
-                    U_norm=n0, cert=cert, ctx=ctx, p1p2=p1p2, mu_table=table,
-                )
     except FiniteSearchError as exc:
         last_exc = exc
+    else:
+        U0 = FiniteU(p1p2, interp0, pp0.mu, 0.0, a)
+        found = _accepted(plant, weights, ctx, U0, grid)
+        if found:
+            return FinSearchResult(
+                mu=pp0.mu, integers=best_tuple, q=0.0, U=U0, U_norm=found[0],
+                cert=found[1], p1p2=p1p2, mu_table=table,
+            )
 
+    q_grid = np.arange(-1.0, 1.0 + opts.q_step / 2, opts.q_step)
     om_coarse = grid.omegas()
-    for mu in (mu_schedule or _default_mu_schedule(mu_opt)):
+    for mu in (opts.mu_schedule or _default_mu_schedule(mu_opt)):
         if mu <= mu_opt:
             continue
         feasible_tuples = [tup for tup, mu_min in table if mu_min < mu]
@@ -648,21 +661,12 @@ def stabilize_finite(plant, weights, rho, mu_schedule=None,
             for idx in _q_candidates(p1p2, interp, mu, q_grid, a, om_coarse):
                 qv = float(q_grid[idx])
                 U = FiniteU(p1p2, interp, mu, qv, a)
-                un = certify_u_norm(U, grid)
-                if not un <= 1.0 + 1e-9:
-                    continue
-                cert = certify(plant, weights, ctx, U, grid=grid)
-                if not (cert.stable and cert.norm_ok):
-                    raise CertificateContradiction(
-                        "the free-parameter norm condition held but the "
-                        f"independent certification failed (mu={mu:.6g}, "
-                        f"q={qv:.4g}, residual zeros={len(cert.scan.zeros)}, "
-                        f"norm ok={cert.norm_ok})"
+                found = _accepted(plant, weights, ctx, U, grid)
+                if found:
+                    return FinSearchResult(
+                        mu=float(mu), integers=tup, q=qv, U=U, U_norm=found[0],
+                        cert=found[1], p1p2=p1p2, mu_table=table,
                     )
-                return FinSearchResult(
-                    rho=rho, mu=float(mu), integers=tup, q=qv, U=U,
-                    U_norm=un, cert=cert, ctx=ctx, p1p2=p1p2, mu_table=table,
-                )
     raise FiniteSearchError(
         "schedules exhausted: this method fails to provide a stable controller"
         + (f" (last issue: {last_exc})" if last_exc else "")

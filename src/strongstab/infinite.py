@@ -9,11 +9,11 @@ certify the best candidates with the argument-principle scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import FrequencyGrid
+from .config import Options
 from .stability import (
     AsymptoticData,
     Certificate,
@@ -26,10 +26,9 @@ from .stability import (
     peak_data,
     scan_window_for,
 )
-from .synthesis import CertificateContradiction, SynthesisContext, UParam, build_context
+from .synthesis import CertificateContradiction, SynthesisContext, UParam
 
 __all__ = [
-    "InfSearchConfig",
     "InfSearchResult",
     "SearchExhausted",
     "l1u_stability_range",
@@ -52,24 +51,12 @@ class SearchExhausted(RuntimeError):
 
 
 @dataclass
-class InfSearchConfig:
-    rho: float
-    uinf_step: float = 1e-3
-    up_grid: tuple = (0.0,)
-    uz_grid: tuple = (0.0,)
-    scan_budget: int = 25
-    interp_a: float = 1.0
-    grid: FrequencyGrid = field(default_factory=FrequencyGrid)
-
-
-@dataclass
 class InfSearchResult:
     u: UParam
     peak: PeakData
     cert: Certificate
     candidates_tried: int
     asym: AsymptoticData
-    ctx: SynthesisContext
 
 
 def l1u_stability_range(ctx: SynthesisContext, step=1e-3):
@@ -140,7 +127,7 @@ def _rank_key(entry):
     return (wm, pk.eta_max, abs(u.u_inf), u.u_p)
 
 
-def _candidates(ctx, cfg: InfSearchConfig, intervals):
+def _candidates(ctx, opts: Options, intervals):
     """(u, PeakData) of every grid U with ||U|| <= 1, a Hurwitz L_1U and a finite crossing.
 
     Candidates go in chunks of `_CHUNK` through the stacked Hurwitz test and
@@ -148,9 +135,9 @@ def _candidates(ctx, cfg: InfSearchConfig, intervals):
     the candidates one at a time would meet first.
     """
     us = []
-    for up in cfg.up_grid:
-        for uz in cfg.uz_grid:
-            for ui in _interval_grid(intervals, cfg.uinf_step):
+    for up in opts.up_grid:
+        for uz in opts.uz_grid:
+            for ui in _interval_grid(intervals, opts.uinf_step):
                 u = UParam(float(ui), float(uz), float(up))
                 if u.sup_norm() <= 1.0:
                     us.append(u)
@@ -171,15 +158,14 @@ def _candidates(ctx, cfg: InfSearchConfig, intervals):
     return candidates
 
 
-def stabilize_infinite(plant, weights, cfg: InfSearchConfig,
-                       ctx: SynthesisContext | None = None) -> InfSearchResult:
-    """Run the full first-order-U search at level cfg.rho.
+def stabilize_infinite(plant, weights, ctx: SynthesisContext,
+                       opts: Options) -> InfSearchResult:
+    """Run the full first-order-U search at level ctx.level.
 
     Raises SearchExhausted when no admissible u_inf exists or when every
     scanned candidate has residual right-half-plane zeros; the frontier of the
     best (omega_max, eta_max) candidates is attached for diagnosis.
     """
-    ctx = ctx or build_context(plant, weights, cfg.rho, "suboptimal", cfg.interp_a)
     asym = asymptotics(ctx)
     intervals = admissible_uinf(asym)
     if not intervals:
@@ -188,15 +174,15 @@ def stabilize_infinite(plant, weights, cfg: InfSearchConfig,
             "unstable-pole count finite"
         )
 
-    candidates = _candidates(ctx, cfg, intervals)
+    candidates = _candidates(ctx, opts, intervals)
     if not candidates:
         raise SearchExhausted("no candidate passed the L_1U stability filter")
 
     candidates.sort(key=_rank_key)
     frontier = []
-    for u, pk in candidates[: cfg.scan_budget]:
+    for u, pk in candidates[: opts.scan_budget]:
         window = scan_window_for(ctx, plant, u, pk)
-        cert = certify(plant, weights, ctx, u, window, cfg.grid)
+        cert = certify(plant, weights, ctx, u, window, opts.grid)
         frontier.append((u, pk, len(cert.scan.zeros)))
         if not cert.stable:
             continue
@@ -205,24 +191,20 @@ def stabilize_infinite(plant, weights, cfg: InfSearchConfig,
                 f"scan certified stability at u_inf={u.u_inf:.4g} but the "
                 f"closed-loop norm {cert.norm:.6g} exceeded the level"
             )
-        return InfSearchResult(
-            u=u, peak=pk, cert=cert, candidates_tried=len(frontier), asym=asym,
-            ctx=ctx,
-        )
+        return InfSearchResult(u=u, peak=pk, cert=cert,
+                               candidates_tried=len(frontier), asym=asym)
     raise SearchExhausted(
         "all scanned candidates kept right-half-plane zeros",
         frontier=[(u.u_inf, pk.omega_max, pk.eta_max, nz) for u, pk, nz in frontier],
     )
 
 
-def sweep_report(plant, weights, cfg: InfSearchConfig,
-                 ctx: SynthesisContext | None = None):
+def sweep_report(ctx: SynthesisContext, opts: Options):
     """(u_inf, omega_max, eta_max) over the admissible constant-U range."""
-    ctx = ctx or build_context(plant, weights, cfg.rho, "suboptimal", cfg.interp_a)
     asym = asymptotics(ctx)
     us = []
     for lo, hi in admissible_uinf(asym):
-        for ui in _interval_grid([(lo, hi)], cfg.uinf_step):
+        for ui in _interval_grid([(lo, hi)], opts.uinf_step):
             u = UParam(float(ui))
             if u.sup_norm() <= 1.0:
                 us.append(u)

@@ -530,7 +530,7 @@ def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
     the loop gain on the axis.  Either way the right edge is then pushed out
     until the loop gain contracts along it (ScanError when it never does).
     """
-    controller = build_controller(plant, weights, ctx, u)
+    controller = build_controller(plant, ctx, u)
     sigma_max, omega_bound = window or _probe_window(controller)
     sigma_max = _contracting_edge(controller, sigma_max, omega_bound)
     scan = rhp_zero_scan(controller.loop_denominator, sigma_max, omega_bound,

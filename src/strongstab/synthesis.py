@@ -56,7 +56,12 @@ __all__ = [
     "GammaOptResult",
     "build_controller",
     "verify_performance",
+    "NORM_SLACK",
 ]
+
+# Relative slack of the closed-loop norm check: a design passes at level rho
+# when its grid norm is at most rho (1 + NORM_SLACK).
+NORM_SLACK = 1e-3
 
 
 class PlantValidationError(ValueError):
@@ -662,21 +667,14 @@ class Controller:
         return (1.0 + x) / D, Ev * x / D
 
 
-def build_controller(plant, weights, ctx: SynthesisContext, u,
-                     gamma_opt_value=None) -> Controller:
+def build_controller(plant, ctx: SynthesisContext, u) -> Controller:
     if isinstance(u, UParam):
         u.validate()
-    if ctx.mode == "suboptimal" and gamma_opt_value is not None:
-        if ctx.level <= gamma_opt_value:
-            raise ValueError(
-                f"suboptimal level {ctx.level} must exceed the optimal level "
-                f"{gamma_opt_value}"
-            )
     return Controller(plant, ctx, u)
 
 
 def verify_performance(controller: Controller, weights: WeightPair,
-                       grid: FrequencyGrid | None = None, slack=1e-3):
+                       grid: FrequencyGrid | None = None):
     """Sup over the grid of sqrt(|W1 S|^2 + |W2 T|^2) and the level check.
 
     A stack that is not finite on the grid fails the check with norm inf.
@@ -691,4 +689,4 @@ def verify_performance(controller: Controller, weights: WeightPair,
                           lambda w, k: stack(1j * w), 1, om)[0])
     if np.isnan(norm):
         return float("inf"), False
-    return norm, norm <= controller.ctx.level * (1.0 + slack)
+    return norm, norm <= controller.ctx.level * (1.0 + NORM_SLACK)

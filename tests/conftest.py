@@ -8,7 +8,6 @@ from strongstab import (
     gamma_opt,
     stabilize_finite,
     stabilize_infinite,
-    InfSearchConfig,
 )
 from strongstab.config import load_problem
 
@@ -61,13 +60,10 @@ def ex2_p1p2(ex2, ex2_ctx):
 @pytest.fixture(scope="session")
 def ex1_search(ex1, ex1_ctx):
     plant, weights, opts = ex1
-    cfg = InfSearchConfig(rho=EX1_RHO, interp_a=opts.interp_a, grid=opts.grid)
-    return stabilize_infinite(plant, weights, cfg, ctx=ex1_ctx)
+    return stabilize_infinite(plant, weights, ex1_ctx, opts)
 
 
 @pytest.fixture(scope="session")
-def ex2_search(ex2):
+def ex2_search(ex2, ex2_ctx):
     plant, weights, opts = ex2
-    return stabilize_finite(
-        plant, weights, EX2_RHO, a=opts.a, interp_a=opts.interp_a, grid=opts.grid
-    )
+    return stabilize_finite(plant, weights, ex2_ctx, opts)

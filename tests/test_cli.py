@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import pathlib
 
@@ -13,6 +14,39 @@ from strongstab.synthesis import ClosedLoopSingular, FactorizationError, Interpo
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 EX1 = str(CONFIG_DIR / "example1.json")
 EX2 = str(CONFIG_DIR / "example2.json")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _first_difference(got, want, path):
+    """Dotted path of the first report key at which `got` and `want` differ, or None."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in [*want, *(k for k in got if k not in want)]:
+            if key not in got or key not in want:
+                return f"{path}.{key}"
+            found = _first_difference(got[key], want[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    return None if got == want else path
+
+
+def _check_golden(name, out, plots):
+    """The run's report bytes against golden/<name>.json, its CSVs against the
+    sha256 manifest golden/csv_sha256.json.
+
+    A change that moves a report field or a CSV on purpose regenerates these
+    files from its own `stabilize --emit-plots` runs and names what moved.
+    """
+    want = (GOLDEN / f"{name}.json").read_text()
+    got = out.read_text()
+    if got != want:
+        key = _first_difference(json.loads(got), json.loads(want), "report")
+        pytest.fail(f"{name}: report differs from the golden file at {key or 'its formatting'}")
+    manifest = json.loads((GOLDEN / "csv_sha256.json").read_text())[name]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in plots.glob("*.csv")}
+    for csv_name in sorted(manifest.keys() | digests.keys()):
+        if digests.get(csv_name) != manifest.get(csv_name):
+            pytest.fail(f"{name}: {csv_name} differs from the golden manifest")
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +57,7 @@ def ex1_run(tmp_path_factory):
     rc = main(["stabilize", EX1, "--rho", "0.814",
                "--emit-plots", str(plots), "--out", str(out)])
     assert rc == 0
+    _check_golden("ex1_rho0.814", out, plots)
     return json.loads(out.read_text()), plots, out
 
 
@@ -34,6 +69,7 @@ def ex2_run(tmp_path_factory):
     rc = main(["stabilize", EX2, "--rho", "1.9454",
                "--emit-plots", str(plots), "--out", str(out)])
     assert rc == 0
+    _check_golden("ex2_rho1.9454", out, plots)
     return json.loads(out.read_text()), plots, out
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,10 @@ from strongstab import finite
 from strongstab.finite import (
     _default_mu_schedule, _design_tuples, _grid_peaks, _q_candidates, fig3_tuples,
 )
+from strongstab.config import Options
 from strongstab.rational import _BLOCK, FrequencyGrid, Poly, RationalFn
-from strongstab.stability import rhp_zero_scan
-from strongstab.synthesis import DelayPlant, WeightPair, build_context
+from strongstab.stability import Certificate, RegionScan, certify, rhp_zero_scan
+from strongstab.synthesis import CertificateContradiction, DelayPlant, WeightPair, build_context
 
 
 class TestP1P2:
@@ -374,7 +377,8 @@ class TestStabilizeFinite:
             W1=RationalFn(Poly([2.0, 1.0]), Poly([1.0, 1.0])),
             W2=RationalFn(Poly([0.8, 0.4]), Poly([1.0])),
         )
-        res = stabilize_finite(plant, weights, 1.2987, a=1.0, interp_a=1.0)
+        ctx = build_context(plant, weights, 1.2987, "suboptimal", 1.0)
+        res = stabilize_finite(plant, weights, ctx, Options())
         assert res.central and res.cert.stable
         assert res.U is None and res.U_norm == 0.0
         assert res.cert.norm <= 1.2987 * 1.001
@@ -382,11 +386,31 @@ class TestStabilizeFinite:
     def test_exhausted_schedule(self, ex2, ex2_ctx):
         plant, weights, opts = ex2
         with pytest.raises(FiniteSearchError):
-            stabilize_finite(plant, weights, 1.9454, mu_schedule=[61.0],
-                             a=opts.a, interp_a=opts.interp_a)
+            stabilize_finite(plant, weights, ex2_ctx,
+                             dataclasses.replace(opts, mu_schedule=(61.0,)))
+
+    def test_optimum_step_contradiction_raises(self, ex2, ex2_ctx, ex2_search, monkeypatch):
+        # the unique interpolant at mu_opt is the first candidate: when its
+        # norm condition holds and its scan is dirty, the search raises instead
+        # of moving on to the mu schedule, as it does for a q candidate
+        plant, weights, opts = ex2
+        seen = []
+
+        def dirty_first(plant, weights, ctx, U, window=None, grid=None):
+            seen.append((U.mu, U.q))
+            if len(seen) == 1:
+                scan = RegionScan(1.0, 1.0, zeros=[0.5 + 1.0j], excluded=[], winding_total=1)
+                return Certificate(controller=None, scan=scan)
+            return certify(plant, weights, ctx, U, window, grid)
+
+        monkeypatch.setattr(finite, "certify_u_norm", lambda U, grid=None: 0.5)
+        monkeypatch.setattr(finite, "certify", dirty_first)
+        with pytest.raises(CertificateContradiction, match="residual zeros=1"):
+            stabilize_finite(plant, weights, ex2_ctx, opts)
+        assert seen == [(ex2_search.mu_opt * (1 + 1e-9), 0.0)]
 
 
-Q_GRID = np.arange(-1.0, 1.0 + 5e-4, 1e-3)   # the search's default q grid
+Q_GRID = np.arange(-1.0, 1.0 + 5e-4, 1e-3)   # the search's q grid at the default q_step
 
 
 class TestQSweep:
@@ -471,8 +495,8 @@ class TestQSweep:
                             FrequencyGrid().omegas())
         assert list(got) == [j for i in full_sups[1] for j in (2 * i, 2 * i + 1)]
 
-    def test_search_resumes_after_a_rejected_candidate(self, ex2, ex2_search, full_sups,
-                                                       monkeypatch):
+    def test_search_resumes_after_a_rejected_candidate(self, ex2, ex2_ctx, ex2_search,
+                                                       full_sups, monkeypatch):
         plant, weights, opts = ex2
         rejected = []
 
@@ -484,14 +508,13 @@ class TestQSweep:
             return certify_u_norm(U, grid)
 
         monkeypatch.setattr(finite, "certify_u_norm", reject_first)
-        res = stabilize_finite(plant, weights, 1.9454, a=opts.a, interp_a=opts.interp_a,
-                               grid=opts.grid)
+        res = stabilize_finite(plant, weights, ex2_ctx, opts)
         first, second = full_sups[1][:2]
         assert rejected == [Q_GRID[first]] == [ex2_search.q]
         assert (res.mu, res.integers, res.q) == (ex2_search.mu, (0, 0), Q_GRID[second])
         assert res.U_norm <= 1.0 + 1e-9 and res.cert.stable
 
-    def test_search_evaluates_few_full_grid_rows(self, ex2, monkeypatch):
+    def test_search_evaluates_few_full_grid_rows(self, ex2, ex2_ctx, monkeypatch):
         # at 1.9454 the search took 515 full-grid q rows when it ranked every
         # sub-grid survivor; best first it takes 3 (certify_u_norm's two rows
         # go through rational.grid_sup, outside this count)
@@ -505,8 +528,7 @@ class TestQSweep:
             return _grid_peaks(u, qs)
 
         monkeypatch.setattr(finite, "_grid_peaks", counted)
-        stabilize_finite(plant, weights, 1.9454, a=opts.a, interp_a=opts.interp_a,
-                         grid=opts.grid)
+        stabilize_finite(plant, weights, ex2_ctx, opts)
         assert sum(rows) <= 10
 
     @pytest.mark.parametrize("case", ["accepting", "central_level"])

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import strongstab.infinite as infinite
 import strongstab.stability as stability
 from strongstab.infinite import (
-    InfSearchConfig,
     SearchExhausted,
     l1u_stability_range,
     stabilize_infinite,
@@ -52,40 +53,27 @@ class TestSearch:
         )
         assert scan.zeros == []
 
-    def test_rho_below_gamma_opt_guard(self, ex1, ex1_gamma):
-        plant, weights, opts = ex1
-        from strongstab.synthesis import build_controller
-
-        bad = build_context(plant, weights, ex1_gamma.gamma * 0.98,
-                            "suboptimal", opts.interp_a)
-        with pytest.raises(ValueError):
-            build_controller(plant, weights, bad, UParam(0.0),
-                             gamma_opt_value=ex1_gamma.gamma)
-
     def test_exhausted_when_no_admissible(self, ex1, ex1_ctx):
         # an absurdly restrictive grid: u_p values that violate the norm bound
         plant, weights, opts = ex1
-        cfg = InfSearchConfig(rho=0.814, uinf_step=1e-3, up_grid=(0.0,),
-                              uz_grid=(50.0,), interp_a=opts.interp_a)
+        opts = dataclasses.replace(opts, uz_grid=(50.0,))
         with pytest.raises(SearchExhausted):
-            stabilize_infinite(plant, weights, cfg, ctx=ex1_ctx)
+            stabilize_infinite(plant, weights, ex1_ctx, opts)
 
 
 class TestSufficientCondition:
     def test_sufficiency_confirmed_by_scan(self, ex1, ex1_ctx):
         # with |F L_U| <= 1 everywhere and a Hurwitz L_1U the loop denominator
         # cannot vanish in the open right half plane; the scan must agree
-        import dataclasses
-
         from strongstab.stability import peak_data, rhp_zero_scan, scan_window_for
         from strongstab.synthesis import build_controller
 
-        plant, weights, _ = ex1
+        plant, _, _ = ex1
         ctx = dataclasses.replace(ex1_ctx, L2=ex1_ctx.L2 * 0.4)
         u = UParam(0.0)
         pk = peak_data(ctx, [u])[0]
         assert pk.eta_max <= 1.0
-        ctrl = build_controller(plant, weights, ctx, u)
+        ctrl = build_controller(plant, ctx, u)
         sig, om = scan_window_for(ctx, plant, u, pk)
         excl = [complex(b) for b in ctx.betas]
         excl += [complex(np.conj(b)) for b in ctx.betas]
@@ -110,9 +98,8 @@ class TestSufficientCondition:
 
 class TestSweep:
     def test_ex1_sweep_minimum(self, ex1, ex1_ctx):
-        plant, weights, opts = ex1
-        cfg = InfSearchConfig(rho=0.814, uinf_step=5e-3, interp_a=opts.interp_a)
-        rows = sweep_report(plant, weights, cfg, ctx=ex1_ctx)
+        _, _, opts = ex1
+        rows = sweep_report(ex1_ctx, dataclasses.replace(opts, uinf_step=5e-3))
         assert len(rows) > 30
         finite_rows = [r for r in rows if r[1] is not None]
         best = min(finite_rows, key=lambda r: r[1])
@@ -152,13 +139,13 @@ class TestChunkedCandidates:
         rho = request.param
         ctx = ex1_ctx if rho == 0.814 else build_context(
             plant, weights, rho, "suboptimal", opts.interp_a)
-        return ctx, InfSearchConfig(rho=rho, interp_a=opts.interp_a)
+        return ctx, opts
 
     def test_candidates_equal_one_at_a_time(self, level):
-        ctx, cfg = level
+        ctx, opts = level
         intervals = admissible_uinf(asymptotics(ctx))
         expected = []
-        for ui in infinite._interval_grid(intervals, cfg.uinf_step):
+        for ui in infinite._interval_grid(intervals, opts.uinf_step):
             u = UParam(float(ui))
             if u.sup_norm() > 1.0 or not reference_hurwitz(ctx, u):
                 continue
@@ -167,18 +154,17 @@ class TestChunkedCandidates:
                 continue
             expected.append((u, pk))
         assert len(expected) > 100
-        assert infinite._candidates(ctx, cfg, intervals) == expected
+        assert infinite._candidates(ctx, opts, intervals) == expected
 
-    def test_sweep_rows_equal_one_at_a_time(self, level, ex1):
-        ctx, cfg = level
-        plant, weights, _ = ex1
+    def test_sweep_rows_equal_one_at_a_time(self, level):
+        ctx, opts = level
         expected = []
         for lo, hi in admissible_uinf(asymptotics(ctx)):
-            for ui in infinite._interval_grid([(lo, hi)], cfg.uinf_step):
+            for ui in infinite._interval_grid([(lo, hi)], opts.uinf_step):
                 pk = peak_data(ctx, [UParam(float(ui))])[0]
                 wm = pk.omega_max
                 expected.append((float(ui), None if wm is None else float(wm), pk.eta_max))
-        assert sweep_report(plant, weights, cfg, ctx=ctx) == expected
+        assert sweep_report(ctx, opts) == expected
 
     def test_l1u_range_equals_one_at_a_time(self, level):
         ctx, _ = level
@@ -198,7 +184,7 @@ class TestChunkedCandidates:
     def test_first_failure_in_candidate_order_is_raised(self, level, monkeypatch, t_fails):
         # L_1U of the sixth candidate fails; the crossing polynomial of the
         # third fails too when `t_fails`, and that candidate comes first
-        ctx, cfg = level
+        ctx, opts = level
         real = poly_roots
         calls = []
 
@@ -214,6 +200,6 @@ class TestChunkedCandidates:
 
         monkeypatch.setattr(stability, "poly_roots", failing_roots)
         with pytest.raises(RootConvergenceError) as info:
-            infinite._candidates(ctx, cfg, admissible_uinf(asymptotics(ctx)))
+            infinite._candidates(ctx, opts, admissible_uinf(asymptotics(ctx)))
         assert str(info.value) == ("T of candidate 2" if t_fails else "L_1U of candidate 5")
         assert calls == [7, 5, 5]   # peak data only for the candidates before the failure

@@ -308,31 +308,23 @@ class TestGammaOpt:
 
 class TestController:
     def test_central_lu_equals_l2_over_l1(self, ex1, ex1_ctx):
-        plant, weights, _ = ex1
-        ctrl = build_controller(plant, weights, ex1_ctx, UParam(0.0))
+        plant, _, _ = ex1
+        ctrl = build_controller(plant, ex1_ctx, UParam(0.0))
         s = np.array([0.3j, 1.2j, 0.5 + 0.2j])
         direct = ex1_ctx.L2(s) / ex1_ctx.L1(s)
         np.testing.assert_allclose(ctrl.L_U(s), direct, rtol=1e-12)
 
     def test_denominator_cancels_at_betas(self, ex1, ex1_ctx):
-        plant, weights, _ = ex1
+        plant, _, _ = ex1
         for u in (UParam(0.0), UParam(-0.813), UParam(0.4, 0.3, 0.9)):
-            ctrl = build_controller(plant, weights, ex1_ctx, u)
+            ctrl = build_controller(plant, ex1_ctx, u)
             for b in ex1_ctx.betas:
                 scale = abs(ctrl.loop_denominator(np.array([b + 0.5]))[0])
                 assert abs(ctrl.loop_denominator(np.array([b]))[0]) <= 1e-6 * max(scale, 1.0)
 
-    def test_suboptimal_level_guard(self, ex1, ex1_ctx, ex1_gamma):
-        plant, weights, _ = ex1
-        with pytest.raises(ValueError):
-            bad_ctx = build_context(plant, weights, ex1_gamma.gamma * 0.95,
-                                    "suboptimal", 1.985)
-            build_controller(plant, weights, bad_ctx, UParam(0.0),
-                             gamma_opt_value=ex1_gamma.gamma)
-
     def test_singular_closed_loop_raises_typed_error(self, ex1, ex1_ctx, monkeypatch):
-        plant, weights, _ = ex1
-        ctrl = build_controller(plant, weights, ex1_ctx, UParam(0.0))
+        plant, _, _ = ex1
+        ctrl = build_controller(plant, ex1_ctx, UParam(0.0))
         # a loop gain of -1/(1 + E) puts D = 1 + x (1 + E) at zero everywhere
         monkeypatch.setattr(Controller, "loop_gain", lambda self, s: -1.0 / (1.0 + self.ctx.E(s)))
         with pytest.raises(ClosedLoopSingular, match="omega=0.5"):
@@ -340,7 +332,7 @@ class TestController:
 
     def test_verify_performance_matches_manual_stack(self, ex1, ex1_ctx):
         plant, weights, opts = ex1
-        ctrl = build_controller(plant, weights, ex1_ctx, UParam(-0.814))
+        ctrl = build_controller(plant, ex1_ctx, UParam(-0.814))
         norm, ok = verify_performance(ctrl, weights, opts.grid)
         om = opts.grid.omegas()
         S, T = ctrl.sensitivity_pair(om)
@@ -353,7 +345,7 @@ class TestController:
         # the rule before grid_sup: grid argmax, scalar golden_max between its
         # neighbours, the refined value kept only where it is not smaller
         plant, weights, opts = ex1
-        ctrl = build_controller(plant, weights, ex1_ctx, UParam(-0.814))
+        ctrl = build_controller(plant, ex1_ctx, UParam(-0.814))
 
         def stack(s):
             S, T = ctrl.sensitivity_pair(s.imag)
@@ -377,7 +369,7 @@ class TestController:
         def u(s):
             return np.where(s == 1j * bad, np.nan, -0.814)
 
-        ctrl = build_controller(plant, weights, ex1_ctx, u)
+        ctrl = build_controller(plant, ex1_ctx, u)
         assert verify_performance(ctrl, weights, opts.grid) == (float("inf"), False)
         cert = certify(plant, weights, ex1_ctx, u, grid=opts.grid)
         assert cert.stable and cert.norm == float("inf") and cert.norm_ok is False
