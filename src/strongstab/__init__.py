@@ -9,10 +9,8 @@ from .rational import (
     RootSet,
     blaschke,
     grid_sup,
-    mirror,
     poly_from_roots,
     poly_roots,
-    relative_degree,
 )
 from .synthesis import (
     CertificateContradiction,

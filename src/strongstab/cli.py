@@ -185,7 +185,7 @@ def cmd_stabilize(args):
             file=sys.stderr,
         )
         return 2
-    ctx = build_context(plant, weights, args.rho, "suboptimal", opts.interp_a)
+    ctx = build_context(plant, weights, args.rho, opts.interp_a)
     crit = properness_criterion(weights, plant)
     central_finite = finitely_many_poles(ctx, UParam(0.0))
     pole_class = "finite" if central_finite else "infinite"
@@ -243,7 +243,7 @@ def cmd_verify(args):
         return _report_number(result, key, "report.result")
 
     dense = FrequencyGrid(opts.grid.lo, opts.grid.hi, opts.grid.points * 2)
-    ctx = build_context(plant, weights, rho, "suboptimal", opts.interp_a)
+    ctx = build_context(plant, weights, rho, opts.interp_a)
     failures = []
     if branch == "infinite-search":
         u = UParam(number("u_inf"), number("u_z"), number("u_p"))
@@ -274,7 +274,7 @@ def cmd_verify(args):
         print(f"fail: unknown branch {branch!r}")
         return 1
     # twice the stabilize window on each side
-    cert = certify(plant, weights, ctx, u, (sig * 2, om * 2), dense)
+    cert = certify(plant, weights, ctx, u, dense, (sig * 2, om * 2))
     bound = rho * (1 + NORM_SLACK)
     if not cert.stable:
         failures.append(f"scan found {len(cert.scan.zeros)} residual RHP zero(s)")

@@ -48,11 +48,20 @@ def _need(d, key, path, typ=None):
 
 
 def _coeffs(v, path):
+    # the comparison also rejects the NaN and Infinity that json accepts
     if not isinstance(v, list) or not v or not all(
-        isinstance(x, (int, float)) for x in v
+        isinstance(x, (int, float)) and -float("inf") < x < float("inf") for x in v
     ):
-        raise ConfigError(path, "expected a nonempty array of numbers")
+        raise ConfigError(path, "expected a nonempty array of finite numbers")
     return [float(x) for x in v]
+
+
+def _search_value(sd, key, ok, expected):
+    """`sd[key]` when it is a number passing `ok`, else a ConfigError naming it."""
+    v = sd[key]
+    if not isinstance(v, (int, float)) or not ok(v):
+        raise ConfigError(f"config.options.search.{key}", f"expected {expected}")
+    return v
 
 
 def _rational(d, path, allow_zero=False):
@@ -127,18 +136,19 @@ def load_problem(path):
     sd = od.get("search", {})
     if not isinstance(sd, dict):
         raise ConfigError("config.options.search", "expected an object")
-    if "uinf_step" in sd:
-        opts.uinf_step = float(sd["uinf_step"])
+    for key in ("uinf_step", "q_step"):
+        if key in sd:
+            # NaN fails both comparisons
+            step = _search_value(sd, key, lambda v: 0 < v < float("inf"),
+                                 "a finite number > 0")
+            setattr(opts, key, float(step))
     if "scan_budget" in sd:
-        opts.scan_budget = int(sd["scan_budget"])
-    if "up_grid" in sd:
-        opts.up_grid = tuple(float(x) for x in sd["up_grid"])
-    if "uz_grid" in sd:
-        opts.uz_grid = tuple(float(x) for x in sd["uz_grid"])
-    if "mu_schedule" in sd:
-        opts.mu_schedule = tuple(float(x) for x in sd["mu_schedule"])
-    if "q_step" in sd:
-        opts.q_step = float(sd["q_step"])
+        opts.scan_budget = _search_value(
+            sd, "scan_budget", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
     if "integer_bound" in sd:
-        opts.integer_bound = int(sd["integer_bound"])
+        opts.integer_bound = _search_value(
+            sd, "integer_bound", lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
+    for key in ("up_grid", "uz_grid", "mu_schedule"):
+        if key in sd:
+            setattr(opts, key, tuple(_coeffs(sd[key], f"config.options.search.{key}")))
     return plant, weights, opts

@@ -42,11 +42,17 @@ __all__ = [
     "certify_u_norm",
     "fig5_lattice",
     "stabilize_finite",
+    "U_NORM_TOL",
 ]
 
 
 class FiniteSearchError(RuntimeError):
     pass
+
+
+# A candidate U is inside the unit ball when its grid norm is at most
+# 1 + U_NORM_TOL.
+U_NORM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +191,7 @@ class PickProblem:
         return -np.log(self.w / self.mu) - 1j * 2 * np.pi * np.asarray(self.n)
 
 
-def pick_points(p1p2: P1P2, a: float = 1.0):
+def pick_points(p1p2: P1P2, a: float):
     """Disk images z_i = (s_i - a)/(s_i + a) and targets w_i = 1/M_tilde_d(s_i)."""
     if not p1p2.node_roots:
         raise FiniteSearchError("P2 has no right-half-plane zeros to interpolate")
@@ -280,7 +286,7 @@ def fig3_tuples(z, bound):
 _TUPLE_CHUNK = 1 << 8
 
 
-def mu_opt_search(z, w, integer_bound=20, feasibility_tuples=None):
+def mu_opt_search(z, w, integer_bound: int, feasibility_tuples=None):
     """Smallest mu making the Pick matrix PSD over the admitted integer tuples.
 
     Returns (mu_opt, best_tuple, table) where table holds (tuple, mu_min) for
@@ -450,7 +456,7 @@ class FiniteU:
     interp: NPInterpolant
     mu: float
     q: float | np.ndarray
-    a: float = 1.0
+    a: float
 
     def at(self, s):
         return UAtPoints(self.p1p2, self.interp, self.mu, self.a, s)
@@ -459,7 +465,7 @@ class FiniteU:
         return self.at(s)(self.q)
 
 
-def certify_u_norm(U: FiniteU, grid: FrequencyGrid | None = None):
+def certify_u_norm(U: FiniteU, grid: FrequencyGrid):
     """Grid-certified sup of |U(jw)| for each constant of U.q: an array for
     an array of constants, a float for one.
 
@@ -468,7 +474,7 @@ def certify_u_norm(U: FiniteU, grid: FrequencyGrid | None = None):
     (np.fmax: a NaN limit keeps the grid value).  A constant at which U is
     not finite somewhere on the grid reads NaN.
     """
-    om = (grid or FrequencyGrid()).omegas()
+    om = grid.omegas()
     qs = np.atleast_1d(np.asarray(U.q, dtype=float))
     u = U.at(1j * om)
     sup = grid_sup(lambda k0, k1: u(qs[k0:k1, None]),
@@ -490,7 +496,7 @@ def _grid_peaks(u: UAtPoints, qs):
 
 def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     """Indices of the q values whose grid sup of |U| over om is at most
-    1 + 1e-9, in increasing order of that sup (ties by index), yielded
+    1 + U_NORM_TOL, in increasing order of that sup (ties by index), yielded
     lazily: the search stops at the first accepted candidate.
 
     The sup over any subset of om is a lower bound on the full one, so a q it
@@ -507,7 +513,7 @@ def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     value, and dropped if that is above the threshold.  A yielded q's sup is
     at most every live bound, hence at most every live q's sup.
     """
-    thr = 1.0 + 1e-9
+    thr = 1.0 + U_NORM_TOL
     q_grid = np.asarray(q_grid)
     sub = om[::10]
     u_sub = UAtPoints(p1p2, interp, mu, a, 1j * sub)
@@ -567,7 +573,7 @@ def _default_mu_schedule(mu_opt):
     return [mu_opt * f for f in (1.02, 1.05, 1.1, 1.2, 1.5, 2.0)]
 
 
-def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a=1.0, grid=None):
+def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a: float, grid: FrequencyGrid):
     """(mu, Q, ||U||, ||U|| <= 1) over the default mu steps above mu_opt and
     constant Q in [-1, 1] at step 0.02; steps without an interpolant and Q
     values at which U is not finite on the grid are left out."""
@@ -593,7 +599,7 @@ def _accepted(plant, weights, ctx, U: FiniteU, grid):
     CertificateContradiction is raised rather than trying the next candidate.
     """
     un = certify_u_norm(U, grid)
-    if not un <= 1.0 + 1e-9:
+    if not un <= 1.0 + U_NORM_TOL:
         return None
     cert = certify(plant, weights, ctx, U, grid=grid)
     if not (cert.stable and cert.norm_ok):

@@ -59,7 +59,7 @@ class InfSearchResult:
     asym: AsymptoticData
 
 
-def l1u_stability_range(ctx: SynthesisContext, step=1e-3):
+def l1u_stability_range(ctx: SynthesisContext, step: float):
     """Largest interval of constant u_inf in [-1, 1] keeping L_1U Hurwitz."""
     us = np.arange(-1.0, 1.0 + step / 2, step)
     ok = np.array([
@@ -182,7 +182,7 @@ def stabilize_infinite(plant, weights, ctx: SynthesisContext,
     frontier = []
     for u, pk in candidates[: opts.scan_budget]:
         window = scan_window_for(ctx, plant, u, pk)
-        cert = certify(plant, weights, ctx, u, window, opts.grid)
+        cert = certify(plant, weights, ctx, u, opts.grid, window)
         frontier.append((u, pk, len(cert.scan.zeros)))
         if not cert.stable:
             continue

@@ -28,8 +28,6 @@ __all__ = [
     "poly_roots",
     "poly_from_roots",
     "blaschke",
-    "mirror",
-    "relative_degree",
     "golden_max",
     "grid_peaks",
     "grid_sup",
@@ -109,9 +107,6 @@ class Poly:
         """p(-s)."""
         signs = (-1.0) ** np.arange(len(self.c))
         return Poly(self.c * signs)
-
-    def monic(self):
-        return Poly(self.c / self.c[-1])
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
@@ -389,11 +384,6 @@ class RationalFn:
     def __neg__(self):
         return self * -1.0
 
-    def inverse(self):
-        if self.num.is_zero:
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFn(self.den, self.num)
-
     def mirror(self):
         return RationalFn(self.num.mirror(), self.den.mirror())
 
@@ -402,18 +392,8 @@ class RationalFn:
             raise ValueError("relative degree of the zero function is undefined")
         return self.den.degree - self.num.degree
 
-    def zeros(self):
-        if self.num.degree == 0:
-            return RootSet([], [])
-        return poly_roots(self.num)
-
-    def poles(self):
-        if self.den.degree == 0:
-            return RootSet([], [])
-        return poly_roots(self.den)
-
-    def reduced(self, tol=ROOT_MATCH_TOL):
-        """Cancel common num/den roots within the matching tolerance."""
+    def reduced(self):
+        """Cancel common num/den roots within ROOT_MATCH_TOL."""
         if self.num.is_zero or self.num.degree == 0 or self.den.degree == 0:
             return self
         zn = poly_roots(self.num).expanded()
@@ -423,7 +403,7 @@ class RationalFn:
         for rd in zd:
             hit = None
             for k, rn in enumerate(keep_n):
-                if abs(rd - rn) <= tol * (1 + abs(rd)):
+                if abs(rd - rn) <= ROOT_MATCH_TOL * (1 + abs(rd)):
                     hit = k
                     break
             if hit is None:
@@ -477,15 +457,6 @@ def _as_rational(f):
     raise TypeError(f"cannot interpret {f!r} as a rational function")
 
 
-def mirror(f: RationalFn) -> RationalFn:
-    """s -> -s composition."""
-    return f.mirror()
-
-
-def relative_degree(f: RationalFn) -> int:
-    return f.relative_degree()
-
-
 def blaschke(roots) -> RationalFn:
     """Inner product of factors (s - r)/(s + r) over a conjugate-closed set.
 
@@ -510,7 +481,12 @@ class FrequencyGrid:
         return np.logspace(np.log10(self.lo), np.log10(self.hi), self.points)
 
 
-def golden_max(fun, a, b, iters=50):
+# Golden-section steps per `golden_max` call: the bracket shrinks by
+# 0.618^50 ~ 3.5e-11 of its width.
+GOLDEN_ITERS = 50
+
+
+def golden_max(fun, a, b):
     """Golden-section maximization of `fun` on [a, b].
 
     `a` and `b` may be arrays of brackets, searched in lock-step: `fun` then
@@ -531,7 +507,7 @@ def golden_max(fun, a, b, iters=50):
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
     f1, f2 = fun(at(x1)), fun(at(x2))
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         up = f1 < f2    # keep [x1, b] and probe a new x2, else [a, x2] and a new x1
         a = pick(up, x1, a)
         b = pick(up, b, x2)

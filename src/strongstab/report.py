@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 SCHEMA = "strongstab-report/1"
+# Sigma and omega samples of the fig-2 |Z| grid.
+FIG2_NS = 81
+FIG2_NW = 161
 
 
 def fmt(x):
@@ -78,10 +81,10 @@ def write_fig1_sweep(directory, rows):
     _write(os.path.join(directory, "fig1_sweep.csv"), "u_inf,omega_max,eta_max", rows)
 
 
-def write_fig2_zgrid(directory, zfun, sigma_max, omega_bound, ns=81, nw=161):
+def write_fig2_zgrid(directory, zfun, sigma_max, omega_bound):
     """|Z| over the certification window [0, sigma_max] x [0, omega_bound]."""
-    sigs = np.linspace(0.0, sigma_max, ns)
-    oms = np.linspace(0.0, omega_bound, nw)
+    sigs = np.linspace(0.0, sigma_max, FIG2_NS)
+    oms = np.linspace(0.0, omega_bound, FIG2_NW)
     vals = np.abs(zfun(sigs[:, None] + 1j * oms)).tolist()
     rows = [(sg, om, v) for sg, row in zip(sigs.tolist(), vals)
             for om, v in zip(oms.tolist(), row)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import Poly, poly_roots
+from .rational import FrequencyGrid, Poly, poly_roots
 from .synthesis import (
     Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
     verify_performance,
@@ -53,7 +53,6 @@ class ScanError(RuntimeError):
 class AsymptoticData:
     f_inf: float
     k: float               # may be +-inf when deg L2 > deg L1
-    parity_odd: bool       # parity of n1 + l (the suboptimal L degree)
     degree: int
 
 
@@ -80,10 +79,7 @@ def asymptotics(ctx: SynthesisContext) -> AsymptoticData:
         k = np.inf if c2 > 0 else -np.inf
     else:
         k = c2 / c1
-    return AsymptoticData(
-        f_inf=_f_infinity(ctx), k=float(k),
-        parity_odd=(ctx.n1 + ctx.ell) % 2 == 1, degree=degree,
-    )
+    return AsymptoticData(f_inf=_f_infinity(ctx), k=float(k), degree=degree)
 
 
 def _cleared_lu_polys(ctx: SynthesisContext, u: UParam):
@@ -276,9 +272,13 @@ class RegionScan:
 
 _MARCH_TS = np.linspace(0.0, 1.0, 64)
 _SMALL_TOL = 1e-9   # a sample this small relative to the segment's largest is a zero on it
+_MARCH_MAX_N = 60000   # samples one segment's refinement may reach
+_NEWTON_TOL = 1e-11    # relative step at which a leaf cell's Newton iteration stops
+_NEWTON_ITERS = 80
+_MAX_DEPTH = 60        # subdivision levels below the scan window
 
 
-def _refine_march(f, z0, z1, ts, vals, max_n=60000):
+def _refine_march(f, z0, z1, ts, vals):
     """Total argument change of f along the straight segment z0 -> z1, from
     its samples `vals` at `ts`, bisecting each step whose phase jumps by more
     than pi/2."""
@@ -291,7 +291,7 @@ def _refine_march(f, z0, z1, ts, vals, max_n=60000):
         bad = np.abs(dph) > np.pi / 2
         if not bad.any():
             return float(dph.sum())
-        if len(ts) > max_n:
+        if len(ts) > _MARCH_MAX_N:
             raise ScanError("edge refinement exceeded the sample budget")
         mid_ts = 0.5 * (ts[:-1][bad] + ts[1:][bad])
         mid_vals = np.asarray(f(z0 + (z1 - z0) * mid_ts), dtype=complex)
@@ -345,19 +345,19 @@ def _windings(f, memo, cells, counter):
     return winds
 
 
-def _newton_zero(f, cell, tol=1e-11, iters=80):
+def _newton_zero(f, cell):
     """Newton's method from the centre of the leaf `cell`; ScanError unless it
     converges to a point inside the cell."""
     slo, shi, wlo, whi = cell
     z = complex(0.5 * (slo + shi), 0.5 * (wlo + whi))
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         dz = 1e-7 * (1.0 + abs(z))
         d = (f(np.array([z + dz]))[0] - f(np.array([z - dz]))[0]) / (2 * dz)
         if d == 0:
             raise ScanError(f"zero derivative in a leaf cell near s={z:.6g}")
         step = f(np.array([z]))[0] / d
         z = z - step
-        if abs(step) < tol * (1 + abs(z)):
+        if abs(step) < _NEWTON_TOL * (1 + abs(z)):
             if slo <= z.real <= shi and wlo <= z.imag <= whi:
                 return z
             raise ScanError(f"Newton left its leaf cell for s={z:.6g}")
@@ -388,7 +388,7 @@ def _safe_cut(f, memo, lo, hi, fixed, vertical, avoid=()):
     raise ScanError("could not place a subdivision cut away from zeros")
 
 
-def _subdivide(f, memo, cell, wind, depth, out, counter, max_depth=60):
+def _subdivide(f, memo, cell, wind, depth, out, counter):
     """Locate the `wind` zeros in `cell` (slo, shi, wlo, whi) in leaves below 1e-4."""
     slo, shi, wlo, whi = cell
     if wind < 0:
@@ -398,7 +398,7 @@ def _subdivide(f, memo, cell, wind, depth, out, counter, max_depth=60):
     if max(shi - slo, whi - wlo) < 1e-4:
         out.extend([_newton_zero(f, cell)] * wind)
         return
-    if depth > max_depth:
+    if depth > _MAX_DEPTH:
         raise ScanError("subdivision depth exceeded")
     if (shi - slo) >= (whi - wlo):
         cut = _safe_cut(f, memo, slo, shi, (wlo, whi), vertical=True)
@@ -408,20 +408,17 @@ def _subdivide(f, memo, cell, wind, depth, out, counter, max_depth=60):
         cut = _safe_cut(f, memo, wlo, whi, (slo, shi), vertical=False, avoid=avoid)
         kids = [(slo, shi, wlo, cut), (slo, shi, cut, whi)]
     for kid, kid_wind in zip(kids, _windings(f, memo, kids, counter)):
-        _subdivide(f, memo, kid, kid_wind, depth + 1, out, counter, max_depth)
+        _subdivide(f, memo, kid, kid_wind, depth + 1, out, counter)
 
 
-def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
-                  sigma_min: float = 0.0, omega_min: float | None = None) -> RegionScan:
-    """Count and locate zeros of `f` in [sigma_min, sigma_max] x [om_min, om_bound].
+def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=()) -> RegionScan:
+    """Count and locate zeros of `f` in [0, sigma_max] x [-omega_bound, omega_bound].
 
     `excluded` lists known zeros (for example the cancelled zeros of E and m_d
     on or near the contour); they are divided out pointwise before the winding
     computation, which both removes them from the count and keeps the contour
     away from vanishing values.
     """
-    if omega_min is None:
-        omega_min = -omega_bound
     excluded = [complex(z) for z in excluded]
 
     def fd(s):
@@ -432,12 +429,12 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
         return v
 
     zeros, counter, memo = [], [0], {}
-    window = (sigma_min, sigma_max, omega_min, omega_bound)
+    window = (0.0, sigma_max, -omega_bound, omega_bound)
     [wind] = _windings(fd, memo, [window], counter)
     _subdivide(fd, memo, window, wind, 0, zeros, counter)
     inside = [
         z for z in excluded
-        if sigma_min < z.real < sigma_max and omega_min < z.imag < omega_bound
+        if 0.0 < z.real < sigma_max and -omega_bound < z.imag < omega_bound
     ]
     return RegionScan(
         sigma_max=sigma_max, omega_bound=omega_bound,
@@ -522,7 +519,7 @@ def _contracting_edge(controller: Controller, sigma_max, omega_bound):
 
 
 def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
-            window=None, grid=None) -> Certificate:
+            grid: FrequencyGrid, window=None) -> Certificate:
     """Build the controller for `u`, scan its loop denominator for RHP zeros
     and, only when the scan is clean, check the closed-loop norm on `grid`.
 

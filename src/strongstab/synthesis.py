@@ -62,6 +62,10 @@ __all__ = [
 # Relative slack of the closed-loop norm check: a design passes at level rho
 # when its grid norm is at most rho (1 + NORM_SLACK).
 NORM_SLACK = 1e-3
+# Largest deviation of |f(jw)| from one on the grid for an inner factor.
+INNER_TOL = 1e-8
+# Levels of the coarse sigma_min grid that `gamma_opt` walks down the bracket.
+GAMMA_COARSE = 200
 
 
 class PlantValidationError(ValueError):
@@ -94,10 +98,10 @@ class CertificateContradiction(RuntimeError):
 # plant and weights
 # ---------------------------------------------------------------------------
 
-def _is_inner(f: RationalFn, grid: FrequencyGrid, tol=1e-8):
+def _is_inner(f: RationalFn, grid: FrequencyGrid):
     om = grid.omegas()
     vals = np.abs(f(1j * om))
-    return np.abs(vals - 1.0).max() <= tol
+    return np.abs(vals - 1.0).max() <= INNER_TOL
 
 
 def _roots_strictly_lhp(p: Poly):
@@ -115,8 +119,8 @@ class DelayPlant:
     m_d: RationalFn
     N_o: RationalFn
 
-    def validate(self, weights=None, grid: FrequencyGrid | None = None):
-        grid = grid or FrequencyGrid()
+    def validate(self, weights: WeightPair):
+        grid = FrequencyGrid()
         if self.h < 0:
             raise PlantValidationError("plant.h", "delay must be nonnegative")
         for name, f in (("plant.M", self.M), ("plant.m_d", self.m_d)):
@@ -128,7 +132,7 @@ class DelayPlant:
             raise PlantValidationError(
                 "plant.N_o", "outer factor must have poles and zeros in Re s < 0"
             )
-        if weights is not None and not weights.W2.is_zero:
+        if not weights.W2.is_zero:
             prod = weights.W2 * self.N_o
             if not (_roots_strictly_lhp(prod.num) and _roots_strictly_lhp(prod.den)):
                 raise PlantValidationError(
@@ -403,27 +407,15 @@ class SynthesisContext:
     """All level-dependent synthesis data for one problem instance."""
 
     level: float
-    mode: str                 # "optimal" | "suboptimal"
     E: RationalFn
-    G: RationalFn
     F: RationalFn
     R: RationalFn             # G G(-s) = 1/R; |F(jw)|^2 = 1/R(jw)
     betas: list
     alphas: list
-    etas: list
     L1: Poly
     L2: Poly
-    interp_a: float | None
-    sigma_min: float
+    interp_a: float | None    # None: the optimal context
     residual: float
-
-    @property
-    def n1(self):
-        return len(self.betas)
-
-    @property
-    def ell(self):
-        return len(self.alphas)
 
     def excluded_zeros(self):
         """RHP zeros of E and m_d with their conjugates: the interpolation
@@ -438,31 +430,31 @@ class SynthesisContext:
 class LevelBuilder:
     """The level-independent data of one problem, and the per-level synthesis data.
 
-    Holds W1(-s)W1(s), W2(-s)W2(s), the mirrored W1 poles `etas` with their
-    Blaschke product, and the plant's right-half-plane poles `alphas` (checked
-    once for repeats).  `at(level)` builds E once and derives R, G, F and the
-    E zeros from it; `gamma_opt` and `build_context` both go through it.
+    Holds W1(-s)W1(s), W2(-s)W2(s), the Blaschke product of the mirrored W1
+    poles, and the plant's right-half-plane poles `alphas` (checked once for
+    repeats).  `at(level)` builds E once and derives R, F and the E zeros
+    from it; `gamma_opt` and `build_context` both go through it.
     """
 
     def __init__(self, plant: DelayPlant, weights: WeightPair):
         self.plant = plant
         self.w1para = _para(weights.W1)
         self.w2para = None if weights.W2.is_zero else _para(weights.W2)
-        self.etas = eta_mirror_poles(weights.W1)
-        self.inner = blaschke(self.etas) if self.etas else None
+        etas = eta_mirror_poles(weights.W1)
+        self.inner = blaschke(etas) if etas else None
         self.alphas = plant.alpha_roots()
         _reject_repeated(self.alphas, "plant poles")
 
     def at(self, level: float):
-        """(E, R, F, G, betas) at `level`; see `build_E`, `spectral_ratio`, `build_F`."""
+        """(E, R, F, betas) at `level`; see `build_E`, `spectral_ratio`, `build_F`."""
         E = _over_level(self.w1para, level)
         R = _ratio(E, level, self.w2para)
-        F, G = _complete(_factor(R), self.inner)
-        return E, R, F, G, beta_zeros(E)
+        F, _ = _complete(_factor(R), self.inner)
+        return E, R, F, beta_zeros(E)
 
     def optimal_sigma_min(self, level: float):
         """(sigma_min, null vector, degree) of the optimal homogeneous system."""
-        E, _, F, _, betas = self.at(level)
+        E, _, F, betas = self.at(level)
         degree = len(betas) + len(self.alphas) - 1
         if degree < 0:
             raise InterpolationError("no interpolation conditions at this level")
@@ -473,22 +465,20 @@ class LevelBuilder:
 
 
 def build_context(plant: DelayPlant, weights: WeightPair, level: float,
-                  mode="suboptimal", interp_a=1.0) -> SynthesisContext:
+                  interp_a: float | None) -> SynthesisContext:
+    """The context at `level`: the optimal one (degree n1 + l - 1) when
+    `interp_a` is None, else the suboptimal one (degree n1 + l) with the
+    extra interpolation condition at `interp_a`."""
     levels = LevelBuilder(plant, weights)
-    E, R, F, G, betas = levels.at(level)
+    E, R, F, betas = levels.at(level)
     alphas = levels.alphas
     n1l = len(betas) + len(alphas)
-    if mode == "optimal":
-        degree, extra = n1l - 1, None
-    elif mode == "suboptimal":
-        degree, extra = n1l, float(interp_a)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    L1, L2, smin, rel = solve_interpolation(plant, F, E, degree, extra, betas, alphas)
+    extra = None if interp_a is None else float(interp_a)
+    degree = n1l - 1 if extra is None else n1l
+    L1, L2, _, rel = solve_interpolation(plant, F, E, degree, extra, betas, alphas)
     return SynthesisContext(
-        level=float(level), mode=mode, E=E, G=G, F=F, R=R,
-        betas=betas, alphas=alphas, etas=levels.etas,
-        L1=L1, L2=L2, interp_a=extra, sigma_min=smin, residual=rel,
+        level=float(level), E=E, F=F, R=R, betas=betas, alphas=alphas,
+        L1=L1, L2=L2, interp_a=extra, residual=rel,
     )
 
 
@@ -506,7 +496,7 @@ class GammaOptResult:
     diagnostics: dict
 
 
-def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket, coarse=200) -> GammaOptResult:
+def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket) -> GammaOptResult:
     """Largest level in the bracket at which the optimal system is singular.
 
     Walks a coarse grid of the smallest singular value of the homogeneous
@@ -524,8 +514,8 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket, coarse=200) -> Ga
     if not (0 < glo < ghi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
     levels = LevelBuilder(plant, weights)
-    gs = np.linspace(glo, ghi, coarse)
-    vals = np.full(coarse, np.nan)
+    gs = np.linspace(glo, ghi, GAMMA_COARSE)
+    vals = np.full(GAMMA_COARSE, np.nan)
     grid_bad, refined_bad = [], []
     last = None     # the most recent refinement evaluation, or its exception
 
@@ -546,13 +536,13 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket, coarse=200) -> Ga
         return vals[i] <= left and vals[i] <= right
 
     dips = 0
-    for j in range(coarse - 1, -1, -1):
+    for j in range(GAMMA_COARSE - 1, -1, -1):
         try:
             vals[j] = levels.optimal_sigma_min(gs[j])[0]
         except (FactorizationError, InterpolationError) as exc:
             grid_bad.append((float(gs[j]), str(exc)))
         i = j + 1
-        if i > coarse - 2 or not is_dip(i):
+        if i > GAMMA_COARSE - 2 or not is_dip(i):
             continue
         dips += 1
         # golden_max's last evaluation is at gstar, so `last` is the result there
@@ -673,8 +663,7 @@ def build_controller(plant, ctx: SynthesisContext, u) -> Controller:
     return Controller(plant, ctx, u)
 
 
-def verify_performance(controller: Controller, weights: WeightPair,
-                       grid: FrequencyGrid | None = None):
+def verify_performance(controller: Controller, weights: WeightPair, grid: FrequencyGrid):
     """Sup over the grid of sqrt(|W1 S|^2 + |W2 T|^2) and the level check.
 
     A stack that is not finite on the grid fails the check with norm inf.
@@ -684,7 +673,7 @@ def verify_performance(controller: Controller, weights: WeightPair,
         w2 = 0.0 if weights.W2.is_zero else weights.W2(s)
         return np.sqrt(np.abs(weights.W1(s) * S) ** 2 + np.abs(w2 * T) ** 2)
 
-    om = (grid or FrequencyGrid()).omegas()
+    om = grid.omegas()
     norm = float(grid_sup(lambda k0, k1: stack(1j * om)[None],
                           lambda w, k: stack(1j * w), 1, om)[0])
     if np.isnan(norm):

@@ -42,13 +42,13 @@ def ex2_gamma(ex2):
 @pytest.fixture(scope="session")
 def ex1_ctx(ex1):
     plant, weights, opts = ex1
-    return build_context(plant, weights, EX1_RHO, "suboptimal", opts.interp_a)
+    return build_context(plant, weights, EX1_RHO, opts.interp_a)
 
 
 @pytest.fixture(scope="session")
 def ex2_ctx(ex2):
     plant, weights, opts = ex2
-    return build_context(plant, weights, EX2_RHO, "suboptimal", opts.interp_a)
+    return build_context(plant, weights, EX2_RHO, opts.interp_a)
 
 
 @pytest.fixture(scope="session")

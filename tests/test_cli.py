@@ -8,6 +8,7 @@ import pytest
 
 import strongstab.cli as cli
 from strongstab.cli import main
+from strongstab.config import ConfigError, load_problem
 from strongstab.rational import PoleEvaluationError
 from strongstab.synthesis import ClosedLoopSingular, FactorizationError, InterpolationError
 
@@ -15,6 +16,15 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 EX1 = str(CONFIG_DIR / "example1.json")
 EX2 = str(CONFIG_DIR / "example2.json")
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _with_search(tmp_path, config, key, value):
+    """A copy of `config` with options.search[key] = value."""
+    doc = json.loads(pathlib.Path(config).read_text())
+    doc["options"]["search"][key] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def _first_difference(got, want, path):
@@ -109,6 +119,36 @@ class TestConfigErrors:
         rc = main(["stabilize", EX1, "--rho", "0.5"])
         assert rc == 2
         assert "must exceed the optimal level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, rho, key, value", [
+        (EX1, "0.814", "uinf_step", 0),
+        (EX2, "1.9454", "q_step", 0),
+        (EX2, "1.9454", "q_step", "x"),
+        (EX2, "1.9454", "integer_bound", -1),
+        (EX1, "0.814", "up_grid", ["x"]),
+        (EX1, "0.814", "up_grid", [float("nan")]),
+        (EX1, "0.814", "uz_grid", 0.5),
+        (EX2, "1.9454", "mu_schedule", [70.0, None]),
+        (EX1, "0.814", "scan_budget", 0),
+    ], ids=lambda v: pathlib.Path(v).stem if v in (EX1, EX2) else None)
+    def test_out_of_range_search_option_exits_2(self, tmp_path, capsys, config, rho, key, value):
+        rc = main(["stabilize", str(_with_search(tmp_path, config, key, value)), "--rho", rho])
+        assert rc == 2
+        assert f"config.options.search.{key}" in capsys.readouterr().err
+
+    def test_non_finite_coefficient_named(self, tmp_path, capsys):
+        doc = json.loads(pathlib.Path(EX1).read_text())
+        doc["weights"]["W1"]["num"][0] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["gamma-opt", str(bad)]) == 2
+        assert "config.weights.W1.num" in capsys.readouterr().err
+
+    def test_negative_uinf_step_rejected_on_load(self, tmp_path):
+        # a negative step would make the u_inf grid's while loop run forever
+        with pytest.raises(ConfigError) as exc:
+            load_problem(_with_search(tmp_path, EX1, "uinf_step", -1e-3))
+        assert exc.value.path == "config.options.search.uinf_step"
 
 
 class TestGammaOpt:

@@ -108,7 +108,7 @@ class TestP1P2Scans:
     ])
     def test_cells_and_zeros_pinned(self, ex2, monkeypatch, rho, cells, zeros):
         plant, weights, opts = ex2
-        ctx = build_context(plant, weights, rho, "suboptimal", opts.interp_a)
+        ctx = build_context(plant, weights, rho, opts.interp_a)
         scans = _p1p2_scans(monkeypatch, plant, ctx)
         assert tuple(scan.cells_scanned for scan, _ in scans) == cells
         for (scan, _), upper in zip(scans, zeros):
@@ -120,7 +120,7 @@ class TestP1P2Scans:
 
     def test_central_p2_scan_samples_few_points_per_cell(self, ex2, monkeypatch):
         plant, weights, opts = ex2
-        ctx = build_context(plant, weights, 1.96, "suboptimal", opts.interp_a)
+        ctx = build_context(plant, weights, 1.96, opts.interp_a)
         scan, points = _p1p2_scans(monkeypatch, plant, ctx)[1]
         assert points < 200 * scan.cells_scanned
 
@@ -252,7 +252,7 @@ class TestPickMatrix:
 def ex2_central_p1p2(ex2):
     # example 2 at a level where the central controller is stable
     plant, weights, opts = ex2
-    ctx = build_context(plant, weights, 1.96, "suboptimal", opts.interp_a)
+    ctx = build_context(plant, weights, 1.96, opts.interp_a)
     return build_p1p2(plant, ctx)
 
 
@@ -274,7 +274,7 @@ def toy_p1p2():
         W1=RationalFn(Poly([2.0, 1.0]), Poly([1.0, 1.0])),
         W2=RationalFn(Poly([0.8, 0.4]), Poly([1.0])),
     )
-    ctx = build_context(plant, weights, 1.2987, "suboptimal", 1.0)
+    ctx = build_context(plant, weights, 1.2987, 1.0)
     return build_p1p2(plant, ctx)
 
 
@@ -355,7 +355,7 @@ class TestStabilizeFinite:
 
     def test_ex2_norm_condition_certificate(self, ex2_search):
         # the two certificates agree: grid norm condition and clean scan
-        assert certify_u_norm(ex2_search.U) <= 1.0 + 1e-9
+        assert certify_u_norm(ex2_search.U, FrequencyGrid()) <= 1.0 + 1e-9
         assert len(ex2_search.cert.scan.zeros) == 0
 
     @pytest.mark.xfail(
@@ -368,7 +368,7 @@ class TestStabilizeFinite:
         U = ex2_search.U
         assert (round(U.mu, 6), round(U.q, 12), ex2_search.integers) == (72.448233, -0.854, (0, 0))
         dense = np.abs(U(1j * np.linspace(4.0, 4.2, 20001))).max()
-        assert certify_u_norm(U) >= dense - 1e-12
+        assert certify_u_norm(U, FrequencyGrid()) >= dense - 1e-12
 
     def test_central_short_circuit(self):
         plant = DelayPlant(h=0.3, M=RationalFn.one(), m_d=RationalFn.one(),
@@ -377,7 +377,7 @@ class TestStabilizeFinite:
             W1=RationalFn(Poly([2.0, 1.0]), Poly([1.0, 1.0])),
             W2=RationalFn(Poly([0.8, 0.4]), Poly([1.0])),
         )
-        ctx = build_context(plant, weights, 1.2987, "suboptimal", 1.0)
+        ctx = build_context(plant, weights, 1.2987, 1.0)
         res = stabilize_finite(plant, weights, ctx, Options())
         assert res.central and res.cert.stable
         assert res.U is None and res.U_norm == 0.0
@@ -396,14 +396,14 @@ class TestStabilizeFinite:
         plant, weights, opts = ex2
         seen = []
 
-        def dirty_first(plant, weights, ctx, U, window=None, grid=None):
+        def dirty_first(plant, weights, ctx, U, grid, window=None):
             seen.append((U.mu, U.q))
             if len(seen) == 1:
                 scan = RegionScan(1.0, 1.0, zeros=[0.5 + 1.0j], excluded=[], winding_total=1)
                 return Certificate(controller=None, scan=scan)
-            return certify(plant, weights, ctx, U, window, grid)
+            return certify(plant, weights, ctx, U, grid, window)
 
-        monkeypatch.setattr(finite, "certify_u_norm", lambda U, grid=None: 0.5)
+        monkeypatch.setattr(finite, "certify_u_norm", lambda U, grid: 0.5)
         monkeypatch.setattr(finite, "certify", dirty_first)
         with pytest.raises(CertificateContradiction, match="residual zeros=1"):
             stabilize_finite(plant, weights, ex2_ctx, opts)
@@ -500,7 +500,7 @@ class TestQSweep:
         plant, weights, opts = ex2
         rejected = []
 
-        def reject_first(U, grid=None):
+        def reject_first(U, grid):
             # the accepting step's first candidate is the search's first
             if U.mu == ex2_search.mu and not rejected:
                 rejected.append(U.q)
@@ -548,8 +548,9 @@ class TestQSweep:
             mu_opt, tup, _ = mu_opt_search(z, w, 20)
             mu = 1.02 * mu_opt
             interp = np_interpolant(PickProblem(z=z, w=w, n=tup, mu=mu))
-        norms = certify_u_norm(FiniteU(p1p2, interp, mu, qs, a))
-        ref = [certify_u_norm(FiniteU(p1p2, interp, mu, float(qv), a)) for qv in qs]
+        norms = certify_u_norm(FiniteU(p1p2, interp, mu, qs, a), FrequencyGrid())
+        ref = [certify_u_norm(FiniteU(p1p2, interp, mu, float(qv), a), FrequencyGrid())
+               for qv in qs]
         assert norms.shape == qs.shape
         assert all(type(v) is float for v in ref)
         np.testing.assert_array_equal(norms, ref)

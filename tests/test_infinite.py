@@ -18,7 +18,7 @@ from strongstab.synthesis import UParam, build_context
 
 class TestL1UStability:
     def test_ex1_range(self, ex1_ctx):
-        lo, hi = l1u_stability_range(ex1_ctx)
+        lo, hi = l1u_stability_range(ex1_ctx, 1e-3)
         assert lo == pytest.approx(-1.0, abs=1e-9)
         assert hi == pytest.approx(0.98, abs=1e-2)
 
@@ -138,7 +138,7 @@ class TestChunkedCandidates:
         plant, weights, opts = ex1
         rho = request.param
         ctx = ex1_ctx if rho == 0.814 else build_context(
-            plant, weights, rho, "suboptimal", opts.interp_a)
+            plant, weights, rho, opts.interp_a)
         return ctx, opts
 
     def test_candidates_equal_one_at_a_time(self, level):
@@ -178,7 +178,7 @@ class TestChunkedCandidates:
                 runs.append((start, i - 1))
                 start = None
         lo, hi = max(runs, key=lambda r: r[1] - r[0])
-        assert l1u_stability_range(ctx) == (float(us[lo]), float(us[hi]))
+        assert l1u_stability_range(ctx, 1e-3) == (float(us[lo]), float(us[hi]))
 
     @pytest.mark.parametrize("t_fails", [True, False])
     def test_first_failure_in_candidate_order_is_raised(self, level, monkeypatch, t_fails):

@@ -15,10 +15,8 @@ from strongstab.rational import (
     blaschke,
     golden_max,
     grid_sup,
-    mirror,
     poly_from_roots,
     poly_roots,
-    relative_degree,
 )
 
 
@@ -241,7 +239,7 @@ class TestStackedPolyRoots:
 class TestRationalFn:
     def test_mirror_flips_odd_coefficients(self):
         f = RationalFn(Poly([1.0, 1.0]), Poly([2.0, 1.0]))
-        g = mirror(f)
+        g = f.mirror()
         s = np.array([0.0, 0.7j, 1.3, -0.4 + 0.2j])
         np.testing.assert_allclose(g(s), f(-s), rtol=1e-14)
 
@@ -249,7 +247,7 @@ class TestRationalFn:
         rng = np.random.default_rng(3)
         for _ in range(20):
             f = RationalFn(Poly(rng.normal(size=3)), Poly(np.r_[rng.normal(size=2), 1.0]))
-            g = mirror(mirror(f))
+            g = f.mirror().mirror()
             np.testing.assert_allclose(g.num.c, f.num.c, atol=1e-14)
             np.testing.assert_allclose(g.den.c, f.den.c, atol=1e-14)
 
@@ -276,12 +274,12 @@ class TestRationalFn:
             f(-1.0)
 
     def test_relative_degree_constant(self):
-        assert relative_degree(RationalFn(Poly([2.5]), Poly([1.0]))) == 0
+        assert RationalFn(Poly([2.5]), Poly([1.0])).relative_degree() == 0
 
     def test_relative_degree_improper_weight(self):
         # 0.5(2.24+s) is improper with relative degree -1
         w2 = RationalFn(Poly([1.12, 0.5]), Poly([1.0]))
-        assert relative_degree(w2) == -1
+        assert w2.relative_degree() == -1
 
     def test_relative_degree_additive(self):
         rng = np.random.default_rng(11)

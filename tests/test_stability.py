@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from strongstab import stability
-from strongstab.rational import Poly, RationalFn, poly_from_roots
+from strongstab.rational import FrequencyGrid, Poly, RationalFn, poly_from_roots
 from strongstab.stability import (
     AsymptoticData,
     ScanError,
@@ -24,7 +24,6 @@ class TestAsymptotics:
         asym = asymptotics(ex1_ctx)
         assert asym.f_inf == pytest.approx(1.3567, abs=1e-3)
         assert asym.k == pytest.approx(-0.9413, abs=1e-3)
-        assert asym.parity_odd
 
     def test_ex2_strictly_proper_F(self, ex2_ctx):
         assert asymptotics(ex2_ctx).f_inf == 0.0
@@ -70,11 +69,11 @@ class TestAdmissibleUinf:
         assert hi == pytest.approx(-0.6668, abs=5e-3)
 
     def test_zero_k_symmetric(self):
-        ivs = admissible_uinf(AsymptoticData(f_inf=2.0, k=0.0, parity_odd=True, degree=1))
+        ivs = admissible_uinf(AsymptoticData(f_inf=2.0, k=0.0, degree=1))
         assert ivs == [(-0.5, 0.5)]
 
     def test_small_f_inf_everything(self):
-        ivs = admissible_uinf(AsymptoticData(f_inf=0.9, k=5.0, parity_odd=False, degree=2))
+        ivs = admissible_uinf(AsymptoticData(f_inf=0.9, k=5.0, degree=2))
         assert ivs == [(-1.0, 1.0)]
 
     def test_sweep_agreement(self, ex1_ctx):
@@ -209,8 +208,9 @@ class TestScan:
             rhp_zero_scan(lambda s: 1.0 / p(s), 4.0, 4.0)
 
     def test_zero_on_the_first_cut_line_moves_the_cut(self, monkeypatch):
-        # the square window is first cut at sigma = 2 (fraction 0.5), through
-        # the zero; that march fails and the cut moves to fraction 0.45
+        # the window [0, 4] x [-2, 2] is first cut at sigma = 2 (fraction
+        # 0.5), through both zeros; that march fails and the cut moves to
+        # fraction 0.45
         cuts, safe_cut = [], stability._safe_cut
 
         def recording(*args, **kwargs):
@@ -219,10 +219,11 @@ class TestScan:
 
         monkeypatch.setattr(stability, "_safe_cut", recording)
         p = poly_from_roots([2.0 + 1.0j, 2.0 - 1.0j], 1.0)
-        scan = rhp_zero_scan(lambda s: p(s), 4.0, 4.0, omega_min=0.0)
+        scan = rhp_zero_scan(lambda s: p(s), 4.0, 2.0)
         assert cuts[0] == pytest.approx(1.8)
-        assert scan.winding_total == 1
-        assert scan.zeros[0] == pytest.approx(2.0 + 1.0j, abs=1e-8)
+        assert scan.winding_total == 2
+        zeros = sorted(scan.zeros, key=lambda z: z.imag)
+        assert zeros == pytest.approx([2.0 - 1.0j, 2.0 + 1.0j], abs=1e-8)
 
     def test_segment_table_marches_each_segment_once(self):
         # one segment passes 1e-3 from a zero and needs refinement
@@ -279,7 +280,7 @@ class TestCertify:
     def test_dirty_scan_skips_the_norm_check(self, ex1, ex1_ctx):
         # the central controller keeps its pole chain, so the norm is not run
         plant, weights, _ = ex1
-        cert = certify(plant, weights, ex1_ctx, UParam(0.0), (6.0, 100.0))
+        cert = certify(plant, weights, ex1_ctx, UParam(0.0), FrequencyGrid(), (6.0, 100.0))
         assert not cert.stable and len(cert.scan.zeros) == 4
         assert cert.norm is None and cert.norm_ok is False
         assert cert.scan.excluded == ex1_ctx.excluded_zeros()

@@ -152,14 +152,14 @@ class TestInterpolation:
         rng = np.random.default_rng(23)
         for _ in range(10):
             rho = rng.uniform(0.8109, 0.95)
-            ctx = build_context(plant, weights, rho, "suboptimal", opts.interp_a)
+            ctx = build_context(plant, weights, rho, opts.interp_a)
             assert ctx.residual <= 1e-8
 
     def test_side_constraint_rejects_bad_a(self, ex1):
         # a placed exactly at the L1 mirror zero breaks the side constraint;
         # property: whatever a we pick, the solved member keeps L1(-a) != 0
         plant, weights, opts = ex1
-        ctx = build_context(plant, weights, 0.814, "suboptimal", 0.5)
+        ctx = build_context(plant, weights, 0.814, 0.5)
         assert abs(ctx.L1(-0.5)) > 1e-6
 
     def test_validity_structure(self, ex1_ctx):
