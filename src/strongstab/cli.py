@@ -1,10 +1,11 @@
 """Command-line pipeline: optimal-level computation, stabilization, re-verification.
 
 Exit codes: 0 success, 1 `verify` failed or the optimal-level search found no
-singular level in the bracket, 2 input/problem error (including a `verify`
-report that lacks a field), 3 search exhausted or numerical failure (a zero
-scan or root extraction that did not converge, a spectral factorization or
-interpolation system that broke down, an evaluation at a pole, or a
+singular level in the bracket, 2 input/problem error (including a `--rho`
+that is not finite and a `verify` report that lacks a field), 3 search
+exhausted or numerical failure (a zero scan or root extraction that did not
+converge, a spectral factorization or interpolation system that broke down,
+also at a level whose square overflows, an evaluation at a pole, or a
 closed-loop denominator that vanished on the axis), 4 certificate
 contradiction (a correctness alarm: the norm condition and the zero scan
 disagreed).  Reports are deterministic JSON; plot data goes to CSV.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -115,7 +117,7 @@ def _run_infinite(plant, weights, ctx, opts, emit_dir):
         "stable": res.cert.stable,
     }
     if emit_dir:
-        rows = sweep_report(ctx, opts)
+        rows = sweep_report(ctx, opts, res.peaks)
         rpt.write_fig1_sweep(emit_dir, rows)
         rpt.write_fig2_zgrid(
             emit_dir, res.cert.controller.loop_denominator,
@@ -175,6 +177,8 @@ def _run_finite(plant, weights, ctx, opts, emit_dir):
 
 
 def cmd_stabilize(args):
+    if not math.isfinite(args.rho):
+        raise ConfigError("--rho", "expected a finite number")
     plant, weights, opts = load_problem(args.config)
     bracket = opts.gamma_bracket or _default_bracket(weights, opts.grid)
     gres = gamma_opt(plant, weights, bracket)

@@ -47,21 +47,26 @@ def _need(d, key, path, typ=None):
     return v
 
 
-def _coeffs(v, path):
+def _number(v, path, ok, expected):
+    """`v` when it is a finite number (not a bool) passing `ok`, else a
+    ConfigError naming `path`."""
     # the comparison also rejects the NaN and Infinity that json accepts
-    if not isinstance(v, list) or not v or not all(
-        isinstance(x, (int, float)) and -float("inf") < x < float("inf") for x in v
-    ):
-        raise ConfigError(path, "expected a nonempty array of finite numbers")
-    return [float(x) for x in v]
-
-
-def _search_value(sd, key, ok, expected):
-    """`sd[key]` when it is a number passing `ok`, else a ConfigError naming it."""
-    v = sd[key]
-    if not isinstance(v, (int, float)) or not ok(v):
-        raise ConfigError(f"config.options.search.{key}", f"expected {expected}")
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not -float("inf") < v < float("inf") or not ok(v)):
+        raise ConfigError(path, f"expected {expected}")
     return v
+
+
+def _coeffs(v, path):
+    expected = "a nonempty array of finite numbers"
+    if not isinstance(v, list) or not v:
+        raise ConfigError(path, f"expected {expected}")
+    return [float(_number(x, path, lambda x: True, expected)) for x in v]
+
+
+def _positive(v, path):
+    """`v` as a float when it is a finite number > 0, else a ConfigError."""
+    return float(_number(v, path, lambda v: v > 0, "a finite number > 0"))
 
 
 def _rational(d, path, allow_zero=False):
@@ -85,9 +90,8 @@ def load_problem(path):
         raise ConfigError(str(path), f"invalid JSON: {exc}")
 
     pd = _need(doc, "plant", "config", dict)
-    h = _need(pd, "h", "config.plant")
-    if not isinstance(h, (int, float)) or h < 0:
-        raise ConfigError("config.plant.h", "expected a nonnegative number")
+    h = _number(_need(pd, "h", "config.plant"), "config.plant.h", lambda v: v >= 0,
+                "a nonnegative number")
     plant = DelayPlant(
         h=float(h),
         M=_rational(_need(pd, "M", "config.plant", dict), "config.plant.M"),
@@ -110,44 +114,38 @@ def load_problem(path):
     od = doc.get("options", {})
     if not isinstance(od, dict):
         raise ConfigError("config.options", "expected an object")
-    if "a" in od:
-        opts.a = float(od["a"])
-        if opts.a <= 0:
-            raise ConfigError("config.options.a", "must be positive")
-    if "interp_a" in od:
-        opts.interp_a = float(od["interp_a"])
-        if opts.interp_a <= 0:
-            raise ConfigError("config.options.interp_a", "must be positive")
+    for key in ("a", "interp_a"):
+        if key in od:
+            setattr(opts, key, _positive(od[key], f"config.options.{key}"))
     if "grid" in od:
+        path = "config.options.grid"
         g = od["grid"]
-        opts.grid = FrequencyGrid(
-            lo=float(_need(g, "lo", "config.options.grid")),
-            hi=float(_need(g, "hi", "config.options.grid")),
-            points=int(_need(g, "points", "config.options.grid")),
-        )
-        if not (0 < opts.grid.lo < opts.grid.hi) or opts.grid.points < 16:
-            raise ConfigError("config.options.grid", "need 0 < lo < hi, points >= 16")
+        lo, hi = (_positive(_need(g, k, path), f"{path}.{k}") for k in ("lo", "hi"))
+        points = _number(_need(g, "points", path), f"{path}.points",
+                         lambda v: isinstance(v, int) and v >= 16, "an integer >= 16")
+        if not lo < hi:
+            raise ConfigError(path, "need 0 < lo < hi")
+        opts.grid = FrequencyGrid(lo=lo, hi=hi, points=points)
     if "gamma_bracket" in od:
+        path = "config.options.gamma_bracket"
         gb = od["gamma_bracket"]
-        if (not isinstance(gb, list) or len(gb) != 2
-                or not 0 < float(gb[0]) < float(gb[1])):
-            raise ConfigError("config.options.gamma_bracket", "expected [lo, hi] with 0 < lo < hi")
-        opts.gamma_bracket = (float(gb[0]), float(gb[1]))
+        if not isinstance(gb, list) or len(gb) != 2:
+            raise ConfigError(path, "expected [lo, hi] with 0 < lo < hi")
+        lo, hi = (_positive(v, f"{path}[{i}]") for i, v in enumerate(gb))
+        if not lo < hi:
+            raise ConfigError(path, "expected [lo, hi] with 0 < lo < hi")
+        opts.gamma_bracket = (lo, hi)
     sd = od.get("search", {})
     if not isinstance(sd, dict):
         raise ConfigError("config.options.search", "expected an object")
     for key in ("uinf_step", "q_step"):
         if key in sd:
-            # NaN fails both comparisons
-            step = _search_value(sd, key, lambda v: 0 < v < float("inf"),
-                                 "a finite number > 0")
-            setattr(opts, key, float(step))
-    if "scan_budget" in sd:
-        opts.scan_budget = _search_value(
-            sd, "scan_budget", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
-    if "integer_bound" in sd:
-        opts.integer_bound = _search_value(
-            sd, "integer_bound", lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
+            setattr(opts, key, _positive(sd[key], f"config.options.search.{key}"))
+    for key, least in (("scan_budget", 1), ("integer_bound", 0)):
+        if key in sd:
+            setattr(opts, key, _number(sd[key], f"config.options.search.{key}",
+                                       lambda v: isinstance(v, int) and v >= least,
+                                       f"an integer >= {least}"))
     for key in ("up_grid", "uz_grid", "mu_schedule"):
         if key in sd:
             setattr(opts, key, tuple(_coeffs(sd[key], f"config.options.search.{key}")))

@@ -57,6 +57,7 @@ class InfSearchResult:
     cert: Certificate
     candidates_tried: int
     asym: AsymptoticData
+    peaks: dict     # UParam -> PeakData of every candidate whose peak data was computed
 
 
 def l1u_stability_range(ctx: SynthesisContext, step: float):
@@ -127,12 +128,14 @@ def _rank_key(entry):
     return (wm, pk.eta_max, abs(u.u_inf), u.u_p)
 
 
-def _candidates(ctx, opts: Options, intervals):
+def _candidates(ctx, opts: Options, intervals, peaks=None):
     """(u, PeakData) of every grid U with ||U|| <= 1, a Hurwitz L_1U and a finite crossing.
 
     Candidates go in chunks of `_CHUNK` through the stacked Hurwitz test and
     `peak_data`; a failed root extraction raises the error that a loop over
-    the candidates one at a time would meet first.
+    the candidates one at a time would meet first.  Every PeakData computed,
+    also of a U dropped for its infinite crossing, goes into the dict `peaks`
+    when one is given.
     """
     us = []
     for up in opts.up_grid:
@@ -151,6 +154,8 @@ def _candidates(ctx, opts: Options, intervals):
                  len(chunk))
         stable = [u for u, h in zip(chunk[:n], hurwitz) if h]
         for u, pk in zip(stable, peak_data(ctx, stable)):
+            if peaks is not None:
+                peaks[u] = pk
             if pk.omega_max is not None and not np.isfinite(pk.omega_max):
                 continue
             candidates.append((u, pk))
@@ -174,7 +179,8 @@ def stabilize_infinite(plant, weights, ctx: SynthesisContext,
             "unstable-pole count finite"
         )
 
-    candidates = _candidates(ctx, opts, intervals)
+    peaks = {}
+    candidates = _candidates(ctx, opts, intervals, peaks)
     if not candidates:
         raise SearchExhausted("no candidate passed the L_1U stability filter")
 
@@ -192,15 +198,19 @@ def stabilize_infinite(plant, weights, ctx: SynthesisContext,
                 f"closed-loop norm {cert.norm:.6g} exceeded the level"
             )
         return InfSearchResult(u=u, peak=pk, cert=cert,
-                               candidates_tried=len(frontier), asym=asym)
+                               candidates_tried=len(frontier), asym=asym, peaks=peaks)
     raise SearchExhausted(
         "all scanned candidates kept right-half-plane zeros",
         frontier=[(u.u_inf, pk.omega_max, pk.eta_max, nz) for u, pk, nz in frontier],
     )
 
 
-def sweep_report(ctx: SynthesisContext, opts: Options):
-    """(u_inf, omega_max, eta_max) over the admissible constant-U range."""
+def sweep_report(ctx: SynthesisContext, opts: Options, peaks=None):
+    """(u_inf, omega_max, eta_max) over the admissible constant-U range.
+
+    `peaks` (UParam -> PeakData, as `InfSearchResult.peaks` holds them) gives
+    rows already computed; only the others go through `peak_data`.
+    """
     asym = asymptotics(ctx)
     us = []
     for lo, hi in admissible_uinf(asym):
@@ -208,9 +218,12 @@ def sweep_report(ctx: SynthesisContext, opts: Options):
             u = UParam(float(ui))
             if u.sup_norm() <= 1.0:
                 us.append(u)
+    known = dict(peaks or {})
+    for chunk in _chunks([u for u in us if u not in known]):
+        known.update(zip(chunk, peak_data(ctx, chunk)))
     rows = []
-    for chunk in _chunks(us):
-        for u, pk in zip(chunk, peak_data(ctx, chunk)):
-            wm = pk.omega_max
-            rows.append((u.u_inf, None if wm is None else float(wm), pk.eta_max))
+    for u in us:
+        pk = known[u]
+        wm = pk.omega_max
+        rows.append((u.u_inf, None if wm is None else float(wm), pk.eta_max))
     return rows

@@ -392,12 +392,21 @@ class RationalFn:
             raise ValueError("relative degree of the zero function is undefined")
         return self.den.degree - self.num.degree
 
-    def reduced(self):
-        """Cancel common num/den roots within ROOT_MATCH_TOL."""
+    def reduced(self, roots=None):
+        """Cancel common num/den roots within ROOT_MATCH_TOL.
+
+        `roots`, when given, holds the `poly_roots` results of `num` and
+        `den` (a `RootSet` or the exception its extraction raised, as a list
+        argument returns them); an exception is raised, `num`'s first.
+        """
         if self.num.is_zero or self.num.degree == 0 or self.den.degree == 0:
             return self
-        zn = poly_roots(self.num).expanded()
-        zd = poly_roots(self.den).expanded()
+        if roots is None:
+            roots = poly_roots(self.num), poly_roots(self.den)
+        for rs in roots:
+            if isinstance(rs, Exception):
+                raise rs
+        zn, zd = (rs.expanded() for rs in roots)
         keep_n = list(zn)
         keep_d = []
         for rd in zd:

@@ -15,6 +15,7 @@ downstream search coordinates (k, u_inf ranges) depend on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ NORM_SLACK = 1e-3
 INNER_TOL = 1e-8
 # Levels of the coarse sigma_min grid that `gamma_opt` walks down the bracket.
 GAMMA_COARSE = 200
+# Coarse levels `gamma_opt` factorizes together (`LevelBuilder.prefetch`).
+GAMMA_BLOCK = 16
 
 
 class PlantValidationError(ValueError):
@@ -181,6 +184,8 @@ def _over_level(para: RationalFn, level: float) -> RationalFn:
     """para / level^2 - 1 over the common denominator level^2 para.den."""
     if level <= 0:
         raise ValueError("level must be positive")
+    if not math.isfinite(float(level) * float(level)):
+        raise FactorizationError(f"level {level:g}: its square is not a finite number")
     den = Poly(para.den.c * level**2)
     return RationalFn(para.num - den, den)
 
@@ -203,19 +208,34 @@ def spectral_ratio(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
     return _ratio(build_E(level, W1), level, None if W2.is_zero else _para(W2))
 
 
-def _stable_half(even_poly: Poly, what: str):
-    """Stable (Re < 0) half of the roots of an even polynomial in s.
+def _half_poly(even_poly: Poly):
+    """An even polynomial in s as a polynomial in x = s^2: None when that is
+    a constant, the exception when `even_poly` is not even."""
+    try:
+        px = Poly(even_poly.even_part_coeffs())
+    except ValueError as exc:
+        return exc
+    return px if px.degree else None
 
-    Roots are found in x = s^2; each x-root contributes the pair +-sqrt(x).
-    Purely imaginary pairs (x < 0) cannot be split and raise, except when the
-    x-multiplicity is even, in which case half goes to each side.
+
+def _got(rs):
+    """A `_roots_each` or `_drive` result, raised when it is an exception."""
+    if isinstance(rs, Exception):
+        raise rs
+    return rs
+
+
+def _stable_half(rs, what: str):
+    """Stable (Re < 0) half of the roots of an even polynomial in s, given
+    the roots `rs` of its `_half_poly` in x = s^2.
+
+    Each x-root contributes the pair +-sqrt(x).  Purely imaginary pairs
+    (x < 0) cannot be split and raise, except when the x-multiplicity is
+    even, in which case half goes to each side.
     """
-    xs = even_poly.even_part_coeffs()
-    px = Poly(xs)
-    if px.degree == 0:
+    if _got(rs) is None:
         return []
     stable = []
-    rs = poly_roots(px)
     for x, mult in zip(rs.roots, rs.multiplicities):
         # x < 0 means the s-pair sits on the imaginary axis
         if x.imag == 0 and x.real < 0:
@@ -238,27 +258,90 @@ def _stable_half(even_poly: Poly, what: str):
     return stable
 
 
+def _roots_each(items):
+    """`poly_roots` of every `Poly` in `items` in one stacked call; None and
+    exceptions pass through.  One result (`RootSet` or exception) per item.
+
+    An eigensolver failure of the stack is retried one polynomial at a time,
+    so that it stays with the polynomial that caused it.
+    """
+    polys = [p for p in items if isinstance(p, Poly)]
+    try:
+        roots = poly_roots(polys) if polys else []
+    except np.linalg.LinAlgError:
+        roots = []
+        for p in polys:
+            try:
+                roots.append(poly_roots([p])[0])
+            except np.linalg.LinAlgError as exc:
+                roots.append(exc)
+    it = iter(roots)
+    return [next(it) if isinstance(p, Poly) else p for p in items]
+
+
+def _drive(steps):
+    """Run each generator in `steps` to its return value, or to the exception
+    it raised (returned, not raised).
+
+    A generator yields the items whose roots its next stage needs (see
+    `_roots_each`) and is sent back their results; the items of every
+    generator at one stage go to one stacked `poly_roots` call.
+    """
+    out = [None] * len(steps)
+    live = {}
+
+    def advance(i, value):
+        try:
+            live[i] = steps[i].send(value)
+            return
+        except StopIteration as stop:
+            out[i] = stop.value
+        except Exception as exc:
+            out[i] = exc
+        live.pop(i, None)
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while live:
+        wanted = list(live.items())
+        got = _roots_each([p for _, ps in wanted for p in ps])
+        k = 0
+        for i, ps in wanted:
+            advance(i, got[k : k + len(ps)])
+            k += len(ps)
+    return out
+
+
+def _run(step):
+    """`_drive` on one generator, raising its exception."""
+    return _got(_drive([step])[0])
+
+
 def spectral_factor(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
     """Stable, minimum-phase G with G(s)G(-s) = R(s)^{-1} and G(0) > 0."""
-    return _factor(spectral_ratio(level, W1, W2))
+    R = spectral_ratio(level, W1, W2)
+    return _factor(R, *_roots_each([_half_poly(R.den), _half_poly(R.num)]))
 
 
-def _factor(R: RationalFn) -> RationalFn:
-    """The spectral factor G of 1/R (see `spectral_factor`)."""
-    num_stab = _stable_half(R.den, "spectral factor numerator")
-    den_stab = _stable_half(R.num, "spectral factor denominator")
+def _factor(R: RationalFn, rd, rn) -> RationalFn:
+    """The spectral factor G of 1/R (see `spectral_factor`), given the roots
+    of the `_half_poly` of R.den (rd) and of R.num (rn)."""
+    num_stab = _stable_half(rd, "spectral factor numerator")
+    den_stab = _stable_half(rn, "spectral factor denominator")
     gnum = poly_from_roots([complex(r) for r in num_stab], 1.0)
     gden = poly_from_roots([complex(r) for r in den_stab], 1.0)
     G = RationalFn(gnum, gden)
     # fix the gain from R at a point away from roots of everything
-    s0 = 0.0
-    try:
-        target = 1.0 / R(s0)
-        g0 = G(s0)
-    except ZeroDivisionError:
-        s0 = 0.37913
-        target = 1.0 / R(s0)
-        g0 = G(s0)
+    for s0 in (0.0, 0.37913):
+        try:
+            target = 1.0 / R(s0)
+            g0 = G(s0)
+            break
+        except ZeroDivisionError:
+            pass
+    else:
+        # R vanishes identically when level^2 swamps W1(-s)W1(s) in E + 1
+        raise FactorizationError("R or G vanishes or has a pole at both gain points")
     c2 = (target / g0**2).real
     if c2 <= 0 or abs((target / g0**2).imag) > 1e-6 * abs(c2):
         raise FactorizationError("factorization produced a non-real gain")
@@ -277,10 +360,15 @@ def eta_mirror_poles(W1: RationalFn):
 
 def beta_zeros(E: RationalFn):
     """One representative per mirror pair of RHP zeros of E (Im >= 0 on axis)."""
-    if E.num.degree == 0:
+    return _betas(poly_roots(E.num) if E.num.degree else None)
+
+
+def _betas(rs):
+    """`beta_zeros` from the roots `rs` of E.num (None for a constant)."""
+    if _got(rs) is None:
         return []
     reps = []
-    for r in poly_roots(E.num).expanded():
+    for r in rs.expanded():
         if r.real > 1e-9 * (1 + abs(r)):
             reps.append(r)
         elif abs(r.real) <= 1e-9 * (1 + abs(r)) and r.imag > 0:
@@ -289,8 +377,15 @@ def beta_zeros(E: RationalFn):
 
 
 def _complete(G: RationalFn, inner: RationalFn | None):
-    """(F, G) with F = G inner, both negated when needed so that F(0) > 0."""
-    F = (G * inner).reduced() if inner is not None else G
+    """(F, G) with F = G inner, both negated when needed so that F(0) > 0.
+
+    A generator for `_drive`: it yields the numerator and denominator of
+    G inner when `RationalFn.reduced` needs their roots."""
+    F = G
+    if inner is not None:
+        F = G * inner
+        if F.num.degree and F.den.degree:
+            F = F.reduced((yield [F.num, F.den]))
     if F(0.0).real < 0:
         F = F * -1.0
         G = G * -1.0
@@ -300,7 +395,7 @@ def _complete(G: RationalFn, inner: RationalFn | None):
 def build_F(level: float, W1: RationalFn, W2: RationalFn):
     """(F, etas, G): F = G * prod (s - eta)/(s + eta), oriented so F(0) > 0."""
     etas = eta_mirror_poles(W1)
-    F, G = _complete(spectral_factor(level, W1, W2), blaschke(etas) if etas else None)
+    F, G = _run(_complete(spectral_factor(level, W1, W2), blaschke(etas) if etas else None))
     return F, etas, G
 
 
@@ -432,8 +527,15 @@ class LevelBuilder:
 
     Holds W1(-s)W1(s), W2(-s)W2(s), the Blaschke product of the mirrored W1
     poles, and the plant's right-half-plane poles `alphas` (checked once for
-    repeats).  `at(level)` builds E once and derives R, F and the E zeros
-    from it; `gamma_opt` and `build_context` both go through it.
+    repeats).  A level is built in two stages, each of which takes its roots
+    in one stacked `poly_roots` call over all the levels built together: the
+    even parts of R.den and R.num with E.num, then the numerator and
+    denominator of G inner.  `prefetch(levels)` builds a list of levels and
+    keeps each one's result, or the exception its build raised, until `at`
+    consumes it; a level `at` finds no result for is built as a list of one.
+    An exception is thus raised only when its level is consumed, and within a
+    level in the order a one-level build meets it.  `gamma_opt` and
+    `build_context` both go through it.
     """
 
     def __init__(self, plant: DelayPlant, weights: WeightPair):
@@ -444,13 +546,26 @@ class LevelBuilder:
         self.inner = blaschke(etas) if etas else None
         self.alphas = plant.alpha_roots()
         _reject_repeated(self.alphas, "plant poles")
+        self._built = {}
+
+    def _steps(self, level):
+        """The build of one level, as a generator for `_drive`."""
+        E = _over_level(self.w1para, level)
+        R = _ratio(E, level, self.w2para)
+        rd, rn, re = yield [_half_poly(R.den), _half_poly(R.num),
+                            E.num if E.num.degree else None]
+        F, _ = yield from _complete(_factor(R, rd, rn), self.inner)
+        return E, R, F, _betas(re)
+
+    def prefetch(self, levels):
+        """Build `levels` together and keep their results for `at`."""
+        self._built.update(zip(levels, _drive([self._steps(g) for g in levels])))
 
     def at(self, level: float):
         """(E, R, F, betas) at `level`; see `build_E`, `spectral_ratio`, `build_F`."""
-        E = _over_level(self.w1para, level)
-        R = _ratio(E, level, self.w2para)
-        F, _ = _complete(_factor(R), self.inner)
-        return E, R, F, beta_zeros(E)
+        if level in self._built:
+            return _got(self._built.pop(level))
+        return _run(self._steps(level))
 
     def optimal_sigma_min(self, level: float):
         """(sigma_min, null vector, degree) of the optimal homogeneous system."""
@@ -504,11 +619,16 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket) -> GammaOptResult
     the level above it is tested as a dip (a local minimum).  Each dip is
     golden-section refined as soon as it is found, and the first refined dip
     with sigma_min < 1e-6 is returned, so only the grid levels from the top
-    down to that dip are evaluated.  `diagnostics["dips"]` counts the dips
-    refined; `infeasible_points` lists the evaluated grid levels (ascending),
-    then the refined dips, at which a factorization obstruction or an
-    interpolation degeneracy was collected rather than fatal, so the caller
-    can tell which failure mode ended the search.
+    down to that dip are evaluated.  The factorizations of the grid levels
+    are prefetched top-down in blocks of `GAMMA_BLOCK` (`LevelBuilder.prefetch`),
+    but the levels are consumed, and their interpolation systems solved, one
+    at a time in the order above; a level of the last block below the
+    returned dip is built and never consumed, so its failure, if any, is
+    never seen.  `diagnostics["dips"]` counts the dips refined;
+    `infeasible_points` lists the consumed grid levels (ascending), then the
+    refined dips, at which a factorization obstruction or an interpolation
+    degeneracy was collected rather than fatal, so the caller can tell which
+    failure mode ended the search.
     """
     glo, ghi = bracket
     if not (0 < glo < ghi):
@@ -537,6 +657,8 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket) -> GammaOptResult
 
     dips = 0
     for j in range(GAMMA_COARSE - 1, -1, -1):
+        if (GAMMA_COARSE - 1 - j) % GAMMA_BLOCK == 0:
+            levels.prefetch(gs[max(j + 1 - GAMMA_BLOCK, 0) : j + 1][::-1])
         try:
             vals[j] = levels.optimal_sigma_min(gs[j])[0]
         except (FactorizationError, InterpolationError) as exc:

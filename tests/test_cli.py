@@ -27,6 +27,21 @@ def _with_search(tmp_path, config, key, value):
     return path
 
 
+def _with_raw(tmp_path, path, raw):
+    """A copy of example 1 whose field at dotted `path` is the JSON text
+    `raw`; a key that indexes a list, like options.gamma_bracket.0, sets
+    that entry."""
+    doc = json.loads(pathlib.Path(EX1).read_text())
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[int(last) if isinstance(node, list) else last] = "@@"
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(doc).replace('"@@"', raw))
+    return bad
+
+
 def _first_difference(got, want, path):
     """Dotted path of the first report key at which `got` and `want` differ, or None."""
     if isinstance(got, dict) and isinstance(want, dict):
@@ -45,7 +60,8 @@ def _check_golden(name, out, plots):
     sha256 manifest golden/csv_sha256.json.
 
     A change that moves a report field or a CSV on purpose regenerates these
-    files from its own `stabilize --emit-plots` runs and names what moved.
+    files (and the `gamma-opt` outputs) with `tests/golden/regen.py` and
+    names what moved.
     """
     want = (GOLDEN / f"{name}.json").read_text()
     got = out.read_text()
@@ -130,11 +146,58 @@ class TestConfigErrors:
         (EX1, "0.814", "uz_grid", 0.5),
         (EX2, "1.9454", "mu_schedule", [70.0, None]),
         (EX1, "0.814", "scan_budget", 0),
+        (EX1, "0.814", "scan_budget", True),
+        (EX1, "0.814", "up_grid", [True]),
     ], ids=lambda v: pathlib.Path(v).stem if v in (EX1, EX2) else None)
     def test_out_of_range_search_option_exits_2(self, tmp_path, capsys, config, rho, key, value):
         rc = main(["stabilize", str(_with_search(tmp_path, config, key, value)), "--rho", rho])
         assert rc == 2
         assert f"config.options.search.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ['"x"', "NaN", "1e999", "true"])
+    @pytest.mark.parametrize("field, named", [
+        ("a", "config.options.a"),
+        ("interp_a", "config.options.interp_a"),
+        ("gamma_bracket.0", "config.options.gamma_bracket[0]"),
+        ("gamma_bracket.1", "config.options.gamma_bracket[1]"),
+        ("grid.lo", "config.options.grid.lo"),
+        ("grid.hi", "config.options.grid.hi"),
+        ("grid.points", "config.options.grid.points"),
+    ])
+    def test_non_numeric_option_exits_2(self, tmp_path, capsys, field, named, raw):
+        rc = main(["gamma-opt", str(_with_raw(tmp_path, f"options.{field}", raw))])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"input error: {named}: expected")
+
+    def test_fractional_grid_points_exit_2(self, tmp_path, capsys):
+        assert main(["gamma-opt", str(_with_raw(tmp_path, "options.grid.points", "4000.5"))]) == 2
+        assert "config.options.grid.points" in capsys.readouterr().err
+
+    def test_non_finite_delay_named(self, tmp_path, capsys):
+        assert main(["gamma-opt", str(_with_raw(tmp_path, "plant.h", "NaN"))]) == 2
+        assert "config.plant.h" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_exits_2_before_gamma_opt(self, rho, monkeypatch, capsys):
+        def boom(*a, **k):
+            raise AssertionError("gamma_opt ran")
+
+        monkeypatch.setattr(cli, "gamma_opt", boom)
+        assert main(["stabilize", EX1, "--rho", rho]) == 2
+        assert capsys.readouterr().err == "input error: --rho: expected a finite number\n"
+
+    @pytest.mark.parametrize("rho, why", [
+        ("1e300", "its square is not a finite number"),   # level^2 overflows
+        ("1e20", "vanishes or has a pole at both gain points"),   # R cancels to zero
+    ])
+    def test_huge_rho_exits_3(self, rho, why, capsys):
+        assert main(["stabilize", EX1, "--rho", rho]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and why in err
+
+    def test_boolean_coefficient_named(self, tmp_path, capsys):
+        assert main(["gamma-opt", str(_with_raw(tmp_path, "weights.W1.num.1", "true"))]) == 2
+        assert "config.weights.W1.num" in capsys.readouterr().err
 
     def test_non_finite_coefficient_named(self, tmp_path, capsys):
         doc = json.loads(pathlib.Path(EX1).read_text())
@@ -168,6 +231,14 @@ class TestGammaOpt:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["gamma_opt"] == pytest.approx(1.9452, abs=1e-3)
+
+    @pytest.mark.parametrize("config", [EX1, EX2], ids=["example1", "example2"])
+    def test_stdout_matches_golden(self, config, capsys):
+        # sigma_min (about 1e-13) is rounding noise, so its 12 digits move
+        # with any bit of any sigma_min evaluation on the way to the optimum
+        assert main(["gamma-opt", config]) == 0
+        name = pathlib.Path(config).stem
+        assert capsys.readouterr().out == (GOLDEN / f"gamma_opt_{name}.json").read_text()
 
 
 class TestStabilizeReports:

@@ -106,6 +106,25 @@ class TestSweep:
         assert best[0] == pytest.approx(-0.813, abs=5e-3)
         assert best[1] == pytest.approx(19.47, abs=0.5)
 
+    @pytest.mark.parametrize("keep", [1, 3])
+    def test_search_peaks_reused(self, ex1, ex1_ctx, ex1_search, monkeypatch, keep):
+        # the rows the search computed are reused; only the others are computed
+        _, _, opts = ex1
+        fresh = sweep_report(ex1_ctx, opts)
+        known = dict(list(ex1_search.peaks.items())[::keep])
+        computed = []
+        real = infinite.peak_data
+
+        def counted(ctx, us):
+            computed.extend(us)
+            return real(ctx, us)
+
+        monkeypatch.setattr(infinite, "peak_data", counted)
+        assert sweep_report(ex1_ctx, opts, known) == fresh
+        assert sorted(u.u_inf for u in computed) == sorted(
+            r[0] for r in fresh if UParam(r[0]) not in known)
+        assert len(computed) == (0 if keep == 1 else len(fresh) - len(known))
+
     def test_eta_against_dense_grid(self, ex1_ctx):
         # eta_max at a sweep point agrees with a dense-grid supremum
         from strongstab.stability import peak_data

@@ -182,7 +182,8 @@ class TestStackedPolyRoots:
         original = rational.poly_roots
 
         def record(p, tol_root=1e-12):
-            seen.append(p)
+            # gamma_opt hands over lists of polynomials; record each one
+            seen.extend([p] if isinstance(p, Poly) else p)
             return original(p, tol_root)
 
         monkeypatch.setattr(rational, "poly_roots", record)

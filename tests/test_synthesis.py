@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from strongstab import synthesis
-from strongstab.rational import FrequencyGrid, Poly, RationalFn, golden_max, poly_roots
+from strongstab.rational import (
+    FrequencyGrid,
+    Poly,
+    RationalFn,
+    RootConvergenceError,
+    RootSet,
+    golden_max,
+    poly_roots,
+)
 from strongstab.stability import certify
 from strongstab.synthesis import (
     ClosedLoopSingular,
@@ -304,6 +312,131 @@ class TestGammaOpt:
         weights = WeightPair(W1=rational([2.0]), W2=RationalFn.zero())
         with pytest.raises((GammaSearchError, InterpolationError)):
             gamma_opt(plant, weights, (0.5, 3.0))
+
+
+def watch_levels(monkeypatch):
+    """(consumed, prefetched): the levels gamma_opt hands to
+    `optimal_sigma_min` and to `prefetch`, in order."""
+    consumed, prefetched = [], []
+    sigma_min, prefetch = LevelBuilder.optimal_sigma_min, LevelBuilder.prefetch
+
+    def watched_sigma_min(self, level):
+        consumed.append(float(level))
+        return sigma_min(self, level)
+
+    def watched_prefetch(self, levels):
+        prefetched.extend(float(g) for g in levels)
+        return prefetch(self, levels)
+
+    monkeypatch.setattr(LevelBuilder, "optimal_sigma_min", watched_sigma_min)
+    monkeypatch.setattr(LevelBuilder, "prefetch", watched_prefetch)
+    return consumed, prefetched
+
+
+def fail_level(monkeypatch, weights, level, kinds):
+    """Make the root extractions of `level` fail, through `synthesis.poly_roots`.
+
+    `kinds` holds any of "factorization" (R.num's roots in x = s^2 become an
+    odd axis pair, which the factorization rejects), "convergence" (E.num's
+    extraction returns a RootConvergenceError) and "linalg" (a stacked call
+    holding E.num raises LinAlgError, as the eigensolver does for a
+    non-finite entry).  Returns the list of kinds that fired.
+    """
+    e_num = build_E(level, weights.W1).num.c
+    r_num = synthesis._half_poly(spectral_ratio(level, weights.W1, weights.W2).num).c
+    real, fired = synthesis.poly_roots, []
+
+    def roots(ps, tol_root=1e-12):
+        if isinstance(ps, Poly):
+            return real(ps, tol_root)
+        out = real(ps, tol_root)
+        for i, q in enumerate(ps):
+            if np.array_equal(q.c, r_num) and "factorization" in kinds:
+                fired.append("factorization")
+                out[i] = RootSet([complex(-1.0)], [1])
+            if np.array_equal(q.c, e_num) and "convergence" in kinds:
+                fired.append("convergence")
+                out[i] = RootConvergenceError("forced")
+            if np.array_equal(q.c, e_num) and "linalg" in kinds:
+                fired.append("linalg")
+                raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        return out
+
+    monkeypatch.setattr(synthesis, "poly_roots", roots)
+    return fired
+
+
+def same_result(a, b):
+    return (a.gamma == b.gamma and a.sigma_min == b.sigma_min
+            and np.array_equal(a.L1.c, b.L1.c) and np.array_equal(a.L2.c, b.L2.c)
+            and a.infeasible_points == b.infeasible_points
+            and a.diagnostics == b.diagnostics)
+
+
+class TestPrefetchFailures:
+    """gamma_opt builds the coarse levels in blocks, but a level's failure
+    counts only when, and as, a one-level build of that level would meet it."""
+
+    @pytest.fixture
+    def scan(self, ex1, ex1_gamma, monkeypatch):
+        plant, weights, opts = ex1
+        consumed, prefetched = watch_levels(monkeypatch)
+        assert same_result(gamma_opt(plant, weights, opts.gamma_bracket), ex1_gamma)
+        monkeypatch.undo()
+        gs = np.linspace(*opts.gamma_bracket, synthesis.GAMMA_COARSE)
+        return ex1, ex1_gamma, gs, consumed, prefetched
+
+    @pytest.mark.parametrize("kind, fires", [
+        ("factorization", ["factorization"]),
+        ("convergence", ["convergence"]),
+        ("linalg", ["linalg", "linalg"]),   # the stacked call, then E.num's retry alone
+    ])
+    def test_failure_below_the_dip_is_never_seen(self, scan, monkeypatch, kind, fires):
+        (plant, weights, opts), clean, _, consumed, prefetched = scan
+        unconsumed = set(prefetched) - set(consumed)
+        assert unconsumed      # the last block reaches below the dip
+        fired = fail_level(monkeypatch, weights, max(unconsumed), {kind})
+        res = gamma_opt(plant, weights, opts.gamma_bracket)
+        assert fired == fires
+        assert same_result(res, clean)
+
+    def test_failure_above_the_dip_is_collected(self, scan, monkeypatch):
+        (plant, weights, opts), clean, gs, consumed, _ = scan
+        level = gs[-20]
+        assert float(level) in consumed
+        # E.num's failure comes after the factorization's in a one-level build
+        fail_level(monkeypatch, weights, level, {"factorization", "convergence"})
+        res = gamma_opt(plant, weights, opts.gamma_bracket)
+        assert res.infeasible_points == [(float(level), (
+            "spectral factor denominator: imaginary-axis zero pair at s=+-1j "
+            "of odd multiplicity obstructs the factorization"))]
+        assert (res.gamma, res.sigma_min) == (clean.gamma, clean.sigma_min)
+        # the level's missing value makes the level below it a dip too
+        assert res.diagnostics["dips"] == clean.diagnostics["dips"] + 1
+        monkeypatch.setattr(synthesis, "GAMMA_BLOCK", 1)
+        assert same_result(gamma_opt(plant, weights, opts.gamma_bracket), res)
+
+    @pytest.mark.parametrize("kind, exc", [
+        ("convergence", RootConvergenceError), ("linalg", np.linalg.LinAlgError),
+    ])
+    def test_fatal_failure_above_the_dip_is_raised(self, scan, monkeypatch, kind, exc):
+        (plant, weights, opts), _, gs, _, _ = scan
+        fail_level(monkeypatch, weights, gs[-20], {kind})
+        with pytest.raises(exc):
+            gamma_opt(plant, weights, opts.gamma_bracket)
+
+    def test_at_equals_prefetch(self, ex2):
+        plant, weights, opts = ex2
+        gs = np.linspace(*opts.gamma_bracket, 40)
+        block = LevelBuilder(plant, weights)
+        block.prefetch(gs)
+        for g in gs:
+            E, R, F, betas = LevelBuilder(plant, weights).at(g)
+            E2, R2, F2, betas2 = block.at(g)
+            for a, b in ((E, E2), (R, R2), (F, F2)):
+                assert np.array_equal(a.num.c, b.num.c) and np.array_equal(a.den.c, b.den.c)
+            assert betas == betas2
+        assert not block._built
 
 
 class TestController:
