@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 `verify` failed or the optimal-level search found no
 singular level in the bracket, 2 input/problem error (including a `--rho`
-that is not finite and a `verify` report that lacks a field), 3 search
-exhausted or numerical failure (a zero scan or root extraction that did not
-converge, a spectral factorization or interpolation system that broke down,
-also at a level whose square overflows, an evaluation at a pole, or a
-closed-loop denominator that vanished on the axis), 4 certificate
-contradiction (a correctness alarm: the norm condition and the zero scan
-disagreed).  Reports are deterministic JSON; plot data goes to CSV.
+that is not finite, and a `verify` report that lacks a field or whose `rho`
+is not a number > 0 with a finite square), 3 search exhausted or numerical
+failure (a zero scan or root extraction that did not converge, a spectral
+factorization or interpolation system that broke down, also at a level whose
+square overflows, an evaluation at a pole, or a closed-loop denominator that
+vanished on the axis), 4 certificate contradiction (a correctness alarm: the
+norm condition and the zero scan disagreed).  Reports are deterministic JSON;
+plot data goes to CSV.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .finite import (
     fig5_lattice,
     mu_opt_search,
     np_interpolant,
+    p1p2_quasipolys,
     pick_points,
     stabilize_finite,
 )
@@ -194,7 +196,11 @@ def cmd_stabilize(args):
     central_finite = finitely_many_poles(ctx, UParam(0.0))
     pole_class = "finite" if central_finite else "infinite"
     if args.method == "auto":
-        branch = "finite" if (crit == "guaranteed-finite" or central_finite) else "infinite"
+        # the finite branch needs F strictly proper or a central controller
+        # with finitely many poles, and quasi-polynomials it can scan
+        finite = crit == "guaranteed-finite" or central_finite
+        finite = finite and all(q.delay_dominated for q in p1p2_quasipolys(plant, ctx))
+        branch = "finite" if finite else "infinite"
     else:
         branch = args.method
     emit_dir = args.emit_plots
@@ -240,6 +246,8 @@ def cmd_verify(args):
     except json.JSONDecodeError as exc:
         raise ConfigError(args.report, f"invalid JSON: {exc}")
     rho = _report_number(rep, "rho", "report")
+    if not (rho > 0 and math.isfinite(rho * rho)):
+        raise ConfigError("report.rho", "expected a number > 0 whose square is finite")
     branch = _need(rep, "branch", "report")
     result = _need(rep, "result", "report", dict)
 

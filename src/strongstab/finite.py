@@ -32,6 +32,7 @@ __all__ = [
     "FinSearchResult",
     "FiniteSearchError",
     "build_p1p2",
+    "p1p2_quasipolys",
     "pick_points",
     "pick_matrix",
     "pick_min_eig",
@@ -71,6 +72,11 @@ class QuasiPoly:
         s = np.asarray(s, dtype=complex)
         return self.A(s) + self.B(s) * np.exp(-self.h * s)
 
+    @property
+    def delay_dominated(self):
+        """deg A > deg B, the precondition of `scan_window`."""
+        return self.A.degree > self.B.degree
+
     def _tail_radius(self):
         """R with |B(s)/A(s)| < 0.9 whenever |s| >= R, from coefficient bounds."""
         a, b = self.A.c, self.B.c
@@ -94,7 +100,7 @@ class QuasiPoly:
         its half-plane supremum sits on the line (it decays at infinity), so a
         verified sub-unity line maximum rules out everything beyond it.
         """
-        if self.A.degree <= self.B.degree:
+        if not self.delay_dominated:
             raise FiniteSearchError("quasipolynomial is not delay-dominated")
         R = self._tail_radius()
         sig0 = 0.0
@@ -135,23 +141,25 @@ class P1P2:
         return self.p1(s) / self.p2(s)
 
 
-def build_p1p2(plant, ctx: SynthesisContext) -> P1P2:
-    """Numerator quasipolynomials of P1, P2 and their right-half-plane zeros.
-
-    P1num = L1 * dF * dM + L2 * nF * nM e^{-hs}, and P2num is its mirror-image
-    combination.  The interpolation conditions make both vanish at the RHP
-    zeros of E and of m_d, so those points are passed to the scanner as
-    expected cancellations.
-    """
+def p1p2_quasipolys(plant, ctx: SynthesisContext):
+    """(P1num, P2num): P1num = L1 dF dM + L2 nF nM e^{-hs}, and P2num is its
+    mirror-image combination L2~ dF dM + L1~ nF nM e^{-hs}."""
     L1, L2 = ctx.L1, ctx.L2
     nF, dF = ctx.F.num, ctx.F.den
     nM, dM = plant.M.num, plant.M.den
-    A1 = L1 * dF * dM
-    B1 = L2 * nF * nM
-    A2 = L2.mirror() * dF * dM
-    B2 = L1.mirror() * nF * nM
-    q1 = QuasiPoly(A1, B1, plant.h)
-    q2 = QuasiPoly(A2, B2, plant.h)
+    return (QuasiPoly(L1 * dF * dM, L2 * nF * nM, plant.h),
+            QuasiPoly(L2.mirror() * dF * dM, L1.mirror() * nF * nM, plant.h))
+
+
+def build_p1p2(plant, ctx: SynthesisContext) -> P1P2:
+    """Numerator quasipolynomials of P1, P2 (`p1p2_quasipolys`) and their
+    right-half-plane zeros.
+
+    The interpolation conditions make both vanish at the RHP zeros of E and
+    of m_d, so those points are passed to the scanner as expected
+    cancellations.
+    """
+    q1, q2 = p1p2_quasipolys(plant, ctx)
     excluded = ctx.excluded_zeros()
     p_roots = q1.rhp_zeros(excluded)
     s_roots = q2.rhp_zeros(excluded)

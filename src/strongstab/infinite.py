@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Options
+from .rational import or_raise
 from .stability import (
     AsymptoticData,
     Certificate,
@@ -65,7 +66,7 @@ def l1u_stability_range(ctx: SynthesisContext, step: float):
     us = np.arange(-1.0, 1.0 + step / 2, step)
     ok = np.array([
         h for chunk in _chunks([UParam(float(u)) for u in us])
-        for h in _first_failure_raised(_l1u_hurwitz(ctx, chunk))
+        for h in map(or_raise, _l1u_hurwitz(ctx, chunk))
     ])
     if not ok.any():
         return None
@@ -99,13 +100,6 @@ def _l1u_hurwitz(ctx: SynthesisContext, us):
 
 def _chunks(seq):
     return [seq[i : i + _CHUNK] for i in range(0, len(seq), _CHUNK)]
-
-
-def _first_failure_raised(results):
-    for res in results:
-        if isinstance(res, Exception):
-            raise res
-    return results
 
 
 def _interval_grid(intervals, step):
@@ -159,7 +153,8 @@ def _candidates(ctx, opts: Options, intervals, peaks=None):
             if pk.omega_max is not None and not np.isfinite(pk.omega_max):
                 continue
             candidates.append((u, pk))
-        _first_failure_raised(hurwitz)
+        if n < len(chunk):
+            raise hurwitz[n]
     return candidates
 
 

@@ -26,7 +26,9 @@ __all__ = [
     "RootConvergenceError",
     "PoleEvaluationError",
     "poly_roots",
+    "or_raise",
     "poly_from_roots",
+    "reduced_from_roots",
     "blaschke",
     "golden_max",
     "grid_peaks",
@@ -210,11 +212,16 @@ def poly_roots(p, tol_root=1e-12):
         rows = _stacked_roots(np.array([ps[i].c for i in idx]), low, tol_root)
         for i, res in zip(idx, rows):
             out[i] = res
-    if not isinstance(p, Poly):
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+    return out if not isinstance(p, Poly) else or_raise(out[0])
+
+
+def or_raise(res):
+    """One entry of a list call's result (a list call of `poly_roots`
+    returns each item's exception in its place), raised when it is an
+    exception and returned otherwise."""
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def _horner(C, Z):
@@ -392,42 +399,34 @@ class RationalFn:
             raise ValueError("relative degree of the zero function is undefined")
         return self.den.degree - self.num.degree
 
-    def reduced(self, roots=None):
-        """Cancel common num/den roots within ROOT_MATCH_TOL.
-
-        `roots`, when given, holds the `poly_roots` results of `num` and
-        `den` (a `RootSet` or the exception its extraction raised, as a list
-        argument returns them); an exception is raised, `num`'s first.
-        """
+    def reduced(self):
+        """Cancel common num/den roots (see `reduced_from_roots`)."""
         if self.num.is_zero or self.num.degree == 0 or self.den.degree == 0:
             return self
-        if roots is None:
-            roots = poly_roots(self.num), poly_roots(self.den)
-        for rs in roots:
-            if isinstance(rs, Exception):
-                raise rs
-        zn, zd = (rs.expanded() for rs in roots)
-        keep_n = list(zn)
-        keep_d = []
-        for rd in zd:
-            hit = None
-            for k, rn in enumerate(keep_n):
-                if abs(rd - rn) <= ROOT_MATCH_TOL * (1 + abs(rd)):
-                    hit = k
-                    break
-            if hit is None:
-                keep_d.append(rd)
-            else:
-                keep_n.pop(hit)
-        if len(keep_d) == len(zd):
-            return self
-        lead = self.num.c[-1] / self.den.c[-1]
-        num = poly_from_roots(_reclose(keep_n), lead)
-        den = poly_from_roots(_reclose(keep_d), 1.0)
-        return RationalFn(num, den)
+        zn, zd = (or_raise(rs).expanded() for rs in poly_roots([self.num, self.den]))
+        out = reduced_from_roots(zn, zd, self.num.c[-1] / self.den.c[-1])
+        return self if out.den.degree == self.den.degree else out
 
     def __repr__(self):
         return f"RationalFn({list(self.num.c)}, {list(self.den.c)})"
+
+
+def reduced_from_roots(zn, zd, lead):
+    """lead prod(s - zn) / prod(s - zd), with the common roots cancelled.
+
+    Each root of `zd`, in order, cancels the first remaining root of `zn`
+    within ROOT_MATCH_TOL; both lists are conjugate-closed.
+    """
+    keep_n, keep_d = list(zn), []
+    for rd in zd:
+        hit = next((k for k, rn in enumerate(keep_n)
+                    if abs(rd - rn) <= ROOT_MATCH_TOL * (1 + abs(rd))), None)
+        if hit is None:
+            keep_d.append(rd)
+        else:
+            keep_n.pop(hit)
+    return RationalFn(poly_from_roots(_reclose(keep_n), lead),
+                      poly_from_roots(_reclose(keep_d), 1.0))
 
 
 def _reclose(roots):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import FrequencyGrid, Poly, poly_roots
+from .rational import FrequencyGrid, Poly, or_raise, poly_roots
 from .synthesis import (
     Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
     verify_performance,
@@ -200,7 +200,7 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     out = []
     for (N_x, D_x, T, Q, lim), t_rs, q_rs in zip(cands, t_roots, q_roots):
         crossings = []
-        for r in _roots_or_raise(t_rs):
+        for r in or_raise(t_rs).roots:
             if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 1e-12:
                 x = r.real
                 dx = 1e-6 * (1 + x)
@@ -212,7 +212,7 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
 
         # supremum: stationary points of N/D plus x = 0 and the limit
         xs = [0.0]
-        for r in _roots_or_raise(q_rs):
+        for r in or_raise(q_rs).roots:
             if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 0:
                 xs.append(r.real)
         eta = max(np.sqrt(max(N_x(x).real / D_x(x).real, 0.0)) for x in xs)
@@ -227,12 +227,6 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
 def _roots_of_nonzero(polys):
     """`poly_roots` per poly (RootSet or exception), the zero polynomial counted root-free."""
     return poly_roots([Poly([1.0]) if p.is_zero else p for p in polys])
-
-
-def _roots_or_raise(rs):
-    if isinstance(rs, Exception):
-        raise rs
-    return rs.roots
 
 
 def chain_abscissa(h: float, fl_limit: float):

@@ -24,11 +24,12 @@ from .rational import (
     FrequencyGrid,
     Poly,
     RationalFn,
-    blaschke,
     golden_max,
     grid_sup,
+    or_raise,
     poly_from_roots,
     poly_roots,
+    reduced_from_roots,
 )
 
 __all__ = [
@@ -218,13 +219,6 @@ def _half_poly(even_poly: Poly):
     return px if px.degree else None
 
 
-def _got(rs):
-    """A `_roots_each` or `_drive` result, raised when it is an exception."""
-    if isinstance(rs, Exception):
-        raise rs
-    return rs
-
-
 def _stable_half(rs, what: str):
     """Stable (Re < 0) half of the roots of an even polynomial in s, given
     the roots `rs` of its `_half_poly` in x = s^2.
@@ -233,7 +227,7 @@ def _stable_half(rs, what: str):
     (x < 0) cannot be split and raise, except when the x-multiplicity is
     even, in which case half goes to each side.
     """
-    if _got(rs) is None:
+    if or_raise(rs) is None:
         return []
     stable = []
     for x, mult in zip(rs.roots, rs.multiplicities):
@@ -258,6 +252,14 @@ def _stable_half(rs, what: str):
     return stable
 
 
+def _result_of(fn, *args):
+    """fn(*args), or the exception it raised (returned, not raised)."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
 def _roots_each(items):
     """`poly_roots` of every `Poly` in `items` in one stacked call; None and
     exceptions pass through.  One result (`RootSet` or exception) per item.
@@ -279,58 +281,19 @@ def _roots_each(items):
     return [next(it) if isinstance(p, Poly) else p for p in items]
 
 
-def _drive(steps):
-    """Run each generator in `steps` to its return value, or to the exception
-    it raised (returned, not raised).
-
-    A generator yields the items whose roots its next stage needs (see
-    `_roots_each`) and is sent back their results; the items of every
-    generator at one stage go to one stacked `poly_roots` call.
-    """
-    out = [None] * len(steps)
-    live = {}
-
-    def advance(i, value):
-        try:
-            live[i] = steps[i].send(value)
-            return
-        except StopIteration as stop:
-            out[i] = stop.value
-        except Exception as exc:
-            out[i] = exc
-        live.pop(i, None)
-
-    for i in range(len(steps)):
-        advance(i, None)
-    while live:
-        wanted = list(live.items())
-        got = _roots_each([p for _, ps in wanted for p in ps])
-        k = 0
-        for i, ps in wanted:
-            advance(i, got[k : k + len(ps)])
-            k += len(ps)
-    return out
-
-
-def _run(step):
-    """`_drive` on one generator, raising its exception."""
-    return _got(_drive([step])[0])
-
-
 def spectral_factor(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
     """Stable, minimum-phase G with G(s)G(-s) = R(s)^{-1} and G(0) > 0."""
     R = spectral_ratio(level, W1, W2)
-    return _factor(R, *_roots_each([_half_poly(R.den), _half_poly(R.num)]))
+    return _factor(R, *_roots_each([_half_poly(R.den), _half_poly(R.num)]))[0]
 
 
-def _factor(R: RationalFn, rd, rn) -> RationalFn:
-    """The spectral factor G of 1/R (see `spectral_factor`), given the roots
-    of the `_half_poly` of R.den (rd) and of R.num (rn)."""
-    num_stab = _stable_half(rd, "spectral factor numerator")
-    den_stab = _stable_half(rn, "spectral factor denominator")
-    gnum = poly_from_roots([complex(r) for r in num_stab], 1.0)
-    gden = poly_from_roots([complex(r) for r in den_stab], 1.0)
-    G = RationalFn(gnum, gden)
+def _factor(R: RationalFn, rd, rn):
+    """(G, zeros, poles): the spectral factor G of 1/R (see `spectral_factor`)
+    and the lists of its zeros and poles, given the roots of the `_half_poly`
+    of R.den (rd) and of R.num (rn)."""
+    zeros = [complex(r) for r in _stable_half(rd, "spectral factor numerator")]
+    poles = [complex(r) for r in _stable_half(rn, "spectral factor denominator")]
+    G = RationalFn(poly_from_roots(zeros, 1.0), poly_from_roots(poles, 1.0))
     # fix the gain from R at a point away from roots of everything
     for s0 in (0.0, 0.37913):
         try:
@@ -348,7 +311,7 @@ def _factor(R: RationalFn, rd, rn) -> RationalFn:
     G = G * float(np.sqrt(c2))
     if G(0.0).real < 0:
         G = G * -1.0
-    return G
+    return G, zeros, poles
 
 
 def eta_mirror_poles(W1: RationalFn):
@@ -365,7 +328,7 @@ def beta_zeros(E: RationalFn):
 
 def _betas(rs):
     """`beta_zeros` from the roots `rs` of E.num (None for a constant)."""
-    if _got(rs) is None:
+    if or_raise(rs) is None:
         return []
     reps = []
     for r in rs.expanded():
@@ -376,16 +339,19 @@ def _betas(rs):
     return reps
 
 
-def _complete(G: RationalFn, inner: RationalFn | None):
-    """(F, G) with F = G inner, both negated when needed so that F(0) > 0.
+def _complete(R: RationalFn, rd, rn, etas):
+    """(F, G): the spectral factor G of 1/R (see `_factor`) and its all-pass
+    completion F = G prod (s - eta)/(s + eta), both negated when needed so
+    that F(0) > 0.
 
-    A generator for `_drive`: it yields the numerator and denominator of
-    G inner when `RationalFn.reduced` needs their roots."""
+    F is built from root lists, G's zeros and the etas over G's poles and
+    the -etas, with the common roots cancelled (`reduced_from_roots`): G's
+    zeros hold W1's poles, which are the -etas.
+    """
+    G, zeros, poles = _factor(R, rd, rn)
     F = G
-    if inner is not None:
-        F = G * inner
-        if F.num.degree and F.den.degree:
-            F = F.reduced((yield [F.num, F.den]))
+    if etas:
+        F = reduced_from_roots(zeros + etas, poles + [-e for e in etas], G.num.c[-1])
     if F(0.0).real < 0:
         F = F * -1.0
         G = G * -1.0
@@ -395,7 +361,8 @@ def _complete(G: RationalFn, inner: RationalFn | None):
 def build_F(level: float, W1: RationalFn, W2: RationalFn):
     """(F, etas, G): F = G * prod (s - eta)/(s + eta), oriented so F(0) > 0."""
     etas = eta_mirror_poles(W1)
-    F, G = _run(_complete(spectral_factor(level, W1, W2), blaschke(etas) if etas else None))
+    R = spectral_ratio(level, W1, W2)
+    F, G = _complete(R, *_roots_each([_half_poly(R.den), _half_poly(R.num)]), etas)
     return F, etas, G
 
 
@@ -525,47 +492,53 @@ class SynthesisContext:
 class LevelBuilder:
     """The level-independent data of one problem, and the per-level synthesis data.
 
-    Holds W1(-s)W1(s), W2(-s)W2(s), the Blaschke product of the mirrored W1
-    poles, and the plant's right-half-plane poles `alphas` (checked once for
-    repeats).  A level is built in two stages, each of which takes its roots
-    in one stacked `poly_roots` call over all the levels built together: the
-    even parts of R.den and R.num with E.num, then the numerator and
-    denominator of G inner.  `prefetch(levels)` builds a list of levels and
-    keeps each one's result, or the exception its build raised, until `at`
-    consumes it; a level `at` finds no result for is built as a list of one.
-    An exception is thus raised only when its level is consumed, and within a
-    level in the order a one-level build meets it.  `gamma_opt` and
-    `build_context` both go through it.
+    Holds W1(-s)W1(s), W2(-s)W2(s), the mirrored W1 poles `etas`, and the
+    plant's right-half-plane poles `alphas` (checked once for repeats).
+    `prefetch(levels)` builds a list of levels with one stacked `poly_roots`
+    call for all of them, over the even parts of R.den and R.num (in
+    x = s^2) and E.num; F then follows from root lists already known
+    (`_complete`).  Each level's result, or the exception its build raised,
+    is kept until `at` consumes it, and `at` on a level that was not
+    prefetched prefetches it alone.  An exception is thus raised only when
+    its level is consumed, and within a level in the order a one-level build
+    meets it.  `gamma_opt` and `build_context` both go through it.
     """
 
     def __init__(self, plant: DelayPlant, weights: WeightPair):
         self.plant = plant
         self.w1para = _para(weights.W1)
         self.w2para = None if weights.W2.is_zero else _para(weights.W2)
-        etas = eta_mirror_poles(weights.W1)
-        self.inner = blaschke(etas) if etas else None
+        self.etas = eta_mirror_poles(weights.W1)
         self.alphas = plant.alpha_roots()
         _reject_repeated(self.alphas, "plant poles")
         self._built = {}
 
-    def _steps(self, level):
-        """The build of one level, as a generator for `_drive`."""
+    def _ratios(self, level):
+        """(E, R, the items whose roots the level needs; see `_roots_each`)."""
         E = _over_level(self.w1para, level)
         R = _ratio(E, level, self.w2para)
-        rd, rn, re = yield [_half_poly(R.den), _half_poly(R.num),
-                            E.num if E.num.degree else None]
-        F, _ = yield from _complete(_factor(R, rd, rn), self.inner)
+        return E, R, [_half_poly(R.den), _half_poly(R.num), E.num if E.num.degree else None]
+
+    def _finish(self, E, R, rd, rn, re):
+        F, _ = _complete(R, rd, rn, self.etas)
         return E, R, F, _betas(re)
 
     def prefetch(self, levels):
         """Build `levels` together and keep their results for `at`."""
-        self._built.update(zip(levels, _drive([self._steps(g) for g in levels])))
+        parts = [_result_of(self._ratios, g) for g in levels]
+        roots = iter(_roots_each([p for q in parts if not isinstance(q, Exception)
+                                  for p in q[2]]))
+        for g, q in zip(levels, parts):
+            if not isinstance(q, Exception):
+                E, R, items = q
+                q = _result_of(self._finish, E, R, *[next(roots) for _ in items])
+            self._built[g] = q
 
     def at(self, level: float):
         """(E, R, F, betas) at `level`; see `build_E`, `spectral_ratio`, `build_F`."""
-        if level in self._built:
-            return _got(self._built.pop(level))
-        return _run(self._steps(level))
+        if level not in self._built:
+            self.prefetch([level])
+        return or_raise(self._built.pop(level))
 
     def optimal_sigma_min(self, level: float):
         """(sigma_min, null vector, degree) of the optimal homogeneous system."""

@@ -379,6 +379,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and f"report.{field}" in err
 
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, float("nan"), 1e300])
+    def test_report_rho_not_a_level_exits_2(self, rho, ex1_run, tmp_path, capsys):
+        rep, _, _ = ex1_run
+        p = tmp_path / "bad_rho.json"
+        p.write_text(json.dumps({**rep, "rho": rho}))
+        assert main(["verify", EX1, "--report", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: report.rho: expected a number > 0 whose square is finite\n")
+
     def test_non_numeric_report_field_exits_2(self, ex1_run, tmp_path, capsys):
         rep, _, _ = ex1_run
         bad = json.loads(json.dumps(rep))
@@ -443,6 +452,16 @@ class TestVerify:
         assert rc == 0
         rc = main(["verify", EX2, "--report", str(out)])
         assert rc == 0
+        assert capsys.readouterr().out.startswith("pass:")
+
+    def test_auto_falls_back_when_finite_branch_cannot_scan(self, tmp_path, capsys):
+        # example 1 at 0.85: the central controller has finitely many poles,
+        # but P1 and P2 are not delay-dominated, so the finite branch cannot
+        # scan them; the infinite branch finds a design
+        out = tmp_path / "report.json"
+        assert main(["stabilize", EX1, "--rho", "0.85", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["branch"] == "infinite-search"
+        assert main(["verify", EX1, "--report", str(out)]) == 0
         assert capsys.readouterr().out.startswith("pass:")
 
     def test_tampered_u_fails_with_pole_class_diagnostic(self, ex1_run, tmp_path,

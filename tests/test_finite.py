@@ -102,7 +102,7 @@ class TestP1P2Scans:
     # counts pin the subdivision tree.
     @pytest.mark.parametrize("rho, cells, zeros", [
         (1.9454, (127, 195), ([0.0286982048540 + 2.2346468677508j],
-                              [0.0296651393454 + 2.2346456294617j, 3.0000005971714])),
+                              [0.0296651393454 + 2.2346456294617j, 3.0000005987995])),
         (1.96, (1, 313), ([], [0.0490975993551 + 4.0252420972723j,
                                0.0744618496888 + 2.1777343963856j, 3.0000533567300])),
     ])

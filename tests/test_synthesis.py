@@ -8,6 +8,7 @@ from strongstab.rational import (
     RationalFn,
     RootConvergenceError,
     RootSet,
+    blaschke,
     golden_max,
     poly_roots,
 )
@@ -142,6 +143,16 @@ class TestBuildF:
         s = np.array([0.5j, 1.7j, 0.8])
         expect = gain * (1 - s) / (r5 + s) ** 2
         np.testing.assert_allclose(F(s), expect, rtol=1e-6)
+
+    @pytest.mark.parametrize("example, level", [("ex1", 0.814), ("ex2", 1.9454), ("ex2", 2.0)])
+    def test_equals_unreduced_product(self, example, level, request):
+        # F is built from root lists with the common roots cancelled; the
+        # oracle is the product G inner itself
+        plant, weights, opts = request.getfixturevalue(example)
+        F, etas, G = build_F(level, weights.W1, weights.W2)
+        s = 1j * opts.grid.omegas()
+        product = G(s) * blaschke(etas)(s)
+        assert (np.abs(F(s) - product) / np.abs(product)).max() <= 1e-15
 
 
 class TestInterpolation:
@@ -437,6 +448,37 @@ class TestPrefetchFailures:
                 assert np.array_equal(a.num.c, b.num.c) and np.array_equal(a.den.c, b.den.c)
             assert betas == betas2
         assert not block._built
+
+
+class TestOneRootStage:
+    """A level's roots come from one stacked `poly_roots` call: R.den's and
+    R.num's even parts and E.num; F is then built from known root lists."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        real = synthesis.poly_roots
+
+        def counted(ps, tol_root=1e-12):
+            calls.append(1)
+            return real(ps, tol_root)
+
+        monkeypatch.setattr(synthesis, "poly_roots", counted)
+        return calls
+
+    def test_prefetch_of_a_block_is_one_call(self, ex2, monkeypatch):
+        plant, weights, opts = ex2
+        levels = LevelBuilder(plant, weights)
+        calls = self.count_calls(monkeypatch)
+        levels.prefetch(np.linspace(*opts.gamma_bracket, synthesis.GAMMA_BLOCK))
+        assert len(calls) == 1
+
+    def test_at_without_prefetch_is_one_call(self, ex1, monkeypatch):
+        plant, weights, _ = ex1
+        levels = LevelBuilder(plant, weights)
+        calls = self.count_calls(monkeypatch)
+        levels.at(0.814)
+        assert len(calls) == 1
 
 
 class TestController:
