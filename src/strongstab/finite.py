@@ -485,8 +485,11 @@ def certify_u_norm(U: FiniteU, grid: FrequencyGrid):
     om = grid.omegas()
     qs = np.atleast_1d(np.asarray(U.q, dtype=float))
     u = U.at(1j * om)
-    sup = grid_sup(lambda k0, k1: u(qs[k0:k1, None]),
-                   lambda w, k: U.at(1j * w)(qs[k]), len(qs), om)
+
+    def point(w, k):    # w: (len(k), m), m frequencies for each constant qs[k]
+        return U.at(1j * w.ravel())(np.repeat(qs[k], w.shape[1])).reshape(w.shape)
+
+    sup = grid_sup(lambda k0, k1: u(qs[k0:k1, None]), point, len(qs), om)
     # z -> 1, M~_d -> 1, P1/P2 -> ratio of leading coefficients
     lead = U.p1p2.p1.A.c[-1] / U.p1p2.p2.A.c[-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

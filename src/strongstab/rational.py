@@ -492,39 +492,118 @@ class FrequencyGrid:
 # Golden-section steps per `golden_max` call: the bracket shrinks by
 # 0.618^50 ~ 3.5e-11 of its width.
 GOLDEN_ITERS = 50
+# Points per call of the lock-step `golden_max`: each call takes the
+# 2^d - 1 probes per row that the next d steps can reach, d the largest depth
+# (at least 1) with rows * (2^d - 1) within this budget.  Any budget in
+# [707, 1022] gives one row d = 9 (8 calls in all, not 53) and the 101-row
+# fig-5 lattice d = 3 (19 calls); measured on both, 512 (lattice d = 2) and
+# 1024 (one row d = 10) were slower.
+GOLDEN_POINTS = 768
+_GR = (float(np.sqrt(5.0)) - 1) / 2
+
+
+def _golden_step(pick, up, a, b, x1, x2):
+    """One golden step of the bracket [a, b] with probes x1 < x2: keep
+    [x1, b] and probe a new x2 where `up` (f1 < f2), else keep [a, x2] and
+    probe a new x1.  Returns the new a, b, x1, x2 and the new probe."""
+    a = pick(up, x1, a)
+    b = pick(up, b, x2)
+    new = pick(up, a + _GR * (b - a), b - _GR * (b - a))
+    return a, b, pick(up, x2, new), pick(up, new, x1), new
+
+
+def _pick(c, x, y):
+    return x if c else y
+
+
+def _ahead(fun, depth, a, b, x1, x2, f1, f2):
+    """`depth` lock-step golden steps of every row from one call of `fun`.
+
+    The step rule only needs f1 < f2, so the bracket after each sequence of
+    outcomes is known before any value: level j of the tree holds the 2^j
+    probes that step j can make (step 0's outcome is already known), and
+    `fun` gets all 2^depth - 1 of them as one (rows, 2^depth - 1) array.  The
+    steps are then replayed on the values, each row descending to the child
+    that its own outcome picks.
+    """
+    up = f1 < f2
+    a, b, x1, x2, new = _golden_step(np.where, up, a, b, x1, x2)
+    level, probes = [v[:, None] for v in (a, b, x1, x2)], [new[:, None]]
+    for j in range(1, depth):   # both outcomes of step j at each node of level j - 1
+        *level, new = _golden_step(np.where, np.array([True, False]).repeat(1 << (j - 1)),
+                                   *(np.concatenate([v, v], axis=1) for v in level))
+        probes.append(new)
+    vals = fun(np.concatenate(probes, axis=1))
+    fnew = vals[:, 0]
+    f1, f2 = np.where(up, f2, fnew), np.where(up, fnew, f1)
+    if depth == 1:
+        return a, b, x1, x2, f1, f2
+    row, node = np.arange(len(a)), np.zeros(len(a), dtype=int)
+    for j in range(1, depth):
+        up = f1 < f2
+        node = np.where(up, node, node + (1 << (j - 1)))
+        fnew = vals[row, (1 << j) - 1 + node]
+        f1, f2 = np.where(up, f2, fnew), np.where(up, fnew, f1)
+    return (*(v[row, node] for v in level), f1, f2)
 
 
 def golden_max(fun, a, b):
     """Golden-section maximization of `fun` on [a, b].
 
-    `a` and `b` may be arrays of brackets, searched in lock-step: `fun` then
-    receives one point per bracket and returns their values, and every bracket
-    takes exactly the steps it takes alone.  Scalar brackets hand `fun` Python
-    floats and return a Python float abscissa.  The last call of `fun` is at
-    the returned abscissa, and its value is returned with it.
+    Scalar brackets hand `fun` Python floats, one per call (GOLDEN_ITERS + 3
+    calls), and return a Python float abscissa.
+
+    `a` and `b` may be 1-D arrays of brackets, searched in lock-step: `fun`
+    then receives a (rows, m) array of points, row r's in its bracket, and
+    returns their values in the same shape; it must evaluate each point as it
+    would alone.  Each call but the first (the two initial probes) and the
+    last looks ahead: it takes every probe that the next d steps can reach,
+    2^d - 1 per row, with d the largest depth at which rows * (2^d - 1) is
+    within GOLDEN_POINTS; the unchanged step rule is then replayed on those
+    values.  So every row takes exactly the steps, and ends at exactly the
+    abscissa and value, that it takes alone in the scalar rule, in
+    ceil(GOLDEN_ITERS / d) + 2 calls.  If `fun` raises on a look-ahead call,
+    that round is redone one step at a time, so an exception surfaces only
+    where the scalar rule meets it.
+
+    The last call of `fun` is at the returned abscissa, and its value is
+    returned with it.
     """
     if np.ndim(a) == 0 and np.ndim(b) == 0:
-        at, a, b = float, float(a), float(b)
-
-        def pick(c, x, y):
-            return x if c else y
-    else:
-        at, pick = np.asarray, np.where
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    gr = (float(np.sqrt(5.0)) - 1) / 2
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = fun(at(x1)), fun(at(x2))
-    for _ in range(GOLDEN_ITERS):
-        up = f1 < f2    # keep [x1, b] and probe a new x2, else [a, x2] and a new x1
-        a = pick(up, x1, a)
-        b = pick(up, b, x2)
-        new = pick(up, a + gr * (b - a), b - gr * (b - a))
-        fnew = fun(at(new))
-        x1, x2 = pick(up, x2, new), pick(up, new, x1)
-        f1, f2 = pick(up, f2, fnew), pick(up, fnew, f1)
-    x = at(0.5 * (a + b))
-    return x, fun(x)
+        a, b = float(a), float(b)
+        x1 = b - _GR * (b - a)
+        x2 = a + _GR * (b - a)
+        f1, f2 = fun(x1), fun(x2)
+        for _ in range(GOLDEN_ITERS):
+            up = f1 < f2
+            a, b, x1, x2, new = _golden_step(_pick, up, a, b, x1, x2)
+            fnew = fun(new)
+            f1, f2 = _pick(up, f2, fnew), _pick(up, fnew, f1)
+        x = 0.5 * (a + b)
+        return x, fun(x)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    x1 = b - _GR * (b - a)
+    x2 = a + _GR * (b - a)
+    try:
+        f = fun(np.stack([x1, x2], axis=1))
+        f1, f2 = f[:, 0], f[:, 1]
+    except Exception:   # the scalar rule's order: every x1, then every x2
+        f1, f2 = fun(x1[:, None])[:, 0], fun(x2[:, None])[:, 0]
+    depth = max(1, (GOLDEN_POINTS // max(len(a), 1) + 1).bit_length() - 1)
+    state, done = (a, b, x1, x2, f1, f2), 0
+    while done < GOLDEN_ITERS:
+        d = min(depth, GOLDEN_ITERS - done)
+        try:
+            state = _ahead(fun, d, *state)
+        except Exception:   # maybe off the taken path: redo it step by step
+            if d == 1:
+                raise
+            for _ in range(d):
+                state = _ahead(fun, 1, *state)
+        done += d
+    a, b = state[:2]
+    x = 0.5 * (a + b)
+    return x, fun(x[:, None])[:, 0]
 
 
 # (row, point) values per evaluation in grid_peaks; larger blocks raise peak
@@ -557,10 +636,14 @@ def grid_sup(rows, point, n, om):
     for a row that is not finite at some frequency of om.
 
     `rows` gives the responses on om as in `grid_peaks`, and `point(w, k)`
-    those of rows k at the frequencies w, one frequency per row.  Each grid
+    those of rows k at the frequencies w: `w` has shape (len(k), m), row i's
+    frequencies for row k[i], and the result has the same shape.  Each grid
     maximum is refined by one lock-step `golden_max` between its argmax's two
     neighbours, and the refined value replaces the grid value only where it
-    is not smaller.
+    is not smaller.  The refinement calls `point` ceil(GOLDEN_ITERS / d) + 2
+    times, d chosen from GOLDEN_POINTS as `golden_max` says: 8 times for one
+    row, with at most GOLDEN_POINTS frequencies in all but the first call
+    (two per row) and, when rows exceed GOLDEN_POINTS, one per row.
     """
     at, peak = grid_peaks(rows, n, len(om))
     ok = np.flatnonzero(at >= 0)

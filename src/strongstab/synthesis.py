@@ -770,7 +770,7 @@ def verify_performance(controller: Controller, weights: WeightPair, grid: Freque
 
     om = grid.omegas()
     norm = float(grid_sup(lambda k0, k1: stack(1j * om)[None],
-                          lambda w, k: stack(1j * w), 1, om)[0])
+                          lambda w, k: stack(1j * w.ravel()).reshape(w.shape), 1, om)[0])
     if np.isnan(norm):
         return float("inf"), False
     return norm, norm <= controller.ctx.level * (1.0 + NORM_SLACK)

@@ -330,8 +330,8 @@ def sup_of(fs, om):
 
     def point(w, k):
         for wi, ki in zip(w.tolist(), k.tolist()):
-            seen[ki].append(wi)
-        return np.array([fs[ki](1j * np.array([wi]))[0] for wi, ki in zip(w, k)])
+            seen[ki].extend(wi)
+        return np.array([fs[ki](1j * wi) for wi, ki in zip(w, k)])
 
     return grid_sup(rows, point, len(fs), om), seen
 
@@ -402,3 +402,99 @@ class TestGoldenMax:
         assert set(seen) == {float}
         assert self.f(0.8) == self.f(1.2)   # the flat bracket really is flat
 
+
+    def test_one_row_takes_few_calls(self):
+        # each call looks d steps ahead: the two initial probes, ceil(50 / d)
+        # rounds and the final evaluation (53 calls with one probe per row)
+        d = (rational.GOLDEN_POINTS + 1).bit_length() - 1
+        calls = []
+        golden_max(lambda w: calls.append(w.shape) or self.f(w), np.array([2.0]), np.array([5.0]))
+        assert len(calls) <= -(-rational.GOLDEN_ITERS // d) + 2 <= 8
+
+    def test_raise_off_the_serial_path_is_not_seen(self):
+        seen = []
+        x, v = golden_max(lambda t: seen.append(t) or self.f(t), 2.0, 5.0)
+
+        def f(w):
+            if not np.isin(w, seen).all():
+                raise ValueError("a probe the serial rule never makes")
+            return self.f(w)
+
+        xb, vb = golden_max(f, np.array([2.0]), np.array([5.0]))
+        assert _bits(xb) == _bits(x) and _bits(vb) == _bits(v)
+
+    def test_raise_on_the_serial_path_surfaces_as_in_the_scalar_rule(self):
+        seen = []
+        golden_max(lambda t: seen.append(t) or self.f(t), 2.0, 5.0)
+        bad = seen[12]      # step 11's probe: inside the second round
+
+        def f(w):
+            if np.any(np.asarray(w) == bad):
+                raise ValueError(f"singular at {bad!r}")
+            return self.f(w)
+
+        with pytest.raises(ValueError) as scalar:
+            golden_max(f, 2.0, 5.0)
+        calls = []
+        with pytest.raises(ValueError) as batched:
+            golden_max(lambda w: calls.append(w) or f(w), np.array([2.0]), np.array([5.0]))
+        assert str(batched.value) == str(scalar.value)
+        # the call that raised is the one-probe serial step that meets it
+        assert calls[-1].shape == (1, 1) and calls[-1][0, 0] == bad
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _nan_inf(x):
+    # TestGoldenMax.f with NaN values on (2.8, 2.9) and inf on (3.1, 3.2)
+    f = TestGoldenMax.f(x)
+    return np.where((x > 2.8) & (x < 2.9), np.nan, np.where((x > 3.1) & (x < 3.2), np.inf, f))
+
+
+def _brackets(case):
+    """`case` random brackets, or the special ones: TestGoldenMax.f's flat
+    bracket (f1 == f2 at every step), a zero-width one, one 1e-9 wide, and
+    one around _nan_inf's NaN and inf values."""
+    if case == "special":
+        return np.array([0.8, 1.1, 1.1, 2.5]), np.array([1.2, 1.1, 1.1 + 1e-9, 3.5])
+    rng = np.random.default_rng(case)
+    lo = rng.uniform(-1.0, 4.0, case)
+    return lo, lo + rng.uniform(0.0, 3.0, case)
+
+
+class TestGoldenLookahead:
+    @pytest.mark.parametrize("fun", [TestGoldenMax.f, _nan_inf], ids=["smooth", "nan_inf"])
+    @pytest.mark.parametrize("case", [1, 2, 3, 101, 1000, "special"])
+    def test_equals_scalar_rule_bitwise(self, fun, case, monkeypatch):
+        lo, hi = _brackets(case)
+        rows, iters = len(lo), rational.GOLDEN_ITERS
+        # rows are independent, so the scalar reference of every 10th row
+        # of the largest case checks its lock-step run (and keeps it short)
+        check = np.arange(0, rows, 10 if rows > 101 else 1)
+        ref, path = [], []
+        for k in check:
+            seen = []
+            x, v = golden_max(lambda t: seen.append(t) or fun(t), lo[k], hi[k])
+            ref.append((x, v))
+            path.append(seen)
+        path = np.array(path)       # (rows, iters + 3): x1, x2, each step's probe, the result
+        for d in (1, 9):
+            monkeypatch.setattr(rational, "GOLDEN_POINTS", rows * (2**d - 1))
+            calls = []
+            xb, vb = golden_max(lambda w: calls.append(w.copy()) or fun(w), lo, hi)
+            for k, (x, v) in zip(check, ref):
+                assert _bits(xb[k]) == _bits(x) and _bits(vb[k]) == _bits(v)
+            widths = [2**d - 1] * (iters // d) + ([2 ** (iters % d) - 1] if iters % d else [])
+            assert [w.shape for w in calls] == [(rows, m) for m in [2, *widths, 1]]
+            # the probes on each row's taken path are the scalar rule's, in order
+            calls = [w[check] for w in calls]
+            assert (calls[0] == path[:, :2]).all() and (calls[-1][:, 0] == path[:, -1]).all()
+            t = 2
+            for w in calls[1:-1]:
+                for j in range((w.shape[1] + 1).bit_length() - 1):
+                    level = w[:, (1 << j) - 1:(1 << (j + 1)) - 1]
+                    assert (level == path[:, t, None]).any(axis=1).all()
+                    t += 1
+            assert t == iters + 2
