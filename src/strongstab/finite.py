@@ -9,9 +9,10 @@ the Pick matrix, and a residual Schur-class parameter searched until the
 resulting U fits inside the unit ball.
 
 `FiniteU` is that U for one constant residual parameter q or an array of
-them; `UAtPoints` holds its q-independent parts at fixed points, so many q
-share them; `certify_u_norm` is the one grid certificate of ||U||, one norm
-per constant, taken by `rational.grid_sup` like the closed-loop norm.
+them; `UAtPoints` holds its q-independent parts at fixed points, among them
+the chart as one Mobius map of q per point, so many q share them;
+`certify_u_norm` is the one grid certificate of ||U||, one norm per
+constant, taken by `rational.grid_sup` like the closed-loop norm.
 """
 
 from __future__ import annotations
@@ -351,39 +352,42 @@ class NPInterpolant:
     unique: bool
 
     def factors(self, zz):
-        """The q-independent part of g at zz: each free stage's sigma and
-        Blaschke factor, at zz and at conj(zz), innermost stage first."""
+        """The chart at zz and at conj(zz) as Mobius maps t -> (A t + B)/(C t + D):
+        the Cayley matrix [[-1, 1], [1, 1]] times each free Schur stage's
+        [[b, sigma], [conj(sigma) b, 1]] (b its Blaschke factor), outermost first."""
         zz = np.asarray(zz, dtype=complex)
         # a unique interpolant ends in a unimodular constant instead of q
         free = len(self.sigmas) - self.unique
-        stages = list(zip(reversed(self.points_used[:free]), reversed(self.sigmas[:free])))
+        stages = list(zip(self.points_used[:free], self.sigmas[:free]))
 
         def at(x):
-            return [(sig, _blaschke_disk(x, z0)) for z0, sig in stages]
+            A, B, C, D = -1.0, 1.0, 1.0, 1.0
+            for z0, sig in stages:
+                b, sc = _blaschke_disk(x, z0), np.conj(sig)
+                A, B, C, D = b * (A + B * sc), A * sig + B, b * (C + D * sc), C * sig + D
+            return [np.broadcast_to(c, x.shape) for c in (A, B, C, D)]
 
-        return zz, at(zz), at(np.conj(zz))
+        return at(zz), at(np.conj(zz))
 
     def recurse(self, fac, q):
         """g at the points of `fac` (from `factors`) for the free parameter q.
 
         `q` is a real constant, an array of constants (one per point) or a
         column of constants q[:, None] (one row of g per constant, every row
-        taking the same elementwise operations as that constant alone).
-        Conjugate symmetry g(conj z) = conj g(z) is enforced by averaging the
-        raw chart with its reflected copy.
+        taking the same elementwise operations as that constant alone).  The
+        maps take t = q, or the unimodular constant ending a unique chart in
+        q's shape.  Conjugate symmetry g(conj z) = conj g(z) is enforced by
+        averaging the raw chart with its reflected copy.
         """
-        zz, fa, fb = fac
+        fa, fb = fac
+        t = np.asarray(q, dtype=complex)
         if self.unique:
-            # q is ignored, keeping its shape: the chart ends in a unimodular constant
-            q = np.full(np.shape(q), self.sigmas[-1])
-        t = np.full(np.broadcast_shapes(np.shape(q), zz.shape), q, dtype=complex)
-        return 0.5 * (self._schur(fa, t) + np.conj(self._schur(fb, t)))
+            t = np.full(t.shape, self.sigmas[-1])
 
-    @staticmethod
-    def _schur(stages, t):
-        for sig, B in stages:
-            t = (sig + B * t) / (1.0 + np.conj(sig) * B * t)
-        return (1.0 - t) / (1.0 + t)
+        def mobius(A, B, C, D):
+            return (A * t + B) / (C * t + D)
+
+        return 0.5 * (mobius(*fa) + np.conj(mobius(*fb)))
 
     def g(self, zz, q):
         """Evaluate g at zz (array ok) for the free parameter q (see `recurse`)."""
@@ -431,8 +435,8 @@ def np_interpolant(pp: PickProblem) -> NPInterpolant:
 
 class UAtPoints:
     """The q-independent parts of U at fixed points s: P1/P2, mu M~_d(s) and
-    the interpolant's factors at (s-a)/(s+a).  Calling it with q (see
-    `NPInterpolant.recurse`) gives U(s)."""
+    the interpolant's Mobius coefficients at (s-a)/(s+a).  Calling it with q
+    (see `NPInterpolant.recurse`) gives U(s)."""
 
     def __init__(self, p1p2: P1P2, interp: NPInterpolant, mu, a, s):
         s = np.asarray(s, dtype=complex)

@@ -69,16 +69,19 @@ def render_json(obj, indent=0):
     return fmt(obj)
 
 
-def _write(path, header, rows):
+def _line(row):
+    return ",".join("" if v is None else fmt(v) for v in row)
+
+
+def _write(path, header, lines):
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else fmt(v) for v in row) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def write_fig1_sweep(directory, rows):
     """(u_inf, omega_max, eta_max) sweep; omega_max empty when no crossing."""
-    _write(os.path.join(directory, "fig1_sweep.csv"), "u_inf,omega_max,eta_max", rows)
+    _write(os.path.join(directory, "fig1_sweep.csv"), "u_inf,omega_max,eta_max", map(_line, rows))
 
 
 def write_fig2_zgrid(directory, zfun, sigma_max, omega_bound):
@@ -86,24 +89,25 @@ def write_fig2_zgrid(directory, zfun, sigma_max, omega_bound):
     sigs = np.linspace(0.0, sigma_max, FIG2_NS)
     oms = np.linspace(0.0, omega_bound, FIG2_NW)
     vals = np.abs(zfun(sigs[:, None] + 1j * oms)).tolist()
-    rows = [(sg, om, v) for sg, row in zip(sigs.tolist(), vals)
-            for om, v in zip(oms.tolist(), row)]
-    _write(os.path.join(directory, "fig2_zgrid.csv"), "sigma,omega,absZ", rows)
+    om_text = [fmt(om) for om in oms.tolist()]     # each sigma and omega formatted once
+    lines = (f"{sg},{om},{fmt(v)}" for sg, row in zip(map(fmt, sigs.tolist()), vals)
+             for om, v in zip(om_text, row))
+    _write(os.path.join(directory, "fig2_zgrid.csv"), "sigma,omega,absZ", lines)
 
 
 def write_fig3_mu(directory, table):
     """(n2, mu_min) feasibility profile."""
     rows = [(tup[-1], mu) for tup, mu in table]
-    _write(os.path.join(directory, "fig3_mu.csv"), "n2,mu_min", rows)
+    _write(os.path.join(directory, "fig3_mu.csv"), "n2,mu_min", map(_line, rows))
 
 
 def write_fig4_umag(directory, ufun, grid):
     om = grid.omegas()
     vals = np.abs(ufun(1j * om))
     _write(os.path.join(directory, "fig4_umag.csv"), "omega,absU",
-           zip(om.tolist(), vals.tolist()))
+           map(_line, zip(om.tolist(), vals.tolist())))
 
 
 def write_fig5_ranges(directory, rows):
     """(mu, u_inf, U_norm, stable-flag) over the (mu, Q) search lattice."""
-    _write(os.path.join(directory, "fig5_ranges.csv"), "mu,u_inf,U_norm,stable", rows)
+    _write(os.path.join(directory, "fig5_ranges.csv"), "mu,u_inf,U_norm,stable", map(_line, rows))

@@ -326,6 +326,100 @@ class TestInterpolant:
             np_interpolant(PickProblem(z=z, w=w, n=(0, 0), mu=1.0))
 
 
+def _free_stages(interp):
+    """(node, sigma) of the chart's free stages, innermost first."""
+    free = len(interp.sigmas) - interp.unique
+    return list(zip(interp.points_used[:free], interp.sigmas[:free]))[::-1]
+
+
+def _stage_chart(interp, zz, q):
+    """g by the Schur recursion one stage at a time: t = q (or the unimodular
+    constant of a unique interpolant) through each free stage, innermost
+    first, then the Cayley map; at zz and conj(zz), averaged."""
+    def chart(x):
+        t0 = interp.sigmas[-1] if interp.unique else q
+        t = np.full(np.broadcast_shapes(np.shape(q), x.shape), t0, dtype=complex)
+        for z0, sig in _free_stages(interp):
+            B = (x - z0) / (1.0 - np.conj(z0) * x)
+            t = (sig + B * t) / (1.0 + np.conj(sig) * B * t)
+        return (1.0 - t) / (1.0 + t)
+
+    return 0.5 * (chart(zz) + np.conj(chart(np.conj(zz))))
+
+
+def _mp_chart(interp, zz, q):
+    """`_stage_chart` at each point of zz for one constant q, in 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    stages = [(mpmath.mpc(z0), mpmath.mpc(sig)) for z0, sig in _free_stages(interp)]
+
+    def chart(x):
+        t = mpmath.mpc(interp.sigmas[-1] if interp.unique else q)
+        for z0, sig in stages:
+            B = (x - z0) / (1 - mpmath.conj(z0) * x)
+            t = (sig + B * t) / (1 + mpmath.conj(sig) * B * t)
+        return (1 - t) / (1 + t)
+
+    def g(x):
+        return (chart(mpmath.mpc(x)) + mpmath.conj(chart(mpmath.mpc(x.conjugate())))) / 2
+
+    with mpmath.workdps(50):
+        return np.array([complex(g(x)) for x in np.asarray(zz).tolist()])
+
+
+@pytest.fixture(scope="module", params=[
+    (1.9454, 1 + 1e-9), (1.9454, 1.1), (1.96, 1 + 1e-9), (1.96, 1.1),
+    (2.0, 1 + 1e-9), (2.0, 1.1), (1.9454, 1.0),
+], ids=["1.9454-near", "1.9454-1.1", "1.96-near", "1.96-1.1", "2.0-near", "2.0-1.1",
+        "1.9454-unique"])
+def chart_case(request, ex2):
+    """(interpolant, relative tolerance) on example 2 at a level and a factor
+    on its mu_opt.  The all-zero tuple is the optimum at these levels, and at
+    mu_opt itself (factor 1) the 1.9454 interpolant is unique."""
+    rho, factor = request.param
+    plant, weights, opts = ex2
+    p1p2 = build_p1p2(plant, build_context(plant, weights, rho, opts.interp_a))
+    z, w = pick_points(p1p2, opts.a)
+    tup = (0,) * len(z)
+    mu_opt = mu_opt_search(z, w, 0, feasibility_tuples=[tup])[0]
+    interp = np_interpolant(PickProblem(z=z, w=w, n=tup, mu=mu_opt * factor))
+    assert len(z) == {1.9454: 2, 1.96: 4, 2.0: 12}[rho]
+    assert interp.unique == (factor == 1.0)
+    return interp, 1e-12 if factor == 1.1 else 1e-9
+
+
+class TestMobiusChart:
+    """The chart as one Mobius map per point against the stage-by-stage
+    recursion in floating point and in 50 digits, on the on-axis grid and
+    on random right-half-plane points, with q a scalar, a per-point array
+    and a column."""
+
+    @pytest.fixture(scope="class")
+    def points(self, ex2):
+        a = ex2[2].a
+        rng = np.random.default_rng(7)
+        s = np.concatenate([1j * FrequencyGrid().omegas(),
+                            rng.uniform(0.0, 5.0, 200) + 1j * rng.uniform(-10.0, 10.0, 200)])
+        return (s - a) / (s + a)
+
+    @pytest.mark.parametrize("q", [-1.0, 0.0, 0.854, 1.0])
+    def test_equals_stage_recursion(self, chart_case, points, q):
+        # Near a pole of the chart the final Cayley map turns an error e in
+        # t into about |g|^2 e / 2 in g (at q = -1, |g| reaches 2168 on the
+        # grid), so the tolerance scales with max(|g|, 1)^2
+        interp, tol = chart_case
+        g = interp.g(points, q)
+        np.testing.assert_array_equal(interp.g(points, np.full(points.shape, q)), g)
+        np.testing.assert_array_equal(interp.g(points, np.array([[q], [q]])), [g, g])
+        ref = _stage_chart(interp, points, q)
+        assert np.all(np.abs(g - ref) <= tol * np.fmax(np.abs(ref), 1.0) ** 2)
+        # every 40th grid point and every fifth random one in 50 digits
+        sub = np.concatenate([points[:4000:40], points[4000::5]])
+        exact = _mp_chart(interp, sub, q)
+        scale = tol * np.fmax(np.abs(exact), 1.0) ** 2
+        assert np.all(np.abs(interp.g(sub, q) - exact) <= scale)
+        assert np.all(np.abs(_stage_chart(interp, sub, q) - exact) <= scale)
+
+
 class TestBuildU:
     def test_sU_magnitude_bounded_by_mu(self, ex2_p1p2):
         z, w = pick_points(ex2_p1p2, 1.0)
@@ -444,6 +538,22 @@ class TestQSweep:
         assert (at[-1], peak[-1]) == (-1, np.inf)
         at, peak = _grid_peaks(u, [])
         assert at.shape == peak.shape == (0,)
+
+    def test_grid_peaks_builds_no_blaschke_factor(self, ex2_p1p2, accepting, monkeypatch):
+        # the Blaschke factors enter the Mobius coefficients once per point
+        # set: a sweep over many q builds none
+        mu, a, interp = accepting
+        blaschke_disk, calls = finite._blaschke_disk, []
+
+        def counted(z, z0):
+            calls.append(z0)
+            return blaschke_disk(z, z0)
+
+        monkeypatch.setattr(finite, "_blaschke_disk", counted)
+        u = UAtPoints(ex2_p1p2, interp, mu, a, 1j * FrequencyGrid().omegas())
+        assert len(calls) == 2 * len(interp.sigmas)   # at zz and at conj(zz)
+        _grid_peaks(u, np.arange(-1.0, 1.0001, 0.02))
+        assert len(calls) == 2 * len(interp.sigmas)
 
     def test_witness_sweep_equals_two_stage_rule(self, ex2, ex2_p1p2, ex2_search):
         _, _, opts = ex2

@@ -3,7 +3,8 @@
 Weight scaling (ROADMAP item 9(a)): multiplying W1's and W2's numerators by k
 multiplies every weighted closed-loop norm, and so gamma_opt, by k.  With the
 level and the gamma bracket scaled too, the normalized problem is the same
-one, and for k = 2 every floating-point step scales exactly.  So every byte
+one, and for a power of two (k = 2 and k = 1/2) every floating-point step
+scales exactly.  So every byte
 of the `gamma-opt` output and of the `stabilize` report equals the unscaled
 golden file, except the numbers that carry the level: `rho`, `gamma_opt`,
 `verified_norm` and the `gamma-opt` bracket, which equal k times the golden
@@ -21,11 +22,10 @@ from strongstab.cli import main
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
-K = 2.0
 LEVEL_FIELD = re.compile(r'("(?:rho|gamma_opt|verified_norm|bracket)": )(\[[^\]]*\]|[^,\n]+)')
 
 
-def _scaled_config(tmp_path, name):
+def _scaled_config(tmp_path, name, K):
     """configs/<name>.json with both weights' numerators and the gamma
     bracket multiplied by K."""
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
@@ -45,7 +45,7 @@ def _level_split(text):
     return LEVEL_FIELD.sub(r"\1#", text), values
 
 
-def _assert_scaled(got, want):
+def _assert_scaled(got, want, K):
     got_rest, got_levels = _level_split(got)
     want_rest, want_levels = _level_split(want)
     assert got_rest == want_rest
@@ -53,14 +53,16 @@ def _assert_scaled(got, want):
     assert got_levels == pytest.approx([K * v for v in want_levels], rel=1e-11)
 
 
-@pytest.mark.parametrize("name, rho, golden", [
-    ("example1", 0.814, "ex1_rho0.814"),
-    ("example2", 1.9454, "ex2_rho1.9454"),
-], ids=["example1", "example2"])
-def test_weight_scaling_scales_only_the_level(tmp_path, capsys, name, rho, golden):
-    cfg = _scaled_config(tmp_path, name)
+@pytest.mark.parametrize("name, rho, golden, K", [
+    ("example1", 0.814, "ex1_rho0.814", 2.0),
+    ("example2", 1.9454, "ex2_rho1.9454", 2.0),
+    ("example1", 0.814, "ex1_rho0.814", 0.5),
+    ("example2", 1.9454, "ex2_rho1.9454", 0.5),
+], ids=["example1", "example2", "example1-k0.5", "example2-k0.5"])
+def test_weight_scaling_scales_only_the_level(tmp_path, capsys, name, rho, golden, K):
+    cfg = _scaled_config(tmp_path, name, K)
     assert main(["gamma-opt", str(cfg)]) == 0
-    _assert_scaled(capsys.readouterr().out, (GOLDEN / f"gamma_opt_{name}.json").read_text())
+    _assert_scaled(capsys.readouterr().out, (GOLDEN / f"gamma_opt_{name}.json").read_text(), K)
     out = tmp_path / "report.json"
     assert main(["stabilize", str(cfg), "--rho", repr(K * rho), "--out", str(out)]) == 0
-    _assert_scaled(out.read_text(), (GOLDEN / f"{golden}.json").read_text())
+    _assert_scaled(out.read_text(), (GOLDEN / f"{golden}.json").read_text(), K)
