@@ -592,7 +592,7 @@ def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a: float, grid: FrequencyGr
     """(mu, Q, ||U||, ||U|| <= 1) over the default mu steps above mu_opt and
     constant Q in [-1, 1] at step 0.02; steps without an interpolant and Q
     values at which U is not finite on the grid are left out."""
-    qs = np.arange(-1.0, 1.0001, 0.02)
+    qs = np.linspace(-1.0, 1.0, 101)
     rows = []
     for mu in _default_mu_schedule(mu_opt):
         try:

@@ -489,8 +489,8 @@ class FrequencyGrid:
         return np.logspace(np.log10(self.lo), np.log10(self.hi), self.points)
 
 
-# Golden-section steps per `golden_max` call: the bracket shrinks by
-# 0.618^50 ~ 3.5e-11 of its width.
+# Golden-section steps per `golden_max` call, and the precision of each
+# `gamma_opt` dip refinement: the bracket shrinks by 0.618^50 ~ 3.5e-11.
 GOLDEN_ITERS = 50
 # Points per call of the lock-step `golden_max`: each call takes the
 # 2^d - 1 probes per row that the next d steps can reach, d the largest depth
@@ -502,18 +502,14 @@ GOLDEN_POINTS = 768
 _GR = (float(np.sqrt(5.0)) - 1) / 2
 
 
-def _golden_step(pick, up, a, b, x1, x2):
-    """One golden step of the bracket [a, b] with probes x1 < x2: keep
+def _golden_step(up, a, b, x1, x2):
+    """One golden step of the brackets [a, b] with probes x1 < x2: keep
     [x1, b] and probe a new x2 where `up` (f1 < f2), else keep [a, x2] and
     probe a new x1.  Returns the new a, b, x1, x2 and the new probe."""
-    a = pick(up, x1, a)
-    b = pick(up, b, x2)
-    new = pick(up, a + _GR * (b - a), b - _GR * (b - a))
-    return a, b, pick(up, x2, new), pick(up, new, x1), new
-
-
-def _pick(c, x, y):
-    return x if c else y
+    a = np.where(up, x1, a)
+    b = np.where(up, b, x2)
+    new = np.where(up, a + _GR * (b - a), b - _GR * (b - a))
+    return a, b, np.where(up, x2, new), np.where(up, new, x1), new
 
 
 def _ahead(fun, depth, a, b, x1, x2, f1, f2):
@@ -527,10 +523,10 @@ def _ahead(fun, depth, a, b, x1, x2, f1, f2):
     that its own outcome picks.
     """
     up = f1 < f2
-    a, b, x1, x2, new = _golden_step(np.where, up, a, b, x1, x2)
+    a, b, x1, x2, new = _golden_step(up, a, b, x1, x2)
     level, probes = [v[:, None] for v in (a, b, x1, x2)], [new[:, None]]
     for j in range(1, depth):   # both outcomes of step j at each node of level j - 1
-        *level, new = _golden_step(np.where, np.array([True, False]).repeat(1 << (j - 1)),
+        *level, new = _golden_step(np.array([True, False]).repeat(1 << (j - 1)),
                                    *(np.concatenate([v, v], axis=1) for v in level))
         probes.append(new)
     vals = fun(np.concatenate(probes, axis=1))
@@ -548,46 +544,29 @@ def _ahead(fun, depth, a, b, x1, x2, f1, f2):
 
 
 def golden_max(fun, a, b):
-    """Golden-section maximization of `fun` on [a, b].
+    """Golden-section maximization of `fun` on the 1-D arrays of brackets
+    [a, b], searched in lock-step.
 
-    Scalar brackets hand `fun` Python floats, one per call (GOLDEN_ITERS + 3
-    calls), and return a Python float abscissa.
-
-    `a` and `b` may be 1-D arrays of brackets, searched in lock-step: `fun`
-    then receives a (rows, m) array of points, row r's in its bracket, and
+    `fun` receives a (rows, m) array of points, row r's in its bracket, and
     returns their values in the same shape; it must evaluate each point as it
-    would alone.  Each call but the first (the two initial probes) and the
-    last looks ahead: it takes every probe that the next d steps can reach,
-    2^d - 1 per row, with d the largest depth at which rows * (2^d - 1) is
-    within GOLDEN_POINTS; the unchanged step rule is then replayed on those
-    values.  So every row takes exactly the steps, and ends at exactly the
-    abscissa and value, that it takes alone in the scalar rule, in
+    would alone.  Each row takes the one-probe rule: probes at 0.382 and 0.618
+    of the bracket, GOLDEN_ITERS steps, then the last bracket's midpoint,
+    where `fun` is last called.  Each call but the first and the last looks
+    ahead: it takes every probe that the next d steps can reach, 2^d - 1 per
+    row, with d the largest depth at which rows * (2^d - 1) is within
+    GOLDEN_POINTS, and the step rule is replayed on those values, so each row
+    ends at exactly the abscissa and value of the one-probe rule, in
     ceil(GOLDEN_ITERS / d) + 2 calls.  If `fun` raises on a look-ahead call,
     that round is redone one step at a time, so an exception surfaces only
-    where the scalar rule meets it.
-
-    The last call of `fun` is at the returned abscissa, and its value is
-    returned with it.
+    where the one-probe rule meets it.  Returns the abscissae and values.
     """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        a, b = float(a), float(b)
-        x1 = b - _GR * (b - a)
-        x2 = a + _GR * (b - a)
-        f1, f2 = fun(x1), fun(x2)
-        for _ in range(GOLDEN_ITERS):
-            up = f1 < f2
-            a, b, x1, x2, new = _golden_step(_pick, up, a, b, x1, x2)
-            fnew = fun(new)
-            f1, f2 = _pick(up, f2, fnew), _pick(up, fnew, f1)
-        x = 0.5 * (a + b)
-        return x, fun(x)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     x1 = b - _GR * (b - a)
     x2 = a + _GR * (b - a)
     try:
         f = fun(np.stack([x1, x2], axis=1))
         f1, f2 = f[:, 0], f[:, 1]
-    except Exception:   # the scalar rule's order: every x1, then every x2
+    except Exception:   # the one-probe rule's order: every x1, then every x2
         f1, f2 = fun(x1[:, None])[:, 0], fun(x2[:, None])[:, 0]
     depth = max(1, (GOLDEN_POINTS // max(len(a), 1) + 1).bit_length() - 1)
     state, done = (a, b, x1, x2, f1, f2), 0

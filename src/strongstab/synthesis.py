@@ -15,16 +15,18 @@ downstream search coordinates (k, u_inf ranges) depend on it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rational import (
+    _GR,
+    GOLDEN_ITERS,
     FrequencyGrid,
     Poly,
     RationalFn,
-    golden_max,
     grid_sup,
     or_raise,
     poly_from_roots,
@@ -584,24 +586,63 @@ class GammaOptResult:
     diagnostics: dict
 
 
+def _refine_dip(evaluate, a, fa, m, best, b, fb):
+    """(level, its result) of the lowest sigma_min found on (a, b) from the
+    coarse dip m, whose (sigma_min, v, degree) is `best`.
+
+    A failed level, and a NaN end value fa or fb, reads +inf.  The bracket is
+    the lowest evaluated point's two neighbours, and each step evaluates the
+    apex of a V through them, as sigma_min is near a singular level: each
+    side's secant to the next point out, or where a side has none, equal
+    slopes and a zero floor, apex (fa b + fb a)/(fa + fb).  Brent's safeguard:
+    a golden step into the larger side where the apex is not inside (a, b) or
+    the bracket did not halve in two steps.  Stops when the bracket or an apex
+    step is within golden_max's final width 0.618^GOLDEN_ITERS (b - a), or
+    after GOLDEN_ITERS + 3 evaluations.
+    """
+    fa, fb = (math.inf if math.isnan(f) else float(f) for f in (fa, fb))
+    pts = [(-math.inf, math.nan), (a, fa), (m, best[0]), (b, fb), (math.inf, math.nan)]
+    found = {m: best}
+    tol = _GR ** GOLDEN_ITERS * (b - a)
+    widths = [math.inf, math.inf]       # the bracket's at the start of each step
+    for n in range(GOLDEN_ITERS + 4):
+        m = min(found, key=lambda g: found[g][0])   # the first evaluated of the lowest
+        k = bisect.bisect_left(pts, (m,))
+        (a0, fa0), (a, fa), (m, fm), (b, fb), (b0, fb0) = pts[k - 2 : k + 3]
+        if b - a <= tol or n == GOLDEN_ITERS + 3:
+            break
+        sl, sr = (fa0 - fa) / (a - a0), (fb0 - fb) / (b0 - b)
+        if 0 < sl < math.inf and 0 < sr < math.inf:
+            x = (fa - fb + sl * a + sr * b) / (sl + sr)
+        else:
+            x = (fa * b + fb * a) / (fa + fb) if 0 < fa + fb < math.inf else math.nan
+        if not a < x < b or b - a > 0.5 * widths[-2]:
+            x = m + (1 - _GR) * (b - m) if b - m > m - a else m - (1 - _GR) * (m - a)
+        elif abs(x - m) <= tol:
+            break
+        widths.append(b - a)
+        try:
+            found[x] = evaluate(x)
+            fx = found[x][0]
+        except (FactorizationError, InterpolationError):
+            fx = math.inf
+        bisect.insort(pts, (x, fx))
+    return m, found[m]
+
+
 def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket) -> GammaOptResult:
     """Largest level in the bracket at which the optimal system is singular.
 
     Walks a coarse grid of the smallest singular value of the homogeneous
     system from the top of the bracket down, evaluating each level just before
     the level above it is tested as a dip (a local minimum).  Each dip is
-    golden-section refined as soon as it is found, and the first refined dip
-    with sigma_min < 1e-6 is returned, so only the grid levels from the top
-    down to that dip are evaluated.  The factorizations of the grid levels
-    are prefetched top-down in blocks of `GAMMA_BLOCK` (`LevelBuilder.prefetch`),
-    but the levels are consumed, and their interpolation systems solved, one
-    at a time in the order above; a level of the last block below the
-    returned dip is built and never consumed, so its failure, if any, is
-    never seen.  `diagnostics["dips"]` counts the dips refined;
-    `infeasible_points` lists the consumed grid levels (ascending), then the
-    refined dips, at which a factorization obstruction or an interpolation
-    degeneracy was collected rather than fatal, so the caller can tell which
-    failure mode ended the search.
+    refined between its coarse neighbours (`_refine_dip`) as soon as it is
+    found, and the first with sigma_min < 1e-6 is returned.  The grid levels
+    are factorized top-down in blocks of `GAMMA_BLOCK` (`LevelBuilder.prefetch`)
+    but consumed one at a time, so a failure below the returned dip is never
+    seen.  `diagnostics["dips"]` counts the dips refined; `infeasible_points`
+    lists the consumed grid levels (ascending) whose factorization or
+    interpolation failure was collected rather than fatal.
     """
     glo, ghi = bracket
     if not (0 < glo < ghi):
@@ -609,57 +650,35 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket) -> GammaOptResult
     levels = LevelBuilder(plant, weights)
     gs = np.linspace(glo, ghi, GAMMA_COARSE)
     vals = np.full(GAMMA_COARSE, np.nan)
-    grid_bad, refined_bad = [], []
-    last = None     # the most recent refinement evaluation, or its exception
-
-    def negsig(g):
-        nonlocal last
-        try:
-            last = levels.optimal_sigma_min(g)
-        except (FactorizationError, InterpolationError) as exc:
-            last = exc
-            return -np.inf
-        return -last[0]
-
-    def is_dip(i):
-        if np.isnan(vals[i]):
-            return False
-        left = vals[i - 1] if not np.isnan(vals[i - 1]) else np.inf
-        right = vals[i + 1] if not np.isnan(vals[i + 1]) else np.inf
-        return vals[i] <= left and vals[i] <= right
-
-    dips = 0
+    grid_bad, dips, res = [], 0, None
     for j in range(GAMMA_COARSE - 1, -1, -1):
         if (GAMMA_COARSE - 1 - j) % GAMMA_BLOCK == 0:
             levels.prefetch(gs[max(j + 1 - GAMMA_BLOCK, 0) : j + 1][::-1])
+        above = res     # gs[j + 1]'s result (stale where it failed: then no dip)
         try:
-            vals[j] = levels.optimal_sigma_min(gs[j])[0]
+            res = levels.optimal_sigma_min(gs[j])
+            vals[j] = res[0]
         except (FactorizationError, InterpolationError) as exc:
             grid_bad.append((float(gs[j]), str(exc)))
-        i = j + 1
-        if i > GAMMA_COARSE - 2 or not is_dip(i):
+        i = j + 1       # a dip: not above either neighbour, a failed one reading +inf
+        if (i > GAMMA_COARSE - 2 or np.isnan(vals[i])
+                or vals[i] > np.fmin(vals[i - 1], vals[i + 1])):
             continue
         dips += 1
-        # golden_max's last evaluation is at gstar, so `last` is the result there
-        gstar, _ = golden_max(negsig, gs[i - 1], gs[i + 1])
-        if isinstance(last, Exception):
-            refined_bad.append((float(gstar), str(last)))
-            continue
-        smin, v, degree = last
+        gstar, (smin, v, degree) = _refine_dip(levels.optimal_sigma_min, gs[i - 1], vals[i - 1],
+                                               gs[i], above, gs[i + 1], vals[i + 1])
         if smin < 1e-6:
-            n = degree + 1
-            l1c, l2c = v[:n], v[n:]
+            l1c, l2c = v[: degree + 1], v[degree + 1 :]
             if abs(l1c[-1]) > 1e-9 * np.abs(v).max():
-                l2c = l2c / l1c[-1]
-                l1c = l1c / l1c[-1]
+                l1c, l2c = l1c / l1c[-1], l2c / l1c[-1]
             return GammaOptResult(
                 gamma=float(gstar), L1=Poly(l1c), L2=Poly(l2c), sigma_min=float(smin),
-                infeasible_points=grid_bad[::-1] + refined_bad,
+                infeasible_points=grid_bad[::-1],
                 diagnostics={"bracket": (float(glo), float(ghi)), "dips": dips},
             )
     raise GammaSearchError(
         "no singular level found in bracket; widen the bracket "
-        f"(dips tried: {dips}, infeasible points: {len(grid_bad) + len(refined_bad)})"
+        f"(dips tried: {dips}, infeasible points: {len(grid_bad)})"
     )
 
 

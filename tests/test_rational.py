@@ -189,6 +189,9 @@ class TestStackedPolyRoots:
         monkeypatch.setattr(rational, "poly_roots", record)
         monkeypatch.setattr(synthesis, "poly_roots", record)
         synthesis.gamma_opt(plant, weights, opts.gamma_bracket)
+        # and the whole coarse grid, which gamma_opt leaves below its dip
+        synthesis.LevelBuilder(plant, weights).prefetch(
+            np.linspace(*opts.gamma_bracket, synthesis.GAMMA_COARSE))
         monkeypatch.undo()
         assert len(seen) > 300
         assert len({len(p.c) for p in seen}) > 1    # one call mixes lengths
@@ -359,8 +362,8 @@ class TestSupNorm:
         # the one-row lock-step refinement is the scalar rule, bit for bit
         vals = np.abs(f(1j * om))
         i = int(np.argmax(vals))
-        _, v = golden_max(lambda w: float(np.abs(f(np.array([1j * w])))[0]),
-                          om[i - 1], om[i + 1])
+        _, v = scalar_golden_max(lambda w: float(np.abs(f(np.array([1j * w])))[0]),
+                                 om[i - 1], om[i + 1])
         assert v > vals[i] and val == v
 
     def test_non_finite_row_reads_nan(self):
@@ -375,6 +378,27 @@ class TestSupNorm:
         both, seen = sup_of([b, g, f], om)
         assert np.isnan(both[1]) and seen[1] == []
         assert both[0] == sup_of([b], om)[0][0] and both[2] == sup_of([f], om)[0][0]
+
+
+def scalar_golden_max(fun, a, b):
+    """The one-probe golden-section rule that `golden_max` takes in lock-step,
+    as a plain loop: `fun` gets Python floats, one per call (GOLDEN_ITERS + 3
+    calls), the last at the returned abscissa."""
+    gr = rational._GR
+    a, b = float(a), float(b)
+    x1, x2 = b - gr * (b - a), a + gr * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(rational.GOLDEN_ITERS):
+        if f1 < f2:     # keep [x1, b]
+            a, x1 = x1, x2
+            x2 = a + gr * (b - a)
+            f1, f2 = f2, fun(x2)
+        else:           # keep [a, x2]
+            b, x2 = x2, x1
+            x1 = b - gr * (b - a)
+            f1, f2 = fun(x1), f1
+    x = 0.5 * (a + b)
+    return x, fun(x)
 
 
 class TestGoldenMax:
@@ -396,7 +420,7 @@ class TestGoldenMax:
 
         xb, vb = golden_max(self.f, lo, hi)
         for k in range(len(lo)):
-            x, v = golden_max(scalar_f, lo[k], hi[k])
+            x, v = scalar_golden_max(scalar_f, lo[k], hi[k])
             assert type(x) is float
             assert x == xb[k] and v == vb[k]
         assert set(seen) == {float}
@@ -413,7 +437,7 @@ class TestGoldenMax:
 
     def test_raise_off_the_serial_path_is_not_seen(self):
         seen = []
-        x, v = golden_max(lambda t: seen.append(t) or self.f(t), 2.0, 5.0)
+        x, v = scalar_golden_max(lambda t: seen.append(t) or self.f(t), 2.0, 5.0)
 
         def f(w):
             if not np.isin(w, seen).all():
@@ -425,7 +449,7 @@ class TestGoldenMax:
 
     def test_raise_on_the_serial_path_surfaces_as_in_the_scalar_rule(self):
         seen = []
-        golden_max(lambda t: seen.append(t) or self.f(t), 2.0, 5.0)
+        scalar_golden_max(lambda t: seen.append(t) or self.f(t), 2.0, 5.0)
         bad = seen[12]      # step 11's probe: inside the second round
 
         def f(w):
@@ -434,7 +458,7 @@ class TestGoldenMax:
             return self.f(w)
 
         with pytest.raises(ValueError) as scalar:
-            golden_max(f, 2.0, 5.0)
+            scalar_golden_max(f, 2.0, 5.0)
         calls = []
         with pytest.raises(ValueError) as batched:
             golden_max(lambda w: calls.append(w) or f(w), np.array([2.0]), np.array([5.0]))
@@ -476,7 +500,7 @@ class TestGoldenLookahead:
         ref, path = [], []
         for k in check:
             seen = []
-            x, v = golden_max(lambda t: seen.append(t) or fun(t), lo[k], hi[k])
+            x, v = scalar_golden_max(lambda t: seen.append(t) or fun(t), lo[k], hi[k])
             ref.append((x, v))
             path.append(seen)
         path = np.array(path)       # (rows, iters + 3): x1, x2, each step's probe, the result

@@ -9,7 +9,6 @@ from strongstab.rational import (
     RootConvergenceError,
     RootSet,
     blaschke,
-    golden_max,
     poly_roots,
 )
 from strongstab.stability import certify
@@ -24,6 +23,7 @@ from strongstab.synthesis import (
     UParam,
     WeightPair,
     _nullvector,
+    _refine_dip,
     beta_zeros,
     build_context,
     build_controller,
@@ -35,6 +35,7 @@ from strongstab.synthesis import (
     spectral_ratio,
     verify_performance,
 )
+from test_rational import scalar_golden_max
 
 GRID = FrequencyGrid()
 
@@ -190,9 +191,9 @@ class TestInterpolation:
 
 
 def full_scan_gamma_opt(plant, weights, bracket, coarse=200):
-    """Reference: sigma_min on the whole coarse grid first, then every dip
-    refined from the top down, each refinement evaluated once more at its
-    optimum.  Built on the public one-level functions, not on LevelBuilder."""
+    """Reference for the walk order: sigma_min on the whole coarse grid
+    first, then every dip refined (`_refine_dip`) from the top down.  Built on
+    the public one-level functions, not on LevelBuilder."""
     def sigma_min_at(g):
         E = build_E(g, weights.W1)
         F, _, _ = build_F(g, weights.W1, weights.W2)
@@ -206,9 +207,11 @@ def full_scan_gamma_opt(plant, weights, bracket, coarse=200):
     glo, ghi = bracket
     gs = np.linspace(glo, ghi, coarse)
     vals = np.full(coarse, np.nan)
+    found = [None] * coarse
     for i, g in enumerate(gs):
         try:
-            vals[i] = sigma_min_at(g)[0]
+            found[i] = sigma_min_at(g)
+            vals[i] = found[i][0]
         except (FactorizationError, InterpolationError):
             pass
     dips = []
@@ -220,18 +223,9 @@ def full_scan_gamma_opt(plant, weights, bracket, coarse=200):
         if vals[i] <= left and vals[i] <= right:
             dips.append(i)
 
-    def negsig(g):
-        try:
-            return -sigma_min_at(g)[0]
-        except (FactorizationError, InterpolationError):
-            return -np.inf
-
     for i in sorted(dips, key=lambda i: -gs[i]):
-        gstar, _ = golden_max(negsig, gs[i - 1], gs[i + 1])
-        try:
-            smin, v, degree = sigma_min_at(gstar)
-        except (FactorizationError, InterpolationError):
-            continue
+        gstar, (smin, v, degree) = _refine_dip(sigma_min_at, gs[i - 1], vals[i - 1],
+                                               gs[i], found[i], gs[i + 1], vals[i + 1])
         if smin < 1e-6:
             n = degree + 1
             l1c, l2c = v[:n], v[n:]
@@ -255,6 +249,12 @@ def synthetic_sigma(monkeypatch, sigma):
     return seen
 
 
+def refinement(seen, bracket):
+    """The levels of `seen` off the coarse grid: the dip refinements' probes."""
+    coarse = set(np.linspace(*bracket, synthesis.GAMMA_COARSE))
+    return [g for g in seen if g not in coarse]
+
+
 class TestGammaOpt:
     def test_ex1_level(self, ex1_gamma):
         assert ex1_gamma.gamma == pytest.approx(0.8108, abs=1e-3)
@@ -275,7 +275,26 @@ class TestGammaOpt:
         assert np.array_equal(res.L1.c, l1c)
         assert np.array_equal(res.L2.c, l2c)
 
-    @pytest.mark.parametrize("example, budget", [("ex1", 152), ("ex2", 93)])
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_refinement_matches_golden_oracle(self, example, request):
+        # golden-section search of the same dip bracket, 53 evaluations
+        plant, weights, opts = request.getfixturevalue(example)
+        res = request.getfixturevalue(f"{example}_gamma")
+        levels = LevelBuilder(plant, weights)
+        gs = np.linspace(*opts.gamma_bracket, synthesis.GAMMA_COARSE)
+        i = int(np.argmin(np.abs(gs - res.gamma)))
+        coarse = [levels.optimal_sigma_min(g)[0] for g in gs[i - 1 : i + 2]]
+        assert coarse[1] <= min(coarse[0], coarse[2])      # gs[i] is the dip
+
+        def negsig(g):
+            return -levels.optimal_sigma_min(g)[0]
+
+        g, v = scalar_golden_max(negsig, gs[i - 1], gs[i + 1])
+        assert abs(res.gamma - g) <= 2e-13
+        assert f"{res.gamma:.12g}" == f"{g:.12g}"
+        assert res.sigma_min <= -v
+
+    @pytest.mark.parametrize("example, budget", [("ex1", 104), ("ex2", 45)])
     def test_evaluation_budget(self, example, budget, request, monkeypatch):
         plant, weights, opts = request.getfixturevalue(example)
         calls = []
@@ -301,6 +320,63 @@ class TestGammaOpt:
         gs = np.linspace(1.0, 3.0, 200)
         dip = int(np.argmin(np.abs(gs - 1.5)))
         assert min(seen) == gs[dip - 1]     # nothing below the dip's left neighbour
+
+    @pytest.mark.parametrize("left, right, budget", [(10.0, 0.1, 5), (0.1, 10.0, 11)])
+    def test_asymmetric_v(self, ex1, monkeypatch, left, right, budget):
+        plant, weights, _ = ex1
+        c = 1.5012
+        seen = synthetic_sigma(monkeypatch, lambda g: left * (c - g) if g < c else right * (g - c))
+        res = gamma_opt(plant, weights, (1.0, 3.0))
+        assert abs(res.gamma - c) <= 1e-15 and res.sigma_min < 1e-6
+        assert len(refinement(seen, (1.0, 3.0))) <= budget
+
+    def test_smooth_dip_with_a_floor_is_passed_over(self, ex1, monkeypatch):
+        plant, weights, _ = ex1
+        c = 1.5012
+        seen = synthetic_sigma(monkeypatch, lambda g: min((g - 2.5) ** 2 + 0.05, abs(g - c)))
+        res = gamma_opt(plant, weights, (1.0, 3.0))
+        assert res.gamma == c and res.diagnostics["dips"] == 2
+        probes = refinement(seen, (1.0, 3.0))
+        assert len([g for g in probes if g > 2.0]) <= 39
+        assert len([g for g in probes if g < 2.0]) <= 1
+
+    def test_nan_coarse_neighbour(self, ex1, monkeypatch):
+        plant, weights, _ = ex1
+        c = 1.5012
+        gs = np.linspace(1.0, 3.0, 200)
+        nan_at = gs[int(np.argmin(np.abs(gs - c))) - 1]
+
+        def sigma(g):
+            if g == nan_at:
+                raise InterpolationError("forced")
+            return abs(g - c)
+
+        seen = synthetic_sigma(monkeypatch, sigma)
+        res = gamma_opt(plant, weights, (1.0, 3.0))
+        assert res.gamma == c and res.infeasible_points == [(float(nan_at), "forced")]
+        assert len(refinement(seen, (1.0, 3.0))) <= 3
+
+    def test_raising_probe_reads_inf(self, ex1, monkeypatch):
+        plant, weights, _ = ex1
+        c = 1.5012
+
+        def v(g):
+            return 10.0 * (c - g) if g < c else 0.1 * (g - c)
+
+        clean = synthetic_sigma(monkeypatch, v)
+        gamma_opt(plant, weights, (1.0, 3.0))
+        bad = refinement(clean, (1.0, 3.0))[0]
+
+        def sigma(g):
+            if g == bad:
+                raise FactorizationError("forced")
+            return v(g)
+
+        seen = synthetic_sigma(monkeypatch, sigma)
+        res = gamma_opt(plant, weights, (1.0, 3.0))
+        assert bad in seen and abs(res.gamma - c) <= 1e-15
+        assert res.infeasible_points == []
+        assert len(refinement(seen, (1.0, 3.0))) <= 7
 
     def test_no_singular_level_scans_whole_grid(self, ex1, monkeypatch):
         plant, weights, _ = ex1
@@ -530,8 +606,8 @@ class TestController:
         om = opts.grid.omegas()
         vals = np.abs(stack(1j * om))
         i, last = int(np.argmax(vals)), len(om) - 1
-        _, v = golden_max(lambda w: float(np.abs(stack(np.array([1j * w])))[0]),
-                          om[max(i - 1, 0)], om[min(i + 1, last)])
+        _, v = scalar_golden_max(lambda w: float(np.abs(stack(np.array([1j * w])))[0]),
+                                 om[max(i - 1, 0)], om[min(i + 1, last)])
         ref = v if v >= vals[i] else float(vals[i])
         norm, ok = verify_performance(ctrl, weights, opts.grid)
         assert type(norm) is float and norm == ref and ok
