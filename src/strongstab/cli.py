@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import report as rpt
-from .config import ConfigError, _need, load_problem
+from .config import ConfigError, _need, _number, _positive, load_problem
 from .finite import (
     FiniteSearchError,
     FiniteU,
@@ -72,10 +72,14 @@ def _complex_pairs(zs):
 
 
 def _report_number(doc, key, path):
+    """doc[key] as a float: a number or a string that float() reads, not a bool."""
+    v = _need(doc, key, path)
     try:
-        return float(_need(doc, key, path))
+        if not isinstance(v, bool):
+            return float(v)
     except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", "expected a number") from None
+        pass
+    raise ConfigError(f"{path}.{key}", "expected a number")
 
 
 def cmd_gamma_opt(args):
@@ -268,13 +272,17 @@ def cmd_verify(args):
         if branch == "central-stable":
             u = UParam(0.0)
         else:
-            a = number("conformal_a")
+            a = _positive(_need(result, "conformal_a", "report.result"),
+                          "report.result.conformal_a")
             p1p2 = build_p1p2(plant, ctx)
             z, w = pick_points(p1p2, a)
-            pp = PickProblem(
-                z=z, w=w, n=tuple(_need(result, "integers", "report.result", list)),
-                mu=number("mu"),
-            )
+            ints = _need(result, "integers", "report.result", list)
+            each = f"{len(z)} integers, one per Pick node"
+            if len(ints) != len(z):
+                raise ConfigError("report.result.integers", f"expected {each}")
+            n = tuple(_number(k, "report.result.integers", lambda k: isinstance(k, int), each)
+                      for k in ints)
+            pp = PickProblem(z=z, w=w, n=n, mu=number("mu"))
             u = FiniteU(p1p2, np_interpolant(pp), pp.mu, number("q"), a)
             un = certify_u_norm(u, dense)
             if np.isnan(un):

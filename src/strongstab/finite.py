@@ -481,10 +481,12 @@ def certify_u_norm(U: FiniteU, grid: FrequencyGrid):
     """Grid-certified sup of |U(jw)| for each constant of U.q: an array for
     an array of constants, a float for one.
 
-    `grid_sup` takes the sup on the grid, all constants in lock-step; each is
-    then raised to the omega -> infinity limit of |U| where that is larger
-    (np.fmax: a NaN limit keeps the grid value).  A constant at which U is
-    not finite somewhere on the grid reads NaN.
+    `grid_sup` takes the sup on the grid, all constants in lock-step, each
+    refined only in the bracket of its grid argmax's two neighbours (a peak
+    or pole between other grid frequencies is not seen); each is then raised
+    to the omega -> infinity limit of |U| where that is larger (np.fmax: a
+    NaN limit keeps the grid value).  A constant at which U is not finite
+    somewhere on the grid reads NaN.
     """
     om = grid.omegas()
     qs = np.atleast_1d(np.asarray(U.q, dtype=float))

@@ -30,7 +30,6 @@ __all__ = [
     "poly_from_roots",
     "reduced_from_roots",
     "blaschke",
-    "golden_max",
     "grid_peaks",
     "grid_sup",
 ]
@@ -489,100 +488,14 @@ class FrequencyGrid:
         return np.logspace(np.log10(self.lo), np.log10(self.hi), self.points)
 
 
-# Golden-section steps per `golden_max` call, and the precision of each
-# `gamma_opt` dip refinement: the bracket shrinks by 0.618^50 ~ 3.5e-11.
-GOLDEN_ITERS = 50
-# Points per call of the lock-step `golden_max`: each call takes the
-# 2^d - 1 probes per row that the next d steps can reach, d the largest depth
-# (at least 1) with rows * (2^d - 1) within this budget.  Any budget in
-# [707, 1022] gives one row d = 9 (8 calls in all, not 53) and the 101-row
-# fig-5 lattice d = 3 (19 calls); measured on both, 512 (lattice d = 2) and
-# 1024 (one row d = 10) were slower.
-GOLDEN_POINTS = 768
-_GR = (float(np.sqrt(5.0)) - 1) / 2
-
-
-def _golden_step(up, a, b, x1, x2):
-    """One golden step of the brackets [a, b] with probes x1 < x2: keep
-    [x1, b] and probe a new x2 where `up` (f1 < f2), else keep [a, x2] and
-    probe a new x1.  Returns the new a, b, x1, x2 and the new probe."""
-    a = np.where(up, x1, a)
-    b = np.where(up, b, x2)
-    new = np.where(up, a + _GR * (b - a), b - _GR * (b - a))
-    return a, b, np.where(up, x2, new), np.where(up, new, x1), new
-
-
-def _ahead(fun, depth, a, b, x1, x2, f1, f2):
-    """`depth` lock-step golden steps of every row from one call of `fun`.
-
-    The step rule only needs f1 < f2, so the bracket after each sequence of
-    outcomes is known before any value: level j of the tree holds the 2^j
-    probes that step j can make (step 0's outcome is already known), and
-    `fun` gets all 2^depth - 1 of them as one (rows, 2^depth - 1) array.  The
-    steps are then replayed on the values, each row descending to the child
-    that its own outcome picks.
-    """
-    up = f1 < f2
-    a, b, x1, x2, new = _golden_step(up, a, b, x1, x2)
-    level, probes = [v[:, None] for v in (a, b, x1, x2)], [new[:, None]]
-    for j in range(1, depth):   # both outcomes of step j at each node of level j - 1
-        *level, new = _golden_step(np.array([True, False]).repeat(1 << (j - 1)),
-                                   *(np.concatenate([v, v], axis=1) for v in level))
-        probes.append(new)
-    vals = fun(np.concatenate(probes, axis=1))
-    fnew = vals[:, 0]
-    f1, f2 = np.where(up, f2, fnew), np.where(up, fnew, f1)
-    if depth == 1:
-        return a, b, x1, x2, f1, f2
-    row, node = np.arange(len(a)), np.zeros(len(a), dtype=int)
-    for j in range(1, depth):
-        up = f1 < f2
-        node = np.where(up, node, node + (1 << (j - 1)))
-        fnew = vals[row, (1 << j) - 1 + node]
-        f1, f2 = np.where(up, f2, fnew), np.where(up, fnew, f1)
-    return (*(v[row, node] for v in level), f1, f2)
-
-
-def golden_max(fun, a, b):
-    """Golden-section maximization of `fun` on the 1-D arrays of brackets
-    [a, b], searched in lock-step.
-
-    `fun` receives a (rows, m) array of points, row r's in its bracket, and
-    returns their values in the same shape; it must evaluate each point as it
-    would alone.  Each row takes the one-probe rule: probes at 0.382 and 0.618
-    of the bracket, GOLDEN_ITERS steps, then the last bracket's midpoint,
-    where `fun` is last called.  Each call but the first and the last looks
-    ahead: it takes every probe that the next d steps can reach, 2^d - 1 per
-    row, with d the largest depth at which rows * (2^d - 1) is within
-    GOLDEN_POINTS, and the step rule is replayed on those values, so each row
-    ends at exactly the abscissa and value of the one-probe rule, in
-    ceil(GOLDEN_ITERS / d) + 2 calls.  If `fun` raises on a look-ahead call,
-    that round is redone one step at a time, so an exception surfaces only
-    where the one-probe rule meets it.  Returns the abscissae and values.
-    """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    x1 = b - _GR * (b - a)
-    x2 = a + _GR * (b - a)
-    try:
-        f = fun(np.stack([x1, x2], axis=1))
-        f1, f2 = f[:, 0], f[:, 1]
-    except Exception:   # the one-probe rule's order: every x1, then every x2
-        f1, f2 = fun(x1[:, None])[:, 0], fun(x2[:, None])[:, 0]
-    depth = max(1, (GOLDEN_POINTS // max(len(a), 1) + 1).bit_length() - 1)
-    state, done = (a, b, x1, x2, f1, f2), 0
-    while done < GOLDEN_ITERS:
-        d = min(depth, GOLDEN_ITERS - done)
-        try:
-            state = _ahead(fun, d, *state)
-        except Exception:   # maybe off the taken path: redo it step by step
-            if d == 1:
-                raise
-            for _ in range(d):
-                state = _ahead(fun, 1, *state)
-        done += d
-    a, b = state[:2]
-    x = 0.5 * (a + b)
-    return x, fun(x[:, None])[:, 0]
+# grid_sup's peak refinement: each of ZOOM_STAGES `point` calls samples every
+# row's bracket at ZOOM_POINTS evenly spaced interior points, and the next
+# bracket is the best sample's two neighbours, so each stage shrinks the
+# bracket by 2 / (ZOOM_POINTS + 1): the last samples are 3e-8 of the first
+# bracket apart.  Of 15 x 8, 23 x 7, 31 x 6 and 63 x 5, measured on both
+# examples' `verify` and example 2's fig-5 lattice, 31 x 6 ran fastest.
+ZOOM_POINTS = 31
+ZOOM_STAGES = 6
 
 
 # (row, point) values per evaluation in grid_peaks; larger blocks raise peak
@@ -617,19 +530,26 @@ def grid_sup(rows, point, n, om):
     `rows` gives the responses on om as in `grid_peaks`, and `point(w, k)`
     those of rows k at the frequencies w: `w` has shape (len(k), m), row i's
     frequencies for row k[i], and the result has the same shape.  Each grid
-    maximum is refined by one lock-step `golden_max` between its argmax's two
-    neighbours, and the refined value replaces the grid value only where it
-    is not smaller.  The refinement calls `point` ceil(GOLDEN_ITERS / d) + 2
-    times, d chosen from GOLDEN_POINTS as `golden_max` says: 8 times for one
-    row, with at most GOLDEN_POINTS frequencies in all but the first call
-    (two per row) and, when rows exceed GOLDEN_POINTS, one per row.
+    maximum is refined in the bracket of its argmax's two neighbours (one
+    neighbour at a grid end), all rows in lock-step: ZOOM_STAGES calls of
+    `point`, each with ZOOM_POINTS evenly spaced interior points per row,
+    and the next bracket is the best sample's two neighbours.  The sup is the
+    largest of the grid maximum and the samples: a NaN sample is skipped and
+    an infinite one makes the sup infinite.
     """
     at, peak = grid_peaks(rows, n, len(om))
     ok = np.flatnonzero(at >= 0)
     sup = np.full(n, np.nan)
     if ok.size:
-        i, last = at[ok], len(om) - 1
-        _, v = golden_max(lambda w: np.abs(point(w, ok)),
-                          om[np.maximum(i - 1, 0)], om[np.minimum(i + 1, last)])
-        sup[ok] = np.where(v >= peak[ok], v, peak[ok])
+        i, last, r = at[ok], len(om) - 1, np.arange(ok.size)
+        lo, hi, best = om[np.maximum(i - 1, 0)], om[np.minimum(i + 1, last)], peak[ok]
+        t = np.arange(ZOOM_POINTS + 2) / (ZOOM_POINTS + 1)
+        for _ in range(ZOOM_STAGES):
+            w = lo[:, None] + t * (hi - lo)[:, None]
+            w[:, -1] = hi       # exactly, so brackets never creep past hi
+            v = np.abs(point(w[:, 1:-1], ok))
+            j = 1 + np.argmax(np.where(np.isnan(v), -np.inf, v), axis=1)
+            best = np.fmax(best, v[r, j - 1])
+            lo, hi = w[r, j - 1], w[r, j + 1]
+        sup[ok] = best
     return sup

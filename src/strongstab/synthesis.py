@@ -22,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rational import (
-    _GR,
-    GOLDEN_ITERS,
     FrequencyGrid,
     Poly,
     RationalFn,
@@ -72,6 +70,10 @@ INNER_TOL = 1e-8
 GAMMA_COARSE = 200
 # Coarse levels `gamma_opt` factorizes together (`LevelBuilder.prefetch`).
 GAMMA_BLOCK = 16
+# `_refine_dip`'s golden ratio (its safeguard step) and its stopping width:
+# that of DIP_ITERS golden-section steps, 0.618^50 ~ 3.5e-11 of the bracket.
+DIP_GOLDEN = (math.sqrt(5.0) - 1) / 2
+DIP_ITERS = 50
 
 
 class PlantValidationError(ValueError):
@@ -597,19 +599,19 @@ def _refine_dip(evaluate, a, fa, m, best, b, fb):
     slopes and a zero floor, apex (fa b + fb a)/(fa + fb).  Brent's safeguard:
     a golden step into the larger side where the apex is not inside (a, b) or
     the bracket did not halve in two steps.  Stops when the bracket or an apex
-    step is within golden_max's final width 0.618^GOLDEN_ITERS (b - a), or
-    after GOLDEN_ITERS + 3 evaluations.
+    step is within the final width of DIP_ITERS golden-section steps,
+    DIP_GOLDEN^DIP_ITERS (b - a), or after DIP_ITERS + 3 evaluations.
     """
     fa, fb = (math.inf if math.isnan(f) else float(f) for f in (fa, fb))
     pts = [(-math.inf, math.nan), (a, fa), (m, best[0]), (b, fb), (math.inf, math.nan)]
     found = {m: best}
-    tol = _GR ** GOLDEN_ITERS * (b - a)
+    tol = DIP_GOLDEN ** DIP_ITERS * (b - a)
     widths = [math.inf, math.inf]       # the bracket's at the start of each step
-    for n in range(GOLDEN_ITERS + 4):
+    for n in range(DIP_ITERS + 4):
         m = min(found, key=lambda g: found[g][0])   # the first evaluated of the lowest
         k = bisect.bisect_left(pts, (m,))
         (a0, fa0), (a, fa), (m, fm), (b, fb), (b0, fb0) = pts[k - 2 : k + 3]
-        if b - a <= tol or n == GOLDEN_ITERS + 3:
+        if b - a <= tol or n == DIP_ITERS + 3:
             break
         sl, sr = (fa0 - fa) / (a - a0), (fb0 - fb) / (b0 - b)
         if 0 < sl < math.inf and 0 < sr < math.inf:
@@ -617,7 +619,8 @@ def _refine_dip(evaluate, a, fa, m, best, b, fb):
         else:
             x = (fa * b + fb * a) / (fa + fb) if 0 < fa + fb < math.inf else math.nan
         if not a < x < b or b - a > 0.5 * widths[-2]:
-            x = m + (1 - _GR) * (b - m) if b - m > m - a else m - (1 - _GR) * (m - a)
+            g = 1 - DIP_GOLDEN
+            x = m + g * (b - m) if b - m > m - a else m - g * (m - a)
         elif abs(x - m) <= tol:
             break
         widths.append(b - a)
@@ -778,9 +781,11 @@ def build_controller(plant, ctx: SynthesisContext, u) -> Controller:
 
 
 def verify_performance(controller: Controller, weights: WeightPair, grid: FrequencyGrid):
-    """Sup over the grid of sqrt(|W1 S|^2 + |W2 T|^2) and the level check.
+    """Sup of sqrt(|W1 S|^2 + |W2 T|^2) by `grid_sup` and the level check.
 
-    A stack that is not finite on the grid fails the check with norm inf.
+    The sup is the grid maximum, refined only in the bracket of its argmax's
+    two neighbours: a peak between other grid frequencies is not seen.  A
+    stack that is not finite on the grid fails the check with norm inf.
     """
     def stack(s):
         S, T = controller.sensitivity_pair(s.imag)

@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from strongstab import (
@@ -67,3 +68,15 @@ def ex1_search(ex1, ex1_ctx):
 def ex2_search(ex2, ex2_ctx):
     plant, weights, opts = ex2
     return stabilize_finite(plant, weights, ex2_ctx, opts)
+
+
+@pytest.fixture(scope="session")
+def bracket_max():
+    """max |f(w)| over 2M + 1 evenly spaced w in the bracket that
+    `rational.grid_sup` refines for the grid `om`: the grid argmax's two
+    neighbours.  `f` takes a 1-D array of frequencies; it gets chunks of them."""
+    def dense_max(f, om):
+        i, last = int(np.argmax(np.abs(f(om)))), len(om) - 1
+        w = np.linspace(om[max(i - 1, 0)], om[min(i + 1, last)], 2_000_001)
+        return max(np.abs(f(w[k:k + 50_000])).max() for k in range(0, w.size, 50_000))
+    return dense_max

@@ -388,15 +388,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "input error: report.rho: expected a number > 0 whose square is finite\n")
 
-    def test_non_numeric_report_field_exits_2(self, ex1_run, tmp_path, capsys):
-        rep, _, _ = ex1_run
+    @pytest.mark.parametrize("run, field, value", [
+        ("ex1", "u_inf", None),
+        ("ex1", "u_inf", True),
+        ("ex2", "q", True),
+        ("ex2", "mu", False),
+        ("ex2", "integers", ["x", "y"]),
+        ("ex2", "integers", [[0], [0]]),
+        ("ex2", "integers", [0]),           # one integer for two Pick nodes
+        ("ex2", "integers", [0.5, -0.5]),
+        ("ex2", "integers", [False, False]),
+        ("ex2", "conformal_a", -1.0),
+        ("ex2", "conformal_a", 0.0),
+        ("ex2", "conformal_a", True),
+    ])
+    def test_non_numeric_report_field_exits_2(self, run, field, value, request, tmp_path,
+                                              capsys):
+        rep, _, _ = request.getfixturevalue(f"{run}_run")
         bad = json.loads(json.dumps(rep))
-        bad["result"]["u_inf"] = None
+        bad["result"][field] = value
         p = tmp_path / "non_numeric.json"
         p.write_text(json.dumps(bad))
-        rc = main(["verify", EX1, "--report", str(p)])
+        rc = main(["verify", EX1 if run == "ex1" else EX2, "--report", str(p)])
         assert rc == 2
-        assert "report.result.u_inf: expected a number" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"input error: report.result.{field}: expected")
 
     def test_unreadable_report_exits_2(self, tmp_path, capsys):
         p = tmp_path / "truncated.json"

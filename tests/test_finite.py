@@ -452,6 +452,12 @@ class TestStabilizeFinite:
         assert certify_u_norm(ex2_search.U, FrequencyGrid()) <= 1.0 + 1e-9
         assert len(ex2_search.cert.scan.zeros) == 0
 
+    def test_ex2_norm_at_least_dense_sampling_of_its_bracket(self, ex2_search, bracket_max):
+        # the refined bracket sampled at 2M + 1 points reads no more
+        U = ex2_search.U
+        dense = bracket_max(lambda w: U(1j * w), FrequencyGrid().omegas())
+        assert certify_u_norm(U, FrequencyGrid()) >= dense * (1 - 1e-12)
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 3: the grid sup refines only the grid argmax, so a "

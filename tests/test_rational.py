@@ -13,7 +13,6 @@ from strongstab.rational import (
     RootConvergenceError,
     RootSet,
     blaschke,
-    golden_max,
     grid_sup,
     poly_from_roots,
     poly_roots,
@@ -323,20 +322,34 @@ class TestBlaschke:
             assert np.abs(np.abs(b(1j * om)) - 1.0).max() <= 1e-10
 
 
-def sup_of(fs, om):
-    """grid_sup of one row per function in fs, and the frequencies at which
-    `point` saw each row, in call order."""
-    seen = [[] for _ in fs]
+# resonance 1/(s^2 + 0.02 s + 4): |f(jw)| peaks at w^2 = 4 - 0.02^2 / 2
+RESONANCE = RationalFn(Poly([1.0]), Poly([4.0, 0.02, 1.0]))
+
+
+def _calls(fs, om):
+    """grid_sup of one row per function in fs, and the (w, k) of each
+    `point` call."""
+    calls = []
 
     def rows(k0, k1):
         return np.array([fs[k](1j * om) for k in range(k0, k1)])
 
     def point(w, k):
-        for wi, ki in zip(w.tolist(), k.tolist()):
-            seen[ki].extend(wi)
+        calls.append((w.copy(), k.copy()))
         return np.array([fs[ki](1j * wi) for wi, ki in zip(w, k)])
 
-    return grid_sup(rows, point, len(fs), om), seen
+    return grid_sup(rows, point, len(fs), om), calls
+
+
+def sup_of(fs, om):
+    """grid_sup of one row per function in fs, and the frequencies at which
+    `point` saw each row, in call order."""
+    sup, calls = _calls(fs, om)
+    seen = [[] for _ in fs]
+    for w, k in calls:
+        for wi, ki in zip(w.tolist(), k.tolist()):
+            seen[ki].extend(wi)
+    return sup, seen
 
 
 class TestSupNorm:
@@ -347,30 +360,26 @@ class TestSupNorm:
 
     def test_low_pass_peak_at_origin(self):
         f = RationalFn(Poly([1.0]), Poly([1.0, 1.0]))
-        (val,), (seen,) = sup_of([f], FrequencyGrid().omegas())
-        assert val == pytest.approx(1.0, rel=1e-6)
-        assert seen[-1] == pytest.approx(1e-3, rel=0.1)  # grid edge
-
-    def test_interior_peak_refined(self):
-        # resonance: 1/(s^2 + 0.02 s + 4): peak near omega = 2
-        f = RationalFn(Poly([1.0]), Poly([4.0, 0.02, 1.0]))
         om = FrequencyGrid().omegas()
         (val,), (seen,) = sup_of([f], om)
-        # golden_max's last evaluation is at the refined abscissa
-        assert seen[-1] == pytest.approx(np.sqrt(4 - 0.02**2 / 2), rel=1e-4)
-        assert val == pytest.approx(1 / (0.02 * np.sqrt(4 - 0.02**2 / 4)), rel=1e-6)
-        # the one-row lock-step refinement is the scalar rule, bit for bit
-        vals = np.abs(f(1j * om))
-        i = int(np.argmax(vals))
-        _, v = scalar_golden_max(lambda w: float(np.abs(f(np.array([1j * w])))[0]),
-                                 om[i - 1], om[i + 1])
-        assert v > vals[i] and val == v
+        assert val == abs(f(1j * om[0]))       # monotone: the grid end is the sup
+        assert om[0] < min(seen) and max(seen) < om[1]
+
+    def test_interior_peak_refined(self):
+        mpmath = pytest.importorskip("mpmath")
+        om = FrequencyGrid().omegas()
+        (val,), _ = sup_of([RESONANCE], om)
+        assert val > np.abs(RESONANCE(1j * om)).max()
+        with mpmath.workdps(50):
+            c = mpmath.mpf("0.02")
+            exact = 1 / (c * mpmath.sqrt(4 - c**2 / 4))
+            assert abs((val - exact) / exact) <= 1e-13
 
     def test_non_finite_row_reads_nan(self):
         om = FrequencyGrid().omegas()
         bad = om[1234]
         b = blaschke([1.0, 0.5 + 2j, 0.5 - 2j])
-        f = RationalFn(Poly([1.0]), Poly([4.0, 0.02, 1.0]))
+        f = RESONANCE
 
         def g(s):
             return np.where(s.imag == bad, np.inf, f(s))
@@ -380,145 +389,59 @@ class TestSupNorm:
         assert both[0] == sup_of([b], om)[0][0] and both[2] == sup_of([f], om)[0][0]
 
 
-def scalar_golden_max(fun, a, b):
-    """The one-probe golden-section rule that `golden_max` takes in lock-step,
-    as a plain loop: `fun` gets Python floats, one per call (GOLDEN_ITERS + 3
-    calls), the last at the returned abscissa."""
-    gr = rational._GR
-    a, b = float(a), float(b)
-    x1, x2 = b - gr * (b - a), a + gr * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(rational.GOLDEN_ITERS):
-        if f1 < f2:     # keep [x1, b]
-            a, x1 = x1, x2
-            x2 = a + gr * (b - a)
-            f1, f2 = f2, fun(x2)
-        else:           # keep [a, x2]
-            b, x2 = x2, x1
-            x1 = b - gr * (b - a)
-            f1, f2 = fun(x1), f1
-    x = 0.5 * (a + b)
-    return x, fun(x)
+class TestZoom:
+    """grid_sup's refinement: ZOOM_STAGES lock-step calls of `point`."""
 
+    def test_point_calls_are_fixed(self):
+        om = FrequencyGrid().omegas()
+        low_pass = RationalFn(Poly([1.0]), Poly([1.0, 1.0]))
+        high_pass = RationalFn(Poly([0.0, 1.0]), Poly([1.0, 1.0]))
+        for fs in ([RESONANCE], [RESONANCE, low_pass, high_pass] * 40):
+            _, calls = _calls(fs, om)
+            shape = (len(fs), rational.ZOOM_POINTS)
+            assert [w.shape for w, _ in calls] == [shape] * rational.ZOOM_STAGES
+            assert all((k == np.arange(len(fs))).all() for _, k in calls)
+            # every sample lies strictly inside its row's grid bracket
+            i = np.argmax(np.abs([f(1j * om) for f in fs]), axis=1)
+            lo, hi = om[np.maximum(i - 1, 0)], om[np.minimum(i + 1, len(om) - 1)]
+            assert all(((lo[:, None] < w) & (w < hi[:, None])).all() for w, _ in calls)
 
-class TestGoldenMax:
-    @staticmethod
-    def f(x):
-        # flat on [0.75, 1.25], so a bracket inside it has f1 == f2 at every
-        # step, and an interior peak near x = 3
-        d = np.maximum(np.abs(x - 1.0) - 0.25, 0.0)
-        return np.maximum(x - 2.0, 0.0) * np.maximum(4.0 - x, 0.0) - 0.01 * d * d * (x + 3.0)
-
-    def test_batched_equals_scalar_calls(self):
-        lo = np.array([0.0, 0.8, -1.0, 2.0, 1.1])
-        hi = np.array([2.0, 1.2, 0.3, 5.0, 1.1 + 1e-9])
-        seen = []
-
-        def scalar_f(x):
-            seen.append(type(x))
-            return self.f(x)
-
-        xb, vb = golden_max(self.f, lo, hi)
-        for k in range(len(lo)):
-            x, v = scalar_golden_max(scalar_f, lo[k], hi[k])
-            assert type(x) is float
-            assert x == xb[k] and v == vb[k]
-        assert set(seen) == {float}
-        assert self.f(0.8) == self.f(1.2)   # the flat bracket really is flat
-
-
-    def test_one_row_takes_few_calls(self):
-        # each call looks d steps ahead: the two initial probes, ceil(50 / d)
-        # rounds and the final evaluation (53 calls with one probe per row)
-        d = (rational.GOLDEN_POINTS + 1).bit_length() - 1
+    def test_exception_surfaces_from_the_call_that_meets_it(self):
+        om = FrequencyGrid().omegas()
+        x0 = np.sqrt(4 - 0.02**2 / 2)
         calls = []
-        golden_max(lambda w: calls.append(w.shape) or self.f(w), np.array([2.0]), np.array([5.0]))
-        assert len(calls) <= -(-rational.GOLDEN_ITERS // d) + 2 <= 8
 
-    def test_raise_off_the_serial_path_is_not_seen(self):
-        seen = []
-        x, v = scalar_golden_max(lambda t: seen.append(t) or self.f(t), 2.0, 5.0)
+        def point(w, k):
+            calls.append(w)
+            if np.any(np.abs(w - x0) < 1e-6):
+                raise ValueError("singular near the peak")
+            return RESONANCE(1j * w)
 
-        def f(w):
-            if not np.isin(w, seen).all():
-                raise ValueError("a probe the serial rule never makes")
-            return self.f(w)
+        with pytest.raises(ValueError, match="singular near the peak"):
+            grid_sup(lambda k0, k1: RESONANCE(1j * om)[None], point, 1, om)
+        # the first probe within 1e-6 of the peak is a later stage's
+        assert 1 < len(calls) < rational.ZOOM_STAGES
+        assert not any(np.any(np.abs(w - x0) < 1e-6) for w in calls[:-1])
 
-        xb, vb = golden_max(f, np.array([2.0]), np.array([5.0]))
-        assert _bits(xb) == _bits(x) and _bits(vb) == _bits(v)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_samples(self):
+        # NaN samples are skipped; an infinite sample is the sup
+        om = FrequencyGrid().omegas()
+        grid = np.abs(RESONANCE(1j * om))
+        i = int(np.argmax(grid))
+        peak = sup_of([RESONANCE], om)[0][0]
 
-    def test_raise_on_the_serial_path_surfaces_as_in_the_scalar_rule(self):
-        seen = []
-        scalar_golden_max(lambda t: seen.append(t) or self.f(t), 2.0, 5.0)
-        bad = seen[12]      # step 11's probe: inside the second round
+        def between(lo, hi, value):     # value on (lo, hi) off the grid
+            def f(s):
+                w = s.imag
+                return np.where((lo < w) & (w < hi) & ~np.isin(w, om), value, RESONANCE(s))
+            return f
 
-        def f(w):
-            if np.any(np.asarray(w) == bad):
-                raise ValueError(f"singular at {bad!r}")
-            return self.f(w)
-
-        with pytest.raises(ValueError) as scalar:
-            scalar_golden_max(f, 2.0, 5.0)
-        calls = []
-        with pytest.raises(ValueError) as batched:
-            golden_max(lambda w: calls.append(w) or f(w), np.array([2.0]), np.array([5.0]))
-        assert str(batched.value) == str(scalar.value)
-        # the call that raised is the one-probe serial step that meets it
-        assert calls[-1].shape == (1, 1) and calls[-1][0, 0] == bad
-
-
-def _bits(x):
-    return np.asarray(x, dtype=float).tobytes()
-
-
-def _nan_inf(x):
-    # TestGoldenMax.f with NaN values on (2.8, 2.9) and inf on (3.1, 3.2)
-    f = TestGoldenMax.f(x)
-    return np.where((x > 2.8) & (x < 2.9), np.nan, np.where((x > 3.1) & (x < 3.2), np.inf, f))
-
-
-def _brackets(case):
-    """`case` random brackets, or the special ones: TestGoldenMax.f's flat
-    bracket (f1 == f2 at every step), a zero-width one, one 1e-9 wide, and
-    one around _nan_inf's NaN and inf values."""
-    if case == "special":
-        return np.array([0.8, 1.1, 1.1, 2.5]), np.array([1.2, 1.1, 1.1 + 1e-9, 3.5])
-    rng = np.random.default_rng(case)
-    lo = rng.uniform(-1.0, 4.0, case)
-    return lo, lo + rng.uniform(0.0, 3.0, case)
-
-
-class TestGoldenLookahead:
-    @pytest.mark.parametrize("fun", [TestGoldenMax.f, _nan_inf], ids=["smooth", "nan_inf"])
-    @pytest.mark.parametrize("case", [1, 2, 3, 101, 1000, "special"])
-    def test_equals_scalar_rule_bitwise(self, fun, case, monkeypatch):
-        lo, hi = _brackets(case)
-        rows, iters = len(lo), rational.GOLDEN_ITERS
-        # rows are independent, so the scalar reference of every 10th row
-        # of the largest case checks its lock-step run (and keeps it short)
-        check = np.arange(0, rows, 10 if rows > 101 else 1)
-        ref, path = [], []
-        for k in check:
-            seen = []
-            x, v = scalar_golden_max(lambda t: seen.append(t) or fun(t), lo[k], hi[k])
-            ref.append((x, v))
-            path.append(seen)
-        path = np.array(path)       # (rows, iters + 3): x1, x2, each step's probe, the result
-        for d in (1, 9):
-            monkeypatch.setattr(rational, "GOLDEN_POINTS", rows * (2**d - 1))
-            calls = []
-            xb, vb = golden_max(lambda w: calls.append(w.copy()) or fun(w), lo, hi)
-            for k, (x, v) in zip(check, ref):
-                assert _bits(xb[k]) == _bits(x) and _bits(vb[k]) == _bits(v)
-            widths = [2**d - 1] * (iters // d) + ([2 ** (iters % d) - 1] if iters % d else [])
-            assert [w.shape for w in calls] == [(rows, m) for m in [2, *widths, 1]]
-            # the probes on each row's taken path are the scalar rule's, in order
-            calls = [w[check] for w in calls]
-            assert (calls[0] == path[:, :2]).all() and (calls[-1][:, 0] == path[:, -1]).all()
-            t = 2
-            for w in calls[1:-1]:
-                for j in range((w.shape[1] + 1).bit_length() - 1):
-                    level = w[:, (1 << j) - 1:(1 << (j + 1)) - 1]
-                    assert (level == path[:, t, None]).any(axis=1).all()
-                    t += 1
-            assert t == iters + 2
+        x0 = np.sqrt(4 - 0.02**2 / 2)
+        sup, _ = sup_of([between(om[i - 1], om[i + 1], np.nan),    # every sample NaN
+                         between(x0 - 1e-4, x0 + 1e-4, np.nan),    # the peak NaN
+                         between(om[i - 1], om[i + 1], np.inf),
+                         between(x0 - 1e-4, x0 + 1e-4, np.inf)], om)
+        assert sup[0] == grid[i]
+        assert grid[i] < sup[1] < peak
+        assert sup[2] == sup[3] == np.inf

@@ -35,9 +35,29 @@ from strongstab.synthesis import (
     spectral_ratio,
     verify_performance,
 )
-from test_rational import scalar_golden_max
 
 GRID = FrequencyGrid()
+
+
+def scalar_golden_max(fun, a, b):
+    """Golden-section maximization of `fun` on [a, b] with `_refine_dip`'s
+    constants: DIP_ITERS steps from probes at 0.382 and 0.618 of the bracket,
+    then the last bracket's midpoint (DIP_ITERS + 3 calls, one point each)."""
+    gr = synthesis.DIP_GOLDEN
+    a, b = float(a), float(b)
+    x1, x2 = b - gr * (b - a), a + gr * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(synthesis.DIP_ITERS):
+        if f1 < f2:     # keep [x1, b]
+            a, x1 = x1, x2
+            x2 = a + gr * (b - a)
+            f1, f2 = f2, fun(x2)
+        else:           # keep [a, x2]
+            b, x2 = x2, x1
+            x1 = b - gr * (b - a)
+            f1, f2 = fun(x1), f1
+    x = 0.5 * (a + b)
+    return x, fun(x)
 
 
 def rational(num, den=(1.0,)):
@@ -592,25 +612,21 @@ class TestController:
         assert norm >= manual.max() - 1e-12
         assert norm == pytest.approx(manual.max(), rel=1e-6)
 
-    def test_verify_performance_equals_scalar_refinement_bitwise(self, ex1, ex1_ctx):
-        # the rule before grid_sup: grid argmax, scalar golden_max between its
-        # neighbours, the refined value kept only where it is not smaller
+    def test_verify_performance_at_least_dense_sampling_of_its_bracket(self, ex1, ex1_ctx,
+                                                                       bracket_max):
+        # the refined bracket sampled at 2M + 1 points reads no more
         plant, weights, opts = ex1
         ctrl = build_controller(plant, ex1_ctx, UParam(-0.814))
 
-        def stack(s):
-            S, T = ctrl.sensitivity_pair(s.imag)
-            w2 = 0.0 if weights.W2.is_zero else weights.W2(s)
-            return np.sqrt(np.abs(weights.W1(s) * S) ** 2 + np.abs(w2 * T) ** 2)
+        def stack(w):
+            S, T = ctrl.sensitivity_pair(w)
+            w2 = 0.0 if weights.W2.is_zero else weights.W2(1j * w)
+            return np.sqrt(np.abs(weights.W1(1j * w) * S) ** 2 + np.abs(w2 * T) ** 2)
 
-        om = opts.grid.omegas()
-        vals = np.abs(stack(1j * om))
-        i, last = int(np.argmax(vals)), len(om) - 1
-        _, v = scalar_golden_max(lambda w: float(np.abs(stack(np.array([1j * w])))[0]),
-                                 om[max(i - 1, 0)], om[min(i + 1, last)])
-        ref = v if v >= vals[i] else float(vals[i])
+        dense = bracket_max(stack, opts.grid.omegas())
         norm, ok = verify_performance(ctrl, weights, opts.grid)
-        assert type(norm) is float and norm == ref and ok
+        assert type(norm) is float and ok
+        assert norm >= dense * (1 - 1e-12)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_stack_fails_the_norm_check(self, ex1, ex1_ctx):
