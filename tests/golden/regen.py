@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/golden/regen.py
 
 Runs `stabilize --emit-plots` for each golden report (example 1 at 0.814,
-example 2 at 1.9454) and `gamma-opt` on both configs, then writes
+example 2 at 1.9454 and at the central-stable level 1.96) and `gamma-opt` on
+both configs, then writes
 `<name>.json`, the CSV sha256 manifest `csv_sha256.json` and
 `gamma_opt_<config>.json`.  Run it only in a change that moves a report
 field, a CSV or the `gamma-opt` output on purpose, and name in that change
@@ -42,6 +43,7 @@ CONFIGS = ROOT / "configs"
 REPORTS = {
     "ex1_rho0.814": ("example1", "0.814"),
     "ex2_rho1.9454": ("example2", "1.9454"),
+    "ex2_rho1.96": ("example2", "1.96"),
 }
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan")

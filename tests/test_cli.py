@@ -75,28 +75,32 @@ def _check_golden(name, out, plots):
             pytest.fail(f"{name}: {csv_name} differs from the golden manifest")
 
 
-@pytest.fixture(scope="module")
-def ex1_run(tmp_path_factory):
-    d = tmp_path_factory.mktemp("ex1run")
+def _golden_run(tmp_path_factory, name, config, rho):
+    """`stabilize --emit-plots` checked against golden/<name>.json and its CSV
+    hashes: (report, plot directory, report path)."""
+    d = tmp_path_factory.mktemp(name)
     out = d / "report.json"
     plots = d / "plots"
-    rc = main(["stabilize", EX1, "--rho", "0.814",
+    rc = main(["stabilize", config, "--rho", rho,
                "--emit-plots", str(plots), "--out", str(out)])
     assert rc == 0
-    _check_golden("ex1_rho0.814", out, plots)
+    _check_golden(name, out, plots)
     return json.loads(out.read_text()), plots, out
+
+
+@pytest.fixture(scope="module")
+def ex1_run(tmp_path_factory):
+    return _golden_run(tmp_path_factory, "ex1_rho0.814", EX1, "0.814")
 
 
 @pytest.fixture(scope="module")
 def ex2_run(tmp_path_factory):
-    d = tmp_path_factory.mktemp("ex2run")
-    out = d / "report.json"
-    plots = d / "plots"
-    rc = main(["stabilize", EX2, "--rho", "1.9454",
-               "--emit-plots", str(plots), "--out", str(out)])
-    assert rc == 0
-    _check_golden("ex2_rho1.9454", out, plots)
-    return json.loads(out.read_text()), plots, out
+    return _golden_run(tmp_path_factory, "ex2_rho1.9454", EX2, "1.9454")
+
+
+@pytest.fixture(scope="module")
+def ex2_central_run(tmp_path_factory):
+    return _golden_run(tmp_path_factory, "ex2_rho1.96", EX2, "1.96")
 
 
 class TestConfigErrors:
@@ -262,6 +266,15 @@ class TestStabilizeReports:
         assert res["mu_opt"] == pytest.approx(60.374, abs=1e-2)
         assert rep["certificates"]["scan_clean"] is True
 
+    def test_ex2_central_report(self, ex2_central_run):
+        rep, _, _ = ex2_central_run
+        assert rep["branch"] == "central-stable"
+        res = rep["result"]
+        assert res["central"] is True and res["integers"] == []
+        assert res["mu_opt"] == 1
+        assert rep["certificates"]["scan_clean"] is True
+        assert rep["certificates"]["norm_ok"] is True
+
     def test_reports_have_no_timing_by_default(self, ex1_run):
         rep, _, _ = ex1_run
         assert "timing_s" not in rep
@@ -301,21 +314,16 @@ class TestCSVs:
         assert max(sigs) == pytest.approx(rep["result"]["scan_sigma_max"], rel=1e-9)
         assert max(oms) == pytest.approx(rep["result"]["scan_omega_bound"], rel=1e-9)
 
-    def test_central_stable_branch_emits_fig5(self, tmp_path):
+    def test_central_stable_branch_emits_fig5(self, ex2_central_run):
         # the central design carries no branch integers; the fig-5 lattice
-        # takes the Pick optimum's tuple (a coarse grid keeps the run short)
-        cfg = json.loads(pathlib.Path(EX2).read_text())
-        cfg["options"]["grid"]["points"] = 400
-        cfg["options"]["search"]["integer_bound"] = 3
-        p = tmp_path / "ex2_coarse.json"
-        p.write_text(json.dumps(cfg))
-        out, plots = tmp_path / "report.json", tmp_path / "plots"
-        rc = main(["stabilize", str(p), "--rho", "1.96",
-                   "--emit-plots", str(plots), "--out", str(out)])
-        assert rc == 0
-        assert json.loads(out.read_text())["branch"] == "central-stable"
+        # takes the zero tuple at the level's mu_opt = 1
+        _, plots, _ = ex2_central_run
+        assert sorted(p.name for p in plots.glob("*.csv")) == [
+            "fig2_zgrid.csv", "fig3_mu.csv", "fig5_ranges.csv"]
         with open(plots / "fig5_ranges.csv") as fh:
-            assert len(list(csv.DictReader(fh))) > 0
+            rows = list(csv.DictReader(fh))
+        assert len(rows) > 0
+        assert float(rows[0]["mu"]) == pytest.approx(1.02, rel=1e-12)
 
     def test_fig3_fig4_fig5(self, ex2_run):
         _, plots, _ = ex2_run
