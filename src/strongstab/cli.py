@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,15 +29,12 @@ from .finite import (
     PickProblem,
     build_p1p2,
     certify_u_norm,
-    fig3_tuples,
-    fig5_lattice,
-    mu_opt_search,
     np_interpolant,
     p1p2_quasipolys,
     pick_points,
     stabilize_finite,
 )
-from .infinite import SearchExhausted, stabilize_infinite, sweep_report
+from .infinite import SearchExhausted, stabilize_infinite
 from .rational import FrequencyGrid, PoleEvaluationError, RootConvergenceError
 from .stability import ScanError, certify, finitely_many_poles, properness_criterion, scan_window_for
 from .synthesis import (
@@ -102,7 +98,7 @@ def cmd_gamma_opt(args):
     return 0
 
 
-def _run_infinite(plant, weights, ctx, opts, emit_dir):
+def _run_infinite(plant, weights, ctx, opts):
     res = stabilize_infinite(plant, weights, ctx, opts)
     scan = res.cert.scan
     payload = {
@@ -122,17 +118,10 @@ def _run_infinite(plant, weights, ctx, opts, emit_dir):
         "verified_norm": res.cert.norm,
         "stable": res.cert.stable,
     }
-    if emit_dir:
-        rows = sweep_report(ctx, opts, res.peaks)
-        rpt.write_fig1_sweep(emit_dir, rows)
-        rpt.write_fig2_zgrid(
-            emit_dir, res.cert.controller.loop_denominator,
-            scan.sigma_max, scan.omega_bound,
-        )
-    return payload, res.cert
+    return payload, res
 
 
-def _run_finite(plant, weights, ctx, opts, emit_dir):
+def _run_finite(plant, weights, ctx, opts):
     res = stabilize_finite(plant, weights, ctx, opts)
     p1p2, scan = res.p1p2, res.cert.scan
     payload = {
@@ -156,30 +145,8 @@ def _run_finite(plant, weights, ctx, opts, emit_dir):
         z, w = pick_points(p1p2, opts.a)
         payload["z_points"] = _complex_pairs(z)
         payload["w_points"] = _complex_pairs(w)
-        integers = res.integers
-        if res.central:
-            # the search stopped before the Pick problem; solve it for the report
-            mu_opt, integers, _ = mu_opt_search(z, w, opts.integer_bound)
-        else:
-            mu_opt = res.mu_opt
-        payload["mu_opt"] = mu_opt
-    if emit_dir:
-        rpt.write_fig2_zgrid(
-            emit_dir, res.cert.controller.loop_denominator,
-            scan.sigma_max, scan.omega_bound,
-        )
-        if p1p2.s_roots:
-            bound = opts.integer_bound
-            _, _, table = mu_opt_search(
-                z, w, bound, feasibility_tuples=fig3_tuples(z, bound)
-            )
-            rpt.write_fig3_mu(emit_dir, table)
-            if res.U is not None:
-                rpt.write_fig4_umag(emit_dir, res.U, opts.grid)
-            rpt.write_fig5_ranges(
-                emit_dir, fig5_lattice(p1p2, z, w, mu_opt, integers, opts.a, opts.grid)
-            )
-    return payload, res.cert
+        payload["mu_opt"] = res.mu_opt
+    return payload, res
 
 
 def cmd_stabilize(args):
@@ -207,15 +174,14 @@ def cmd_stabilize(args):
         branch = "finite" if finite else "infinite"
     else:
         branch = args.method
-    emit_dir = args.emit_plots
-    if emit_dir:
-        os.makedirs(emit_dir, exist_ok=True)
     if branch == "infinite":
-        payload, cert = _run_infinite(plant, weights, ctx, opts, emit_dir)
+        payload, res = _run_infinite(plant, weights, ctx, opts)
         branch_name = "infinite-search"
     else:
-        payload, cert = _run_finite(plant, weights, ctx, opts, emit_dir)
-        branch_name = "central-stable" if payload.get("central") else "finite-search"
+        payload, res = _run_finite(plant, weights, ctx, opts)
+        branch_name = "central-stable" if res.central else "finite-search"
+    if args.emit_plots:
+        rpt.write_figures(args.emit_plots, ctx, opts, res)
     doc = {
         "schema": rpt.SCHEMA,
         "command": "stabilize",
@@ -226,8 +192,8 @@ def cmd_stabilize(args):
         "branch": branch_name,
         "result": payload,
         "certificates": {
-            "scan_clean": cert.stable,
-            "norm_ok": cert.norm_ok,
+            "scan_clean": res.cert.stable,
+            "norm_ok": res.cert.norm_ok,
             "norm_slack": NORM_SLACK,
         },
     }

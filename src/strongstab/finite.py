@@ -17,7 +17,7 @@ constant, taken by `rational.grid_sup` like the closed-loop norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "pick_points",
     "pick_matrix",
     "pick_min_eig",
+    "pick_thresholds",
     "mu_opt_search",
     "np_interpolant",
     "UAtPoints",
@@ -290,25 +291,21 @@ def fig3_tuples(z, bound):
     return out
 
 
-# Tuples per stacked eigenvalue call in mu_opt_search: bounds the memory of
-# large tuple sets (example 2 at rho = 2.0 has 117,649 tuples of 12 x 12).
+# Tuples per stacked eigenvalue call in pick_thresholds: bounds the memory of
+# large tuple sets (three node pairs at integer bound 3 give 343 design tuples).
 _TUPLE_CHUNK = 1 << 8
 
 
-def mu_opt_search(z, w, integer_bound: int, feasibility_tuples=None):
-    """Smallest mu making the Pick matrix PSD over the admitted integer tuples.
+def pick_thresholds(z, w, tuples):
+    """Smallest mu making the Pick matrix PSD, for each branch-integer tuple.
 
-    Returns (mu_opt, best_tuple, table) where table holds (tuple, mu_min) for
-    every candidate, for reporting; ties go to the first tuple.  The targets
-    depend on mu only through log mu, so the Pick matrix is Q0 + 2 log(mu) K
-    with Q0 its value at mu = 1 and K the positive definite Szego kernel
-    1/(1 - z_i conj(z_k)) of the nodes.  With K = L L^H, each tuple's
-    threshold is mu_min = exp(-lambda_min(L^-1 Q0 L^-H) / 2) in closed form.
-    The tuples are stacked, at most _TUPLE_CHUNK matrices per eigenvalue call.
+    The targets depend on mu only through log mu, so the Pick matrix is
+    Q0 + 2 log(mu) K with Q0 its value at mu = 1 and K the positive definite
+    Szego kernel 1/(1 - z_i conj(z_k)) of the nodes.  With K = L L^H, each
+    tuple's threshold is mu_min = exp(-lambda_min(L^-1 Q0 L^-H) / 2) in closed
+    form.  The tuples are stacked, at most _TUPLE_CHUNK matrices per
+    eigenvalue call.
     """
-    tuples = feasibility_tuples
-    if tuples is None:
-        tuples = _design_tuples(z, integer_bound)
     z = np.asarray(z)
     try:
         L = np.linalg.cholesky(1.0 / (1.0 - z[:, None] * np.conj(z)))
@@ -324,7 +321,14 @@ def mu_opt_search(z, w, integer_bound: int, feasibility_tuples=None):
         )[:, 0]
         for chunk in np.split(ns, range(_TUPLE_CHUNK, len(ns), _TUPLE_CHUNK))
     ])
-    table = list(zip(tuples, np.exp(-lam / 2).tolist()))
+    return np.exp(-lam / 2).tolist()
+
+
+def mu_opt_search(z, w, integer_bound: int):
+    """(mu_opt, best_tuple, table): the least `pick_thresholds` value over the
+    design tuples, ties to the first; table holds every (tuple, mu_min)."""
+    tuples = _design_tuples(z, integer_bound)
+    table = list(zip(tuples, pick_thresholds(z, w, tuples)))
     best_tuple, mu_opt = min(table, key=lambda row: row[1])
     return mu_opt, best_tuple, table
 
@@ -578,12 +582,8 @@ class FinSearchResult:
     U_norm: float
     cert: Certificate
     p1p2: P1P2
+    mu_opt: float           # the Pick optimum of the level
     central: bool = False
-    mu_table: list = field(default_factory=list)   # (tuple, mu_min) of mu_opt_search
-
-    @property
-    def mu_opt(self):
-        return min(mu for _, mu in self.mu_table)
 
 
 def _default_mu_schedule(mu_opt):
@@ -643,9 +643,14 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
             raise FiniteSearchError(
                 "central controller expected stable but certification failed"
             )
+        # No P1 zeros: M~_d = 1, so every w_i = 1.  The zero tuple's Pick
+        # matrix is 2 log(mu) K, PSD exactly for mu >= 1; any other design
+        # tuple's Q0 = -2 pi i (D K - K D), D = diag(n), is nonzero Hermitian
+        # with tr(L^-1 Q0 L^-H) = tr(Q0 K^-1) = 0, so it has a negative
+        # eigenvalue and mu_min > 1.  Hence mu_opt = 1, at the zero tuple.
         return FinSearchResult(
             mu=np.nan, integers=(), q=0.0, U=None, U_norm=0.0, cert=cert,
-            p1p2=p1p2, central=True,
+            p1p2=p1p2, mu_opt=1.0, central=True,
         )
     z, w = pick_points(p1p2, a)
     mu_opt, best_tuple, table = mu_opt_search(z, w, opts.integer_bound)
@@ -662,7 +667,7 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
         if found:
             return FinSearchResult(
                 mu=pp0.mu, integers=best_tuple, q=0.0, U=U0, U_norm=found[0],
-                cert=found[1], p1p2=p1p2, mu_table=table,
+                cert=found[1], p1p2=p1p2, mu_opt=mu_opt,
             )
 
     q_grid = np.arange(-1.0, 1.0 + opts.q_step / 2, opts.q_step)
@@ -688,7 +693,7 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
                 if found:
                     return FinSearchResult(
                         mu=float(mu), integers=tup, q=qv, U=U, U_norm=found[0],
-                        cert=found[1], p1p2=p1p2, mu_table=table,
+                        cert=found[1], p1p2=p1p2, mu_opt=mu_opt,
                     )
     raise FiniteSearchError(
         "schedules exhausted: this method fails to provide a stable controller"

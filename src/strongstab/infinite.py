@@ -122,14 +122,13 @@ def _rank_key(entry):
     return (wm, pk.eta_max, abs(u.u_inf), u.u_p)
 
 
-def _candidates(ctx, opts: Options, intervals, peaks=None):
+def _candidates(ctx, opts: Options, intervals, peaks):
     """(u, PeakData) of every grid U with ||U|| <= 1, a Hurwitz L_1U and a finite crossing.
 
     Candidates go in chunks of `_CHUNK` through the stacked Hurwitz test and
     `peak_data`; a failed root extraction raises the error that a loop over
     the candidates one at a time would meet first.  Every PeakData computed,
-    also of a U dropped for its infinite crossing, goes into the dict `peaks`
-    when one is given.
+    also of a U dropped for its infinite crossing, goes into the dict `peaks`.
     """
     us = []
     for up in opts.up_grid:
@@ -148,8 +147,7 @@ def _candidates(ctx, opts: Options, intervals, peaks=None):
                  len(chunk))
         stable = [u for u, h in zip(chunk[:n], hurwitz) if h]
         for u, pk in zip(stable, peak_data(ctx, stable)):
-            if peaks is not None:
-                peaks[u] = pk
+            peaks[u] = pk
             if pk.omega_max is not None and not np.isfinite(pk.omega_max):
                 continue
             candidates.append((u, pk))
@@ -200,7 +198,7 @@ def stabilize_infinite(plant, weights, ctx: SynthesisContext,
     )
 
 
-def sweep_report(ctx: SynthesisContext, opts: Options, peaks=None):
+def sweep_report(ctx: SynthesisContext, opts: Options, peaks):
     """(u_inf, omega_max, eta_max) over the admissible constant-U range.
 
     `peaks` (UParam -> PeakData, as `InfSearchResult.peaks` holds them) gives
@@ -213,7 +211,7 @@ def sweep_report(ctx: SynthesisContext, opts: Options, peaks=None):
             u = UParam(float(ui))
             if u.sup_norm() <= 1.0:
                 us.append(u)
-    known = dict(peaks or {})
+    known = dict(peaks)     # a copy: the caller's search result stays as it was
     for chunk in _chunks([u for u in us if u not in known]):
         known.update(zip(chunk, peak_data(ctx, chunk)))
     rows = []

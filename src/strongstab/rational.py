@@ -169,9 +169,6 @@ class RootSet:
             out.extend([r] * m)
         return out
 
-    def to_poly(self, leading=1.0):
-        return poly_from_roots(self.expanded(), leading)
-
     def __len__(self):
         return len(self.roots)
 

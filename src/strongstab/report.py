@@ -2,7 +2,8 @@
 
 Reports must be byte-identical across runs for identical inputs: keys keep
 insertion order, floats are rendered with 12 significant digits, and nothing
-run-dependent (timing, hostnames) enters.
+run-dependent (timing, hostnames) enters.  `write_figures`, the one
+`--emit-plots` step, computes the report-only figure data after the search.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ import os
 
 import numpy as np
 
+from .finite import fig3_tuples, fig5_lattice, pick_points, pick_thresholds
+from .infinite import InfSearchResult, sweep_report
+
 __all__ = [
     "SCHEMA",
     "render_json",
     "fmt",
+    "write_figures",
     "write_fig1_sweep",
     "write_fig2_zgrid",
     "write_fig3_mu",
@@ -111,3 +116,27 @@ def write_fig4_umag(directory, ufun, grid):
 def write_fig5_ranges(directory, rows):
     """(mu, u_inf, U_norm, stable-flag) over the (mu, Q) search lattice."""
     _write(os.path.join(directory, "fig5_ranges.csv"), "mu,u_inf,U_norm,stable", map(_line, rows))
+
+
+def write_figures(directory, ctx, opts, res):
+    """The `stabilize --emit-plots` CSVs of the search result `res`: fig 2;
+    fig 1 for the infinite branch; for the finite one figs 3 and 5 when P2 has
+    RHP zeros, and fig 4 when U is not central.  A central design has no
+    branch integers, so fig 5 takes the zero tuple, where mu_opt = 1 sits."""
+    os.makedirs(directory, exist_ok=True)
+    scan = res.cert.scan
+    write_fig2_zgrid(directory, res.cert.controller.loop_denominator,
+                     scan.sigma_max, scan.omega_bound)
+    if isinstance(res, InfSearchResult):
+        write_fig1_sweep(directory, sweep_report(ctx, opts, res.peaks))
+        return
+    if not res.p1p2.s_roots:
+        return
+    z, w = pick_points(res.p1p2, opts.a)
+    tuples = fig3_tuples(z, opts.integer_bound)
+    write_fig3_mu(directory, zip(tuples, pick_thresholds(z, w, tuples)))
+    if res.U is not None:
+        write_fig4_umag(directory, res.U, opts.grid)
+    integers = (0,) * len(z) if res.central else res.integers
+    rows = fig5_lattice(res.p1p2, z, w, res.mu_opt, integers, opts.a, opts.grid)
+    write_fig5_ranges(directory, rows)

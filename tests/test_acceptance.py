@@ -33,6 +33,7 @@ from strongstab import (
     peak_data,
     pick_min_eig,
     pick_points,
+    pick_thresholds,
     poly_from_roots,
     rhp_zero_scan,
     spectral_factor,
@@ -323,7 +324,7 @@ def test_criterion_10_argument_principle_oracle():
 def test_criterion_10_pick_scalar_threshold():
     z = np.array([0.25 - 0.55j])
     w = np.array([-3.0 + 4.0j])
-    mu_opt, _, _ = mu_opt_search(z, w, 0, feasibility_tuples=[(0,)])
+    [mu_opt] = pick_thresholds(z, w, [(0,)])
     record("10f", abs(mu_opt - 5.0) <= 1e-4, f"scalar Pick threshold {mu_opt:.6f} vs 5")
 
 

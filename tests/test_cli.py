@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import strongstab.cli as cli
+from strongstab import finite
 from strongstab.cli import main
 from strongstab.config import ConfigError, load_problem
 from strongstab.rational import PoleEvaluationError
@@ -275,6 +276,17 @@ class TestStabilizeReports:
         assert rep["certificates"]["scan_clean"] is True
         assert rep["certificates"]["norm_ok"] is True
 
+    def test_central_mu_opt_needs_no_pick_search(self, monkeypatch, capsys):
+        # a central design's mu_opt is 1 in closed form: no Pick search runs
+        def boom(*a, **k):
+            raise AssertionError("mu_opt_search called on the central branch")
+
+        monkeypatch.setattr(finite, "mu_opt_search", boom)
+        assert main(["stabilize", EX2, "--rho", "1.96"]) == 0
+        out = capsys.readouterr().out
+        assert '"branch": "central-stable"' in out
+        assert '"mu_opt": 1\n' in out
+
     def test_reports_have_no_timing_by_default(self, ex1_run):
         rep, _, _ = ex1_run
         assert "timing_s" not in rep
@@ -466,6 +478,25 @@ class TestVerify:
         rc = main(["verify", EX2, "--report", str(out)])
         assert rc == 0
         assert capsys.readouterr().out.startswith("pass")
+
+    def test_ex2_central_pass(self, ex2_central_run, capsys):
+        _, _, out = ex2_central_run
+        rc = main(["verify", EX2, "--report", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("pass")
+
+    @pytest.mark.parametrize("rho", ["2.030", "2.334"])
+    def test_ex2_central_sweep_levels_pass(self, rho, tmp_path, capsys):
+        # the first and last example-2 sweep levels whose central design was
+        # lost to a report-only Pick enumeration (7^pairs branch-integer
+        # tuples) that ran out of memory after the design was certified
+        out = tmp_path / "report.json"
+        assert main(["stabilize", EX2, "--rho", rho, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["branch"] == "central-stable"
+        assert rep["result"]["mu_opt"] == 1
+        assert main(["verify", EX2, "--report", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("pass:")
 
     def test_ex2_double_root_level(self, tmp_path, capsys):
         # at this level the spectral factor's double root x = 5 used to split

@@ -15,6 +15,7 @@ from strongstab.finite import (
     pick_matrix,
     pick_min_eig,
     pick_points,
+    pick_thresholds,
     stabilize_finite,
 )
 from strongstab import finite
@@ -171,7 +172,7 @@ class TestPickMatrix:
     def test_scalar_threshold_exact(self):
         z = np.array([0.3 + 0.4j])
         w = np.array([5.0 + 2.0j])
-        mu_opt, tup, _ = mu_opt_search(z, w, 0, feasibility_tuples=[(0,)])
+        [mu_opt] = pick_thresholds(z, w, [(0,)])
         assert mu_opt == pytest.approx(abs(w[0]), rel=2e-6)
 
     def test_large_mu_psd(self, ex2_p1p2):
@@ -188,8 +189,8 @@ class TestPickMatrix:
 
     def test_mu_profile_minimum_at_zero_tuple(self, ex2_p1p2):
         z, w = pick_points(ex2_p1p2, 1.0)
-        _, _, table = mu_opt_search(z, w, 3, feasibility_tuples=fig3_tuples(z, 3))
-        feasible = {t[1]: mu for t, mu in table}
+        tuples = fig3_tuples(z, 3)
+        feasible = {t[1]: mu for t, mu in zip(tuples, pick_thresholds(z, w, tuples))}
         assert min(feasible, key=lambda k: feasible[k]) == 0
         assert feasible[1] > feasible[0] and feasible[-1] > feasible[0]
 
@@ -201,12 +202,28 @@ class TestPickMatrix:
         assert mu_opt == 1.0
         assert tup == (0,) * len(z)
 
+    def test_unit_data_threshold_is_one_at_zero_tuple_only(self):
+        # w = 1 (no P1 zeros): the zero tuple's Pick matrix is 2 log(mu) K,
+        # and every other design tuple's mu = 1 matrix is nonzero with zero
+        # K-trace, so its threshold exceeds one.  Nodes at radii 0.5-0.99
+        # (example 2's are near 0.99) keep every threshold in float range.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            pairs = rng.integers(1, 4)
+            top = rng.uniform(0.5, 0.99, pairs) * np.exp(1j * rng.uniform(0.1, 3.0, pairs))
+            z = np.concatenate([top, np.conj(top), rng.uniform(-0.99, 0.99, rng.integers(0, 2))])
+            tuples = _design_tuples(z, 3)
+            mu = dict(zip(tuples, pick_thresholds(z, np.ones(len(z), dtype=complex), tuples)))
+            zero = (0,) * len(z)
+            assert mu.pop(zero) == 1.0
+            assert len(mu) == 7 ** len(top) - 1
+            assert min(mu.values()) > 1.0
+
     @pytest.mark.parametrize("z", [[0.3 + 0.1j, 0.3 + 0.1j], [2.0 + 0j]])
     def test_nodes_off_the_open_disk_rejected(self, z):
         z = np.array(z)
         with pytest.raises(FiniteSearchError, match="distinct points"):
-            mu_opt_search(z, np.ones(len(z), dtype=complex), 0,
-                          feasibility_tuples=[(0,) * len(z)])
+            pick_thresholds(z, np.ones(len(z), dtype=complex), [(0,) * len(z)])
 
     @pytest.mark.parametrize("data", ["ex2_p1p2", "ex2_central_p1p2"])
     def test_every_tuple_threshold_brackets_psd(self, data, request):
@@ -242,10 +259,11 @@ class TestPickMatrix:
                 Q0 = pick_matrix(PickProblem(z=z, w=w, n=tup, mu=1.0))
                 lam = np.linalg.eigvalsh(Linv @ Q0 @ Linv.conj().T)[0]
                 ref.append((tup, float(np.exp(-lam / 2))))
-            mu_opt, best, table = mu_opt_search(z, w, 20, feasibility_tuples=tuples)
             assert len(tuples) > 16 and len(tuples) % 16 != 0
-            assert table == ref
-            assert (best, mu_opt) == min(ref, key=lambda row: row[1])
+            assert list(zip(tuples, pick_thresholds(z, w, tuples))) == ref
+        mu_opt, best, table = mu_opt_search(z, w, 20)
+        assert table == list(zip(_design_tuples(z, 20), pick_thresholds(z, w, _design_tuples(z, 20))))
+        assert (best, mu_opt) == min(table, key=lambda row: row[1])
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +398,7 @@ def chart_case(request, ex2):
     p1p2 = build_p1p2(plant, build_context(plant, weights, rho, opts.interp_a))
     z, w = pick_points(p1p2, opts.a)
     tup = (0,) * len(z)
-    mu_opt = mu_opt_search(z, w, 0, feasibility_tuples=[tup])[0]
+    [mu_opt] = pick_thresholds(z, w, [tup])
     interp = np_interpolant(PickProblem(z=z, w=w, n=tup, mu=mu_opt * factor))
     assert len(z) == {1.9454: 2, 1.96: 4, 2.0: 12}[rho]
     assert interp.unique == (factor == 1.0)
@@ -566,7 +584,7 @@ class TestQSweep:
         z, w = pick_points(ex2_p1p2, opts.a)
         om = opts.grid.omegas()
         q_grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
-        table = ex2_search.mu_table
+        _, _, table = mu_opt_search(z, w, opts.integer_bound)
         steps = [(mu, tup) for mu in _default_mu_schedule(ex2_search.mu_opt)
                  for tup, mu_min in table if mu_min < mu]
         steps = steps[:steps.index((ex2_search.mu, ex2_search.integers)) + 1]

@@ -99,7 +99,7 @@ class TestSufficientCondition:
 class TestSweep:
     def test_ex1_sweep_minimum(self, ex1, ex1_ctx):
         _, _, opts = ex1
-        rows = sweep_report(ex1_ctx, dataclasses.replace(opts, uinf_step=5e-3))
+        rows = sweep_report(ex1_ctx, dataclasses.replace(opts, uinf_step=5e-3), {})
         assert len(rows) > 30
         finite_rows = [r for r in rows if r[1] is not None]
         best = min(finite_rows, key=lambda r: r[1])
@@ -108,10 +108,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("keep", [1, 3])
     def test_search_peaks_reused(self, ex1, ex1_ctx, ex1_search, monkeypatch, keep):
-        # the rows the search computed are reused; only the others are computed
+        # the rows the search computed are reused; only the others are
+        # computed, and the dict passed in is left as it was
         _, _, opts = ex1
-        fresh = sweep_report(ex1_ctx, opts)
+        fresh = sweep_report(ex1_ctx, opts, {})
         known = dict(list(ex1_search.peaks.items())[::keep])
+        keys = list(known)
         computed = []
         real = infinite.peak_data
 
@@ -124,6 +126,7 @@ class TestSweep:
         assert sorted(u.u_inf for u in computed) == sorted(
             r[0] for r in fresh if UParam(r[0]) not in known)
         assert len(computed) == (0 if keep == 1 else len(fresh) - len(known))
+        assert list(known) == keys
 
     def test_eta_against_dense_grid(self, ex1_ctx):
         # eta_max at a sweep point agrees with a dense-grid supremum
@@ -173,7 +176,7 @@ class TestChunkedCandidates:
                 continue
             expected.append((u, pk))
         assert len(expected) > 100
-        assert infinite._candidates(ctx, opts, intervals) == expected
+        assert infinite._candidates(ctx, opts, intervals, {}) == expected
 
     def test_sweep_rows_equal_one_at_a_time(self, level):
         ctx, opts = level
@@ -183,7 +186,7 @@ class TestChunkedCandidates:
                 pk = peak_data(ctx, [UParam(float(ui))])[0]
                 wm = pk.omega_max
                 expected.append((float(ui), None if wm is None else float(wm), pk.eta_max))
-        assert sweep_report(ctx, opts) == expected
+        assert sweep_report(ctx, opts, {}) == expected
 
     def test_l1u_range_equals_one_at_a_time(self, level):
         ctx, _ = level
@@ -219,6 +222,6 @@ class TestChunkedCandidates:
 
         monkeypatch.setattr(stability, "poly_roots", failing_roots)
         with pytest.raises(RootConvergenceError) as info:
-            infinite._candidates(ctx, opts, admissible_uinf(asymptotics(ctx)))
+            infinite._candidates(ctx, opts, admissible_uinf(asymptotics(ctx)), {})
         assert str(info.value) == ("T of candidate 2" if t_fails else "L_1U of candidate 5")
         assert calls == [7, 5, 5]   # peak data only for the candidates before the failure

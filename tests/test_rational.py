@@ -57,7 +57,7 @@ class TestPolyRoots:
             rec = poly_roots(p)
             assert sum(rec.multiplicities) == degree
             match_roots(roots, rec.expanded(), tol=1e-7)
-            back = rec.to_poly(lead)
+            back = poly_from_roots(rec.expanded(), lead)
             np.testing.assert_allclose(back.c, p.c, rtol=1e-8, atol=1e-10)
 
     def test_conjugate_symmetry_enforced(self):
