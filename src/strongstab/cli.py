@@ -36,7 +36,14 @@ from .finite import (
 )
 from .infinite import SearchExhausted, stabilize_infinite
 from .rational import FrequencyGrid, PoleEvaluationError, RootConvergenceError
-from .stability import ScanError, certify, finitely_many_poles, properness_criterion, scan_window_for
+from .stability import (
+    ScanError,
+    certify,
+    finitely_many_poles,
+    peak_data,
+    properness_criterion,
+    scan_window_for,
+)
 from .synthesis import (
     CertificateContradiction,
     ClosedLoopSingular,
@@ -233,7 +240,7 @@ def cmd_verify(args):
             print("fail: stored U lies in the infinite-pole class "
                   "(limit of |F L_U| exceeds one)")
             return 1
-        sig, om = scan_window_for(ctx, plant, u)
+        sig, om = scan_window_for(plant, peak_data(ctx, [u])[0])
     elif branch in ("finite-search", "central-stable"):
         if branch == "central-stable":
             u = UParam(0.0)

@@ -19,8 +19,9 @@ from .stability import (
     AsymptoticData,
     Certificate,
     PeakData,
-    _cleared_lu_polys,
+    _lu_rows,
     _roots_of_nonzero,
+    _u_rows,
     admissible_uinf,
     asymptotics,
     certify,
@@ -36,12 +37,6 @@ __all__ = [
     "stabilize_infinite",
     "sweep_report",
 ]
-
-
-# Candidates per stacked root extraction.  The chunk bounds what the stacks
-# keep alive at once: on example 1, chunks of 64 read 0.18 MB more peak RSS
-# than chunks of 16 in the benchmark, for 6% less stabilize time.
-_CHUNK = 16
 
 
 class SearchExhausted(RuntimeError):
@@ -64,10 +59,9 @@ class InfSearchResult:
 def l1u_stability_range(ctx: SynthesisContext, step: float):
     """Largest interval of constant u_inf in [-1, 1] keeping L_1U Hurwitz."""
     us = np.arange(-1.0, 1.0 + step / 2, step)
-    ok = np.array([
-        h for chunk in _chunks([UParam(float(u)) for u in us])
-        for h in map(or_raise, _l1u_hurwitz(ctx, chunk))
-    ])
+    num = np.stack([us, 0 * us], axis=1)       # constant U: u_inf / 1
+    den = np.broadcast_to([1.0, 0.0], num.shape)
+    ok = np.array([or_raise(h) for h in _l1u_hurwitz(_lu_rows(ctx, num, den)[1])])
     if not ok.any():
         return None
     runs = []
@@ -84,22 +78,18 @@ def l1u_stability_range(ctx: SynthesisContext, step: float):
     return float(us[lo]), float(us[hi])
 
 
-def _l1u_hurwitz(ctx: SynthesisContext, us):
-    """Per U in `us`: is the cleared L_1U = L1 (u_p + s) + u_inf (u_z + s) L2~ Hurwitz?
+def _l1u_hurwitz(L1U):
+    """Per row of L1U, the cleared L_1U = L1 (u_p + s) + u_inf (u_z + s) L2~
+    of one U (`stability._lu_rows`): is it Hurwitz?
 
     All roots come from one stacked `poly_roots` call; a failed extraction is
     returned as its exception in place of the flag.
     """
-    dens = [_cleared_lu_polys(ctx, u)[1] for u in us]
     return [
         rs if isinstance(rs, Exception)
-        else not p.is_zero and all(r.real < 0 for r in rs.expanded())
-        for p, rs in zip(dens, _roots_of_nonzero(dens))
+        else bool(row.any()) and all(r.real < 0 for r in rs.roots)
+        for row, rs in zip(L1U, _roots_of_nonzero(L1U))
     ]
-
-
-def _chunks(seq):
-    return [seq[i : i + _CHUNK] for i in range(0, len(seq), _CHUNK)]
 
 
 def _interval_grid(intervals, step):
@@ -125,10 +115,11 @@ def _rank_key(entry):
 def _candidates(ctx, opts: Options, intervals, peaks):
     """(u, PeakData) of every grid U with ||U|| <= 1, a Hurwitz L_1U and a finite crossing.
 
-    Candidates go in chunks of `_CHUNK` through the stacked Hurwitz test and
-    `peak_data`; a failed root extraction raises the error that a loop over
-    the candidates one at a time would meet first.  Every PeakData computed,
-    also of a U dropped for its infinite crossing, goes into the dict `peaks`.
+    All grid U go through one stacked Hurwitz test, and the Hurwitz ones
+    through one `peak_data` call; a failed root extraction raises the error
+    that a loop over the candidates one at a time would meet first.  Every
+    PeakData computed, also of a U dropped for its infinite crossing, goes
+    into the dict `peaks`.
     """
     us = []
     for up in opts.up_grid:
@@ -137,23 +128,17 @@ def _candidates(ctx, opts: Options, intervals, peaks):
                 u = UParam(float(ui), float(uz), float(up))
                 if u.sup_norm() <= 1.0:
                     us.append(u)
-    candidates = []
-    for chunk in _chunks(us):
-        hurwitz = _l1u_hurwitz(ctx, chunk)
-        # a loop over single candidates stops at the first failed L_1U
-        # extraction, or before it in an earlier candidate's peak data: rank
-        # the candidates before it, then raise it
-        n = next((i for i, h in enumerate(hurwitz) if isinstance(h, Exception)),
-                 len(chunk))
-        stable = [u for u, h in zip(chunk[:n], hurwitz) if h]
-        for u, pk in zip(stable, peak_data(ctx, stable)):
-            peaks[u] = pk
-            if pk.omega_max is not None and not np.isfinite(pk.omega_max):
-                continue
-            candidates.append((u, pk))
-        if n < len(chunk):
-            raise hurwitz[n]
-    return candidates
+    hurwitz = _l1u_hurwitz(_lu_rows(ctx, *_u_rows(us))[1])
+    # a loop over single candidates meets a failed L_1U extraction only after
+    # the peak data of every Hurwitz candidate before it
+    n = next((i for i, h in enumerate(hurwitz) if isinstance(h, Exception)), len(us))
+    stable = [u for u, h in zip(us[:n], hurwitz) if h]
+    pks = peak_data(ctx, stable)
+    if n < len(us):
+        raise hurwitz[n]
+    peaks.update(zip(stable, pks))
+    return [(u, pk) for u, pk in zip(stable, pks)
+            if pk.omega_max is None or np.isfinite(pk.omega_max)]
 
 
 def stabilize_infinite(plant, weights, ctx: SynthesisContext,
@@ -180,7 +165,7 @@ def stabilize_infinite(plant, weights, ctx: SynthesisContext,
     candidates.sort(key=_rank_key)
     frontier = []
     for u, pk in candidates[: opts.scan_budget]:
-        window = scan_window_for(ctx, plant, u, pk)
+        window = scan_window_for(plant, pk)
         cert = certify(plant, weights, ctx, u, opts.grid, window)
         frontier.append((u, pk, len(cert.scan.zeros)))
         if not cert.stable:
@@ -212,8 +197,8 @@ def sweep_report(ctx: SynthesisContext, opts: Options, peaks):
             if u.sup_norm() <= 1.0:
                 us.append(u)
     known = dict(peaks)     # a copy: the caller's search result stays as it was
-    for chunk in _chunks([u for u in us if u not in known]):
-        known.update(zip(chunk, peak_data(ctx, chunk)))
+    todo = [u for u in us if u not in known]
+    known.update(zip(todo, peak_data(ctx, todo)))
     rows = []
     for u in us:
         pk = known[u]

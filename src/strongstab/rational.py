@@ -186,29 +186,42 @@ def poly_from_roots(roots, leading=1.0):
 def poly_roots(p, tol_root=1e-12):
     """Roots of `p` with conjugate symmetry enforced by explicit pairing.
 
-    `p` may also be a sequence of polynomials.  The result is then a list
-    holding, per polynomial, its `RootSet` or the exception its extraction
-    raised (returned, not raised, so that a caller looping over candidates
-    can raise the one it would have met first).  Polynomials of one length
-    and one count of low-order zeros share one stacked eigensolve and
-    polish; each row's roots are bitwise those it gets alone.  Only an
-    eigensolver failure (`np.linalg.LinAlgError`, say for a non-finite
-    coefficient) is raised for the whole call.
+    `p` may also be a sequence of polynomials, or a 2-D array whose rows are
+    ascending coefficients (each row trimmed of its trailing zeros).  The
+    result is then a list holding, per polynomial, its `RootSet` or the
+    exception its extraction raised (returned, not raised, so that a caller
+    looping over candidates can raise the one it would have met first).
+    Polynomials of one length and one count of low-order zeros share one
+    stacked eigensolve and polish; each row's roots are bitwise those it gets
+    alone.  Only an eigensolver failure (`np.linalg.LinAlgError`, say for a
+    non-finite coefficient) is raised for the whole call.
     """
-    ps = [p] if isinstance(p, Poly) else list(p)
-    out = [None] * len(ps)
+    if isinstance(p, np.ndarray):
+        nz = p != 0
+        lows = nz.argmax(axis=1)
+        lens = np.where(nz.any(axis=1), p.shape[1] - nz[:, ::-1].argmax(axis=1), 0)
+        keys = list(zip(lens.tolist(), lows.tolist()))
+
+        def rows(idx, n):
+            return p[idx, :n]
+    else:
+        ps = [p] if isinstance(p, Poly) else list(p)
+        keys = [(0, 0) if q.is_zero else (len(q.c), int(np.flatnonzero(q.c)[0]))
+                for q in ps]
+
+        def rows(idx, n):
+            return np.array([ps[i].c for i in idx])
+    out = [None] * len(keys)
     stacks = {}
-    for i, q in enumerate(ps):
-        if q.is_zero:
-            out[i] = ValueError("cannot extract roots of the zero polynomial")
-        else:
-            key = (len(q.c), int(np.flatnonzero(q.c)[0]))
+    for i, key in enumerate(keys):
+        if key[0]:
             stacks.setdefault(key, []).append(i)
-    for (_, low), idx in stacks.items():
-        rows = _stacked_roots(np.array([ps[i].c for i in idx]), low, tol_root)
-        for i, res in zip(idx, rows):
+        else:
+            out[i] = ValueError("cannot extract roots of the zero polynomial")
+    for (n, low), idx in stacks.items():
+        for i, res in zip(idx, _stacked_roots(rows(idx, n), low, tol_root)):
             out[i] = res
-    return out if not isinstance(p, Poly) else or_raise(out[0])
+    return or_raise(out[0]) if isinstance(p, Poly) else out
 
 
 def or_raise(res):
@@ -221,10 +234,11 @@ def or_raise(res):
 
 
 def _horner(C, Z):
-    """Row k of C (ascending coefficients) evaluated at row k of Z, as `Poly.__call__`."""
+    """Row k of C (ascending coefficients along the last axis) evaluated at
+    row k of Z, as `Poly.__call__`; leading axes of C broadcast."""
     r = np.zeros_like(Z)
-    for k in range(C.shape[1] - 1, -1, -1):
-        r = r * Z + C[:, k : k + 1]
+    for k in range(C.shape[-1] - 1, -1, -1):
+        r = r * Z + C[..., k : k + 1]
     return r
 
 

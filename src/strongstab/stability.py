@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import FrequencyGrid, Poly, or_raise, poly_roots
+from .rational import FrequencyGrid, RootSet, _horner, or_raise, poly_roots
 from .synthesis import (
     Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
     verify_performance,
@@ -82,28 +82,71 @@ def asymptotics(ctx: SynthesisContext) -> AsymptoticData:
     return AsymptoticData(f_inf=_f_infinity(ctx), k=float(k), degree=degree)
 
 
-def _cleared_lu_polys(ctx: SynthesisContext, u: UParam):
-    """(L2U, L1U) as polynomials after clearing the U denominator."""
-    L1, L2 = ctx.L1, ctx.L2
-    if u.is_constant:
-        return (L2 + L1.mirror() * u.u_inf, L1 + L2.mirror() * u.u_inf)
-    up = Poly([u.u_p, 1.0])
-    uz = Poly([u.u_z, 1.0]) * u.u_inf
-    return (L2 * up + L1.mirror() * uz, L1 * up + L2.mirror() * uz)
+def _u_rows(us):
+    """(num, den) of each U in `us`, as rows of two (K, 2) coefficient arrays:
+    (u_inf (u_z + s), u_p + s), or (u_inf, 1) for a constant U."""
+    nd = np.array([(u.u_inf, 0.0, 1.0, 0.0) if u.is_constant
+                   else (u.u_z * u.u_inf, u.u_inf, u.u_p, 1.0) for u in us]).reshape(-1, 4)
+    return nd[:, :2], nd[:, 2:]
+
+
+# Stacked polynomials are coefficient rows (ascending, zero-padded) along the
+# last axis.  Sums are formed as `Poly.__add__` forms them, 0.0 + a + b, so
+# that even the signs of zero coefficients match the `Poly` arithmetic.
+
+def _mirror(C):
+    """p(-s) per row."""
+    return C * (-1.0) ** np.arange(C.shape[-1])
+
+
+def _conv_rows(a, B):
+    """Row-wise product of the rows of `a` and of B (broadcast against each
+    other), summed in ascending index of `a`: bitwise `np.convolve` when
+    either factor has at most two coefficients."""
+    terms = [a[..., i, None] * B for i in range(a.shape[-1])]
+    out = np.zeros(terms[0].shape[:-1] + (len(terms) + B.shape[-1] - 1,))
+    for i, t in enumerate(terms):
+        out[..., i : i + B.shape[-1]] += t
+    return out
+
+
+def _stacked(cs):
+    """The coefficient vectors `cs` as rows of one zero-padded array."""
+    out = np.zeros((len(cs), max(map(len, cs))))
+    for row, c in zip(out, cs):
+        row[: len(c)] = c
+    return out
+
+
+def _lu_rows(ctx: SynthesisContext, num, den):
+    """The pair (L2U, L1U), cleared of the U denominator, stacked as one
+    array of shape (2, K, width): row k is L2 den + L1~ num and
+    L1 den + L2~ num for the U = num/den of row k of `num` and `den`.
+    Columns that are zero in every row are cut off."""
+    L = _stacked([ctx.L2.c, ctx.L1.c])[:, None]
+    LU = 0.0 + _conv_rows(L, den) + _conv_rows(_mirror(L[::-1]), num)
+    used = LU.any(axis=(0, 1))
+    return LU[..., : len(used) - used[::-1].argmax()]
+
+
+def _top(nz):
+    """Index of the last True in each row of `nz`, 0 in a row without one."""
+    return np.where(nz.any(axis=1), nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), 0)
 
 
 def fl_limit_at_infinity(ctx: SynthesisContext, u: UParam) -> float:
     """lim_{w->inf} |F(jw) L_U(jw)| from leading coefficients only."""
-    return _fl_limit(_f_infinity(ctx), *_cleared_lu_polys(ctx, u))
+    return float(_fl_limits(_f_infinity(ctx), _lu_rows(ctx, *_u_rows([u])))[0])
 
 
-def _fl_limit(f_inf, L2U, L1U):
-    d = max(L2U.degree, L1U.degree)
-    c2 = L2U.c[d] if L2U.degree == d else 0.0
-    c1 = L1U.c[d] if L1U.degree == d else 0.0
-    if c1 == 0.0:
-        return float(np.inf) if c2 != 0 else f_inf  # degenerate both-zero: d lowers
-    return f_inf * abs(c2 / c1)
+def _fl_limits(f_inf, LU):
+    """lim |F L_U| per row of the pair LU = (L2U, L1U): f_inf |c2 / c1| at
+    the pair's leading degree."""
+    d = _top((LU != 0).any(axis=0))
+    c2, c1 = LU[:, np.arange(len(d)), d]
+    lim = f_inf * np.abs(c2 / np.where(c1 != 0.0, c1, 1.0))
+    # degenerate both-zero: d lowers
+    return np.where(c1 != 0.0, lim, np.where(c2 != 0, np.inf, f_inf))
 
 
 def finitely_many_poles(ctx: SynthesisContext, u: UParam) -> bool:
@@ -162,15 +205,35 @@ class PeakData:
     eta_max: float
 
 
-def _even_to_x(p: Poly):
-    """p even in s -> q with p(jw) = q(w^2)."""
-    cx = p.even_part_coeffs()
-    return Poly(cx * (-1.0) ** np.arange(len(cx)))
+def _to_x(S):
+    """Rows p even in s as rows q in x = w^2 with p(jw) = q(w^2), and per row
+    whether p fails the evenness test of `Poly.even_part_coeffs`."""
+    scale = np.maximum(np.abs(S).max(axis=-1), 1.0)
+    odd = np.abs(S[..., 1::2]).max(axis=-1, initial=0.0) > 1e-9 * scale
+    return _mirror(S[..., 0::2]), odd
 
 
-def _abs2_to_x(p: Poly):
-    """|p(jw)|^2 as a polynomial in x = w^2."""
-    return _even_to_x(p * p.mirror())
+def _deriv_rows(C):
+    """The derivative of each row (one zero coefficient for a constant)."""
+    if C.shape[-1] == 1:
+        return np.zeros_like(C)
+    return C[..., 1:] * np.arange(1, C.shape[-1])
+
+
+def _root_matrix(results):
+    """The distinct roots of each RootSet in `results`, NaN-padded into one
+    complex array; an exception's row is all NaN."""
+    sets = [r if isinstance(r, RootSet) else RootSet([]) for r in results]
+    R = np.full((len(sets), max(map(len, sets), default=0)), np.nan + 0j)
+    for row, rs in zip(R, sets):
+        row[: len(rs)] = rs.roots
+    return R
+
+
+def _real_above(R, lo):
+    """R.real, and where the root is real (to 1e-7 relative) and above `lo`."""
+    x = R.real
+    return x, (np.abs(R.imag) < 1e-7 * (1 + np.abs(R))) & (x > lo)
 
 
 def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
@@ -179,54 +242,61 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     Everything is rational on the axis, so crossings and stationary points are
     polynomial roots in x = w^2; no frequency grid is involved.  When the
     controller has infinitely many unstable poles the crossing frequency is
-    reported as +inf.  The crossing and stationary-point polynomials of all
-    candidates are solved in two stacked `poly_roots` calls; a failed
-    extraction raises the error the first failing candidate meets.
+    reported as +inf.  The polynomials of all U are rows of stacked
+    coefficient arrays, built by row-wise products, solved in one
+    `poly_roots` call (crossing and stationary-point rows together) and
+    evaluated at their NaN-padded roots all at once.  A failed evenness test,
+    root extraction or division raises the error that a loop over the U one
+    at a time meets first.
     """
-    numR_x = _even_to_x(ctx.R.num)
-    denR_x = _even_to_x(ctx.R.den)
-    f_inf = _f_infinity(ctx)
-    cands = []
-    for u in us:
-        L2U, L1U = _cleared_lu_polys(ctx, u)
-        N_x = denR_x * _abs2_to_x(L2U)     # |F L_U|^2 = N_x / D_x
-        D_x = numR_x * _abs2_to_x(L1U)
-        T = N_x - D_x                      # crossings: sign changes of N - D
-        Q = N_x.deriv() * D_x - N_x * D_x.deriv()   # stationary points of N/D
-        cands.append((N_x, D_x, T, Q, _fl_limit(f_inf, L2U, L1U)))
-    t_roots = _roots_of_nonzero([c[2] for c in cands])
-    q_roots = _roots_of_nonzero([c[3] for c in cands])
+    R_x, odd = _to_x(_stacked([ctx.R.den.c, ctx.R.num.c]))
+    if odd.any():
+        raise ValueError("polynomial is not even in s")
+    LU = _lu_rows(ctx, *_u_rows(us))
+    lim = _fl_limits(_f_infinity(ctx), LU)
+    A, odd = _to_x(_conv_rows(LU, _mirror(LU)))     # |L2U|^2, |L1U|^2
+    N, D = ND = _conv_rows(R_x[:, None], A)     # |F L_U|^2 = N / D
+    T = 0.0 + N - D                             # crossings: sign changes of N - D
+    dN, dD = _deriv_rows(ND)
+    Q = 0.0 + _conv_rows(dN, D) - _conv_rows(N, dD)     # stationary points of N/D
+    # both kinds in one root extraction: rows of one length share an eigensolve
+    TQ = np.zeros((2, len(T), max(T.shape[1], Q.shape[1])))
+    TQ[0, :, : T.shape[1]], TQ[1, :, : Q.shape[1]] = T, Q
+    roots = _roots_of_nonzero(TQ.reshape(2 * len(T), TQ.shape[2]))
+    t_roots, q_roots = roots[: len(T)], roots[len(T) :]
+
+    x, cross = _real_above(_root_matrix(t_roots), 1e-12)
+    dx = 1e-6 * (1 + x)
+    cross &= _horner(T, x - dx) * _horner(T, x + dx) < 0
+    omega = np.sqrt(x, out=np.full_like(x, -np.inf), where=cross).max(axis=1, initial=-np.inf)
+    omega = np.where(lim > 1.0 + 1e-12, np.inf, omega)
+
+    # supremum: N/D at x = 0, at its stationary points (x = 0 again in the
+    # padding) and in the limit
+    xq, stat = _real_above(_root_matrix(q_roots), 0.0)
+    Nv, Dv = _horner(ND, np.hstack([np.zeros((len(xq), 1)), np.where(stat, xq, 0.0)]))
+    div0 = (Dv == 0.0).any(axis=1)
+    ratio = np.divide(Nv, Dv, out=np.zeros_like(Dv), where=Dv != 0.0)
+    eta = np.maximum(np.sqrt(np.maximum(ratio, 0.0)).max(axis=1), lim)
 
     out = []
-    for (N_x, D_x, T, Q, lim), t_rs, q_rs in zip(cands, t_roots, q_roots):
-        crossings = []
-        for r in or_raise(t_rs).roots:
-            if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 1e-12:
-                x = r.real
-                dx = 1e-6 * (1 + x)
-                if (T(x - dx).real) * (T(x + dx).real) < 0:
-                    crossings.append(np.sqrt(x))
-        omega_max = max(crossings) if crossings else None
-        if lim > 1.0 + 1e-12:
-            omega_max = float(np.inf)
-
-        # supremum: stationary points of N/D plus x = 0 and the limit
-        xs = [0.0]
-        for r in or_raise(q_rs).roots:
-            if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 0:
-                xs.append(r.real)
-        eta = max(np.sqrt(max(N_x(x).real / D_x(x).real, 0.0)) for x in xs)
-        eta = max(eta, lim)
-        out.append(PeakData(
-            omega_max=float(omega_max) if omega_max is not None else None,
-            eta_max=float(eta),
-        ))
+    for i in range(len(lim)):
+        if odd[:, i].any():
+            raise ValueError("polynomial is not even in s")
+        or_raise(t_roots[i])
+        or_raise(q_roots[i])
+        if div0[i]:
+            raise ZeroDivisionError("float division by zero")
+        out.append(PeakData(omega_max=None if omega[i] == -np.inf else float(omega[i]),
+                            eta_max=float(eta[i])))
     return out
 
 
-def _roots_of_nonzero(polys):
-    """`poly_roots` per poly (RootSet or exception), the zero polynomial counted root-free."""
-    return poly_roots([Poly([1.0]) if p.is_zero else p for p in polys])
+def _roots_of_nonzero(C):
+    """`poly_roots` per row of C (RootSet or exception), a zero row counted root-free."""
+    C = C.copy()
+    C[~C.any(axis=1), 0] = 1.0
+    return poly_roots(C)
 
 
 def chain_abscissa(h: float, fl_limit: float):
@@ -438,14 +508,13 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=()) -> Regio
     )
 
 
-def scan_window_for(ctx: SynthesisContext, plant: DelayPlant, u: UParam,
-                    peak: PeakData | None = None):
-    """Sound truncation window for the loop-denominator scan.
+def scan_window_for(plant: DelayPlant, peak: PeakData):
+    """Sound truncation window for the loop-denominator scan of a U with
+    peak data `peak`.
 
     Beyond sigma_max the delay factor contracts the loop gain below one, and
     beyond the omega bound |F L_U| stays below one, so no zeros are lost.
     """
-    peak = peak or peak_data(ctx, [u])[0]
     if peak.omega_max is not None and not np.isfinite(peak.omega_max):
         raise ScanError("infinitely many unstable poles: no finite window exists")
     eta = max(peak.eta_max, 1.0)

@@ -11,8 +11,15 @@ from strongstab.infinite import (
     stabilize_infinite,
     sweep_report,
 )
-from strongstab.rational import RootConvergenceError, poly_roots
-from strongstab.stability import admissible_uinf, asymptotics, peak_data, rhp_zero_scan
+from strongstab.rational import Poly, RootConvergenceError, poly_roots
+from strongstab.stability import (
+    PeakData,
+    admissible_uinf,
+    asymptotics,
+    fl_limit_at_infinity,
+    peak_data,
+    rhp_zero_scan,
+)
 from strongstab.synthesis import UParam, build_context
 
 
@@ -74,7 +81,7 @@ class TestSufficientCondition:
         pk = peak_data(ctx, [u])[0]
         assert pk.eta_max <= 1.0
         ctrl = build_controller(plant, ctx, u)
-        sig, om = scan_window_for(ctx, plant, u, pk)
+        sig, om = scan_window_for(plant, pk)
         excl = [complex(b) for b in ctx.betas]
         excl += [complex(np.conj(b)) for b in ctx.betas]
         # the scaled pair no longer interpolates, so nothing cancels at the
@@ -143,52 +150,124 @@ class TestSweep:
         assert pk.eta_max == pytest.approx(mag.max(), rel=1e-3)
 
 
+# ---------------------------------------------------------------------------
+# the per-candidate Poly chain: the independent oracle of the stacked sweep
+# ---------------------------------------------------------------------------
+
+def cleared_lu_polys(ctx, u):
+    """(L2U, L1U) as polynomials after clearing the U denominator."""
+    L1, L2 = ctx.L1, ctx.L2
+    if u.is_constant:
+        return (L2 + L1.mirror() * u.u_inf, L1 + L2.mirror() * u.u_inf)
+    up = Poly([u.u_p, 1.0])
+    uz = Poly([u.u_z, 1.0]) * u.u_inf
+    return (L2 * up + L1.mirror() * uz, L1 * up + L2.mirror() * uz)
+
+
+def fl_limit(f_inf, L2U, L1U):
+    d = max(L2U.degree, L1U.degree)
+    c2 = L2U.c[d] if L2U.degree == d else 0.0
+    c1 = L1U.c[d] if L1U.degree == d else 0.0
+    if c1 == 0.0:
+        return float(np.inf) if c2 != 0 else f_inf
+    return f_inf * abs(c2 / c1)
+
+
+def even_to_x(p):
+    cx = p.even_part_coeffs()
+    return Poly(cx * (-1.0) ** np.arange(len(cx)))
+
+
+def abs2_to_x(p):
+    return even_to_x(p * p.mirror())
+
+
+def roots_of(p):
+    return poly_roots(Poly([1.0]) if p.is_zero else p)
+
+
+def x_polys(ctx, u):
+    """|F L_U|^2 = N_x / D_x in x = w^2, its crossing polynomial T and its
+    stationary-point polynomial Q, as Poly products."""
+    L2U, L1U = cleared_lu_polys(ctx, u)
+    N_x = even_to_x(ctx.R.den) * abs2_to_x(L2U)
+    D_x = even_to_x(ctx.R.num) * abs2_to_x(L1U)
+    return N_x, D_x, N_x - D_x, N_x.deriv() * D_x - N_x * D_x.deriv()
+
+
+def reference_peak(ctx, u):
+    """PeakData of one U from `x_polys`: one `poly_roots` call per
+    polynomial, one loop per root."""
+    N_x, D_x, T, Q = x_polys(ctx, u)
+    lim = fl_limit(stability._f_infinity(ctx), *cleared_lu_polys(ctx, u))
+    crossings = []
+    for r in roots_of(T).roots:
+        if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 1e-12:
+            x = r.real
+            dx = 1e-6 * (1 + x)
+            if (T(x - dx).real) * (T(x + dx).real) < 0:
+                crossings.append(np.sqrt(x))
+    omega_max = max(crossings) if crossings else None
+    if lim > 1.0 + 1e-12:
+        omega_max = float(np.inf)
+    xs = [0.0] + [r.real for r in roots_of(Q).roots
+                  if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 0]
+    eta = max(np.sqrt(max(N_x(x).real / D_x(x).real, 0.0)) for x in xs)
+    return PeakData(omega_max=None if omega_max is None else float(omega_max),
+                    eta_max=float(max(eta, lim)))
+
+
 def reference_hurwitz(ctx, u):
-    L1U = stability._cleared_lu_polys(ctx, u)[1]
+    L1U = cleared_lu_polys(ctx, u)[1]
     if L1U.degree == 0:
         return L1U.c[0] != 0.0
     return all(r.real < 0 for r in poly_roots(L1U).expanded())
 
 
-class TestChunkedCandidates:
-    """Chunked, stacked root extraction against loops over one candidate at a time."""
+def reference_candidates(ctx, opts, intervals):
+    """`_candidates` as a loop over one candidate at a time."""
+    out = []
+    for up in opts.up_grid:
+        for uz in opts.uz_grid:
+            for ui in infinite._interval_grid(intervals, opts.uinf_step):
+                u = UParam(float(ui), float(uz), float(up))
+                if u.sup_norm() > 1.0 or not reference_hurwitz(ctx, u):
+                    continue
+                pk = reference_peak(ctx, u)
+                if pk.omega_max is None or np.isfinite(pk.omega_max):
+                    out.append((u, pk))
+    return out
+
+
+class TestStackedCandidates:
+    """The stacked sweep against the per-candidate Poly chain."""
 
     @pytest.fixture(params=[0.814, 0.8140000003])
-    def level(self, request, ex1, ex1_ctx, monkeypatch):
-        # a chunk size that puts chunk boundaries inside every candidate list
-        monkeypatch.setattr(infinite, "_CHUNK", 7)
+    def level(self, request, ex1, ex1_ctx):
         plant, weights, opts = ex1
         rho = request.param
         ctx = ex1_ctx if rho == 0.814 else build_context(
             plant, weights, rho, opts.interp_a)
         return ctx, opts
 
-    def test_candidates_equal_one_at_a_time(self, level):
+    def test_candidates_equal_oracle(self, level):
         ctx, opts = level
         intervals = admissible_uinf(asymptotics(ctx))
-        expected = []
-        for ui in infinite._interval_grid(intervals, opts.uinf_step):
-            u = UParam(float(ui))
-            if u.sup_norm() > 1.0 or not reference_hurwitz(ctx, u):
-                continue
-            pk = peak_data(ctx, [u])[0]
-            if pk.omega_max is not None and not np.isfinite(pk.omega_max):
-                continue
-            expected.append((u, pk))
+        expected = reference_candidates(ctx, opts, intervals)
         assert len(expected) > 100
         assert infinite._candidates(ctx, opts, intervals, {}) == expected
 
-    def test_sweep_rows_equal_one_at_a_time(self, level):
+    def test_sweep_rows_equal_oracle(self, level):
         ctx, opts = level
         expected = []
         for lo, hi in admissible_uinf(asymptotics(ctx)):
             for ui in infinite._interval_grid([(lo, hi)], opts.uinf_step):
-                pk = peak_data(ctx, [UParam(float(ui))])[0]
+                pk = reference_peak(ctx, UParam(float(ui)))
                 wm = pk.omega_max
                 expected.append((float(ui), None if wm is None else float(wm), pk.eta_max))
         assert sweep_report(ctx, opts, {}) == expected
 
-    def test_l1u_range_equals_one_at_a_time(self, level):
+    def test_l1u_range_equals_oracle(self, level):
         ctx, _ = level
         us = np.arange(-1.0, 1.0 + 1e-3 / 2, 1e-3)
         ok = [reference_hurwitz(ctx, UParam(float(u))) for u in us]
@@ -202,26 +281,85 @@ class TestChunkedCandidates:
         lo, hi = max(runs, key=lambda r: r[1] - r[0])
         assert l1u_stability_range(ctx, 1e-3) == (float(us[lo]), float(us[hi]))
 
-    @pytest.mark.parametrize("t_fails", [True, False])
-    def test_first_failure_in_candidate_order_is_raised(self, level, monkeypatch, t_fails):
-        # L_1U of the sixth candidate fails; the crossing polynomial of the
-        # third fails too when `t_fails`, and that candidate comes first
+    @pytest.mark.parametrize("fails", ["T", "Q", None])
+    def test_first_failure_in_candidate_order_is_raised(self, level, monkeypatch, fails):
+        # L_1U of the sixth candidate fails; the crossing (T) or stationary-point
+        # (Q) polynomial of the third fails too when `fails` says so, and that
+        # candidate comes first
         ctx, opts = level
         real = poly_roots
         calls = []
 
         def failing_roots(ps):
-            # the first chunk's calls: L_1U, then T, then Q
+            # the calls: L_1U of every candidate, then T and Q (one block
+            # each) of the Hurwitz ones
             out = real(ps)
             calls.append(len(ps))
             if len(calls) == 1:
                 out[5] = RootConvergenceError("L_1U of candidate 5")
-            if len(calls) == 2 and t_fails:
-                out[2] = RootConvergenceError("T of candidate 2")
+            if len(calls) == 2 and fails:
+                out[2 if fails == "T" else len(ps) // 2 + 2] = RootConvergenceError(
+                    f"{fails} of candidate 2")
             return out
 
         monkeypatch.setattr(stability, "poly_roots", failing_roots)
         with pytest.raises(RootConvergenceError) as info:
             infinite._candidates(ctx, opts, admissible_uinf(asymptotics(ctx)), {})
-        assert str(info.value) == ("T of candidate 2" if t_fails else "L_1U of candidate 5")
-        assert calls == [7, 5, 5]   # peak data only for the candidates before the failure
+        assert str(info.value) == (f"{fails} of candidate 2" if fails else "L_1U of candidate 5")
+
+    def test_dropped_candidate_failures_are_not_raised(self, ex1, ex1_ctx, monkeypatch):
+        # L_1U stops being Hurwitz at about u_inf = 0.98: a failing root
+        # extraction of T or Q of a candidate dropped there changes nothing
+        _, _, opts = ex1
+        intervals = [(-0.7, -0.68), (0.97, 1.0)]
+        expected = reference_candidates(ex1_ctx, opts, intervals)
+        dropped = [UParam(float(ui)) for ui in infinite._interval_grid(intervals, opts.uinf_step)
+                   if not reference_hurwitz(ex1_ctx, UParam(float(ui)))]
+        assert expected and dropped
+        bad = [p.c for u in dropped for p in x_polys(ex1_ctx, u)[2:]]
+        real = poly_roots
+
+        def failing_roots(ps):
+            out = real(ps)
+            for i, row in enumerate(ps):
+                if any(np.array_equal(np.trim_zeros(row, "b"), c) for c in bad):
+                    out[i] = RootConvergenceError("T or Q of a dropped candidate")
+            return out
+
+        monkeypatch.setattr(stability, "poly_roots", failing_roots)
+        assert infinite._candidates(ex1_ctx, opts, intervals, {}) == expected
+
+    def test_first_order_u_equals_oracle(self, ex1, ex1_ctx):
+        # |L2U|^2 is a 3 x 3 product here, whose sums numpy's convolve orders
+        # differently: the same candidates, peak data to rounding
+        _, _, opts = ex1
+        opts = dataclasses.replace(opts, up_grid=(0.5, 2.0), uz_grid=(0.0, 0.3), uinf_step=1e-2)
+        intervals = admissible_uinf(asymptotics(ex1_ctx))
+        expected = reference_candidates(ex1_ctx, opts, intervals)
+        got = infinite._candidates(ex1_ctx, opts, intervals, {})
+        assert len(expected) > 100
+        assert [u for u, _ in got] == [u for u, _ in expected]
+        for (_, pk), (_, ref) in zip(got, expected):
+            assert pk.omega_max == pytest.approx(ref.omega_max, rel=1e-12)
+            assert pk.eta_max == pytest.approx(ref.eta_max, rel=1e-12)
+
+    def test_cancelled_leading_coefficient(self, ex1_ctx):
+        # L2~ leading coefficient exactly -L1's: at u_inf = 1 the leading
+        # coefficients of L2U and L1U cancel to 0.0, so both rows drop a degree
+        ctx = dataclasses.replace(ex1_ctx, L2=Poly([ex1_ctx.L2.c[0], 1.0]))
+        us = [UParam(v) for v in (-1.0, -0.5, 0.0, 0.5, 0.999, 1.0)]
+        LU = stability._lu_rows(ctx, *stability._u_rows(us))
+        f_inf = stability._f_infinity(ctx)
+        for k, u in enumerate(us):
+            L2U, L1U = cleared_lu_polys(ctx, u)
+            assert stability._top(LU[0] != 0)[k] == L2U.degree
+            assert stability._top(LU[1] != 0)[k] == L1U.degree
+            assert fl_limit_at_infinity(ctx, u) == fl_limit(f_inf, L2U, L1U)
+            try:
+                ref = reference_peak(ctx, u)
+            except (ValueError, RootConvergenceError) as exc:
+                with pytest.raises(type(exc), match=str(exc)):
+                    peak_data(ctx, [u])
+            else:
+                assert peak_data(ctx, [u]) == [ref]
+        assert cleared_lu_polys(ctx, us[-1])[1].degree == 0

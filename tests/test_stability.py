@@ -95,14 +95,11 @@ class TestPeakData:
 
     def test_low_crossing_is_the_E_zero(self, ex1_ctx):
         # |F L_U| = 1 exactly at the imaginary-axis zero of E, for any U
-        from strongstab.stability import _cleared_lu_polys, _even_to_x, _abs2_to_x
-
-        w0 = ex1_ctx.betas[0].imag
-        for u in (UParam(0.0), UParam(-0.75), UParam(0.3)):
-            L2U, L1U = _cleared_lu_polys(ex1_ctx, u)
-            num = _even_to_x(ex1_ctx.R.den)(w0**2) * _abs2_to_x(L2U)(w0**2)
-            den = _even_to_x(ex1_ctx.R.num)(w0**2) * _abs2_to_x(L1U)(w0**2)
-            assert abs(num / den) == pytest.approx(1.0, rel=1e-9)
+        s0 = ex1_ctx.betas[0]
+        L1, L2 = ex1_ctx.L1, ex1_ctx.L2
+        for u in (0.0, -0.75, 0.3):
+            lu = (L2(s0) + L1(-s0) * u) / (L1(s0) + L2(-s0) * u)
+            assert abs(ex1_ctx.F(s0) * lu) == pytest.approx(1.0, rel=1e-9)
 
     def test_no_crossing_when_contractive(self, ex2_ctx):
         pk = peak_data(ex2_ctx, [UParam(0.0)])[0]
