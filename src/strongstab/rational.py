@@ -196,32 +196,36 @@ def poly_roots(p, tol_root=1e-12):
     alone.  Only an eigensolver failure (`np.linalg.LinAlgError`, say for a
     non-finite coefficient) is raised for the whole call.
     """
-    if isinstance(p, np.ndarray):
-        nz = p != 0
-        lows = nz.argmax(axis=1)
-        lens = np.where(nz.any(axis=1), p.shape[1] - nz[:, ::-1].argmax(axis=1), 0)
-        keys = list(zip(lens.tolist(), lows.tolist()))
-
-        def rows(idx, n):
-            return p[idx, :n]
-    else:
-        ps = [p] if isinstance(p, Poly) else list(p)
-        keys = [(0, 0) if q.is_zero else (len(q.c), int(np.flatnonzero(q.c)[0]))
-                for q in ps]
-
-        def rows(idx, n):
-            return np.array([ps[i].c for i in idx])
-    out = [None] * len(keys)
+    C = p if isinstance(p, np.ndarray) else _stacked(
+        [q.c for q in ([p] if isinstance(p, Poly) else p)])
+    lens = _top(C) + 1
+    lows = (C != 0).argmax(axis=1)
+    out = [None] * len(C)
     stacks = {}
-    for i, key in enumerate(keys):
+    for i, key in enumerate(zip(lens.tolist(), lows.tolist())):
         if key[0]:
             stacks.setdefault(key, []).append(i)
         else:
             out[i] = ValueError("cannot extract roots of the zero polynomial")
     for (n, low), idx in stacks.items():
-        for i, res in zip(idx, _stacked_roots(rows(idx, n), low, tol_root)):
+        for i, res in zip(idx, _stacked_roots(C[idx, :n], low, tol_root)):
             out[i] = res
     return or_raise(out[0]) if isinstance(p, Poly) else out
+
+
+def _stacked(cs):
+    """The coefficient vectors `cs` as rows of one zero-padded array."""
+    out = np.zeros((len(cs), max(map(len, cs), default=1)))
+    for row, c in zip(out, cs):
+        row[: len(c)] = c
+    return out
+
+
+def _top(C):
+    """Index of the last nonzero entry along the last axis of C, -1 where
+    there is none."""
+    nz = C != 0
+    return np.where(nz.any(axis=-1), nz.shape[-1] - 1 - nz[..., ::-1].argmax(axis=-1), -1)
 
 
 def or_raise(res):

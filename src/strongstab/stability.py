@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import FrequencyGrid, RootSet, _horner, or_raise, poly_roots
+from .rational import FrequencyGrid, RootSet, _horner, _stacked, _top, or_raise, poly_roots
 from .synthesis import (
     Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
     verify_performance,
@@ -110,28 +110,14 @@ def _conv_rows(a, B):
     return out
 
 
-def _stacked(cs):
-    """The coefficient vectors `cs` as rows of one zero-padded array."""
-    out = np.zeros((len(cs), max(map(len, cs))))
-    for row, c in zip(out, cs):
-        row[: len(c)] = c
-    return out
-
-
 def _lu_rows(ctx: SynthesisContext, num, den):
     """The pair (L2U, L1U), cleared of the U denominator, stacked as one
     array of shape (2, K, width): row k is L2 den + L1~ num and
     L1 den + L2~ num for the U = num/den of row k of `num` and `den`.
-    Columns that are zero in every row are cut off."""
+    Columns that are zero in every row are cut off (one is kept for K = 0)."""
     L = _stacked([ctx.L2.c, ctx.L1.c])[:, None]
     LU = 0.0 + _conv_rows(L, den) + _conv_rows(_mirror(L[::-1]), num)
-    used = LU.any(axis=(0, 1))
-    return LU[..., : len(used) - used[::-1].argmax()]
-
-
-def _top(nz):
-    """Index of the last True in each row of `nz`, 0 in a row without one."""
-    return np.where(nz.any(axis=1), nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), 0)
+    return LU[..., : max(_top(LU.any(axis=(0, 1))), 0) + 1]
 
 
 def fl_limit_at_infinity(ctx: SynthesisContext, u: UParam) -> float:
@@ -142,7 +128,7 @@ def fl_limit_at_infinity(ctx: SynthesisContext, u: UParam) -> float:
 def _fl_limits(f_inf, LU):
     """lim |F L_U| per row of the pair LU = (L2U, L1U): f_inf |c2 / c1| at
     the pair's leading degree."""
-    d = _top((LU != 0).any(axis=0))
+    d = _top(LU.any(axis=0))     # -1 in an all-zero row reads a zero column
     c2, c1 = LU[:, np.arange(len(d)), d]
     lim = f_inf * np.abs(c2 / np.where(c1 != 0.0, c1, 1.0))
     # degenerate both-zero: d lowers
@@ -236,6 +222,17 @@ def _real_above(R, lo):
     return x, (np.abs(R.imag) < 1e-7 * (1 + np.abs(R))) & (x > lo)
 
 
+def _nd_rows(ctx: SynthesisContext, LU):
+    """|F L_U|^2 = N / D in x = w^2 per row of the pair LU = (L2U, L1U),
+    stacked as (N, D), and per row whether |L2U|^2 or |L1U|^2 fails the
+    evenness test."""
+    R_x, odd = _to_x(_stacked([ctx.R.den.c, ctx.R.num.c]))
+    if odd.any():
+        raise ValueError("polynomial is not even in s")
+    A, odd = _to_x(_conv_rows(LU, _mirror(LU)))     # |L2U|^2, |L1U|^2
+    return _conv_rows(R_x[:, None], A), odd
+
+
 def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     """Largest |F L_U| = 1 crossing and the supremum over [0, inf), per U in `us`.
 
@@ -249,13 +246,10 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     root extraction or division raises the error that a loop over the U one
     at a time meets first.
     """
-    R_x, odd = _to_x(_stacked([ctx.R.den.c, ctx.R.num.c]))
-    if odd.any():
-        raise ValueError("polynomial is not even in s")
     LU = _lu_rows(ctx, *_u_rows(us))
     lim = _fl_limits(_f_infinity(ctx), LU)
-    A, odd = _to_x(_conv_rows(LU, _mirror(LU)))     # |L2U|^2, |L1U|^2
-    N, D = ND = _conv_rows(R_x[:, None], A)     # |F L_U|^2 = N / D
+    ND, odd = _nd_rows(ctx, LU)
+    N, D = ND                                   # |F L_U|^2 = N / D
     T = 0.0 + N - D                             # crossings: sign changes of N - D
     dN, dD = _deriv_rows(ND)
     Q = 0.0 + _conv_rows(dN, D) - _conv_rows(N, dD)     # stationary points of N/D

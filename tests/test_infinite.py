@@ -250,6 +250,13 @@ class TestStackedCandidates:
             plant, weights, rho, opts.interp_a)
         return ctx, opts
 
+    def test_oracle_crosses_at_the_E_zero(self, ex1_ctx):
+        # the oracle's N_x / D_x is 1 at the imaginary-axis zero of E, for any U
+        x0 = ex1_ctx.betas[0].imag ** 2
+        for u in (UParam(0.0), UParam(-0.75), UParam(0.3), UParam(-0.5, 0.3, 2.0)):
+            N_x, D_x, _, _ = x_polys(ex1_ctx, u)
+            assert N_x(x0).real / D_x(x0).real == pytest.approx(1.0, rel=1e-9)
+
     def test_candidates_equal_oracle(self, level):
         ctx, opts = level
         intervals = admissible_uinf(asymptotics(ctx))
@@ -352,8 +359,8 @@ class TestStackedCandidates:
         f_inf = stability._f_infinity(ctx)
         for k, u in enumerate(us):
             L2U, L1U = cleared_lu_polys(ctx, u)
-            assert stability._top(LU[0] != 0)[k] == L2U.degree
-            assert stability._top(LU[1] != 0)[k] == L1U.degree
+            assert stability._top(LU[0])[k] == L2U.degree
+            assert stability._top(LU[1])[k] == L1U.degree
             assert fl_limit_at_infinity(ctx, u) == fl_limit(f_inf, L2U, L1U)
             try:
                 ref = reference_peak(ctx, u)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from strongstab import stability
-from strongstab.rational import FrequencyGrid, Poly, RationalFn, poly_from_roots
+from strongstab.rational import FrequencyGrid, Poly, RationalFn, _horner, poly_from_roots
 from strongstab.stability import (
     AsymptoticData,
     ScanError,
@@ -94,12 +94,20 @@ class TestPeakData:
         assert pk.eta_max == pytest.approx(1.2644, abs=1e-3)
 
     def test_low_crossing_is_the_E_zero(self, ex1_ctx):
-        # |F L_U| = 1 exactly at the imaginary-axis zero of E, for any U
+        # |F L_U| = 1 exactly at the imaginary-axis zero of E, for any U: in
+        # the context's F, L1, L2 and in the stacked x-domain rows N / D that
+        # peak_data's crossing test reads
         s0 = ex1_ctx.betas[0]
         L1, L2 = ex1_ctx.L1, ex1_ctx.L2
-        for u in (0.0, -0.75, 0.3):
-            lu = (L2(s0) + L1(-s0) * u) / (L1(s0) + L2(-s0) * u)
+        us = [UParam(0.0), UParam(-0.75), UParam(0.3)]
+        for u in us:
+            lu = (L2(s0) + L1(-s0) * u.u_inf) / (L1(s0) + L2(-s0) * u.u_inf)
             assert abs(ex1_ctx.F(s0) * lu) == pytest.approx(1.0, rel=1e-9)
+        (N, D), odd = stability._nd_rows(
+            ex1_ctx, stability._lu_rows(ex1_ctx, *stability._u_rows(us)))
+        x0 = np.full((len(us), 1), s0.imag**2)
+        assert not odd.any()
+        assert _horner(N, x0) / _horner(D, x0) == pytest.approx(np.ones((3, 1)), rel=1e-9)
 
     def test_no_crossing_when_contractive(self, ex2_ctx):
         pk = peak_data(ex2_ctx, [UParam(0.0)])[0]
