@@ -175,12 +175,40 @@ class RootSet:
 
 def poly_from_roots(roots, leading=1.0):
     """Expand a conjugate-closed root list into a real monic-times-leading Poly."""
-    c = np.array([1.0 + 0.0j])
-    for r in roots:
-        c = np.convolve(c, np.array([-r, 1.0 + 0.0j]))
-    if np.abs(c.imag).max() > 1e-8 * max(1.0, np.abs(c).max()):
+    c, open_ = _from_roots_rows([roots], np.array([leading]))
+    if open_[0]:
         raise ValueError("root list is not closed under conjugation")
-    return Poly(c.real * leading)
+    return Poly(c[0])
+
+
+def _from_roots_rows(root_lists, leading):
+    """`poly_from_roots(roots, lead).c` per list of `root_lists` and entry of
+    `leading`, as zero-padded rows, and per row whether the list fails the
+    conjugate-closure check.  Each factor s - r multiplies in as
+    `np.convolve` multiplies it: end coefficients by one-term, the others by
+    two-term dots, through numpy's vector dot (matmul of 1 x n by n x 1
+    stacks).  Shorter lists are padded with the factor 1 + 0 s."""
+    f = np.zeros((len(root_lists), max(map(len, root_lists), default=0), 2), complex)
+    f[..., 0] = 1.0
+    for row, roots in zip(f, root_lists):
+        row[: len(roots), 0], row[: len(roots), 1] = [-r for r in roots], 1.0
+    c = f[:, 0] if f.shape[1] else np.ones((len(f), 1), complex)    # 1 times the first
+    for j in range(1, f.shape[1]):
+        m, fj = c.shape[1], f[:, j]
+        out = np.empty((len(f), m + 1), complex)
+        out[:, 0], out[:, m] = _dot_rows(c[:, :1], fj[:, :1]), _dot_rows(c[:, -1:], fj[:, 1:])
+        pairs, fs = np.empty((len(f), m - 1, 2), complex), np.empty((len(f), m - 1, 2), complex)
+        pairs[..., 0], pairs[..., 1] = c[:, :-1], c[:, 1:]
+        fs[..., 0], fs[..., 1] = fj[:, 1:], fj[:, :1]
+        out[:, 1:m] = _dot_rows(pairs, fs)
+        c = out
+    open_ = np.abs(c.imag).max(axis=1) > 1e-8 * np.fmax(1.0, np.abs(c).max(axis=1))
+    return c.real * np.asarray(leading, dtype=float)[:, None], open_
+
+
+def _dot_rows(X, Y):
+    """The dot products of X and Y along their last axis."""
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
 def poly_roots(p, tol_root=1e-12):
@@ -214,11 +242,63 @@ def poly_roots(p, tol_root=1e-12):
 
 
 def _stacked(cs):
-    """The coefficient vectors `cs` as rows of one zero-padded array."""
-    out = np.zeros((len(cs), max(map(len, cs), default=1)))
+    """The coefficient arrays `cs` (vectors, or stacks of rows of one shape
+    but for the last axis) zero-padded along their last axis and stacked
+    along a new first one."""
+    lead = np.shape(cs[0])[:-1] if len(cs) else ()
+    out = np.zeros((len(cs),) + lead + (max((np.shape(c)[-1] for c in cs), default=1),))
     for row, c in zip(out, cs):
-        row[: len(c)] = c
+        row[..., : np.shape(c)[-1]] = c
     return out
+
+
+# Stacked polynomials are coefficient rows (ascending, zero-padded) along the
+# last axis.  Sums are formed as `Poly.__add__` forms them, 0.0 + a + b, so
+# that even the signs of zero coefficients match the `Poly` arithmetic.
+
+def _mirror(C):
+    """p(-s) per row."""
+    return C * (-1.0) ** np.arange(C.shape[-1])
+
+
+def _conv_rows(a, B):
+    """Row-wise product of the rows of `a` and of B (broadcast against each
+    other), summed in ascending index of `a`: bitwise `np.convolve` when
+    either factor has at most two coefficients."""
+    terms = [a[..., i, None] * B for i in range(a.shape[-1])]
+    out = np.zeros(terms[0].shape[:-1] + (len(terms) + B.shape[-1] - 1,))
+    for i, t in enumerate(terms):
+        out[..., i : i + B.shape[-1]] += t
+    return out
+
+
+def _mul_rows(A, B):
+    """Row-wise `Poly` products of the 2-D rows A and B: `_conv_rows` when a
+    factor has at most two columns, else `np.convolve` of each pair of
+    trimmed rows."""
+    if min(A.shape[1], B.shape[1]) <= 2:
+        return _conv_rows(A, B)
+    out = np.zeros((len(A), A.shape[1] + B.shape[1] - 1))
+    for row, a, b, na, nb in zip(out, A, B, _top(A), _top(B)):
+        p = np.convolve(a[: max(na, 0) + 1], b[: max(nb, 0) + 1])
+        row[: len(p)] = p
+    return out
+
+
+def _sum_rows(*rows):
+    """0.0 + a + b + ... of 2-D rows of any widths, as `Poly.__add__` sums."""
+    out = np.zeros((max(len(r) for r in rows), max(r.shape[1] for r in rows)))
+    for r in rows:
+        out[:, : r.shape[1]] += r
+    return out
+
+
+def _even_rows(S):
+    """The even-index coefficients of each row, and per row whether it fails
+    the evenness test of `Poly.even_part_coeffs`."""
+    scale = np.maximum(np.abs(S).max(axis=-1), 1.0)
+    odd = np.abs(S[..., 1::2]).max(axis=-1, initial=0.0) > 1e-9 * scale
+    return S[..., 0::2], odd
 
 
 def _top(C):
@@ -431,6 +511,13 @@ def reduced_from_roots(zn, zd, lead):
     Each root of `zd`, in order, cancels the first remaining root of `zn`
     within ROOT_MATCH_TOL; both lists are conjugate-closed.
     """
+    keep_n, keep_d = _cancelled(zn, zd)
+    return RationalFn(poly_from_roots(_reclose(keep_n), lead),
+                      poly_from_roots(_reclose(keep_d), 1.0))
+
+
+def _cancelled(zn, zd):
+    """The root lists of `reduced_from_roots(zn, zd, lead)` before reclosing."""
     keep_n, keep_d = list(zn), []
     for rd in zd:
         hit = next((k for k, rn in enumerate(keep_n)
@@ -439,8 +526,7 @@ def reduced_from_roots(zn, zd, lead):
             keep_d.append(rd)
         else:
             keep_n.pop(hit)
-    return RationalFn(poly_from_roots(_reclose(keep_n), lead),
-                      poly_from_roots(_reclose(keep_d), 1.0))
+    return keep_n, keep_d
 
 
 def _reclose(roots):

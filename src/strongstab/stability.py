@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import FrequencyGrid, RootSet, _horner, _stacked, _top, or_raise, poly_roots
+from .rational import (
+    FrequencyGrid, RootSet, _conv_rows, _even_rows, _horner, _mirror, _stacked, _top, or_raise,
+    poly_roots,
+)
 from .synthesis import (
     Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
     verify_performance,
@@ -88,26 +91,6 @@ def _u_rows(us):
     nd = np.array([(u.u_inf, 0.0, 1.0, 0.0) if u.is_constant
                    else (u.u_z * u.u_inf, u.u_inf, u.u_p, 1.0) for u in us]).reshape(-1, 4)
     return nd[:, :2], nd[:, 2:]
-
-
-# Stacked polynomials are coefficient rows (ascending, zero-padded) along the
-# last axis.  Sums are formed as `Poly.__add__` forms them, 0.0 + a + b, so
-# that even the signs of zero coefficients match the `Poly` arithmetic.
-
-def _mirror(C):
-    """p(-s) per row."""
-    return C * (-1.0) ** np.arange(C.shape[-1])
-
-
-def _conv_rows(a, B):
-    """Row-wise product of the rows of `a` and of B (broadcast against each
-    other), summed in ascending index of `a`: bitwise `np.convolve` when
-    either factor has at most two coefficients."""
-    terms = [a[..., i, None] * B for i in range(a.shape[-1])]
-    out = np.zeros(terms[0].shape[:-1] + (len(terms) + B.shape[-1] - 1,))
-    for i, t in enumerate(terms):
-        out[..., i : i + B.shape[-1]] += t
-    return out
 
 
 def _lu_rows(ctx: SynthesisContext, num, den):
@@ -194,9 +177,8 @@ class PeakData:
 def _to_x(S):
     """Rows p even in s as rows q in x = w^2 with p(jw) = q(w^2), and per row
     whether p fails the evenness test of `Poly.even_part_coeffs`."""
-    scale = np.maximum(np.abs(S).max(axis=-1), 1.0)
-    odd = np.abs(S[..., 1::2]).max(axis=-1, initial=0.0) > 1e-9 * scale
-    return _mirror(S[..., 0::2]), odd
+    even, odd = _even_rows(S)
+    return _mirror(even), odd
 
 
 def _deriv_rows(C):

@@ -23,13 +23,21 @@ import numpy as np
 
 from .rational import (
     FrequencyGrid,
+    PoleEvaluationError,
     Poly,
     RationalFn,
+    _cancelled,
+    _even_rows,
+    _from_roots_rows,
+    _horner,
+    _mul_rows,
+    _reclose,
+    _stacked,
+    _sum_rows,
+    _top,
     grid_sup,
     or_raise,
-    poly_from_roots,
     poly_roots,
-    reduced_from_roots,
 )
 
 __all__ = [
@@ -49,7 +57,6 @@ __all__ = [
     "spectral_factor",
     "build_F",
     "eta_mirror_poles",
-    "beta_zeros",
     "interpolation_rows",
     "solve_interpolation",
     "LevelBuilder",
@@ -68,7 +75,7 @@ NORM_SLACK = 1e-3
 INNER_TOL = 1e-8
 # Levels of the coarse sigma_min grid that `gamma_opt` walks down the bracket.
 GAMMA_COARSE = 200
-# Coarse levels `gamma_opt` factorizes together (`LevelBuilder.prefetch`).
+# Coarse levels `gamma_opt` builds together (`LevelBuilder.prefetch`).
 GAMMA_BLOCK = 16
 # `_refine_dip`'s golden ratio (its safeguard step) and its stopping width:
 # that of DIP_ITERS golden-section steps, 0.618^50 ~ 3.5e-11 of the bracket.
@@ -177,7 +184,7 @@ class WeightPair:
 
 
 # ---------------------------------------------------------------------------
-# E, G, F
+# E, G, F of a block of levels
 # ---------------------------------------------------------------------------
 
 def _para(W: RationalFn) -> RationalFn:
@@ -185,47 +192,97 @@ def _para(W: RationalFn) -> RationalFn:
     return RationalFn(W.num * W.num.mirror(), W.den * W.den.mirror())
 
 
-def _over_level(para: RationalFn, level: float) -> RationalFn:
-    """para / level^2 - 1 over the common denominator level^2 para.den."""
+# A block of levels is built as coefficient rows, one per level (see
+# `rational._conv_rows`), each sum, product and evaluation made as the `Poly`
+# arithmetic makes it for one level, so each row is bitwise that level built
+# alone.  A failed level keeps the stage and exception a one-level build
+# meets first; the stages, in order:
+_ER, _G, _F, _BETAS = range(4)
+_NUMERATOR, _DENOMINATOR = "spectral factor numerator", "spectral factor denominator"
+
+
+class _Level:
+    """One level's E, R, G and F as (num, den) coefficient rows, its betas,
+    `fail` (None, or the stage and exception of its first failure) and, once
+    `LevelBuilder.prefetch` has built it, `sigma`: the optimal system's
+    (sigma_min, null vector, degree), or the exception its build raised."""
+
+    __slots__ = ("E", "R", "G", "F", "betas", "fail", "sigma")
+
+    def upto(self, stage):
+        """self, after raising the failure of a stage up to `stage`."""
+        if self.fail is not None and self.fail[0] <= stage:
+            raise self.fail[1]
+        return self
+
+
+def _fn(rows) -> RationalFn:
+    num, den = rows
+    return RationalFn(Poly(num), Poly(den), normalize=False)
+
+
+def _square(level):
+    """level**2 after the level checks.  The power (C `pow`) can differ from
+    level * level in the last bit, and every level's build takes the power."""
     if level <= 0:
         raise ValueError("level must be positive")
     if not math.isfinite(float(level) * float(level)):
         raise FactorizationError(f"level {level:g}: its square is not a finite number")
-    den = Poly(para.den.c * level**2)
-    return RationalFn(para.num - den, den)
+    return level**2
 
 
-def _ratio(E: RationalFn, level: float, w2para: RationalFn | None) -> RationalFn:
-    """R = 1 - (W2(-s)W2(s)/level^2 - 1) E, given E and W2(-s)W2(s) (None for W2 = 0)."""
-    if w2para is None:
-        return RationalFn(E.num + E.den, E.den)
-    VE = _over_level(w2para, level) * E
-    return RationalFn(VE.den - VE.num, VE.den)
+def _normalized(num, den):
+    """The rows of RationalFn(num, den): both divided by den's leading
+    coefficient where num is not zero."""
+    lead = np.where(num.any(axis=1), den[np.arange(len(den)), _top(den)], 1.0)[:, None]
+    return num / lead, den / lead
 
 
-def build_E(level: float, W1: RationalFn) -> RationalFn:
-    """E = W1(-s) W1(s) / level^2 - 1, reduced over a common denominator."""
-    return _over_level(_para(W1), level)
+def _over_level(para: RationalFn, g2):
+    """(num, den) rows of para / level^2 - 1 over the common denominator
+    level^2 para.den, one per level square in `g2`."""
+    den = para.den.c * g2[:, None]
+    return _sum_rows(para.num.c[None], den * -1.0), den
 
 
-def spectral_ratio(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
-    """R = 1 - (W2(-s)W2(s)/level^2 - 1) E; G G(-s) = 1/R."""
-    return _ratio(build_E(level, W1), level, None if W2.is_zero else _para(W2))
+def _at(num, den, Z):
+    """num(z) / den(z) per row at its points Z (row k's rows at row k of Z),
+    as `RationalFn.__call__` computes it (NaN where that call raises), and the
+    exception it raises at each point (None where it raises none).  num, den
+    and the scale of den (|den| at |z|) take one Horner pass together; the
+    quotient is Python's, whose complex division is not numpy's bit for bit."""
+    C = np.zeros((3,) + num.shape[:-1] + (max(num.shape[-1], den.shape[-1]),))
+    C[0, ..., : num.shape[-1]], C[1, ..., : den.shape[-1]] = num, den
+    C[2] = np.abs(C[1])
+    nv, dv, scale = _horner(C, np.stack([Z, Z, np.abs(Z)]))
+    pole = (np.abs(dv) <= 1e-12 * np.maximum(scale.real, 1e-300)).ravel().tolist()
+    errs = [PoleEvaluationError(f"evaluation at/near a pole: s={z}", z) if p
+            else ZeroDivisionError("complex division by zero") if d == 0 else None
+            for p, d, z in zip(pole, dv.ravel().tolist(), np.ravel(Z).tolist())]
+    quot = [n / d if e is None else np.nan
+            for n, d, e in zip(nv.ravel().tolist(), dv.ravel().tolist(), errs)]
+    return (np.array(quot, dtype=dv.dtype).reshape(dv.shape),
+            np.array(errs, dtype=object).reshape(dv.shape))
 
 
-def _half_poly(even_poly: Poly):
-    """An even polynomial in s as a polynomial in x = s^2: None when that is
-    a constant, the exception when `even_poly` is not even."""
-    try:
-        px = Poly(even_poly.even_part_coeffs())
-    except ValueError as exc:
-        return exc
-    return px if px.degree else None
+def _cmul(a, b):
+    """a * b entrywise as numpy's complex scalars multiply it (no fused
+    multiply-add, unlike the array loops)."""
+    out = np.empty(np.broadcast(a, b).shape, complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _halves(rows, flags):
+    """The two halves of a stack of 2K rows and of its per-row flags."""
+    K = len(rows) // 2
+    return (rows[:K], rows[K:]), np.reshape(flags, (2, K))
 
 
 def _stable_half(rs, what: str):
     """Stable (Re < 0) half of the roots of an even polynomial in s, given
-    the roots `rs` of its `_half_poly` in x = s^2.
+    the roots `rs` of its half in x = s^2.
 
     Each x-root contributes the pair +-sqrt(x).  Purely imaginary pairs
     (x < 0) cannot be split and raise, except when the x-multiplicity is
@@ -264,74 +321,19 @@ def _result_of(fn, *args):
         return exc
 
 
-def _roots_each(items):
-    """`poly_roots` of every `Poly` in `items` in one stacked call; None and
-    exceptions pass through.  One result (`RootSet` or exception) per item.
-
-    An eigensolver failure of the stack is retried one polynomial at a time,
-    so that it stays with the polynomial that caused it.
-    """
-    polys = [p for p in items if isinstance(p, Poly)]
+def _each(fn, X):
+    """fn(X): one result per item of the stack X.  Where fn fails on the
+    stack with a LinAlgError (an eigensolver or SVD failure), fn of each item
+    alone, its exception in its place, so that it stays with its item."""
     try:
-        roots = poly_roots(polys) if polys else []
+        return fn(X)
     except np.linalg.LinAlgError:
-        roots = []
-        for p in polys:
-            try:
-                roots.append(poly_roots([p])[0])
-            except np.linalg.LinAlgError as exc:
-                roots.append(exc)
-    it = iter(roots)
-    return [next(it) if isinstance(p, Poly) else p for p in items]
-
-
-def spectral_factor(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
-    """Stable, minimum-phase G with G(s)G(-s) = R(s)^{-1} and G(0) > 0."""
-    R = spectral_ratio(level, W1, W2)
-    return _factor(R, *_roots_each([_half_poly(R.den), _half_poly(R.num)]))[0]
-
-
-def _factor(R: RationalFn, rd, rn):
-    """(G, zeros, poles): the spectral factor G of 1/R (see `spectral_factor`)
-    and the lists of its zeros and poles, given the roots of the `_half_poly`
-    of R.den (rd) and of R.num (rn)."""
-    zeros = [complex(r) for r in _stable_half(rd, "spectral factor numerator")]
-    poles = [complex(r) for r in _stable_half(rn, "spectral factor denominator")]
-    G = RationalFn(poly_from_roots(zeros, 1.0), poly_from_roots(poles, 1.0))
-    # fix the gain from R at a point away from roots of everything
-    for s0 in (0.0, 0.37913):
-        try:
-            target = 1.0 / R(s0)
-            g0 = G(s0)
-            break
-        except ZeroDivisionError:
-            pass
-    else:
-        # R vanishes identically when level^2 swamps W1(-s)W1(s) in E + 1
-        raise FactorizationError("R or G vanishes or has a pole at both gain points")
-    c2 = (target / g0**2).real
-    if c2 <= 0 or abs((target / g0**2).imag) > 1e-6 * abs(c2):
-        raise FactorizationError("factorization produced a non-real gain")
-    G = G * float(np.sqrt(c2))
-    if G(0.0).real < 0:
-        G = G * -1.0
-    return G, zeros, poles
-
-
-def eta_mirror_poles(W1: RationalFn):
-    """RHP poles of W1(-s): the mirrored (stable) poles of the weight."""
-    if W1.den.degree == 0:
-        return []
-    return [-r for r in poly_roots(W1.den).expanded()]
-
-
-def beta_zeros(E: RationalFn):
-    """One representative per mirror pair of RHP zeros of E (Im >= 0 on axis)."""
-    return _betas(poly_roots(E.num) if E.num.degree else None)
+        return [_result_of(lambda x: fn(x)[0], X[i : i + 1]) for i in range(len(X))]
 
 
 def _betas(rs):
-    """`beta_zeros` from the roots `rs` of E.num (None for a constant)."""
+    """One representative per mirror pair of RHP zeros of E (Im >= 0 on the
+    axis), from the roots `rs` of E.num (None for a constant)."""
     if or_raise(rs) is None:
         return []
     reps = []
@@ -343,31 +345,158 @@ def _betas(rs):
     return reps
 
 
-def _complete(R: RationalFn, rd, rn, etas):
-    """(F, G): the spectral factor G of 1/R (see `_factor`) and its all-pass
-    completion F = G prod (s - eta)/(s + eta), both negated when needed so
-    that F(0) > 0.
+def _build_levels(w1para, w2para, etas, levels):
+    """The `_Level` of each of `levels`, given W1(-s)W1(s), W2(-s)W2(s) (None
+    for W2 = 0) and the mirrored W1 poles `etas`.
 
-    F is built from root lists, G's zeros and the etas over G's poles and
-    the -etas, with the common roots cancelled (`reduced_from_roots`): G's
-    zeros hold W1's poles, which are the -etas.
+    E = W1(-s)W1(s)/level^2 - 1 and R = 1 - (W2(-s)W2(s)/level^2 - 1) E are
+    row-wise sums and products.  The halves in x = s^2 of R.den and R.num and
+    E.num of all levels take their roots in one `poly_roots` call.  The stable
+    halves are G's zeros and poles, and E.num's RHP roots the betas.  G (gain
+    from R at s = 0, or at 0.37913 where R or G has a pole there; G(0) > 0)
+    and F = G prod (s - eta)/(s + eta) (common roots cancelled as in
+    `reduced_from_roots`: G's zeros hold the -etas; both negated so that
+    F(0) > 0) are expanded from their root lists row-wise.
     """
-    G, zeros, poles = _factor(R, rd, rn)
-    F = G
-    if etas:
-        F = reduced_from_roots(zeros + etas, poles + [-e for e in etas], G.num.c[-1])
-    if F(0.0).real < 0:
-        F = F * -1.0
-        G = G * -1.0
-    return F, G
+    K = len(levels)
+    fail, g2 = [None] * K, np.ones(K)
+    for k, g in enumerate(levels):
+        try:
+            g2[k] = _square(g)
+        except Exception as exc:
+            fail[k] = (_ER, exc)
+
+    def flag(mask, stage, exc):
+        """Fail each unfailed level k of `mask` at `stage` with exc() or exc[k]."""
+        for k, hit in enumerate(np.asarray(mask).tolist()):
+            if hit and fail[k] is None:
+                fail[k] = (stage, exc() if callable(exc) else exc[k])
+
+    def ratio(num, den):
+        """The rows of RationalFn(num, den)."""
+        flag(~den.any(axis=1), _ER, lambda: ZeroDivisionError("denominator is identically zero"))
+        return _normalized(num, den)
+
+    def not_closed():
+        return ValueError("root list is not closed under conjugation")
+
+    with np.errstate(all="ignore"):
+        E = ratio(*_over_level(w1para, g2))
+        if w2para is None:
+            R = ratio(_sum_rows(*E), E[1])
+        else:
+            V = ratio(*_over_level(w2para, g2))
+            VE = ratio(_mul_rows(V[0], E[0]), _mul_rows(V[1], E[1]))
+            R = ratio(_sum_rows(VE[1], VE[0] * -1.0), VE[1])
+
+        # one root extraction: R.den's and R.num's halves in x = s^2 and E.num
+        halves, odd = _even_rows(_stacked(R[::-1]))
+        rows = _stacked([*halves, E[0]]).transpose(1, 0, 2)
+        odd = np.append(odd, np.zeros((1, K), dtype=bool), axis=0).T
+        want = (_top(rows) >= 1) & ~odd & np.array([[f is None] for f in fail])
+        found = iter(_each(poly_roots, rows[want]) if want.any() else [])
+        roots = [[next(found) if w else ValueError("polynomial is not even in s") if o else None
+                  for w, o in zip(*wo)] for wo in zip(want.tolist(), odd.tolist())]
+
+        # G's zeros and poles, then G expanded from them and its gain fixed
+        zeros, poles = [[] for _ in range(K)], [[] for _ in range(K)]
+        for k in range(K):
+            try:
+                if fail[k] is None:
+                    zeros[k] = [complex(r) for r in _stable_half(roots[k][0], _NUMERATOR)]
+                    poles[k] = [complex(r) for r in _stable_half(roots[k][1], _DENOMINATOR)]
+            except Exception as exc:
+                fail[k] = (_G, exc)
+        (Gn, Gd), open_ = _halves(*_from_roots_rows(zeros + poles, np.ones(2 * K)))
+        flag(open_.any(axis=0), _G, not_closed)
+        S = np.broadcast_to([0.0, 0.37913], (K, 2))
+        (q, g), errs = _at(_stacked([R[0], Gn]), _stacked([R[1], Gd]),
+                           np.broadcast_to(S, (2, K, 2)))
+        ok = np.equal(errs, None).all(axis=0) & (q != 0)
+        at = np.arange(K), np.argmax(ok, axis=1)       # s = 0 where it serves
+        target, g0 = 1.0 / q[at], g[at]
+        flag(~ok.any(axis=1), _G, lambda: FactorizationError(
+            "R or G vanishes or has a pole at both gain points"))
+        flag(g0 * g0 == 0, _G, lambda: ZeroDivisionError("complex division by zero"))
+        c2 = target / (g0 * g0)
+        flag(c2 <= 0, _G, lambda: FactorizationError("factorization produced a non-real gain"))
+        Gn = Gn * np.sqrt(c2)[:, None]
+        sign, errs = _at(Gn, Gd, S[:, :1])
+        flag(~np.equal(errs[:, 0], None), _G, errs[:, 0])
+        Gn = np.where(sign < 0, Gn * -1.0, Gn)
+
+        # F from G's root lists, the etas and the -etas
+        Fn, Fd = Gn, Gd
+        if etas:
+            num, den, later = [[] for _ in range(K)], [[] for _ in range(K)], [None] * K
+            for k in range(K):
+                if fail[k] is None:
+                    keep_n, keep_d = _cancelled(zeros[k] + etas, poles[k] + [-e for e in etas])
+                    try:
+                        num[k] = _reclose(keep_n)
+                    except ValueError as exc:
+                        fail[k] = (_F, exc)
+                        continue
+                    den[k] = _result_of(_reclose, keep_d)
+                    if isinstance(den[k], Exception):
+                        later[k], den[k] = den[k], []
+            lead = Gn[np.arange(K), _top(Gn)]
+            (Fn, Fd), open_ = _halves(*_from_roots_rows(num + den, np.append(lead, np.ones(K))))
+            flag(open_[0], _F, not_closed)
+            flag([e is not None for e in later], _F, later)
+            flag(open_[1], _F, not_closed)
+            # F(0) > 0; with no etas F is G, whose G(0) > 0 already holds
+            sign, errs = _at(Fn, Fd, S[:, :1])
+            flag(~np.equal(errs[:, 0], None), _F, errs[:, 0])
+            flip = sign < 0
+            Fn, Gn = np.where(flip, Fn * -1.0, Fn), np.where(flip, Gn * -1.0, Gn)
+
+    out = []
+    for k in range(K):
+        lv = _Level()
+        lv.E, lv.R, lv.G, lv.F = ((X[0][k], X[1][k]) for X in (E, R, (Gn, Gd), (Fn, Fd)))
+        lv.fail, lv.sigma = fail[k], None
+        if fail[k] is None:
+            lv.betas = _result_of(_betas, roots[k][2])
+            if isinstance(lv.betas, Exception):
+                lv.fail = (_BETAS, lv.betas)
+        out.append(lv)
+    return out
+
+
+def _one_level(level, W1, W2, etas, stage):
+    """The `_Level` of one level, after raising a failure up to `stage`."""
+    w2para = None if W2.is_zero else _para(W2)
+    return _build_levels(_para(W1), w2para, etas, [level])[0].upto(stage)
+
+
+def build_E(level: float, W1: RationalFn) -> RationalFn:
+    """E = W1(-s) W1(s) / level^2 - 1, reduced over a common denominator."""
+    return _fn(_one_level(level, W1, RationalFn.zero(), [], _ER).E)
+
+
+def spectral_ratio(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
+    """R = 1 - (W2(-s)W2(s)/level^2 - 1) E; G G(-s) = 1/R."""
+    return _fn(_one_level(level, W1, W2, [], _ER).R)
+
+
+def spectral_factor(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
+    """Stable, minimum-phase G with G(s)G(-s) = R(s)^{-1} and G(0) > 0."""
+    return _fn(_one_level(level, W1, W2, [], _G).G)
+
+
+def eta_mirror_poles(W1: RationalFn):
+    """RHP poles of W1(-s): the mirrored (stable) poles of the weight."""
+    if W1.den.degree == 0:
+        return []
+    return [-r for r in poly_roots(W1.den).expanded()]
 
 
 def build_F(level: float, W1: RationalFn, W2: RationalFn):
     """(F, etas, G): F = G * prod (s - eta)/(s + eta), oriented so F(0) > 0."""
     etas = eta_mirror_poles(W1)
-    R = spectral_ratio(level, W1, W2)
-    F, G = _complete(R, *_roots_each([_half_poly(R.den), _half_poly(R.num)]), etas)
-    return F, etas, G
+    lv = _one_level(level, W1, W2, etas, _F)
+    return _fn(lv.F), etas, _fn(lv.G)
 
 
 # ---------------------------------------------------------------------------
@@ -384,64 +513,87 @@ def _reject_repeated(points, what):
                 )
 
 
-def interpolation_rows(plant: DelayPlant, F: RationalFn, E: RationalFn,
-                       degree: int, extra_a: float | None, betas, alphas):
-    """Real matrix of the homogeneous interpolation conditions.
+def interpolation_rows(plant: DelayPlant, F, betas, alphas, degrees):
+    """Real matrices of the homogeneous interpolation conditions of a block of
+    levels: one per level, or the exception its build raises.
 
-    The conditions sit at `betas` (the E zeros of `beta_zeros(E)`) and
-    `alphas` (the plant poles, already checked for repeats).  Unknown vector:
-    [L1 coefficients (ascending), L2 coefficients], each of length degree+1.
-    Complex conditions contribute their real and imaginary parts as separate
-    rows; redundant conjugate rows are harmless since the solve goes through
-    an SVD.
+    Level k's conditions sit at betas[k] (its E zeros, see `_betas`) and
+    `alphas` (the plant poles, already checked for repeats), with its F given
+    as the rows F[k] = (num, den).  Unknown vector: [L1 coefficients
+    (ascending), L2 coefficients], each of length degrees[k] + 1.  Complex
+    conditions contribute their real and imaginary parts as separate rows
+    (the imaginary one where it is not zero); redundant conjugate rows are
+    harmless since the solve goes through an SVD.  Levels with as many points
+    and the same degree are evaluated together.
     """
-    _reject_repeated(betas, "E zeros")
+    out, groups = [None] * len(F), {}
+    for k, b in enumerate(betas):
+        try:
+            _reject_repeated(b, "E zeros")
+            groups.setdefault((len(b), degrees[k]), []).append(k)
+        except InterpolationError as exc:
+            out[k] = exc
+    for (nb, degree), idx in groups.items():
+        pts = [betas[k] + alphas for k in idx]
+        P = np.array(pts, dtype=complex).reshape(len(idx), nb + len(alphas))
+        M = [np.broadcast_to(c, (len(idx), len(c))) for c in (plant.M.num.c, plant.M.den.c)]
+        (mv, fv), errs = _at(_stacked([M[0], _stacked([F[k][0] for k in idx])]),
+                             _stacked([M[1], _stacked([F[k][1] for k in idx])]),
+                             np.broadcast_to(P, (2,) + P.shape))
+        # L1(p) + W L2(p) = 0 and L2(-p) + W L1(-p) = 0, W = e^{-hp} M(p) F(p)
+        W = _cmul(_cmul(np.exp(-plant.h * P), mv), fv)[..., None]
+        n = degree + 1
+        pw = np.array([[[q**i for i in range(n)] for p in row for q in (p, -p)] for row in pts],
+                      complex).reshape(P.shape + (2, n))
+        pw, pwm = pw[..., 0, :], pw[..., 1, :]
+        r1, r2 = np.concatenate([pw, W * pw], axis=-1), np.concatenate([W * pwm, pwm], axis=-1)
+        rows = np.stack([r1.real, r1.imag, r2.real, r2.imag], axis=2).reshape(
+            len(idx), 4 * P.shape[1], 2 * n)
+        keep = np.ones(P.shape + (4,), dtype=bool)
+        keep[..., 1] = np.abs(r1.imag).max(axis=-1, initial=0.0) > 0
+        keep[..., 3] = np.abs(r2.imag).max(axis=-1, initial=0.0) > 0
+        for j, k in enumerate(idx):
+            first = [e for pair in zip(errs[0, j], errs[1, j]) for e in pair if e is not None]
+            out[k] = first[0] if first else rows[j][keep[j].ravel()]
+    return out
+
+
+def _nullvectors(mats):
+    """(sigma_min, null vector) of each matrix of `mats`, or the exception its
+    SVD raised; one batched SVD per matrix shape.  Each system is scaled by
+    its largest row so sigma_min is dimensionless; per-row normalization
+    would hide rows that vanish at the singular level."""
+    out, shapes = [None] * len(mats), {}
+    for i, A in enumerate(mats):
+        shapes.setdefault(A.shape, []).append(i)
+    for (nrows, ncols), idx in shapes.items():
+        A = np.stack([mats[i] for i in idx])
+        scale = np.linalg.norm(A, axis=-1).max(axis=-1)
+        svds = _each(lambda B: list(zip(*np.linalg.svd(B)[1:])),
+                     A / np.where(scale > 0, scale, 1.0)[:, None, None])
+        for i, res in zip(idx, svds):
+            out[i] = res if isinstance(res, Exception) else (
+                float(res[0][ncols - 1]) if nrows >= ncols else 0.0, res[1][-1])
+    return out
+
+
+def solve_interpolation(plant, F, E, degree, extra_a, betas, alphas):
+    """(L1, L2, sigma_min, residual) with L1 normalized monic; with `extra_a`
+    (the suboptimal system), one more condition L2(-a) + N L1(-a) = 0 with
+    N = ((1 + E) F)(a) e^{-ha} M(a)."""
+    A = or_raise(interpolation_rows(plant, [(F.num.c, F.den.c)], [betas], alphas, [degree])[0])
     n = degree + 1
-    rows = []
-
-    def add_complex_row(cl1, cl2):
-        row = np.concatenate([cl1, cl2])
-        rows.append(row.real)
-        if np.abs(row.imag).max() > 0:
-            rows.append(row.imag)
-
-    def powvec(s):
-        return np.array([s**k for k in range(n)], dtype=complex)
-
-    for pt in betas + alphas:
-        w = plant.mn(pt) * F(pt)
-        add_complex_row(powvec(pt), w * powvec(pt))           # L1(p) + w L2(p) = 0
-        add_complex_row(w * powvec(-pt), powvec(-pt))         # L2(-p) + w L1(-p) = 0
-
     if extra_a is not None:
         a = float(extra_a)
         Ep1 = RationalFn(E.num + E.den, E.den)
         N = ((Ep1 * F).reduced())(a) * plant.mn(a)
         if abs(N.imag) > 1e-9 * (1 + abs(N)):
             raise InterpolationError("extra condition evaluated to a non-real value")
-        add_complex_row(N.real * powvec(-a), powvec(-a))      # L2(-a) + N L1(-a) = 0
-
-    if not rows:
+        pw = np.array([(-a) ** k for k in range(n)], dtype=complex)
+        A = np.vstack([A, np.concatenate([N.real * pw, pw]).real])
+    if not len(A):
         raise InterpolationError("no interpolation conditions: degenerate problem")
-    return np.array(rows)
-
-
-def _nullvector(A):
-    # scale the whole system by its largest row so sigma_min is dimensionless;
-    # per-row normalization would hide rows that vanish at the singular level
-    scale = np.linalg.norm(A, axis=1).max()
-    An = A / (scale if scale > 0 else 1.0)
-    _, svals, vt = np.linalg.svd(An)
-    ncols = A.shape[1]
-    smin = float(svals[ncols - 1]) if A.shape[0] >= ncols else 0.0
-    return smin, vt[-1]
-
-
-def solve_interpolation(plant, F, E, degree, extra_a, betas, alphas):
-    """(L1, L2, sigma_min, residual) with L1 normalized monic."""
-    A = interpolation_rows(plant, F, E, degree, extra_a, betas, alphas)
-    smin, v = _nullvector(A)
-    n = degree + 1
+    smin, v = or_raise(_nullvectors([A])[0])
     l1c, l2c = v[:n], v[n:]
     if abs(l1c[-1]) < 1e-10 * np.abs(v).max():
         raise InterpolationError(
@@ -498,13 +650,15 @@ class LevelBuilder:
 
     Holds W1(-s)W1(s), W2(-s)W2(s), the mirrored W1 poles `etas`, and the
     plant's right-half-plane poles `alphas` (checked once for repeats).
-    `prefetch(levels)` builds a list of levels with one stacked `poly_roots`
-    call for all of them, over the even parts of R.den and R.num (in
-    x = s^2) and E.num; F then follows from root lists already known
-    (`_complete`).  Each level's result, or the exception its build raised,
-    is kept until `at` consumes it, and `at` on a level that was not
-    prefetched prefetches it alone.  An exception is thus raised only when
-    its level is consumed, and within a level in the order a one-level build
+    `prefetch(levels)` builds a block of levels as rows of coefficient arrays
+    (`_build_levels`: one stacked `poly_roots` call), then every level's
+    optimal interpolation matrix (`interpolation_rows`) and its sigma_min and
+    null vector, with one batched SVD per matrix shape (`_nullvectors`).
+    Each level's result, or the exception its build raised, is kept until
+    `at` or `optimal_sigma_min` consumes it; `optimal_sigma_min` on a level
+    that was not prefetched prefetches it alone, and `at` builds it alone
+    (without the optimal system).  An exception is thus raised only when its
+    level is consumed, and within a level in the order a one-level build
     meets it.  `gamma_opt` and `build_context` both go through it.
     """
 
@@ -517,43 +671,39 @@ class LevelBuilder:
         _reject_repeated(self.alphas, "plant poles")
         self._built = {}
 
-    def _ratios(self, level):
-        """(E, R, the items whose roots the level needs; see `_roots_each`)."""
-        E = _over_level(self.w1para, level)
-        R = _ratio(E, level, self.w2para)
-        return E, R, [_half_poly(R.den), _half_poly(R.num), E.num if E.num.degree else None]
-
-    def _finish(self, E, R, rd, rn, re):
-        F, _ = _complete(R, rd, rn, self.etas)
-        return E, R, F, _betas(re)
+    def _levels(self, levels):
+        return _build_levels(self.w1para, self.w2para, self.etas, levels)
 
     def prefetch(self, levels):
-        """Build `levels` together and keep their results for `at`."""
-        parts = [_result_of(self._ratios, g) for g in levels]
-        roots = iter(_roots_each([p for q in parts if not isinstance(q, Exception)
-                                  for p in q[2]]))
-        for g, q in zip(levels, parts):
-            if not isinstance(q, Exception):
-                E, R, items = q
-                q = _result_of(self._finish, E, R, *[next(roots) for _ in items])
-            self._built[g] = q
+        """Build `levels` together and keep their results for `at` and
+        `optimal_sigma_min`."""
+        built, live = self._levels(levels), []
+        for lv in built:
+            if lv.fail is None:
+                degree = len(lv.betas) + len(self.alphas) - 1
+                if degree < 0:
+                    lv.sigma = InterpolationError("no interpolation conditions at this level")
+                else:
+                    live.append((lv, degree))
+        mats = interpolation_rows(self.plant, [lv.F for lv, _ in live],
+                                  [lv.betas for lv, _ in live], self.alphas, [d for _, d in live])
+        solved = iter(_nullvectors([A for A in mats if not isinstance(A, Exception)]))
+        for (lv, degree), A in zip(live, mats):
+            res = A if isinstance(A, Exception) else next(solved)
+            lv.sigma = res if isinstance(res, Exception) else res + (degree,)
+        self._built.update(zip(levels, built))
 
     def at(self, level: float):
         """(E, R, F, betas) at `level`; see `build_E`, `spectral_ratio`, `build_F`."""
-        if level not in self._built:
-            self.prefetch([level])
-        return or_raise(self._built.pop(level))
+        lv = self._built.pop(level) if level in self._built else self._levels([level])[0]
+        lv.upto(_BETAS)
+        return _fn(lv.E), _fn(lv.R), _fn(lv.F), lv.betas
 
     def optimal_sigma_min(self, level: float):
         """(sigma_min, null vector, degree) of the optimal homogeneous system."""
-        E, _, F, betas = self.at(level)
-        degree = len(betas) + len(self.alphas) - 1
-        if degree < 0:
-            raise InterpolationError("no interpolation conditions at this level")
-        smin, v = _nullvector(
-            interpolation_rows(self.plant, F, E, degree, None, betas, self.alphas)
-        )
-        return smin, v, degree
+        if level not in self._built:
+            self.prefetch([level])
+        return or_raise(self._built.pop(level).upto(_BETAS).sigma)
 
 
 def build_context(plant: DelayPlant, weights: WeightPair, level: float,
@@ -641,9 +791,10 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket) -> GammaOptResult
     the level above it is tested as a dip (a local minimum).  Each dip is
     refined between its coarse neighbours (`_refine_dip`) as soon as it is
     found, and the first with sigma_min < 1e-6 is returned.  The grid levels
-    are factorized top-down in blocks of `GAMMA_BLOCK` (`LevelBuilder.prefetch`)
-    but consumed one at a time, so a failure below the returned dip is never
-    seen.  `diagnostics["dips"]` counts the dips refined; `infeasible_points`
+    are built top-down in blocks of `GAMMA_BLOCK`, each block's sigma_min
+    included (`LevelBuilder.prefetch`), and a refinement level as a block of
+    one; levels are consumed one at a time, so a failure below the returned
+    dip is never seen.  `diagnostics["dips"]` counts the dips refined; `infeasible_points`
     lists the consumed grid levels (ascending) whose factorization or
     interpolation failure was collected rather than fatal.
     """

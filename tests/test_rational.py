@@ -181,8 +181,9 @@ class TestStackedPolyRoots:
         original = rational.poly_roots
 
         def record(p, tol_root=1e-12):
-            # gamma_opt hands over lists of polynomials; record each one
-            seen.extend([p] if isinstance(p, Poly) else p)
+            # gamma_opt hands over 2-D coefficient arrays; record each row
+            seen.extend([p] if isinstance(p, Poly) else
+                        [q if isinstance(q, Poly) else Poly(q) for q in p])
             return original(p, tol_root)
 
         monkeypatch.setattr(rational, "poly_roots", record)
@@ -237,6 +238,36 @@ class TestStackedPolyRoots:
         assert_stacked_equals_reference(polys, tol_root=1e-20)
         with pytest.raises(RootConvergenceError):
             poly_roots(polys[1], tol_root=1e-20)
+
+
+class TestRowsFromRoots:
+    def test_rows_equal_the_convolve_chain(self):
+        # the expansion poly_from_roots made one np.convolve per root, whose
+        # complex two-term dots round differently from products and a sum
+        rng = np.random.default_rng(11)
+        lists = []
+        for n in rng.integers(0, 8, 300):
+            roots = []
+            while len(roots) < n:
+                z = complex(*rng.standard_normal(2))
+                pair = len(roots) + 2 <= n and rng.random() < 0.6
+                roots += [z, z.conjugate()] if pair else [complex(z.real)]
+            lists.append(roots)
+        lead = rng.standard_normal(len(lists))
+        rows, open_ = rational._from_roots_rows(lists, lead)
+        assert not open_.any()
+        for row, roots, a in zip(rows, lists, lead):
+            c = np.array([1.0 + 0.0j])
+            for r in roots:
+                c = np.convolve(c, np.array([-r, 1.0 + 0.0j]))
+            assert np.array_equal(row, np.pad(c.real * a, (0, len(row) - len(c))))
+            assert np.array_equal(poly_from_roots(roots, a).c, Poly(c.real * a).c)
+
+    def test_open_list_is_flagged(self):
+        rows, open_ = rational._from_roots_rows([[1j], [1j, -1j], []], np.ones(3))
+        assert open_.tolist() == [True, False, False]
+        with pytest.raises(ValueError, match="not closed under conjugation"):
+            poly_from_roots([1j])
 
 
 class TestRationalFn:

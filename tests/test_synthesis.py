@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from strongstab.rational import (
     RationalFn,
     RootConvergenceError,
     RootSet,
+    _cancelled,
+    _reclose,
     blaschke,
     poly_roots,
 )
@@ -22,15 +27,12 @@ from strongstab.synthesis import (
     LevelBuilder,
     UParam,
     WeightPair,
-    _nullvector,
     _refine_dip,
-    beta_zeros,
     build_context,
     build_controller,
     build_E,
     build_F,
     gamma_opt,
-    interpolation_rows,
     spectral_factor,
     spectral_ratio,
     verify_performance,
@@ -210,19 +212,149 @@ class TestInterpolation:
         assert np.all(E * lam >= -1e-9 * np.abs(lam).max())
 
 
+# ---------------------------------------------------------------------------
+# the per-level reference chain
+# ---------------------------------------------------------------------------
+
+# The one-level Poly/RationalFn chain that LevelBuilder's row-wise block
+# build replaced, kept as the independent oracle: E and R by RationalFn
+# arithmetic, the x = s^2 halves and E.num rooted one level at a time, G and F
+# expanded by one np.convolve per root and evaluated by RationalFn calls, and
+# one interpolation matrix and SVD per level.  The per-root rules
+# (`_stable_half`, `_betas`, `_cancelled`, `_reclose`) are shared.
+
+def ref_poly_from_roots(roots, leading):
+    c = np.array([1.0 + 0.0j])
+    for r in roots:
+        c = np.convolve(c, np.array([-r, 1.0 + 0.0j]))
+    if np.abs(c.imag).max() > 1e-8 * max(1.0, np.abs(c).max()):
+        raise ValueError("root list is not closed under conjugation")
+    return Poly(c.real * leading)
+
+
+def ref_over_level(para, level):
+    if level <= 0:
+        raise ValueError("level must be positive")
+    if not math.isfinite(float(level) * float(level)):
+        raise FactorizationError(f"level {level:g}: its square is not a finite number")
+    den = Poly(para.den.c * level**2)
+    return RationalFn(para.num - den, den)
+
+
+def ref_ratios(W1, W2, level):
+    """(E, R) at `level`."""
+    E = ref_over_level(synthesis._para(W1), level)
+    if W2.is_zero:
+        return E, RationalFn(E.num + E.den, E.den)
+    VE = ref_over_level(synthesis._para(W2), level) * E
+    return E, RationalFn(VE.den - VE.num, VE.den)
+
+
+def ref_roots(p):
+    try:
+        px = Poly(p.even_part_coeffs())
+    except ValueError as exc:
+        return exc
+    return poly_roots(px) if px.degree else None
+
+
+def ref_factor(R):
+    """(G, zeros, poles): the spectral factor of 1/R with G(0) > 0."""
+    half = synthesis._stable_half
+    zeros = [complex(r) for r in half(ref_roots(R.den), "spectral factor numerator")]
+    poles = [complex(r) for r in half(ref_roots(R.num), "spectral factor denominator")]
+    G = RationalFn(ref_poly_from_roots(zeros, 1.0), ref_poly_from_roots(poles, 1.0))
+    for s0 in (0.0, 0.37913):
+        try:
+            target = 1.0 / R(s0)
+            g0 = G(s0)
+            break
+        except ZeroDivisionError:
+            pass
+    else:
+        raise FactorizationError("R or G vanishes or has a pole at both gain points")
+    c2 = (target / g0**2).real
+    if c2 <= 0 or abs((target / g0**2).imag) > 1e-6 * abs(c2):
+        raise FactorizationError("factorization produced a non-real gain")
+    G = G * float(np.sqrt(c2))
+    if G(0.0).real < 0:
+        G = G * -1.0
+    return G, zeros, poles
+
+
+def ref_complete(R, etas):
+    """(F, G): G and F = G prod (s - eta)/(s + eta), both negated when needed
+    so that F(0) > 0."""
+    G, zeros, poles = ref_factor(R)
+    F = G
+    if etas:
+        keep_n, keep_d = _cancelled(zeros + etas, poles + [-e for e in etas])
+        F = RationalFn(ref_poly_from_roots(_reclose(keep_n), G.num.c[-1]),
+                       ref_poly_from_roots(_reclose(keep_d), 1.0))
+    if F(0.0).real < 0:
+        F = F * -1.0
+        G = G * -1.0
+    return F, G
+
+
+def ref_beta_zeros(E):
+    return synthesis._betas(poly_roots(E.num) if E.num.degree else None)
+
+
+def ref_level(W1, W2, level):
+    """(E, R, F, G, betas) at `level`."""
+    E, R = ref_ratios(W1, W2, level)
+    F, G = ref_complete(R, synthesis.eta_mirror_poles(W1))
+    return E, R, F, G, ref_beta_zeros(E)
+
+
+def ref_interpolation_rows(plant, F, degree, betas, alphas):
+    synthesis._reject_repeated(betas, "E zeros")
+    n = degree + 1
+    rows = []
+
+    def add_complex_row(cl1, cl2):
+        row = np.concatenate([cl1, cl2])
+        rows.append(row.real)
+        if np.abs(row.imag).max() > 0:
+            rows.append(row.imag)
+
+    def powvec(s):
+        return np.array([s**k for k in range(n)], dtype=complex)
+
+    for pt in betas + alphas:
+        w = plant.mn(pt) * F(pt)
+        add_complex_row(powvec(pt), w * powvec(pt))
+        add_complex_row(w * powvec(-pt), powvec(-pt))
+    return np.array(rows)
+
+
+def ref_nullvector(A):
+    scale = np.linalg.norm(A, axis=1).max()
+    An = A / (scale if scale > 0 else 1.0)
+    _, svals, vt = np.linalg.svd(An)
+    ncols = A.shape[1]
+    smin = float(svals[ncols - 1]) if A.shape[0] >= ncols else 0.0
+    return smin, vt[-1]
+
+
+def ref_sigma_min(plant, weights, level):
+    """(sigma_min, null vector, degree) of the optimal system at `level`."""
+    E, R, F, G, betas = ref_level(weights.W1, weights.W2, level)
+    alphas = plant.alpha_roots()
+    degree = len(betas) + len(alphas) - 1
+    if degree < 0:
+        raise InterpolationError("no interpolation conditions at this level")
+    smin, v = ref_nullvector(ref_interpolation_rows(plant, F, degree, betas, alphas))
+    return smin, v, degree
+
+
 def full_scan_gamma_opt(plant, weights, bracket, coarse=200):
     """Reference for the walk order: sigma_min on the whole coarse grid
     first, then every dip refined (`_refine_dip`) from the top down.  Built on
-    the public one-level functions, not on LevelBuilder."""
+    the per-level reference chain, not on LevelBuilder."""
     def sigma_min_at(g):
-        E = build_E(g, weights.W1)
-        F, _, _ = build_F(g, weights.W1, weights.W2)
-        betas, alphas = beta_zeros(E), plant.alpha_roots()
-        degree = len(betas) + len(alphas) - 1
-        if degree < 0:
-            raise InterpolationError("no interpolation conditions at this level")
-        smin, v = _nullvector(interpolation_rows(plant, F, E, degree, None, betas, alphas))
-        return smin, v, degree
+        return ref_sigma_min(plant, weights, g)
 
     glo, ghi = bracket
     gs = np.linspace(glo, ghi, coarse)
@@ -316,17 +448,11 @@ class TestGammaOpt:
 
     @pytest.mark.parametrize("example, budget", [("ex1", 104), ("ex2", 45)])
     def test_evaluation_budget(self, example, budget, request, monkeypatch):
+        # levels consumed, not row builds: a block builds its rows at once
         plant, weights, opts = request.getfixturevalue(example)
-        calls = []
-        rows = synthesis.interpolation_rows
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return rows(*args, **kwargs)
-
-        monkeypatch.setattr(synthesis, "interpolation_rows", counted)
+        consumed, _ = watch_levels(monkeypatch)
         gamma_opt(plant, weights, opts.gamma_bracket)
-        assert len(calls) <= budget
+        assert len(consumed) <= budget
 
     def test_non_singular_dip_above_is_passed_over(self, ex1, monkeypatch):
         plant, weights, _ = ex1
@@ -447,10 +573,12 @@ def fail_level(monkeypatch, weights, level, kinds):
     odd axis pair, which the factorization rejects), "convergence" (E.num's
     extraction returns a RootConvergenceError) and "linalg" (a stacked call
     holding E.num raises LinAlgError, as the eigensolver does for a
-    non-finite entry).  Returns the list of kinds that fired.
+    non-finite entry).  A call's items are the rows of its 2-D coefficient
+    array, matched after trimming their zero padding.  Returns the list of
+    kinds that fired.
     """
     e_num = build_E(level, weights.W1).num.c
-    r_num = synthesis._half_poly(spectral_ratio(level, weights.W1, weights.W2).num).c
+    r_num = Poly(spectral_ratio(level, weights.W1, weights.W2).num.even_part_coeffs()).c
     real, fired = synthesis.poly_roots, []
 
     def roots(ps, tol_root=1e-12):
@@ -458,13 +586,14 @@ def fail_level(monkeypatch, weights, level, kinds):
             return real(ps, tol_root)
         out = real(ps, tol_root)
         for i, q in enumerate(ps):
-            if np.array_equal(q.c, r_num) and "factorization" in kinds:
+            c = Poly(q).c       # an array row, trimmed of its zero padding
+            if np.array_equal(c, r_num) and "factorization" in kinds:
                 fired.append("factorization")
                 out[i] = RootSet([complex(-1.0)], [1])
-            if np.array_equal(q.c, e_num) and "convergence" in kinds:
+            if np.array_equal(c, e_num) and "convergence" in kinds:
                 fired.append("convergence")
                 out[i] = RootConvergenceError("forced")
-            if np.array_equal(q.c, e_num) and "linalg" in kinds:
+            if np.array_equal(c, e_num) and "linalg" in kinds:
                 fired.append("linalg")
                 raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
         return out
@@ -547,8 +676,10 @@ class TestPrefetchFailures:
 
 
 class TestOneRootStage:
-    """A level's roots come from one stacked `poly_roots` call: R.den's and
-    R.num's even parts and E.num; F is then built from known root lists."""
+    """A block's roots come from one stacked `poly_roots` call: R.den's and
+    R.num's even parts and E.num of every level; F is then built from known
+    root lists, and the levels' interpolation matrices take one batched SVD
+    per matrix shape."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -575,6 +706,93 @@ class TestOneRootStage:
         calls = self.count_calls(monkeypatch)
         levels.at(0.814)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_prefetch_of_a_block_is_one_svd_per_shape(self, example, request, monkeypatch):
+        plant, weights, opts = request.getfixturevalue(example)
+        gs = np.linspace(*opts.gamma_bracket, synthesis.GAMMA_COARSE)[-synthesis.GAMMA_BLOCK :]
+        shapes = set()
+        for g in gs:
+            E, R, F, G, betas = ref_level(weights.W1, weights.W2, g)
+            degree = len(betas) + len(plant.alpha_roots()) - 1
+            shapes.add(ref_interpolation_rows(plant, F, degree, betas, plant.alpha_roots()).shape)
+        stacks, svd = [], np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            stacks.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        levels = LevelBuilder(plant, weights)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        levels.prefetch(gs)
+        assert sorted(a[1:] for a in stacks) == sorted(shapes)
+        assert sum(a[0] for a in stacks) == len(gs)
+
+
+class TestStackedLevels:
+    """LevelBuilder's block build, and each public one-level function as its
+    one-level case, equal the per-level reference chain bitwise."""
+
+    @staticmethod
+    def check(plant, weights, gs):
+        at, sigma = LevelBuilder(plant, weights), LevelBuilder(plant, weights)
+        at.prefetch(gs)
+        sigma.prefetch(gs)
+        for g in gs:
+            E, R, F, G, betas = ref_level(weights.W1, weights.W2, g)
+            E2, R2, F2, betas2 = at.at(g)
+            for a, b in ((E, E2), (R, R2), (F, F2)):
+                assert np.array_equal(a.num.c, b.num.c) and np.array_equal(a.den.c, b.den.c)
+            assert betas == betas2
+            smin, v, degree = ref_sigma_min(plant, weights, g)
+            smin2, v2, degree2 = sigma.optimal_sigma_min(g)
+            assert (smin, degree) == (smin2, degree2) and np.array_equal(v, v2)
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_block_of_40_levels(self, example, request):
+        plant, weights, opts = request.getfixturevalue(example)
+        self.check(plant, weights, np.linspace(*opts.gamma_bracket, 40))
+
+    @pytest.mark.parametrize("example, level", [
+        ("ex1", 0.814), ("ex2", 1.9454), ("ex2", 1.96),
+        ("ex2", 1.945398944586238),     # x = 5.0000001 and 4.9999999 in R.num's half
+        ("ex2", 1.945440617813759),     # x = 5 of multiplicity 2: a double F pole
+        ("ex1", 0.8193330000000001), ("ex2", 1.95503),      # level**2 != level * level
+    ])
+    def test_one_level(self, example, level, request):
+        plant, weights, _ = request.getfixturevalue(example)
+        self.check(plant, weights, [level])
+        E, R, F, G, _ = ref_level(weights.W1, weights.W2, level)
+        F2, _, G2 = build_F(level, weights.W1, weights.W2)
+        for a, b in ((E, build_E(level, weights.W1)),
+                     (R, spectral_ratio(level, weights.W1, weights.W2)),
+                     (ref_factor(R)[0], spectral_factor(level, weights.W1, weights.W2)),
+                     (G, G2), (F, F2)):
+            assert np.array_equal(a.num.c, b.num.c) and np.array_equal(a.den.c, b.den.c)
+
+    def test_failed_levels_raise_as_the_reference(self, ex1, ex2):
+        for plant, weights, _ in (ex1, ex2):
+            levels = [0.9, 0.0, -1.0, 1e200, 1e-170, 2.0]
+            block = LevelBuilder(plant, weights)
+            block.prefetch(levels)
+            for g in levels:
+                try:
+                    E, R, F, _, betas = ref_level(weights.W1, weights.W2, g)
+                except Exception as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        block.at(g)
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        build_F(g, weights.W1, weights.W2)
+                    continue
+                for a, b in zip((E, R, F), block.at(g)):
+                    assert np.array_equal(a.num.c, b.num.c) and np.array_equal(a.den.c, b.den.c)
+
+    def test_double_root_level_is_a_double_root(self, ex2):
+        _, weights, _ = ex2
+        R = ref_ratios(weights.W1, weights.W2, 1.945440617813759)[1]
+        assert ref_roots(R.num).multiplicities == [2]
+        assert ref_roots(ref_ratios(weights.W1, weights.W2, 1.945398944586238)[1].num
+                         ).multiplicities == [1, 1]
 
 
 class TestController:
