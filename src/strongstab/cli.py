@@ -15,14 +15,14 @@ plot data goes to CSV.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import math
 import sys
 
 import numpy as np
 
 from . import report as rpt
-from .config import ConfigError, _need, _number, _positive, load_problem
+from .config import ConfigError, _need, _number, _positive, _read_json, load_problem
 from .finite import (
     FiniteSearchError,
     FiniteU,
@@ -83,6 +83,15 @@ def _report_number(doc, key, path):
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{path}.{key}", "expected a number")
+
+
+@contextlib.contextmanager
+def _writing(flag):
+    """A block whose OSError is an input error naming the option `flag`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(flag, f"cannot write: {exc}")
 
 
 def cmd_gamma_opt(args):
@@ -188,7 +197,8 @@ def cmd_stabilize(args):
         payload, res = _run_finite(plant, weights, ctx, opts)
         branch_name = "central-stable" if res.central else "finite-search"
     if args.emit_plots:
-        rpt.write_figures(args.emit_plots, ctx, opts, res)
+        with _writing("--emit-plots"):
+            rpt.write_figures(args.emit_plots, ctx, opts, res)
     doc = {
         "schema": rpt.SCHEMA,
         "command": "stabilize",
@@ -206,7 +216,7 @@ def cmd_stabilize(args):
     }
     text = rpt.render_json(doc)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing("--out"), open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -215,13 +225,7 @@ def cmd_stabilize(args):
 
 def cmd_verify(args):
     plant, weights, opts = load_problem(args.config)
-    try:
-        with open(args.report) as fh:
-            rep = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(args.report, "report file not found")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(args.report, f"invalid JSON: {exc}")
+    rep = _read_json(args.report)
     rho = _report_number(rep, "rho", "report")
     if not (rho > 0 and math.isfinite(rho * rho)):
         raise ConfigError("report.rho", "expected a number > 0 whose square is finite")

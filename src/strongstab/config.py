@@ -79,15 +79,21 @@ def _rational(d, path, allow_zero=False):
     return RationalFn(Poly(num), Poly(den))
 
 
-def load_problem(path):
-    """(DelayPlant, WeightPair, Options) from a JSON problem file."""
+def _read_json(path):
+    """The JSON document in the file `path`; a ConfigError naming `path`
+    when the file cannot be read or holds no valid UTF-8 JSON."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(str(path), "file not found")
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read: {exc.strerror or exc}")
+    except ValueError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}")
+
+
+def load_problem(path):
+    """(DelayPlant, WeightPair, Options) from a JSON problem file."""
+    doc = _read_json(path)
 
     pd = _need(doc, "plant", "config", dict)
     h = _number(_need(pd, "h", "config.plant"), "config.plant.h", lambda v: v >= 0,

@@ -10,6 +10,14 @@ root improves; degrees in this problem class never exceed roughly a dozen.
 `poly_roots` also takes a list: polynomials of one length and one count of
 low-order zeros then share one stacked eigensolve and one array polish, and
 each gets bitwise the roots it gets alone.
+
+The arithmetic itself is a set of row functions (`_horner`, `_mirror`,
+`_deriv_rows`, `_sum_rows`, `_mul_rows`, `_even_rows`, `_normalized`, `_at`)
+on stacks of polynomials: arrays of coefficient rows, ascending along the
+last axis and zero-padded to one width, with any leading axes.  Each row's
+result is bitwise what the row gets alone, and `Poly` and `RationalFn` are
+the one-row case: their methods call the row functions on their own
+coefficients.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ __all__ = [
     "poly_roots",
     "or_raise",
     "poly_from_roots",
-    "reduced_from_roots",
     "blaschke",
     "grid_peaks",
     "grid_sup",
@@ -85,38 +92,24 @@ class Poly:
         return len(self.c) == 1 and self.c[0] == 0.0
 
     def __call__(self, s):
-        s = np.asarray(s)
-        r = np.zeros_like(s, dtype=complex)
-        for a in self.c[::-1]:
-            r = r * s + a
+        r = _horner(self.c, np.asarray(s, dtype=complex))
         return r if r.ndim else complex(r)
 
     def scale_at(self, s):
         """Sum of |c_k| |s|^k, the natural magnitude for residual tests."""
-        a = np.abs(np.asarray(s))
-        r = np.zeros_like(a, dtype=float)
-        for ck in np.abs(self.c[::-1]):
-            r = r * a + ck
+        r = _horner(np.abs(self.c), np.abs(np.asarray(s)))
         return r if r.ndim else float(r)
 
     def deriv(self):
-        if self.degree == 0:
-            return Poly([0.0])
-        return Poly(self.c[1:] * np.arange(1, len(self.c)))
+        return Poly(_deriv_rows(self.c))
 
     def mirror(self):
         """p(-s)."""
-        signs = (-1.0) ** np.arange(len(self.c))
-        return Poly(self.c * signs)
+        return Poly(_mirror(self.c))
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
-        a, b = self.c, _as_poly(other).c
-        n = max(len(a), len(b))
-        out = np.zeros(n)
-        out[: len(a)] += a
-        out[: len(b)] += b
-        return Poly(out)
+        return Poly(_sum_rows(self.c[None], _as_poly(other).c[None])[0])
 
     def __sub__(self, other):
         return self + (_as_poly(other) * -1.0)
@@ -124,8 +117,7 @@ class Poly:
     def __mul__(self, other):
         if np.isscalar(other):
             return Poly(self.c * float(other))
-        b = _as_poly(other).c
-        return Poly(np.convolve(self.c, b))
+        return Poly(_mul_rows(self.c[None], _as_poly(other).c[None])[0])
 
     __rmul__ = __mul__
 
@@ -137,11 +129,10 @@ class Poly:
 
     def even_part_coeffs(self):
         """Coefficients in x = s^2 for an even polynomial; error otherwise."""
-        scale = np.abs(self.c).max()
-        odd = self.c[1::2]
-        if len(odd) and np.abs(odd).max() > 1e-9 * max(scale, 1.0):
+        even, odd = _even_rows(self.c)
+        if odd:
             raise ValueError("polynomial is not even in s")
-        return np.array(self.c[0::2])
+        return even.copy()
 
 
 def _as_poly(p):
@@ -252,13 +243,39 @@ def _stacked(cs):
     return out
 
 
-# Stacked polynomials are coefficient rows (ascending, zero-padded) along the
-# last axis.  Sums are formed as `Poly.__add__` forms them, 0.0 + a + b, so
-# that even the signs of zero coefficients match the `Poly` arithmetic.
+def or_raise(res):
+    """One entry of a list call's result (a list call of `poly_roots`
+    returns each item's exception in its place), raised when it is an
+    exception and returned otherwise."""
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+# Row functions (see the module docstring).  Sums are formed as 0.0 + a + b,
+# so that even the signs of zero coefficients are those of one row alone.
+
+def _horner(C, Z):
+    """The polynomials C at the points Z by Horner's rule, in Z's dtype: a
+    single row (1-D C) at every point of Z, and row k of a stack at row k of
+    Z (leading axes broadcast)."""
+    terms = C[::-1] if C.ndim == 1 else [C[..., k : k + 1] for k in range(C.shape[-1] - 1, -1, -1)]
+    r = np.zeros_like(Z)
+    for a in terms:
+        r = r * Z + a
+    return r
+
 
 def _mirror(C):
     """p(-s) per row."""
     return C * (-1.0) ** np.arange(C.shape[-1])
+
+
+def _deriv_rows(C):
+    """The derivative of each row (one zero coefficient for a constant)."""
+    if C.shape[-1] == 1:
+        return np.zeros_like(C)
+    return C[..., 1:] * np.arange(1, C.shape[-1])
 
 
 def _conv_rows(a, B):
@@ -273,9 +290,9 @@ def _conv_rows(a, B):
 
 
 def _mul_rows(A, B):
-    """Row-wise `Poly` products of the 2-D rows A and B: `_conv_rows` when a
-    factor has at most two columns, else `np.convolve` of each pair of
-    trimmed rows."""
+    """Row-wise products of the 2-D rows A and B: `_conv_rows` when a factor
+    has at most two columns, else `np.convolve` of each pair of trimmed
+    rows."""
     if min(A.shape[1], B.shape[1]) <= 2:
         return _conv_rows(A, B)
     out = np.zeros((len(A), A.shape[1] + B.shape[1] - 1))
@@ -286,7 +303,7 @@ def _mul_rows(A, B):
 
 
 def _sum_rows(*rows):
-    """0.0 + a + b + ... of 2-D rows of any widths, as `Poly.__add__` sums."""
+    """0.0 + a + b + ... of 2-D rows of any widths."""
     out = np.zeros((max(len(r) for r in rows), max(r.shape[1] for r in rows)))
     for r in rows:
         out[:, : r.shape[1]] += r
@@ -295,7 +312,8 @@ def _sum_rows(*rows):
 
 def _even_rows(S):
     """The even-index coefficients of each row, and per row whether it fails
-    the evenness test of `Poly.even_part_coeffs`."""
+    the evenness test: an odd-index coefficient above 1e-9 of the row's
+    largest (or of one)."""
     scale = np.maximum(np.abs(S).max(axis=-1), 1.0)
     odd = np.abs(S[..., 1::2]).max(axis=-1, initial=0.0) > 1e-9 * scale
     return S[..., 0::2], odd
@@ -308,22 +326,38 @@ def _top(C):
     return np.where(nz.any(axis=-1), nz.shape[-1] - 1 - nz[..., ::-1].argmax(axis=-1), -1)
 
 
-def or_raise(res):
-    """One entry of a list call's result (a list call of `poly_roots`
-    returns each item's exception in its place), raised when it is an
-    exception and returned otherwise."""
-    if isinstance(res, Exception):
-        raise res
-    return res
+def _normalized(num, den):
+    """The 2-D rows num and den of ratios, both divided by den's leading
+    coefficient where num is not zero (a monic denominator)."""
+    lead = np.where(num.any(axis=1), den[np.arange(len(den)), _top(den)], 1.0)[:, None]
+    return num / lead, den / lead
 
 
-def _horner(C, Z):
-    """Row k of C (ascending coefficients along the last axis) evaluated at
-    row k of Z, as `Poly.__call__`; leading axes of C broadcast."""
-    r = np.zeros_like(Z)
-    for k in range(C.shape[-1] - 1, -1, -1):
-        r = r * Z + C[..., k : k + 1]
-    return r
+def _near_pole(dv, scale):
+    """Where a denominator's value dv is at most 1e-12 of its `scale` (the
+    sum of |c_k| |s|^k): an evaluation at or near a pole."""
+    return np.abs(dv) <= 1e-12 * np.maximum(scale, 1e-300)
+
+
+def _at(num, den, Z):
+    """num(z) / den(z) per row at its points Z (row k's rows at row k of Z),
+    as `RationalFn.__call__` computes it at one point (NaN where that call
+    raises), and the exception it raises at each point (None where it raises
+    none).  num, den and the scale of den (|den| at |z|) take one Horner
+    pass together; the quotient is Python's, whose complex division is not
+    numpy's bit for bit."""
+    C = np.zeros((3,) + num.shape[:-1] + (max(num.shape[-1], den.shape[-1]),))
+    C[0, ..., : num.shape[-1]], C[1, ..., : den.shape[-1]] = num, den
+    C[2] = np.abs(C[1])
+    nv, dv, scale = _horner(C, np.stack([Z, Z, np.abs(Z)]))
+    pole = _near_pole(dv, scale.real).ravel().tolist()
+    errs = [PoleEvaluationError(f"evaluation at/near a pole: s={z}", z) if p
+            else ZeroDivisionError("complex division by zero") if d == 0 else None
+            for p, d, z in zip(pole, dv.ravel().tolist(), np.ravel(Z).tolist())]
+    quot = [n / d if e is None else np.nan
+            for n, d, e in zip(nv.ravel().tolist(), dv.ravel().tolist(), errs)]
+    return (np.array(quot, dtype=dv.dtype).reshape(dv.shape),
+            np.array(errs, dtype=object).reshape(dv.shape))
 
 
 def _stacked_roots(C, low, tol_root):
@@ -345,7 +379,7 @@ def _stacked_roots(C, low, tol_root):
         A[:, 0, :] = -C[:, low:-1][:, ::-1] / C[:, -1:]
         A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
         Z[:, :n] = np.linalg.eigvals(A)
-    Cd = C[:, 1:] * np.arange(1, m)
+    Cd = _deriv_rows(C)
     pv = _horner(C, Z)
     for _ in range(3):
         dv = _horner(Cd, Z)
@@ -431,10 +465,9 @@ class RationalFn:
         den = _as_poly(den if den is not None else [1.0])
         if den.is_zero:
             raise ZeroDivisionError("denominator is identically zero")
-        if normalize and not num.is_zero:
-            lead = den.c[-1]
-            num = Poly(num.c / lead)
-            den = Poly(den.c / lead)
+        if normalize:
+            n, d = _normalized(num.c[None], den.c[None])
+            num, den = Poly(n[0]), Poly(d[0])
         self.num = num
         self.den = den
 
@@ -452,8 +485,7 @@ class RationalFn:
 
     def __call__(self, s):
         dv = self.den(s)
-        scale = self.den.scale_at(s)
-        bad = np.abs(np.asarray(dv)) <= 1e-12 * np.maximum(np.asarray(scale), 1e-300)
+        bad = _near_pole(dv, self.den.scale_at(s))
         if np.any(bad):
             at = np.asarray(s)[bad] if np.asarray(s).ndim else s
             raise PoleEvaluationError(f"evaluation at/near a pole: s={at}", at)
@@ -494,30 +526,24 @@ class RationalFn:
         return self.den.degree - self.num.degree
 
     def reduced(self):
-        """Cancel common num/den roots (see `reduced_from_roots`)."""
+        """Cancel common num/den roots (`_cancelled`), then expand both from
+        their reclosed root lists."""
         if self.num.is_zero or self.num.degree == 0 or self.den.degree == 0:
             return self
         zn, zd = (or_raise(rs).expanded() for rs in poly_roots([self.num, self.den]))
-        out = reduced_from_roots(zn, zd, self.num.c[-1] / self.den.c[-1])
+        keep_n, keep_d = _cancelled(zn, zd)
+        out = RationalFn(poly_from_roots(_reclose(keep_n), self.num.c[-1] / self.den.c[-1]),
+                         poly_from_roots(_reclose(keep_d), 1.0))
         return self if out.den.degree == self.den.degree else out
 
     def __repr__(self):
         return f"RationalFn({list(self.num.c)}, {list(self.den.c)})"
 
 
-def reduced_from_roots(zn, zd, lead):
-    """lead prod(s - zn) / prod(s - zd), with the common roots cancelled.
-
-    Each root of `zd`, in order, cancels the first remaining root of `zn`
-    within ROOT_MATCH_TOL; both lists are conjugate-closed.
-    """
-    keep_n, keep_d = _cancelled(zn, zd)
-    return RationalFn(poly_from_roots(_reclose(keep_n), lead),
-                      poly_from_roots(_reclose(keep_d), 1.0))
-
-
 def _cancelled(zn, zd):
-    """The root lists of `reduced_from_roots(zn, zd, lead)` before reclosing."""
+    """The root lists `zn` and `zd` (both conjugate-closed) with the common
+    roots cancelled: each root of `zd`, in order, cancels the first remaining
+    root of `zn` within ROOT_MATCH_TOL."""
     keep_n, keep_d = list(zn), []
     for rd in zd:
         hit = next((k for k, rn in enumerate(keep_n)

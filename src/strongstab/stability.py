@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rational import (
-    FrequencyGrid, RootSet, _conv_rows, _even_rows, _horner, _mirror, _stacked, _top, or_raise,
-    poly_roots,
+    FrequencyGrid, RootSet, _conv_rows, _deriv_rows, _even_rows, _horner, _mirror, _stacked, _top,
+    or_raise, poly_roots,
 )
 from .synthesis import (
     Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
@@ -176,16 +176,9 @@ class PeakData:
 
 def _to_x(S):
     """Rows p even in s as rows q in x = w^2 with p(jw) = q(w^2), and per row
-    whether p fails the evenness test of `Poly.even_part_coeffs`."""
+    whether p fails the evenness test of `_even_rows`."""
     even, odd = _even_rows(S)
     return _mirror(even), odd
-
-
-def _deriv_rows(C):
-    """The derivative of each row (one zero coefficient for a constant)."""
-    if C.shape[-1] == 1:
-        return np.zeros_like(C)
-    return C[..., 1:] * np.arange(1, C.shape[-1])
 
 
 def _root_matrix(results):

@@ -23,14 +23,14 @@ import numpy as np
 
 from .rational import (
     FrequencyGrid,
-    PoleEvaluationError,
     Poly,
     RationalFn,
+    _at,
     _cancelled,
     _even_rows,
     _from_roots_rows,
-    _horner,
     _mul_rows,
+    _normalized,
     _reclose,
     _stacked,
     _sum_rows,
@@ -192,11 +192,9 @@ def _para(W: RationalFn) -> RationalFn:
     return RationalFn(W.num * W.num.mirror(), W.den * W.den.mirror())
 
 
-# A block of levels is built as coefficient rows, one per level (see
-# `rational._conv_rows`), each sum, product and evaluation made as the `Poly`
-# arithmetic makes it for one level, so each row is bitwise that level built
-# alone.  A failed level keeps the stage and exception a one-level build
-# meets first; the stages, in order:
+# A block of levels is built as coefficient rows, one per level, with the
+# row functions of `rational`.  A failed level keeps the stage and exception
+# a one-level build meets first; the stages, in order:
 _ER, _G, _F, _BETAS = range(4)
 _NUMERATOR, _DENOMINATOR = "spectral factor numerator", "spectral factor denominator"
 
@@ -231,38 +229,11 @@ def _square(level):
     return level**2
 
 
-def _normalized(num, den):
-    """The rows of RationalFn(num, den): both divided by den's leading
-    coefficient where num is not zero."""
-    lead = np.where(num.any(axis=1), den[np.arange(len(den)), _top(den)], 1.0)[:, None]
-    return num / lead, den / lead
-
-
 def _over_level(para: RationalFn, g2):
     """(num, den) rows of para / level^2 - 1 over the common denominator
     level^2 para.den, one per level square in `g2`."""
     den = para.den.c * g2[:, None]
     return _sum_rows(para.num.c[None], den * -1.0), den
-
-
-def _at(num, den, Z):
-    """num(z) / den(z) per row at its points Z (row k's rows at row k of Z),
-    as `RationalFn.__call__` computes it (NaN where that call raises), and the
-    exception it raises at each point (None where it raises none).  num, den
-    and the scale of den (|den| at |z|) take one Horner pass together; the
-    quotient is Python's, whose complex division is not numpy's bit for bit."""
-    C = np.zeros((3,) + num.shape[:-1] + (max(num.shape[-1], den.shape[-1]),))
-    C[0, ..., : num.shape[-1]], C[1, ..., : den.shape[-1]] = num, den
-    C[2] = np.abs(C[1])
-    nv, dv, scale = _horner(C, np.stack([Z, Z, np.abs(Z)]))
-    pole = (np.abs(dv) <= 1e-12 * np.maximum(scale.real, 1e-300)).ravel().tolist()
-    errs = [PoleEvaluationError(f"evaluation at/near a pole: s={z}", z) if p
-            else ZeroDivisionError("complex division by zero") if d == 0 else None
-            for p, d, z in zip(pole, dv.ravel().tolist(), np.ravel(Z).tolist())]
-    quot = [n / d if e is None else np.nan
-            for n, d, e in zip(nv.ravel().tolist(), dv.ravel().tolist(), errs)]
-    return (np.array(quot, dtype=dv.dtype).reshape(dv.shape),
-            np.array(errs, dtype=object).reshape(dv.shape))
 
 
 def _cmul(a, b):
@@ -355,7 +326,7 @@ def _build_levels(w1para, w2para, etas, levels):
     halves are G's zeros and poles, and E.num's RHP roots the betas.  G (gain
     from R at s = 0, or at 0.37913 where R or G has a pole there; G(0) > 0)
     and F = G prod (s - eta)/(s + eta) (common roots cancelled as in
-    `reduced_from_roots`: G's zeros hold the -etas; both negated so that
+    `RationalFn.reduced`: G's zeros hold the -etas; both negated so that
     F(0) > 0) are expanded from their root lists row-wise.
     """
     K = len(levels)
@@ -602,18 +573,12 @@ def solve_interpolation(plant, F, E, degree, extra_a, betas, alphas):
     l2c = l2c / l1c[-1]
     l1c = l1c / l1c[-1]
     L1, L2 = Poly(l1c), Poly(l2c)
-    resid = float(np.abs(A @ np.concatenate([L1_pad(L1, n), L1_pad(L2, n)])).max())
+    resid = float(np.abs(A @ np.concatenate([l1c, l2c])).max())
     scale = float(np.abs(A).max() * max(np.abs(l1c).max(), np.abs(l2c).max()))
     rel = resid / max(scale, 1e-300)
     if extra_a is not None and abs(L1(-float(extra_a))) < 1e-9 * (1 + np.abs(l1c).max()):
         raise InterpolationError("side constraint L1(-a) != 0 violated")
     return L1, L2, smin, rel
-
-
-def L1_pad(p: Poly, n):
-    out = np.zeros(n)
-    out[: len(p.c)] = p.c
-    return out
 
 
 # ---------------------------------------------------------------------------

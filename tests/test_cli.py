@@ -212,6 +212,26 @@ class TestConfigErrors:
         assert main(["gamma-opt", str(bad)]) == 2
         assert "config.weights.W1.num" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["gamma-opt", "{dir}"],
+                                      ["verify", EX1, "--report", "{dir}"]],
+                             ids=["gamma-opt-config", "verify-report"])
+    def test_directory_as_input_file_exits_2(self, tmp_path, capsys, argv):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {tmp_path}: cannot read")
+
+    def test_invalid_json_report_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_bytes(b"\xff{")
+        assert main(["verify", EX1, "--report", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {bad}: invalid JSON")
+
+    @pytest.mark.parametrize("flag, target", [("--out", "missing/report.json"),
+                                              ("--emit-plots", "plain_file")])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag, target):
+        (tmp_path / "plain_file").write_text("")
+        assert main(["stabilize", EX1, "--rho", "0.814", flag, str(tmp_path / target)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {flag}: cannot write")
+
     def test_negative_uinf_step_rejected_on_load(self, tmp_path):
         # a negative step would make the u_inf grid's while loop run forever
         with pytest.raises(ConfigError) as exc:

@@ -3,15 +3,15 @@
 Weight scaling (ROADMAP item 9(a)): multiplying W1's and W2's numerators by k
 multiplies every weighted closed-loop norm, and so gamma_opt, by k.  With the
 level and the gamma bracket scaled too, the normalized problem is the same
-one, and for a power of two (k = 2 and k = 1/2) every floating-point step
-scales exactly.  So every byte
-of the `gamma-opt` output and of the `stabilize` report equals the unscaled
-golden file, except the numbers that carry the level: `rho`, `gamma_opt`,
-`verified_norm` and the `gamma-opt` bracket, which equal k times the golden
-values to the 12 printed digits.
+one, and for a power of two (k = 2 and k = 1/2, and k = 2^j for j drawn from
+[-10, 10] by `hypothesis`) every floating-point step scales exactly.  So
+every byte of the `gamma-opt` output and of the `stabilize` report equals the
+unscaled golden file, except the numbers that carry the level: `rho`,
+`gamma_opt`, `verified_norm` and the `gamma-opt` bracket, which equal k times
+the golden values to the 12 printed digits.
 
 A common factor (item 9(c)): multiplying the numerator and the denominator of
-M, m_d, N_o, W1 and W2 by 2 changes no transfer function, and every
+M, m_d, N_o, W1 and W2 by 2 or by 1/4 changes no transfer function, and every
 denominator is normalized to be monic, so every byte of both outputs equals
 the golden files.
 """
@@ -21,6 +21,8 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from strongstab.cli import main
 
@@ -74,13 +76,7 @@ def _assert_scaled(got, want, K):
     assert got_levels == pytest.approx([K * v for v in want_levels], rel=1e-11)
 
 
-@pytest.mark.parametrize("name, rho, golden, K", [
-    ("example1", 0.814, "ex1_rho0.814", 2.0),
-    ("example2", 1.9454, "ex2_rho1.9454", 2.0),
-    ("example1", 0.814, "ex1_rho0.814", 0.5),
-    ("example2", 1.9454, "ex2_rho1.9454", 0.5),
-], ids=["example1", "example2", "example1-k0.5", "example2-k0.5"])
-def test_weight_scaling_scales_only_the_level(tmp_path, capsys, name, rho, golden, K):
+def _check_scaling(tmp_path, capsys, name, rho, golden, K):
     cfg = _scaled_config(tmp_path, name, K)
     assert main(["gamma-opt", str(cfg)]) == 0
     _assert_scaled(capsys.readouterr().out, (GOLDEN / f"gamma_opt_{name}.json").read_text(), K)
@@ -89,12 +85,35 @@ def test_weight_scaling_scales_only_the_level(tmp_path, capsys, name, rho, golde
     _assert_scaled(out.read_text(), (GOLDEN / f"{golden}.json").read_text(), K)
 
 
+@pytest.mark.parametrize("name, rho, golden, K", [
+    ("example1", 0.814, "ex1_rho0.814", 2.0),
+    ("example2", 1.9454, "ex2_rho1.9454", 2.0),
+    ("example1", 0.814, "ex1_rho0.814", 0.5),
+    ("example2", 1.9454, "ex2_rho1.9454", 0.5),
+], ids=["example1", "example2", "example1-k0.5", "example2-k0.5"])
+def test_weight_scaling_scales_only_the_level(tmp_path, capsys, name, rho, golden, K):
+    _check_scaling(tmp_path, capsys, name, rho, golden, K)
+
+
 @pytest.mark.parametrize("name, rho, golden", [
-    ("example1", "0.814", "ex1_rho0.814"),
-    ("example2", "1.9454", "ex2_rho1.9454"),
+    ("example1", 0.814, "ex1_rho0.814"),
+    ("example2", 1.9454, "ex2_rho1.9454"),
 ], ids=["example1", "example2"])
-def test_common_factor_changes_no_byte(tmp_path, capsys, name, rho, golden):
-    cfg = _common_factor_config(tmp_path, name, 2.0)
+@settings(max_examples=4, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(j=st.sampled_from([j for j in range(-10, 11) if abs(j) > 1]))
+def test_weight_scaling_by_drawn_powers_of_two(tmp_path, capsys, name, rho, golden, j):
+    _check_scaling(tmp_path, capsys, name, rho, golden, 2.0**j)
+
+
+@pytest.mark.parametrize("name, rho, golden, K", [
+    ("example1", "0.814", "ex1_rho0.814", 2.0),
+    ("example2", "1.9454", "ex2_rho1.9454", 2.0),
+    ("example1", "0.814", "ex1_rho0.814", 0.25),
+    ("example2", "1.9454", "ex2_rho1.9454", 0.25),
+], ids=["example1", "example2", "example1-k0.25", "example2-k0.25"])
+def test_common_factor_changes_no_byte(tmp_path, capsys, name, rho, golden, K):
+    cfg = _common_factor_config(tmp_path, name, K)
     assert main(["gamma-opt", str(cfg)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"gamma_opt_{name}.json").read_text()
     out = tmp_path / "report.json"

@@ -335,6 +335,138 @@ class TestRationalFn:
         np.testing.assert_allclose(g(1j * om), f(1j * om), rtol=1e-10)
 
 
+# Independent oracles for the row kernel that `Poly` and `RationalFn` call:
+# the plain loops and `np.convolve` that it must equal bit for bit.
+
+def plain_horner(c, s):
+    """p(s) for the ascending coefficients c: one complex Horner loop."""
+    s = np.asarray(s)
+    r = np.zeros_like(s, dtype=complex)
+    for a in c[::-1]:
+        r = r * s + a
+    return r if r.ndim else complex(r)
+
+
+def plain_scale(c, s):
+    """Sum of |c_k| |s|^k by one real Horner loop."""
+    a = np.abs(np.asarray(s))
+    r = np.zeros_like(a, dtype=float)
+    for ck in np.abs(c[::-1]):
+        r = r * a + ck
+    return r if r.ndim else float(r)
+
+
+def trimmed(c):
+    """c without its trailing zeros ([0.0] when all are zero)."""
+    nz = np.flatnonzero(c)
+    return np.array(c[: nz[-1] + 1], dtype=float) if len(nz) else np.zeros(1)
+
+
+def padded(c, n):
+    return np.concatenate([c, np.zeros(n - len(c))])
+
+
+def assert_same_bits(got, want):
+    """got and want have one type, dtype, shape and the same bits."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def random_polys(seed, count=60):
+    """Polynomials of degree 0 to 7 with coefficients over ten decades,
+    some interior coefficients +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        c = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+        if n > 2:
+            c[rng.integers(0, n - 1)] = rng.choice([0.0, -0.0])
+        out.append(Poly(c))
+    return out
+
+
+_rng = np.random.default_rng(2024)
+POINTS = [
+    0.37, -2.5, 2, 1.5 - 0.25j, np.float64(0.8), np.complex128(-0.3 + 2j),
+    np.array(1.25), np.array(0.5j),
+    _rng.standard_normal(9),
+    _rng.standard_normal(9) + 1j * _rng.standard_normal(9),
+    1j * np.logspace(-3, 4, 40),
+    _rng.standard_normal((3, 5)),
+    (_rng.standard_normal((4, 6)) + 1j * _rng.standard_normal((4, 6)))[:, ::2],
+]
+
+
+class TestKernelOracles:
+    def test_poly_evaluation(self):
+        for p in random_polys(1):
+            for s in POINTS:
+                got = p(s)
+                assert_same_bits(got, plain_horner(p.c, s))
+                assert np.shape(got) == np.shape(s)
+        assert type(Poly([1.0, 2.0])(0.5)) is complex
+
+    def test_scale_at(self):
+        for p in random_polys(2):
+            for s in POINTS:
+                assert_same_bits(p.scale_at(s), plain_scale(p.c, s))
+        assert type(Poly([1.0, -2.0]).scale_at(-0.5j)) is float
+
+    def test_rational_evaluation(self):
+        polys = random_polys(3)
+        for num, den in zip(polys[::2], polys[1::2]):
+            f = RationalFn(num, den)
+            lead = den.c[-1]
+            n, d = trimmed(num.c / lead), trimmed(den.c / lead)
+            assert_same_bits(f.num.c, n)
+            assert_same_bits(f.den.c, d)
+            for s in POINTS:
+                got = f(s)
+                assert_same_bits(got, plain_horner(n, s) / plain_horner(d, s))
+                assert np.shape(got) == np.shape(s)
+
+    def test_arithmetic(self):
+        polys = random_polys(4)
+        for a, b in zip(polys, polys[::-1]):
+            width = max(len(a.c), len(b.c))
+            assert_same_bits((a + b).c, trimmed(0.0 + padded(a.c, width) + padded(b.c, width)))
+            assert_same_bits((a * b).c, trimmed(np.convolve(a.c, b.c)))
+            assert_same_bits(a.scale_at(1.0), sum(abs(x) for x in reversed(a.c.tolist())))
+            assert_same_bits(a.mirror().c,
+                             trimmed(np.array([-x if k % 2 else x for k, x in enumerate(a.c)])))
+            assert_same_bits(a.deriv().c,
+                             trimmed(np.array([k * a.c[k] for k in range(1, len(a.c))] or [0.0])))
+
+    @pytest.mark.parametrize("c", [[4.0, 0.0, -2.0, 0.0, 1.0], [0.5, 0.0, 0.25]],
+                             ids=["scale-4", "scale-below-1"])
+    def test_even_part_tolerance(self, c):
+        # an odd coefficient up to 1e-9 of the largest one (or of one) is noise
+        tol = 1e-9 * max(np.abs(c).max(), 1.0)
+        inside, outside = np.array(c), np.array(c)
+        inside[1], outside[1] = 0.99 * tol, 1.01 * tol
+        assert_same_bits(Poly(inside).even_part_coeffs(), np.array(c[0::2]))
+        with pytest.raises(ValueError, match="not even"):
+            Poly(outside).even_part_coeffs()
+
+    def test_pole_tolerance(self):
+        # 1/(s + 1) near s = -1: |den| against 1e-12 of |1| + |s| = 2
+        f = RationalFn(Poly([1.0]), Poly([1.0, 1.0]))
+        s_in, s_out = -1.0 + 0.9 * 2e-12, -1.0 + 1.1 * 2e-12
+        with pytest.raises(PoleEvaluationError) as exc:
+            f(s_in)
+        assert exc.value.at == s_in
+        assert_same_bits(f(s_out), 1.0 / plain_horner(f.den.c, s_out))
+        with pytest.raises(PoleEvaluationError) as exc:
+            f(np.array([0.0, s_in, s_out]))
+        assert exc.value.at.tolist() == [s_in]
+        # the row evaluation flags the same point
+        _, errs = rational._at(f.num.c[None], f.den.c[None], np.array([[s_in, s_out]]))
+        assert isinstance(errs[0, 0], PoleEvaluationError) and errs[0, 1] is None
+
+
 class TestBlaschke:
     def test_single_real_root(self):
         b = blaschke([1.0])
