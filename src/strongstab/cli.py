@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -94,6 +95,25 @@ def _writing(flag):
         raise ConfigError(flag, f"cannot write: {exc}")
 
 
+def _check_outputs(args):
+    """Exit 2 before any search where `stabilize` cannot write its output:
+    --out must name a file in an existing directory, and the nearest
+    existing path of --emit-plots (whose directories are made as needed) must
+    be a directory.  `_writing` still maps the errors of the writes."""
+    if args.out:
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(parent):
+            raise ConfigError("--out", f"cannot write: no directory {parent}")
+        if os.path.isdir(args.out):
+            raise ConfigError("--out", f"cannot write: {args.out} is a directory")
+    if args.emit_plots:
+        path = os.path.abspath(args.emit_plots)
+        while not os.path.exists(path):
+            path = os.path.dirname(path)
+        if not os.path.isdir(path):
+            raise ConfigError("--emit-plots", f"cannot write: {path} is not a directory")
+
+
 def cmd_gamma_opt(args):
     plant, weights, opts = load_problem(args.config)
     bracket = opts.gamma_bracket or _default_bracket(weights, opts.grid)
@@ -168,6 +188,7 @@ def _run_finite(plant, weights, ctx, opts):
 def cmd_stabilize(args):
     if not math.isfinite(args.rho):
         raise ConfigError("--rho", "expected a finite number")
+    _check_outputs(args)
     plant, weights, opts = load_problem(args.config)
     bracket = opts.gamma_bracket or _default_bracket(weights, opts.grid)
     gres = gamma_opt(plant, weights, bracket)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Options
-from .rational import or_raise
+from .rational import _batched, or_raise
 from .stability import (
     AsymptoticData,
     Certificate,
@@ -61,7 +61,7 @@ def l1u_stability_range(ctx: SynthesisContext, step: float):
     us = np.arange(-1.0, 1.0 + step / 2, step)
     num = np.stack([us, 0 * us], axis=1)       # constant U: u_inf / 1
     den = np.broadcast_to([1.0, 0.0], num.shape)
-    ok = np.array([or_raise(h) for h in _l1u_hurwitz(_lu_rows(ctx, num, den)[1])])
+    ok = np.array(_l1u_hurwitz(_lu_rows(ctx, num, den)[1]))
     if not ok.any():
         return None
     runs = []
@@ -82,14 +82,11 @@ def _l1u_hurwitz(L1U):
     """Per row of L1U, the cleared L_1U = L1 (u_p + s) + u_inf (u_z + s) L2~
     of one U (`stability._lu_rows`): is it Hurwitz?
 
-    All roots come from one stacked `poly_roots` call; a failed extraction is
-    returned as its exception in place of the flag.
+    All roots come from one stacked `poly_roots` call; the first failed
+    extraction, in row order, raises.
     """
-    return [
-        rs if isinstance(rs, Exception)
-        else bool(row.any()) and all(r.real < 0 for r in rs.roots)
-        for row, rs in zip(L1U, _roots_of_nonzero(L1U))
-    ]
+    return [bool(row.any()) and all(r.real < 0 for r in or_raise(rs).roots)
+            for row, rs in zip(L1U, _roots_of_nonzero(L1U))]
 
 
 def _interval_grid(intervals, step):
@@ -116,10 +113,10 @@ def _candidates(ctx, opts: Options, intervals, peaks):
     """(u, PeakData) of every grid U with ||U|| <= 1, a Hurwitz L_1U and a finite crossing.
 
     All grid U go through one stacked Hurwitz test, and the Hurwitz ones
-    through one `peak_data` call; a failed root extraction raises the error
-    that a loop over the candidates one at a time would meet first.  Every
-    PeakData computed, also of a U dropped for its infinite crossing, goes
-    into the dict `peaks`.
+    through one `peak_data` call; a failure raises the error that a loop over
+    the candidates one at a time meets first (`_batched`).  Every PeakData
+    computed, also of a U dropped for its infinite crossing, goes into the
+    dict `peaks`.
     """
     us = []
     for up in opts.up_grid:
@@ -128,17 +125,14 @@ def _candidates(ctx, opts: Options, intervals, peaks):
                 u = UParam(float(ui), float(uz), float(up))
                 if u.sup_norm() <= 1.0:
                     us.append(u)
-    hurwitz = _l1u_hurwitz(_lu_rows(ctx, *_u_rows(us))[1])
-    # a loop over single candidates meets a failed L_1U extraction only after
-    # the peak data of every Hurwitz candidate before it
-    n = next((i for i, h in enumerate(hurwitz) if isinstance(h, Exception)), len(us))
-    stable = [u for u, h in zip(us[:n], hurwitz) if h]
-    pks = peak_data(ctx, stable)
-    if n < len(us):
-        raise hurwitz[n]
-    peaks.update(zip(stable, pks))
-    return [(u, pk) for u, pk in zip(stable, pks)
-            if pk.omega_max is None or np.isfinite(pk.omega_max)]
+
+    def sweep(us):
+        stable = [u for u, h in zip(us, _l1u_hurwitz(_lu_rows(ctx, *_u_rows(us))[1])) if h]
+        return list(zip(stable, peak_data(ctx, stable)))
+
+    found = _batched(sweep, us)
+    peaks.update(found)
+    return [(u, pk) for u, pk in found if pk.omega_max is None or np.isfinite(pk.omega_max)]
 
 
 def stabilize_infinite(plant, weights, ctx: SynthesisContext,

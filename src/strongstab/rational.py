@@ -48,6 +48,9 @@ ROOT_MATCH_TOL = 1e-8
 # Roots with a relatively tiny imaginary part are snapped to the real axis so
 # reconstructed coefficients stay real.
 REAL_SNAP_TOL = 1e-9
+# A root extraction fails when some |p(z)| exceeds this much of the sum of
+# |c_k| |z|^k at its polished roots z.
+ROOT_RESIDUAL_TOL = 1e-9
 
 
 class RootConvergenceError(RuntimeError):
@@ -202,14 +205,14 @@ def _dot_rows(X, Y):
     return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
-def poly_roots(p, tol_root=1e-12):
+def poly_roots(p):
     """Roots of `p` with conjugate symmetry enforced by explicit pairing.
 
     `p` may also be a sequence of polynomials, or a 2-D array whose rows are
     ascending coefficients (each row trimmed of its trailing zeros).  The
     result is then a list holding, per polynomial, its `RootSet` or the
-    exception its extraction raised (returned, not raised, so that a caller
-    looping over candidates can raise the one it would have met first).
+    exception its extraction raised (returned, not raised, so that each
+    failure stays with its polynomial; `or_raise` raises it).
     Polynomials of one length and one count of low-order zeros share one
     stacked eigensolve and polish; each row's roots are bitwise those it gets
     alone.  Only an eigensolver failure (`np.linalg.LinAlgError`, say for a
@@ -227,7 +230,7 @@ def poly_roots(p, tol_root=1e-12):
         else:
             out[i] = ValueError("cannot extract roots of the zero polynomial")
     for (n, low), idx in stacks.items():
-        for i, res in zip(idx, _stacked_roots(C[idx, :n], low, tol_root)):
+        for i, res in zip(idx, _stacked_roots(C[idx, :n], low)):
             out[i] = res
     return or_raise(out[0]) if isinstance(p, Poly) else out
 
@@ -250,6 +253,23 @@ def or_raise(res):
     if isinstance(res, Exception):
         raise res
     return res
+
+
+def _batched(fn, items):
+    """fn(items), for a function `fn` of a list of items that raises at its
+    first failed check.  Where a batch of two or more items raises,
+    fn([item]) for each item in order, so that the error raised is the first
+    one a loop over the items meets (the batch's own error where no item
+    alone raises)."""
+    try:
+        return fn(items)
+    except Exception as exc:
+        if len(items) < 2:
+            raise
+        failed = exc
+    for item in items:
+        fn([item])
+    raise failed
 
 
 # Row functions (see the module docstring).  Sums are formed as 0.0 + a + b,
@@ -360,7 +380,7 @@ def _at(num, den, Z):
             np.array(errs, dtype=object).reshape(dv.shape))
 
 
-def _stacked_roots(C, low, tol_root):
+def _stacked_roots(C, low):
     """RootSet or exception per row of C, whose rows share `low` low-order zeros.
 
     The companion matrices are those of `np.roots` (zero roots appended), and
@@ -395,7 +415,7 @@ def _stacked_roots(C, low, tol_root):
     out = []
     for k in range(K):
         w = float(worst[k])
-        if w > tol_root * 1e3:
+        if w > ROOT_RESIDUAL_TOL:
             out.append(RootConvergenceError(
                 f"root extraction failed its residual check (worst {w:.3e})", w
             ))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rational import (
-    FrequencyGrid, RootSet, _conv_rows, _deriv_rows, _even_rows, _horner, _mirror, _stacked, _top,
-    or_raise, poly_roots,
+    FrequencyGrid, _batched, _conv_rows, _deriv_rows, _even_rows, _horner, _mirror, _stacked,
+    _top, or_raise, poly_roots,
 )
 from .synthesis import (
     Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
@@ -181,10 +181,9 @@ def _to_x(S):
     return _mirror(even), odd
 
 
-def _root_matrix(results):
-    """The distinct roots of each RootSet in `results`, NaN-padded into one
-    complex array; an exception's row is all NaN."""
-    sets = [r if isinstance(r, RootSet) else RootSet([]) for r in results]
+def _root_matrix(sets):
+    """The distinct roots of each RootSet in `sets`, NaN-padded into one
+    complex array."""
     R = np.full((len(sets), max(map(len, sets), default=0)), np.nan + 0j)
     for row, rs in zip(R, sets):
         row[: len(rs)] = rs.roots
@@ -219,8 +218,13 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     `poly_roots` call (crossing and stationary-point rows together) and
     evaluated at their NaN-padded roots all at once.  A failed evenness test,
     root extraction or division raises the error that a loop over the U one
-    at a time meets first.
+    at a time meets first (`_batched`).
     """
+    return _batched(lambda us: _peaks(ctx, us), us)
+
+
+def _peaks(ctx: SynthesisContext, us) -> list[PeakData]:
+    """`peak_data` of all of `us` at once; raises at the first failed check."""
     LU = _lu_rows(ctx, *_u_rows(us))
     lim = _fl_limits(_f_infinity(ctx), LU)
     ND, odd = _nd_rows(ctx, LU)
@@ -232,6 +236,9 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     TQ = np.zeros((2, len(T), max(T.shape[1], Q.shape[1])))
     TQ[0, :, : T.shape[1]], TQ[1, :, : Q.shape[1]] = T, Q
     roots = _roots_of_nonzero(TQ.reshape(2 * len(T), TQ.shape[2]))
+    if odd.any():
+        raise ValueError("polynomial is not even in s")
+    roots = [or_raise(rs) for rs in roots]
     t_roots, q_roots = roots[: len(T)], roots[len(T) :]
 
     x, cross = _real_above(_root_matrix(t_roots), 1e-12)
@@ -244,21 +251,11 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     # padding) and in the limit
     xq, stat = _real_above(_root_matrix(q_roots), 0.0)
     Nv, Dv = _horner(ND, np.hstack([np.zeros((len(xq), 1)), np.where(stat, xq, 0.0)]))
-    div0 = (Dv == 0.0).any(axis=1)
-    ratio = np.divide(Nv, Dv, out=np.zeros_like(Dv), where=Dv != 0.0)
-    eta = np.maximum(np.sqrt(np.maximum(ratio, 0.0)).max(axis=1), lim)
-
-    out = []
-    for i in range(len(lim)):
-        if odd[:, i].any():
-            raise ValueError("polynomial is not even in s")
-        or_raise(t_roots[i])
-        or_raise(q_roots[i])
-        if div0[i]:
-            raise ZeroDivisionError("float division by zero")
-        out.append(PeakData(omega_max=None if omega[i] == -np.inf else float(omega[i]),
-                            eta_max=float(eta[i])))
-    return out
+    if (Dv == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
+    eta = np.maximum(np.sqrt(np.maximum(Nv / Dv, 0.0)).max(axis=1), lim)
+    return [PeakData(omega_max=None if w == -np.inf else w, eta_max=e)
+            for w, e in zip(omega.tolist(), eta.tolist())]
 
 
 def _roots_of_nonzero(C):

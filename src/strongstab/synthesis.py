@@ -193,25 +193,17 @@ def _para(W: RationalFn) -> RationalFn:
 
 
 # A block of levels is built as coefficient rows, one per level, with the
-# row functions of `rational`.  A failed level keeps the stage and exception
-# a one-level build meets first; the stages, in order:
-_ER, _G, _F, _BETAS = range(4)
+# row functions of `rational`; a failed check raises for the whole block.
 _NUMERATOR, _DENOMINATOR = "spectral factor numerator", "spectral factor denominator"
 
 
 class _Level:
-    """One level's E, R, G and F as (num, den) coefficient rows, its betas,
-    `fail` (None, or the stage and exception of its first failure) and, once
-    `LevelBuilder.prefetch` has built it, `sigma`: the optimal system's
-    (sigma_min, null vector, degree), or the exception its build raised."""
+    """One level's E, R, G and F as (num, den) coefficient rows, the roots of
+    E.num (a RootSet, None for a constant, or the exception its extraction
+    returned; see `_betas`) and, once `LevelBuilder` has solved its optimal
+    system, `sigma`: (sigma_min, null vector, degree)."""
 
-    __slots__ = ("E", "R", "G", "F", "betas", "fail", "sigma")
-
-    def upto(self, stage):
-        """self, after raising the failure of a stage up to `stage`."""
-        if self.fail is not None and self.fail[0] <= stage:
-            raise self.fail[1]
-        return self
+    __slots__ = ("E", "R", "G", "F", "roots", "sigma")
 
 
 def _fn(rows) -> RationalFn:
@@ -251,6 +243,14 @@ def _halves(rows, flags):
     return (rows[:K], rows[K:]), np.reshape(flags, (2, K))
 
 
+def _raise_any(errs):
+    """Raise the first exception of the object array `errs` (None where a
+    point raised none), in C order."""
+    for e in np.ravel(errs):
+        if e is not None:
+            raise e
+
+
 def _stable_half(rs, what: str):
     """Stable (Re < 0) half of the roots of an even polynomial in s, given
     the roots `rs` of its half in x = s^2.
@@ -284,24 +284,6 @@ def _stable_half(rs, what: str):
     return stable
 
 
-def _result_of(fn, *args):
-    """fn(*args), or the exception it raised (returned, not raised)."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
-def _each(fn, X):
-    """fn(X): one result per item of the stack X.  Where fn fails on the
-    stack with a LinAlgError (an eigensolver or SVD failure), fn of each item
-    alone, its exception in its place, so that it stays with its item."""
-    try:
-        return fn(X)
-    except np.linalg.LinAlgError:
-        return [_result_of(lambda x: fn(x)[0], X[i : i + 1]) for i in range(len(X))]
-
-
 def _betas(rs):
     """One representative per mirror pair of RHP zeros of E (Im >= 0 on the
     axis), from the roots `rs` of E.num (None for a constant)."""
@@ -316,109 +298,92 @@ def _betas(rs):
     return reps
 
 
-def _build_levels(w1para, w2para, etas, levels):
-    """The `_Level` of each of `levels`, given W1(-s)W1(s), W2(-s)W2(s) (None
-    for W2 = 0) and the mirrored W1 poles `etas`.
-
-    E = W1(-s)W1(s)/level^2 - 1 and R = 1 - (W2(-s)W2(s)/level^2 - 1) E are
-    row-wise sums and products.  The halves in x = s^2 of R.den and R.num and
-    E.num of all levels take their roots in one `poly_roots` call.  The stable
-    halves are G's zeros and poles, and E.num's RHP roots the betas.  G (gain
-    from R at s = 0, or at 0.37913 where R or G has a pole there; G(0) > 0)
-    and F = G prod (s - eta)/(s + eta) (common roots cancelled as in
-    `RationalFn.reduced`: G's zeros hold the -etas; both negated so that
-    F(0) > 0) are expanded from their root lists row-wise.
-    """
-    K = len(levels)
-    fail, g2 = [None] * K, np.ones(K)
-    for k, g in enumerate(levels):
-        try:
-            g2[k] = _square(g)
-        except Exception as exc:
-            fail[k] = (_ER, exc)
-
-    def flag(mask, stage, exc):
-        """Fail each unfailed level k of `mask` at `stage` with exc() or exc[k]."""
-        for k, hit in enumerate(np.asarray(mask).tolist()):
-            if hit and fail[k] is None:
-                fail[k] = (stage, exc() if callable(exc) else exc[k])
+def _ratios(w1para, w2para, levels):
+    """(E, R), each as (num, den) rows with one row per level of `levels`,
+    given W1(-s)W1(s) and W2(-s)W2(s) (None for W2 = 0):
+    E = W1(-s)W1(s)/level^2 - 1 and R = 1 - (W2(-s)W2(s)/level^2 - 1) E, by
+    row-wise sums and products."""
+    g2 = np.array([_square(g) for g in levels], dtype=float)
 
     def ratio(num, den):
         """The rows of RationalFn(num, den)."""
-        flag(~den.any(axis=1), _ER, lambda: ZeroDivisionError("denominator is identically zero"))
+        if not den.any(axis=1).all():
+            raise ZeroDivisionError("denominator is identically zero")
         return _normalized(num, den)
-
-    def not_closed():
-        return ValueError("root list is not closed under conjugation")
 
     with np.errstate(all="ignore"):
         E = ratio(*_over_level(w1para, g2))
         if w2para is None:
-            R = ratio(_sum_rows(*E), E[1])
-        else:
-            V = ratio(*_over_level(w2para, g2))
-            VE = ratio(_mul_rows(V[0], E[0]), _mul_rows(V[1], E[1]))
-            R = ratio(_sum_rows(VE[1], VE[0] * -1.0), VE[1])
+            return E, ratio(_sum_rows(*E), E[1])
+        V = ratio(*_over_level(w2para, g2))
+        VE = ratio(_mul_rows(V[0], E[0]), _mul_rows(V[1], E[1]))
+        return E, ratio(_sum_rows(VE[1], VE[0] * -1.0), VE[1])
 
+
+def _build_levels(w1para, w2para, etas, levels):
+    """The `_Level` of each of `levels`, given W1(-s)W1(s), W2(-s)W2(s) (None
+    for W2 = 0) and the mirrored W1 poles `etas`; raises at the first failed
+    check, so that for one level it raises what a one-level build meets first.
+
+    E and R come from `_ratios`.  The halves in x = s^2 of R.den and R.num and
+    E.num of all levels take their roots in one `poly_roots` call.  The stable
+    halves are G's zeros and poles; E.num's roots are kept for the betas.  G
+    (gain from R at s = 0, or at 0.37913 where R or G has a pole there;
+    G(0) > 0) and F = G prod (s - eta)/(s + eta) (common roots cancelled as in
+    `RationalFn.reduced`: G's zeros hold the -etas; both negated so that
+    F(0) > 0) are expanded from their root lists row-wise.
+    """
+    K = len(levels)
+    E, R = _ratios(w1para, w2para, levels)
+    with np.errstate(all="ignore"):
         # one root extraction: R.den's and R.num's halves in x = s^2 and E.num
         halves, odd = _even_rows(_stacked(R[::-1]))
         rows = _stacked([*halves, E[0]]).transpose(1, 0, 2)
         odd = np.append(odd, np.zeros((1, K), dtype=bool), axis=0).T
-        want = (_top(rows) >= 1) & ~odd & np.array([[f is None] for f in fail])
-        found = iter(_each(poly_roots, rows[want]) if want.any() else [])
+        want = (_top(rows) >= 1) & ~odd
+        found = iter(poly_roots(rows[want]) if want.any() else [])
         roots = [[next(found) if w else ValueError("polynomial is not even in s") if o else None
                   for w, o in zip(*wo)] for wo in zip(want.tolist(), odd.tolist())]
 
         # G's zeros and poles, then G expanded from them and its gain fixed
-        zeros, poles = [[] for _ in range(K)], [[] for _ in range(K)]
-        for k in range(K):
-            try:
-                if fail[k] is None:
-                    zeros[k] = [complex(r) for r in _stable_half(roots[k][0], _NUMERATOR)]
-                    poles[k] = [complex(r) for r in _stable_half(roots[k][1], _DENOMINATOR)]
-            except Exception as exc:
-                fail[k] = (_G, exc)
+        zeros, poles = [], []
+        for rs in roots:
+            zeros.append([complex(r) for r in _stable_half(rs[0], _NUMERATOR)])
+            poles.append([complex(r) for r in _stable_half(rs[1], _DENOMINATOR)])
         (Gn, Gd), open_ = _halves(*_from_roots_rows(zeros + poles, np.ones(2 * K)))
-        flag(open_.any(axis=0), _G, not_closed)
+        if open_.any():
+            raise ValueError("root list is not closed under conjugation")
         S = np.broadcast_to([0.0, 0.37913], (K, 2))
         (q, g), errs = _at(_stacked([R[0], Gn]), _stacked([R[1], Gd]),
                            np.broadcast_to(S, (2, K, 2)))
         ok = np.equal(errs, None).all(axis=0) & (q != 0)
+        if not ok.any(axis=1).all():
+            raise FactorizationError("R or G vanishes or has a pole at both gain points")
         at = np.arange(K), np.argmax(ok, axis=1)       # s = 0 where it serves
         target, g0 = 1.0 / q[at], g[at]
-        flag(~ok.any(axis=1), _G, lambda: FactorizationError(
-            "R or G vanishes or has a pole at both gain points"))
-        flag(g0 * g0 == 0, _G, lambda: ZeroDivisionError("complex division by zero"))
+        if (g0 * g0 == 0).any():
+            raise ZeroDivisionError("complex division by zero")
         c2 = target / (g0 * g0)
-        flag(c2 <= 0, _G, lambda: FactorizationError("factorization produced a non-real gain"))
+        if (c2 <= 0).any():
+            raise FactorizationError("factorization produced a non-real gain")
         Gn = Gn * np.sqrt(c2)[:, None]
         sign, errs = _at(Gn, Gd, S[:, :1])
-        flag(~np.equal(errs[:, 0], None), _G, errs[:, 0])
+        _raise_any(errs)
         Gn = np.where(sign < 0, Gn * -1.0, Gn)
 
         # F from G's root lists, the etas and the -etas
         Fn, Fd = Gn, Gd
         if etas:
-            num, den, later = [[] for _ in range(K)], [[] for _ in range(K)], [None] * K
-            for k in range(K):
-                if fail[k] is None:
-                    keep_n, keep_d = _cancelled(zeros[k] + etas, poles[k] + [-e for e in etas])
-                    try:
-                        num[k] = _reclose(keep_n)
-                    except ValueError as exc:
-                        fail[k] = (_F, exc)
-                        continue
-                    den[k] = _result_of(_reclose, keep_d)
-                    if isinstance(den[k], Exception):
-                        later[k], den[k] = den[k], []
+            kept = [_cancelled(z + etas, p + [-e for e in etas]) for z, p in zip(zeros, poles)]
+            num = [_reclose(n) for n, _ in kept]
+            den = [_reclose(d) for _, d in kept]
             lead = Gn[np.arange(K), _top(Gn)]
             (Fn, Fd), open_ = _halves(*_from_roots_rows(num + den, np.append(lead, np.ones(K))))
-            flag(open_[0], _F, not_closed)
-            flag([e is not None for e in later], _F, later)
-            flag(open_[1], _F, not_closed)
+            if open_.any():
+                raise ValueError("root list is not closed under conjugation")
             # F(0) > 0; with no etas F is G, whose G(0) > 0 already holds
             sign, errs = _at(Fn, Fd, S[:, :1])
-            flag(~np.equal(errs[:, 0], None), _F, errs[:, 0])
+            _raise_any(errs)
             flip = sign < 0
             Fn, Gn = np.where(flip, Fn * -1.0, Fn), np.where(flip, Gn * -1.0, Gn)
 
@@ -426,34 +391,32 @@ def _build_levels(w1para, w2para, etas, levels):
     for k in range(K):
         lv = _Level()
         lv.E, lv.R, lv.G, lv.F = ((X[0][k], X[1][k]) for X in (E, R, (Gn, Gd), (Fn, Fd)))
-        lv.fail, lv.sigma = fail[k], None
-        if fail[k] is None:
-            lv.betas = _result_of(_betas, roots[k][2])
-            if isinstance(lv.betas, Exception):
-                lv.fail = (_BETAS, lv.betas)
+        lv.roots, lv.sigma = roots[k][2], None
         out.append(lv)
     return out
 
 
-def _one_level(level, W1, W2, etas, stage):
-    """The `_Level` of one level, after raising a failure up to `stage`."""
+def _one_level(level, W1, W2, etas):
+    """The `_Level` of one level."""
     w2para = None if W2.is_zero else _para(W2)
-    return _build_levels(_para(W1), w2para, etas, [level])[0].upto(stage)
+    return _build_levels(_para(W1), w2para, etas, [level])[0]
 
 
 def build_E(level: float, W1: RationalFn) -> RationalFn:
     """E = W1(-s) W1(s) / level^2 - 1, reduced over a common denominator."""
-    return _fn(_one_level(level, W1, RationalFn.zero(), [], _ER).E)
+    num, den = _ratios(_para(W1), None, [level])[0]
+    return _fn((num[0], den[0]))
 
 
 def spectral_ratio(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
     """R = 1 - (W2(-s)W2(s)/level^2 - 1) E; G G(-s) = 1/R."""
-    return _fn(_one_level(level, W1, W2, [], _ER).R)
+    num, den = _ratios(_para(W1), None if W2.is_zero else _para(W2), [level])[1]
+    return _fn((num[0], den[0]))
 
 
 def spectral_factor(level: float, W1: RationalFn, W2: RationalFn) -> RationalFn:
     """Stable, minimum-phase G with G(s)G(-s) = R(s)^{-1} and G(0) > 0."""
-    return _fn(_one_level(level, W1, W2, [], _G).G)
+    return _fn(_one_level(level, W1, W2, []).G)
 
 
 def eta_mirror_poles(W1: RationalFn):
@@ -466,7 +429,7 @@ def eta_mirror_poles(W1: RationalFn):
 def build_F(level: float, W1: RationalFn, W2: RationalFn):
     """(F, etas, G): F = G * prod (s - eta)/(s + eta), oriented so F(0) > 0."""
     etas = eta_mirror_poles(W1)
-    lv = _one_level(level, W1, W2, etas, _F)
+    lv = _one_level(level, W1, W2, etas)
     return _fn(lv.F), etas, _fn(lv.G)
 
 
@@ -486,7 +449,7 @@ def _reject_repeated(points, what):
 
 def interpolation_rows(plant: DelayPlant, F, betas, alphas, degrees):
     """Real matrices of the homogeneous interpolation conditions of a block of
-    levels: one per level, or the exception its build raises.
+    levels, one per level; raises at the first failure.
 
     Level k's conditions sit at betas[k] (its E zeros, see `_betas`) and
     `alphas` (the plant poles, already checked for repeats), with its F given
@@ -499,11 +462,8 @@ def interpolation_rows(plant: DelayPlant, F, betas, alphas, degrees):
     """
     out, groups = [None] * len(F), {}
     for k, b in enumerate(betas):
-        try:
-            _reject_repeated(b, "E zeros")
-            groups.setdefault((len(b), degrees[k]), []).append(k)
-        except InterpolationError as exc:
-            out[k] = exc
+        _reject_repeated(b, "E zeros")
+        groups.setdefault((len(b), degrees[k]), []).append(k)
     for (nb, degree), idx in groups.items():
         pts = [betas[k] + alphas for k in idx]
         P = np.array(pts, dtype=complex).reshape(len(idx), nb + len(alphas))
@@ -511,6 +471,7 @@ def interpolation_rows(plant: DelayPlant, F, betas, alphas, degrees):
         (mv, fv), errs = _at(_stacked([M[0], _stacked([F[k][0] for k in idx])]),
                              _stacked([M[1], _stacked([F[k][1] for k in idx])]),
                              np.broadcast_to(P, (2,) + P.shape))
+        _raise_any(errs.transpose(1, 2, 0))     # per level and point: M's, then F's
         # L1(p) + W L2(p) = 0 and L2(-p) + W L1(-p) = 0, W = e^{-hp} M(p) F(p)
         W = _cmul(_cmul(np.exp(-plant.h * P), mv), fv)[..., None]
         n = degree + 1
@@ -524,27 +485,24 @@ def interpolation_rows(plant: DelayPlant, F, betas, alphas, degrees):
         keep[..., 1] = np.abs(r1.imag).max(axis=-1, initial=0.0) > 0
         keep[..., 3] = np.abs(r2.imag).max(axis=-1, initial=0.0) > 0
         for j, k in enumerate(idx):
-            first = [e for pair in zip(errs[0, j], errs[1, j]) for e in pair if e is not None]
-            out[k] = first[0] if first else rows[j][keep[j].ravel()]
+            out[k] = rows[j][keep[j].ravel()]
     return out
 
 
 def _nullvectors(mats):
-    """(sigma_min, null vector) of each matrix of `mats`, or the exception its
-    SVD raised; one batched SVD per matrix shape.  Each system is scaled by
-    its largest row so sigma_min is dimensionless; per-row normalization
-    would hide rows that vanish at the singular level."""
+    """(sigma_min, null vector) of each matrix of `mats`, with one batched
+    SVD per matrix shape.  Each system is scaled by its largest row so
+    sigma_min is dimensionless; per-row normalization would hide rows that
+    vanish at the singular level."""
     out, shapes = [None] * len(mats), {}
     for i, A in enumerate(mats):
         shapes.setdefault(A.shape, []).append(i)
     for (nrows, ncols), idx in shapes.items():
         A = np.stack([mats[i] for i in idx])
         scale = np.linalg.norm(A, axis=-1).max(axis=-1)
-        svds = _each(lambda B: list(zip(*np.linalg.svd(B)[1:])),
-                     A / np.where(scale > 0, scale, 1.0)[:, None, None])
-        for i, res in zip(idx, svds):
-            out[i] = res if isinstance(res, Exception) else (
-                float(res[0][ncols - 1]) if nrows >= ncols else 0.0, res[1][-1])
+        _, svals, vt = np.linalg.svd(A / np.where(scale > 0, scale, 1.0)[:, None, None])
+        for i, sv, v in zip(idx, svals, vt):
+            out[i] = (float(sv[ncols - 1]) if nrows >= ncols else 0.0), v[-1]
     return out
 
 
@@ -552,7 +510,7 @@ def solve_interpolation(plant, F, E, degree, extra_a, betas, alphas):
     """(L1, L2, sigma_min, residual) with L1 normalized monic; with `extra_a`
     (the suboptimal system), one more condition L2(-a) + N L1(-a) = 0 with
     N = ((1 + E) F)(a) e^{-ha} M(a)."""
-    A = or_raise(interpolation_rows(plant, [(F.num.c, F.den.c)], [betas], alphas, [degree])[0])
+    A = interpolation_rows(plant, [(F.num.c, F.den.c)], [betas], alphas, [degree])[0]
     n = degree + 1
     if extra_a is not None:
         a = float(extra_a)
@@ -564,7 +522,7 @@ def solve_interpolation(plant, F, E, degree, extra_a, betas, alphas):
         A = np.vstack([A, np.concatenate([N.real * pw, pw]).real])
     if not len(A):
         raise InterpolationError("no interpolation conditions: degenerate problem")
-    smin, v = or_raise(_nullvectors([A])[0])
+    smin, v = _nullvectors([A])[0]
     l1c, l2c = v[:n], v[n:]
     if abs(l1c[-1]) < 1e-10 * np.abs(v).max():
         raise InterpolationError(
@@ -617,14 +575,14 @@ class LevelBuilder:
     plant's right-half-plane poles `alphas` (checked once for repeats).
     `prefetch(levels)` builds a block of levels as rows of coefficient arrays
     (`_build_levels`: one stacked `poly_roots` call), then every level's
-    optimal interpolation matrix (`interpolation_rows`) and its sigma_min and
-    null vector, with one batched SVD per matrix shape (`_nullvectors`).
-    Each level's result, or the exception its build raised, is kept until
-    `at` or `optimal_sigma_min` consumes it; `optimal_sigma_min` on a level
-    that was not prefetched prefetches it alone, and `at` builds it alone
-    (without the optimal system).  An exception is thus raised only when its
-    level is consumed, and within a level in the order a one-level build
-    meets it.  `gamma_opt` and `build_context` both go through it.
+    betas, optimal interpolation matrix (`interpolation_rows`) and its
+    sigma_min and null vector, with one batched SVD per matrix shape
+    (`_nullvectors`).  It keeps the block only when the whole block
+    succeeds, each level until `at` or `optimal_sigma_min` consumes it;
+    otherwise it keeps nothing.  A level that is not kept is built alone when
+    it is consumed (by `at` without the optimal system), so a level's
+    failure is raised only when that level is consumed, and as a one-level
+    build meets it.  `gamma_opt` and `build_context` both go through it.
     """
 
     def __init__(self, plant: DelayPlant, weights: WeightPair):
@@ -639,36 +597,37 @@ class LevelBuilder:
     def _levels(self, levels):
         return _build_levels(self.w1para, self.w2para, self.etas, levels)
 
+    def _solved(self, levels):
+        """The `_Level` of each of `levels`, its `sigma` set; raises at the
+        first failure."""
+        built = self._levels(levels)
+        betas = [_betas(lv.roots) for lv in built]
+        degrees = [len(b) + len(self.alphas) - 1 for b in betas]
+        if min(degrees) < 0:
+            raise InterpolationError("no interpolation conditions at this level")
+        mats = interpolation_rows(self.plant, [lv.F for lv in built], betas, self.alphas, degrees)
+        for lv, res, degree in zip(built, _nullvectors(mats), degrees):
+            lv.sigma = res + (degree,)
+        return built
+
     def prefetch(self, levels):
         """Build `levels` together and keep their results for `at` and
-        `optimal_sigma_min`."""
-        built, live = self._levels(levels), []
-        for lv in built:
-            if lv.fail is None:
-                degree = len(lv.betas) + len(self.alphas) - 1
-                if degree < 0:
-                    lv.sigma = InterpolationError("no interpolation conditions at this level")
-                else:
-                    live.append((lv, degree))
-        mats = interpolation_rows(self.plant, [lv.F for lv, _ in live],
-                                  [lv.betas for lv, _ in live], self.alphas, [d for _, d in live])
-        solved = iter(_nullvectors([A for A in mats if not isinstance(A, Exception)]))
-        for (lv, degree), A in zip(live, mats):
-            res = A if isinstance(A, Exception) else next(solved)
-            lv.sigma = res if isinstance(res, Exception) else res + (degree,)
+        `optimal_sigma_min`, or keep nothing when any level fails."""
+        try:
+            built = self._solved(levels)
+        except Exception:
+            return      # each level is built alone when it is consumed
         self._built.update(zip(levels, built))
 
     def at(self, level: float):
         """(E, R, F, betas) at `level`; see `build_E`, `spectral_ratio`, `build_F`."""
         lv = self._built.pop(level) if level in self._built else self._levels([level])[0]
-        lv.upto(_BETAS)
-        return _fn(lv.E), _fn(lv.R), _fn(lv.F), lv.betas
+        return _fn(lv.E), _fn(lv.R), _fn(lv.F), _betas(lv.roots)
 
     def optimal_sigma_min(self, level: float):
         """(sigma_min, null vector, degree) of the optimal homogeneous system."""
-        if level not in self._built:
-            self.prefetch([level])
-        return or_raise(self._built.pop(level).upto(_BETAS).sigma)
+        lv = self._built.pop(level) if level in self._built else self._solved([level])[0]
+        return lv.sigma
 
 
 def build_context(plant: DelayPlant, weights: WeightPair, level: float,
@@ -757,8 +716,9 @@ def gamma_opt(plant: DelayPlant, weights: WeightPair, bracket) -> GammaOptResult
     refined between its coarse neighbours (`_refine_dip`) as soon as it is
     found, and the first with sigma_min < 1e-6 is returned.  The grid levels
     are built top-down in blocks of `GAMMA_BLOCK`, each block's sigma_min
-    included (`LevelBuilder.prefetch`), and a refinement level as a block of
-    one; levels are consumed one at a time, so a failure below the returned
+    included (`LevelBuilder.prefetch`; a block with a failing level keeps
+    nothing, and its consumed levels are built alone), and a refinement level
+    alone; levels are consumed one at a time, so a failure below the returned
     dip is never seen.  `diagnostics["dips"]` counts the dips refined; `infeasible_points`
     lists the consumed grid levels (ascending) whose factorization or
     interpolation failure was collected rather than fatal.

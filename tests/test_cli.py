@@ -227,7 +227,12 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("flag, target", [("--out", "missing/report.json"),
                                               ("--emit-plots", "plain_file")])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag, target):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, flag, target):
+        # the path is checked before any search: gamma_opt is never reached
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "gamma_opt", no_search)
         (tmp_path / "plain_file").write_text("")
         assert main(["stabilize", EX1, "--rho", "0.814", flag, str(tmp_path / target)]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {flag}: cannot write")

@@ -292,26 +292,27 @@ class TestStackedCandidates:
     def test_first_failure_in_candidate_order_is_raised(self, level, monkeypatch, fails):
         # L_1U of the sixth candidate fails; the crossing (T) or stationary-point
         # (Q) polynomial of the third fails too when `fails` says so, and that
-        # candidate comes first
+        # candidate comes first.  Failures are injected by polynomial content,
+        # so they hold in any batching of the calls.
         ctx, opts = level
+        intervals = admissible_uinf(asymptotics(ctx))
+        us = [UParam(float(ui)) for ui in infinite._interval_grid(intervals, opts.uinf_step)]
+        bad = {"L_1U of candidate 5": cleared_lu_polys(ctx, us[5])[1].c}
+        if fails:
+            bad[f"{fails} of candidate 2"] = x_polys(ctx, us[2])[2 if fails == "T" else 3].c
         real = poly_roots
-        calls = []
 
         def failing_roots(ps):
-            # the calls: L_1U of every candidate, then T and Q (one block
-            # each) of the Hurwitz ones
             out = real(ps)
-            calls.append(len(ps))
-            if len(calls) == 1:
-                out[5] = RootConvergenceError("L_1U of candidate 5")
-            if len(calls) == 2 and fails:
-                out[2 if fails == "T" else len(ps) // 2 + 2] = RootConvergenceError(
-                    f"{fails} of candidate 2")
+            for i, row in enumerate(ps):
+                for why, c in bad.items():
+                    if np.array_equal(np.trim_zeros(row, "b"), c):
+                        out[i] = RootConvergenceError(why)
             return out
 
         monkeypatch.setattr(stability, "poly_roots", failing_roots)
         with pytest.raises(RootConvergenceError) as info:
-            infinite._candidates(ctx, opts, admissible_uinf(asymptotics(ctx)), {})
+            infinite._candidates(ctx, opts, intervals, {})
         assert str(info.value) == (f"{fails} of candidate 2" if fails else "L_1U of candidate 5")
 
     def test_dropped_candidate_failures_are_not_raised(self, ex1, ex1_ctx, monkeypatch):

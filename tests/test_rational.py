@@ -86,7 +86,7 @@ class TestPolyRoots:
                 assert abs(r - 5.0) <= 1e-6
 
 
-def reference_poly_roots(p, tol_root=1e-12):
+def reference_poly_roots(p, tol=1e-9):
     """The per-polynomial extraction that the stacked `poly_roots` replaced."""
     if p.is_zero:
         raise ValueError("cannot extract roots of the zero polynomial")
@@ -101,7 +101,7 @@ def reference_poly_roots(p, tol_root=1e-12):
         z, pv = np.where(better, zn, z), np.where(better, pn, pv)
     if len(z):
         worst = float((np.abs(pv) / np.maximum(p.scale_at(z), 1e-300)).max())
-        if worst > tol_root * 1e3:
+        if worst > tol:
             raise RootConvergenceError(
                 f"root extraction failed its residual check (worst {worst:.3e})", worst
             )
@@ -153,24 +153,24 @@ def bits(result):
     return [struct.pack("<dd", r.real, r.imag) for r in result.roots], result.multiplicities
 
 
-def reference_bits(p, tol_root=1e-12):
+def reference_bits(p, tol=1e-9):
     try:
-        return bits(reference_poly_roots(p, tol_root))
+        return bits(reference_poly_roots(p, tol))
     except (ValueError, RootConvergenceError) as exc:
         return bits(exc)
 
 
-def single_bits(p, tol_root=1e-12):
+def single_bits(p):
     try:
-        return bits(poly_roots(p, tol_root))
+        return bits(poly_roots(p))
     except (ValueError, RootConvergenceError) as exc:
         return bits(exc)
 
 
-def assert_stacked_equals_reference(polys, tol_root=1e-12):
-    expected = [reference_bits(p, tol_root) for p in polys]
-    assert [bits(r) for r in poly_roots(polys, tol_root)] == expected
-    assert [single_bits(p, tol_root) for p in polys] == expected
+def assert_stacked_equals_reference(polys, tol=1e-9):
+    expected = [reference_bits(p, tol) for p in polys]
+    assert [bits(r) for r in poly_roots(polys)] == expected
+    assert [single_bits(p) for p in polys] == expected
 
 
 class TestStackedPolyRoots:
@@ -180,11 +180,11 @@ class TestStackedPolyRoots:
         seen = []
         original = rational.poly_roots
 
-        def record(p, tol_root=1e-12):
+        def record(p):
             # gamma_opt hands over 2-D coefficient arrays; record each row
             seen.extend([p] if isinstance(p, Poly) else
                         [q if isinstance(q, Poly) else Poly(q) for q in p])
-            return original(p, tol_root)
+            return original(p)
 
         monkeypatch.setattr(rational, "poly_roots", record)
         monkeypatch.setattr(synthesis, "poly_roots", record)
@@ -226,18 +226,55 @@ class TestStackedPolyRoots:
                  Poly([4.9943, -0.0574, 1.0]), Poly([2.0, 0.3, -1.1, 1.0]), Poly([-3.0])]
         assert_stacked_equals_reference(polys)
 
-    def test_failed_rows_leave_the_others_alone(self):
-        # at this tolerance x^2 - 2 fails the residual check (its residual is
-        # 1.1e-16) while x^2 - 4 and x^2 - 9 have exact roots; the zero
-        # polynomial fails on its own as well
+    def test_failed_rows_leave_the_others_alone(self, monkeypatch):
+        # at this residual bound x^2 - 2 fails the residual check (its
+        # residual is 1.1e-16) while x^2 - 4 and x^2 - 9 have exact roots; the
+        # zero polynomial fails on its own as well
+        monkeypatch.setattr(rational, "ROOT_RESIDUAL_TOL", 1e-17)
         polys = [Poly([-4.0, 0.0, 1.0]), Poly([-2.0, 0.0, 1.0]), Poly([-9.0, 0.0, 1.0]),
                  Poly([0.0]), Poly([6.0, -5.0, 1.0])]
-        out = poly_roots(polys, tol_root=1e-20)
+        out = poly_roots(polys)
         assert [type(r) for r in out] == [RootSet, RootConvergenceError, RootSet,
                                           ValueError, RootSet]
-        assert_stacked_equals_reference(polys, tol_root=1e-20)
+        assert_stacked_equals_reference(polys, tol=1e-17)
         with pytest.raises(RootConvergenceError):
-            poly_roots(polys[1], tol_root=1e-20)
+            poly_roots(polys[1])
+
+
+class TestBatched:
+    """`_batched`: the batch's result, or the error a loop over the items
+    meets first."""
+
+    def test_batch_result_when_nothing_raises(self):
+        calls = []
+
+        def double(items):
+            calls.append(list(items))
+            return [2 * x for x in items]
+
+        assert rational._batched(double, [1, 2, 3]) == [2, 4, 6]
+        assert calls == [[1, 2, 3]]     # one call, no item alone
+
+    def test_earliest_item_error_is_raised(self):
+        # the batch checks its items last to first, so it meets item 3's
+        # error first; a loop over the items meets item 1's
+        def check(items):
+            for x in items[::-1]:
+                if x in (1, 3):
+                    raise ValueError(f"item {x}")
+            return items
+
+        with pytest.raises(ValueError, match="item 1"):
+            rational._batched(check, [0, 1, 2, 3])
+
+    def test_batch_error_when_no_item_alone_raises(self):
+        def pairs_only(items):
+            if len(items) > 1:
+                raise RuntimeError("batch")
+            return items
+
+        with pytest.raises(RuntimeError, match="batch"):
+            rational._batched(pairs_only, [0, 1])
 
 
 class TestRowsFromRoots:

@@ -581,10 +581,10 @@ def fail_level(monkeypatch, weights, level, kinds):
     r_num = Poly(spectral_ratio(level, weights.W1, weights.W2).num.even_part_coeffs()).c
     real, fired = synthesis.poly_roots, []
 
-    def roots(ps, tol_root=1e-12):
+    def roots(ps):
         if isinstance(ps, Poly):
-            return real(ps, tol_root)
-        out = real(ps, tol_root)
+            return real(ps)
+        out = real(ps)
         for i, q in enumerate(ps):
             c = Poly(q).c       # an array row, trimmed of its zero padding
             if np.array_equal(c, r_num) and "factorization" in kinds:
@@ -625,7 +625,7 @@ class TestPrefetchFailures:
     @pytest.mark.parametrize("kind, fires", [
         ("factorization", ["factorization"]),
         ("convergence", ["convergence"]),
-        ("linalg", ["linalg", "linalg"]),   # the stacked call, then E.num's retry alone
+        ("linalg", ["linalg"]),     # the block's stacked call; the level is never built alone
     ])
     def test_failure_below_the_dip_is_never_seen(self, scan, monkeypatch, kind, fires):
         (plant, weights, opts), clean, _, consumed, prefetched = scan
@@ -686,9 +686,9 @@ class TestOneRootStage:
         calls = []
         real = synthesis.poly_roots
 
-        def counted(ps, tol_root=1e-12):
+        def counted(ps):
             calls.append(1)
-            return real(ps, tol_root)
+            return real(ps)
 
         monkeypatch.setattr(synthesis, "poly_roots", counted)
         return calls
@@ -775,6 +775,7 @@ class TestStackedLevels:
             levels = [0.9, 0.0, -1.0, 1e200, 1e-170, 2.0]
             block = LevelBuilder(plant, weights)
             block.prefetch(levels)
+            assert not block._built     # level 0.0 fails, so the block keeps nothing
             for g in levels:
                 try:
                     E, R, F, _, betas = ref_level(weights.W1, weights.W2, g)
@@ -786,6 +787,13 @@ class TestStackedLevels:
                     continue
                 for a, b in zip((E, R, F), block.at(g)):
                     assert np.array_equal(a.num.c, b.num.c) and np.array_equal(a.den.c, b.den.c)
+                # built alone, a good level's optimal system is a block-of-one's
+                one = LevelBuilder(plant, weights)
+                one.prefetch([g])
+                assert g in one._built
+                smin, v, degree = one.optimal_sigma_min(g)
+                smin2, v2, degree2 = block.optimal_sigma_min(g)
+                assert (smin, degree) == (smin2, degree2) and np.array_equal(v, v2)
 
     def test_double_root_level_is_a_double_root(self, ex2):
         _, weights, _ = ex2
