@@ -141,7 +141,9 @@ def stabilize_infinite(plant, weights, ctx: SynthesisContext,
 
     Raises SearchExhausted when no admissible u_inf exists or when every
     scanned candidate has residual right-half-plane zeros; the frontier of the
-    best (omega_max, eta_max) candidates is attached for diagnosis.
+    best (omega_max, eta_max) candidates, each with the count of its scan
+    window's zeros (`certify` counts, it does not locate), is attached for
+    diagnosis.
     """
     asym = asymptotics(ctx)
     intervals = admissible_uinf(asym)

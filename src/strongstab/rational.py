@@ -519,24 +519,6 @@ class RationalFn:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __add__(self, other):
-        other = _as_rational(other)
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return self + (_as_rational(other) * -1.0)
-
-    def __neg__(self):
-        return self * -1.0
-
     def mirror(self):
         return RationalFn(self.num.mirror(), self.den.mirror())
 
@@ -606,8 +588,6 @@ def _as_rational(f):
         return f
     if isinstance(f, Poly):
         return RationalFn(f, [1.0])
-    if np.isscalar(f):
-        return RationalFn([float(f)], [1.0])
     raise TypeError(f"cannot interpret {f!r} as a rational function")
 
 

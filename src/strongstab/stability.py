@@ -3,11 +3,12 @@
 Four layers: leading-coefficient asymptotics (finite/infinite pole class and
 the admissible range of the free parameter's high-frequency gain), exact
 crossing/peak data for |F L_U| on the imaginary axis, a rigorous
-argument-principle scan that counts and locates right-half-plane zeros of an
-analytic callable on a rectangle, with known cancelling zeros deflated out and
-each contour segment (subdivision cuts included) marched once per scan, and
-`certify`, the one acceptance test every design passes: a clean scan of the
-loop denominator, then the closed-loop norm bound.
+argument-principle scan that counts right-half-plane zeros of an analytic
+callable on a rectangle and, on request, locates them by level-synchronous
+subdivision, with known cancelling zeros deflated out and each contour
+segment (subdivision cuts included) marched once per scan, and `certify`, the
+one acceptance test every design passes: no zero counted in the loop
+denominator's window, then the closed-loop norm bound.
 """
 
 from __future__ import annotations
@@ -306,6 +307,7 @@ _MARCH_MAX_N = 60000   # samples one segment's refinement may reach
 _NEWTON_TOL = 1e-11    # relative step at which a leaf cell's Newton iteration stops
 _NEWTON_ITERS = 80
 _MAX_DEPTH = 60        # subdivision levels below the scan window
+_POLES = "negative winding: the function has poles in the region"
 
 
 def _refine_march(f, z0, z1, ts, vals):
@@ -332,19 +334,21 @@ def _refine_march(f, z0, z1, ts, vals):
 
 
 def _march(f, memo, segs):
-    """Argument change of f along each segment (z0, z1) of `segs`.
+    """Argument change of f along each segment (z0, z1) of `segs`, or, in its
+    place, the ScanError its march raised.
 
     `memo` holds every segment marched so far in one scan; a segment found
     there, or found reversed (read negated), is not marched again.  The first
     samples of all new segments go through f in one call, and only the rows
-    that fail `_refine_march`'s checks enter its refinement loop.
+    that fail `_refine_march`'s checks enter its refinement loop.  A failed
+    segment is not kept, so a later call marches it again.
     """
-    new = []
+    new = {}
     for seg in segs:
-        if not any(k in memo or k in new for k in (seg, seg[::-1])):
-            new.append(seg)
+        if seg not in memo and seg[::-1] not in memo and seg[::-1] not in new:
+            new[seg] = None
     if new:
-        z0, z1 = np.array(new).T[:, :, None]
+        z0, z1 = np.array(list(new)).T[:, :, None]
         vals = np.asarray(f((z0 + (z1 - z0) * _MARCH_TS).ravel()), dtype=complex)
         vals = vals.reshape(len(new), len(_MARCH_TS))
         mags = np.abs(vals)
@@ -354,114 +358,215 @@ def _march(f, memo, segs):
                   & (mags.min(axis=1) > _SMALL_TOL * np.maximum(mags.max(axis=1), 1e-30))
                   & (np.abs(dph) <= np.pi / 2).all(axis=1))
         for seg, row, d, good in zip(new, vals, dph, ok):
-            memo[seg] = float(d.sum()) if good else _refine_march(f, *seg, _MARCH_TS, row)
-    return [memo[s] if s in memo else -memo[s[::-1]] for s in segs]
+            try:
+                memo[seg] = float(d.sum()) if good else _refine_march(f, *seg, _MARCH_TS, row)
+            except ScanError as err:
+                new[seg] = err
+    return [memo[s] if s in memo else -memo[s[::-1]] if s[::-1] in memo
+            else new.get(s) or new[s[::-1]] for s in segs]
 
 
-def _windings(f, memo, cells, counter):
-    """Winding number of f around each cell (slo, shi, wlo, whi); every cell
-    counts as one scanned cell."""
+def _windings(f, memo, groups):
+    """Winding number of f around each cell (slo, shi, wlo, whi) of each group
+    of cells in `groups`, one list per group, or, in its place, the ScanError
+    the group meets first: its first failed edge, else its first winding not
+    within 0.1 of an integer.  All the edges go through one `_march`."""
     corners = [(complex(a, c), complex(b, c), complex(b, d), complex(a, d))
-               for a, b, c, d in cells]
+               for group in groups for a, b, c, d in group]
     changes = _march(f, memo, [(q[k], q[(k + 1) % 4]) for q in corners for k in range(4)])
-    winds = []
-    for i in range(len(cells)):
-        w = sum(changes[4 * i:4 * i + 4]) / (2 * np.pi)
-        wi = int(np.rint(w))
-        if abs(w - wi) > 0.1:
-            raise ScanError(f"winding number did not converge to an integer: {w:.4f}")
-        counter[0] += 1
-        winds.append(wi)
-    return winds
+    out, at = [], 0
+    for group in groups:
+        mine, at = changes[at:at + 4 * len(group)], at + 4 * len(group)
+        err = next((c for c in mine if isinstance(c, ScanError)), None)
+        ws = [] if err else [sum(mine[i:i + 4]) / (2 * np.pi) for i in range(0, len(mine), 4)]
+        off = next((w for w in ws if abs(w - np.rint(w)) > 0.1), None)
+        if off is not None:
+            err = ScanError(f"winding number did not converge to an integer: {off:.4f}")
+        out.append(err or [int(np.rint(w)) for w in ws])
+    return out
 
 
-def _newton_zero(f, cell):
-    """Newton's method from the centre of the leaf `cell`; ScanError unless it
-    converges to a point inside the cell."""
-    slo, shi, wlo, whi = cell
-    z = complex(0.5 * (slo + shi), 0.5 * (wlo + whi))
+def _newton_zeros(f, cells):
+    """Newton's method from the centre of each leaf cell of `cells`: its zero,
+    or, in its place, the ScanError unless it converges to a point inside the
+    cell.  Each iteration sends the points of every unsettled leaf through
+    one f call; the step arithmetic is each leaf's own, in scalars."""
+    zs = [complex(0.5 * (slo + shi), 0.5 * (wlo + whi)) for slo, shi, wlo, whi in cells]
+    out = [None] * len(cells)
+    live = list(range(len(cells)))
     for _ in range(_NEWTON_ITERS):
-        dz = 1e-7 * (1.0 + abs(z))
-        d = (f(np.array([z + dz]))[0] - f(np.array([z - dz]))[0]) / (2 * dz)
-        if d == 0:
-            raise ScanError(f"zero derivative in a leaf cell near s={z:.6g}")
-        step = f(np.array([z]))[0] / d
-        z = z - step
-        if abs(step) < _NEWTON_TOL * (1 + abs(z)):
-            if slo <= z.real <= shi and wlo <= z.imag <= whi:
-                return z
-            raise ScanError(f"Newton left its leaf cell for s={z:.6g}")
-    raise ScanError(f"Newton did not converge in a leaf cell near s={z:.6g}")
+        if not live:
+            break
+        dzs = [1e-7 * (1.0 + abs(zs[i])) for i in live]
+        pts = [p for i, dz in zip(live, dzs) for p in (zs[i] + dz, zs[i] - dz, zs[i])]
+        vals = np.asarray(f(np.array(pts)), dtype=complex)
+        still = []
+        for k, (i, dz) in enumerate(zip(live, dzs)):
+            d = (vals[3 * k] - vals[3 * k + 1]) / (2 * dz)
+            if d == 0:
+                out[i] = ScanError(f"zero derivative in a leaf cell near s={zs[i]:.6g}")
+                continue
+            step = vals[3 * k + 2] / d
+            z = zs[i] = zs[i] - step
+            if abs(step) < _NEWTON_TOL * (1 + abs(z)):
+                slo, shi, wlo, whi = cells[i]
+                out[i] = (z if slo <= z.real <= shi and wlo <= z.imag <= whi
+                          else ScanError(f"Newton left its leaf cell for s={z:.6g}"))
+            else:
+                still.append(i)
+        live = still
+    for i in live:
+        out[i] = ScanError(f"Newton did not converge in a leaf cell near s={zs[i]:.6g}")
+    return out
 
 
-def _safe_cut(f, memo, lo, hi, fixed, vertical, avoid=()):
-    """Pick a cut coordinate between lo and hi whose line the phase march can
-    traverse; the march itself aborts when a zero sits on the line, so a
-    successful traversal certifies the cut, and its value stays in `memo` for
-    the two cells that share the line.  Coordinates near `avoid` values are
-    skipped: on such lines (the real axis, where a real-coefficient function
-    is real-valued) an even number of zeros between samples produces no
-    observable phase change, defeating the refinement criterion."""
-    for frac in (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7):
-        cut = lo + frac * (hi - lo)
-        if any(abs(cut - av) < 0.02 * (hi - lo) for av in avoid):
-            continue
-        if vertical:
-            z0, z1 = complex(cut, fixed[0]), complex(cut, fixed[1])
-        else:
-            z0, z1 = complex(fixed[0], cut), complex(fixed[1], cut)
-        try:
-            _march(f, memo, [(z0, z1)])
-        except ScanError:
-            continue
-        return cut
-    raise ScanError("could not place a subdivision cut away from zeros")
+_FRACS = (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7)
 
 
-def _subdivide(f, memo, cell, wind, depth, out, counter):
-    """Locate the `wind` zeros in `cell` (slo, shi, wlo, whi) in leaves below 1e-4."""
+def _cut_lines(cell):
+    """Candidate cuts of `cell` across its longer side, in `_FRACS` order,
+    each as (segment, the two halves on either side of it).  Lines near the
+    real axis are skipped: there a real-coefficient function is real-valued,
+    and an even number of zeros between samples produces no observable phase
+    change, defeating the refinement criterion."""
     slo, shi, wlo, whi = cell
-    if wind < 0:
-        raise ScanError("negative winding: the function has poles in the region")
-    if wind == 0:
-        return
-    if max(shi - slo, whi - wlo) < 1e-4:
-        out.extend([_newton_zero(f, cell)] * wind)
-        return
-    if depth > _MAX_DEPTH:
-        raise ScanError("subdivision depth exceeded")
     if (shi - slo) >= (whi - wlo):
-        cut = _safe_cut(f, memo, slo, shi, (wlo, whi), vertical=True)
-        kids = [(slo, cut, wlo, whi), (cut, shi, wlo, whi)]
+        for frac in _FRACS:
+            cut = slo + frac * (shi - slo)
+            yield (complex(cut, wlo), complex(cut, whi)), [(slo, cut, wlo, whi),
+                                                           (cut, shi, wlo, whi)]
     else:
-        avoid = (0.0,) if wlo < 0.0 < whi else ()
-        cut = _safe_cut(f, memo, wlo, whi, (slo, shi), vertical=False, avoid=avoid)
-        kids = [(slo, shi, wlo, cut), (slo, shi, cut, whi)]
-    for kid, kid_wind in zip(kids, _windings(f, memo, kids, counter)):
-        _subdivide(f, memo, kid, kid_wind, depth + 1, out, counter)
+        avoid = wlo < 0.0 < whi
+        for frac in _FRACS:
+            cut = wlo + frac * (whi - wlo)
+            if not (avoid and abs(cut) < 0.02 * (whi - wlo)):
+                yield (complex(slo, cut), complex(shi, cut)), [(slo, shi, wlo, cut),
+                                                               (slo, shi, cut, whi)]
 
 
-def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=()) -> RegionScan:
-    """Count and locate zeros of `f` in [0, sigma_max] x [-omega_bound, omega_bound].
+def _split(f, memo, cells):
+    """The two halves of each cell of `cells`, on either side of its first
+    candidate cut (`_cut_lines`) whose line the phase march traverses, or, in
+    their place, a ScanError when none does.  The march fails when a zero
+    sits on the line, so a traversed cut is certified, and its value stays in
+    `memo` for the two halves that share the line.  Each round marches every
+    unsplit cell's next candidate in one `_march`."""
+    lines = [_cut_lines(cell) for cell in cells]
+    out = [None] * len(cells)
+    todo = list(range(len(cells)))
+    while todo:
+        tries = {}
+        for i in todo:
+            tries[i] = next(lines[i], None)
+            if tries[i] is None:
+                out[i] = ScanError("could not place a subdivision cut away from zeros")
+                del tries[i]
+        marched = _march(f, memo, [seg for seg, _ in tries.values()])
+        todo = []
+        for (i, (_, halves)), change in zip(tries.items(), marched):
+            if isinstance(change, ScanError):
+                todo.append(i)
+            else:
+                out[i] = halves
+    return out
 
-    `excluded` lists known zeros (for example the cancelled zeros of E and m_d
-    on or near the contour); they are divided out pointwise before the winding
-    computation, which both removes them from the count and keeps the contour
-    away from vanishing values.
+
+def _subdivide(f, memo, window, wind):
+    """The zeros in `window` (slo, shi, wlo, whi), whose winding is `wind`,
+    each polished in a leaf below 1e-4, and the number of cells wound below
+    the window.
+
+    Level-synchronous: each depth splits all its live cells at once
+    (`_split`), winds all their halves in one `_windings` call and keeps
+    the halves with a nonzero winding; the leaves are polished together at
+    the end (`_newton_zeros`).  Cells, cuts and zeros are those of a
+    depth-first walk, and so is the error raised: each error is tied to the
+    cell a depth-first walk meets it at (a failed cut or halves at their
+    parent, a negative winding, a too-deep cell or a failed polish at the
+    cell itself), the first such cell in depth-first order (the least path)
+    wins, and no cell after it is worked on.
     """
-    excluded = [complex(z) for z in excluded]
+    live, leaves, cells = [((), window, wind)], [], 0
+    errors = {}     # path of a cell (child indices from the window) -> its ScanError
+    for depth in range(_MAX_DEPTH + 2):
+        parents = []
+        for path, cell, w in live:
+            slo, shi, wlo, whi = cell
+            if w == 0 or (errors and path > min(errors)):
+                continue
+            if w < 0:
+                errors[path] = ScanError(_POLES)
+            elif max(shi - slo, whi - wlo) < 1e-4:
+                leaves.append((path, cell, w))
+            elif depth > _MAX_DEPTH:
+                errors[path] = ScanError("subdivision depth exceeded")
+            else:
+                parents.append((path, cell))
+        split = []
+        for (path, _), halves in zip(parents, _split(f, memo, [cell for _, cell in parents])):
+            if isinstance(halves, ScanError):
+                errors[path] = halves
+            else:
+                split.append((path, halves))
+        live = []
+        for (path, halves), winds in zip(split, _windings(f, memo, [h for _, h in split])):
+            if isinstance(winds, ScanError):
+                errors[path] = winds
+                continue
+            cells += len(halves)
+            live += [(path + (j,), half, w) for j, (half, w) in enumerate(zip(halves, winds))]
+        if not live:
+            break
+    leaves = [leaf for leaf in leaves if not errors or leaf[0] < min(errors)]
+    zeros = []
+    for (path, _, w), z in zip(leaves, _newton_zeros(f, [cell for _, cell, _ in leaves])):
+        if isinstance(z, ScanError):
+            errors[path] = z
+        zeros += [z] * w
+    if errors:
+        raise errors[min(errors)]
+    return zeros, cells
 
+
+def _deflated(f, excluded):
+    """f with the zeros `excluded` divided out pointwise."""
     def fd(s):
         s = np.asarray(s, dtype=complex)
         v = np.asarray(f(s), dtype=complex)
         for z0 in excluded:
             v = v / (s - z0)
         return v
+    return fd
 
-    zeros, counter, memo = [], [0], {}
+
+def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
+                  locate=True) -> RegionScan:
+    """Count and locate zeros of `f` in [0, sigma_max] x [-omega_bound, omega_bound].
+
+    `excluded` lists known zeros (for example the cancelled zeros of E and m_d
+    on or near the contour); they are divided out pointwise before the winding
+    computation, which both removes them from the count and keeps the contour
+    away from vanishing values.
+
+    The count is the window's winding number.  With `locate`, the window is
+    then subdivided level by level (`_subdivide`) until each zero sits in a
+    leaf below 1e-4, where Newton polishes it; without, the scan stops at the
+    count and `zeros` holds one NaN per zero counted.  Every contour segment
+    is marched once per scan, and a segment whose march fails yields its
+    ScanError in its place (`_march`): a cut moves to its next candidate, and
+    anything else raises the error a depth-first walk would meet first.
+    """
+    excluded = [complex(z) for z in excluded]
+    fd = _deflated(f, excluded)
+    memo = {}
     window = (0.0, sigma_max, -omega_bound, omega_bound)
-    [wind] = _windings(fd, memo, [window], counter)
-    _subdivide(fd, memo, window, wind, 0, zeros, counter)
+    [wind] = or_raise(_windings(fd, memo, [[window]])[0])
+    if wind < 0:
+        raise ScanError(_POLES)
+    if locate:
+        zeros, cells = _subdivide(fd, memo, window, wind)
+    else:
+        zeros, cells = [complex(np.nan, np.nan)] * wind, 0
     inside = [
         z for z in excluded
         if 0.0 < z.real < sigma_max and -omega_bound < z.imag < omega_bound
@@ -470,7 +575,7 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=()) -> Regio
         sigma_max=sigma_max, omega_bound=omega_bound,
         zeros=sorted(zeros, key=lambda z: (z.real, z.imag)),
         excluded=excluded, winding_total=len(zeros) + len(inside),
-        cells_scanned=counter[0],
+        cells_scanned=1 + cells,
     )
 
 
@@ -507,9 +612,9 @@ EDGE_DOUBLINGS = 6
 class Certificate:
     """Both checks of one design.
 
-    `scan` holds the window actually scanned and the excluded zeros; `norm`
-    and `norm_ok` stay None/False when the scan found zeros, because the norm
-    check then has nothing left to decide.
+    `scan` holds the window actually scanned, the excluded zeros and one NaN
+    per zero counted; `norm` and `norm_ok` stay None/False when the scan
+    counted zeros, because the norm check then has nothing left to decide.
     """
 
     controller: Controller
@@ -549,8 +654,10 @@ def _contracting_edge(controller: Controller, sigma_max, omega_bound):
 
 def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
             grid: FrequencyGrid, window=None) -> Certificate:
-    """Build the controller for `u`, scan its loop denominator for RHP zeros
-    and, only when the scan is clean, check the closed-loop norm on `grid`.
+    """Build the controller for `u`, count the RHP zeros of its loop
+    denominator and, only when there are none, check the closed-loop norm on
+    `grid`.  The zeros are counted, not located: a design with any is
+    rejected whatever their places.
 
     `window` is (sigma_max, omega_bound); None takes the bound from a probe of
     the loop gain on the axis.  Either way the right edge is then pushed out
@@ -560,7 +667,7 @@ def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
     sigma_max, omega_bound = window or _probe_window(controller)
     sigma_max = _contracting_edge(controller, sigma_max, omega_bound)
     scan = rhp_zero_scan(controller.loop_denominator, sigma_max, omega_bound,
-                         excluded=ctx.excluded_zeros())
+                         excluded=ctx.excluded_zeros(), locate=False)
     if scan.zeros:
         return Certificate(controller, scan)
     return Certificate(controller, scan, *verify_performance(controller, weights, grid))

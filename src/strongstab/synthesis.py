@@ -306,10 +306,17 @@ def _ratios(w1para, w2para, levels):
     g2 = np.array([_square(g) for g in levels], dtype=float)
 
     def ratio(num, den):
-        """The rows of RationalFn(num, den)."""
+        """The rows of RationalFn(num, den); FactorizationError at the first
+        level whose normalised row is not finite (a level square too small
+        for floating point)."""
         if not den.any(axis=1).all():
             raise ZeroDivisionError("denominator is identically zero")
-        return _normalized(num, den)
+        num, den = _normalized(num, den)
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            ok = np.isfinite(num).all(axis=1) & np.isfinite(den).all(axis=1)
+            raise FactorizationError(
+                f"level {levels[np.argmin(ok)]:g}: its normalised ratio is not finite")
+        return num, den
 
     with np.errstate(all="ignore"):
         E = ratio(*_over_level(w1para, g2))

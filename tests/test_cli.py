@@ -414,6 +414,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "doublings" in err
 
+    @pytest.mark.parametrize("config, golden", [(EX1, "ex1_rho0.814"), (EX2, "ex2_rho1.96")])
+    def test_subnormal_level_square_is_a_documented_failure(self, config, golden,
+                                                            tmp_path, capsys):
+        # a level below about 1.5e-154 squares to a subnormal number, so E's
+        # normalised row is not finite: a factorization failure.  A bracket
+        # of such levels holds no feasible singular level (exit 1), and
+        # `verify` at such a level is a numerical failure (exit 3).
+        doc = json.loads(pathlib.Path(config).read_text())
+        doc["options"]["gamma_bracket"] = [1e-160, 1e-150]
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(doc))
+        assert main(["gamma-opt", str(tiny)]) == 1
+        assert capsys.readouterr().err.startswith("gamma search failed: no singular level")
+        rep = json.loads((GOLDEN / f"{golden}.json").read_text())
+        rep["rho"] = 1e-160
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(rep))
+        assert main(["verify", config, "--report", str(report)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: level 1e-160: its normalised ratio is not finite\n")
+
     @pytest.mark.parametrize("field", ["rho", "branch", "result"])
     def test_report_missing_field_exits_2(self, field, ex1_run, tmp_path, capsys):
         rep, _, _ = ex1_run

@@ -12,13 +12,14 @@ from strongstab.finite import (
     certify_u_norm,
     mu_opt_search,
     np_interpolant,
+    p1p2_quasipolys,
     pick_matrix,
     pick_min_eig,
     pick_points,
     pick_thresholds,
     stabilize_finite,
 )
-from strongstab import finite
+from strongstab import finite, stability
 from strongstab.finite import (
     _default_mu_schedule, _design_tuples, _grid_peaks, _q_candidates, fig3_tuples,
 )
@@ -124,6 +125,43 @@ class TestP1P2Scans:
         ctx = build_context(plant, weights, 1.96, opts.interp_a)
         scan, points = _p1p2_scans(monkeypatch, plant, ctx)[1]
         assert points < 200 * scan.cells_scanned
+
+
+def test_central_p2_scan_is_level_synchronous(ex2):
+    # each depth places its cuts and winds its halves in stacked marches, and
+    # the leaves are polished together: a depth-first walk of the same 313
+    # cells called f 391 times (346 without the polish)
+    plant, weights, opts = ex2
+    ctx = build_context(plant, weights, 1.96, opts.interp_a)
+    p2 = p1p2_quasipolys(plant, ctx)[1]
+    calls = []
+
+    def counted(s):
+        calls.append(np.size(s))
+        return p2(s)
+
+    scan = rhp_zero_scan(counted, *p2.scan_window(), excluded=ctx.excluded_zeros())
+    assert scan.cells_scanned == 313 and len(scan.zeros) == 5
+    assert len(calls) <= 346 // 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the P2 window of example 2 at this sweep level "
+           "spans |omega| <= 36.8, and the 64-sample marches read a window "
+           "winding of 23 where its two halves read 13 + 16",
+)
+def test_p2_window_winding_is_its_halves_sum(ex2):
+    plant, weights, opts = ex2
+    ctx = build_context(plant, weights, 2.0861145983058385, opts.interp_a)
+    p2 = p1p2_quasipolys(plant, ctx)[1]
+    sigma_max, omega_bound = p2.scan_window()
+    f = stability._deflated(p2, ctx.excluded_zeros())
+    memo, window = {}, (0.0, sigma_max, -omega_bound, omega_bound)
+    [[wind]] = stability._windings(f, memo, [[window]])
+    [halves] = stability._split(f, memo, [window])
+    [winds] = stability._windings(f, memo, [halves])
+    assert wind == sum(winds)
 
 
 class TestPickPoints:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from strongstab import stability
-from strongstab.rational import FrequencyGrid, Poly, RationalFn, _horner, poly_from_roots
+from strongstab.rational import FrequencyGrid, Poly, RationalFn, _horner, or_raise, poly_from_roots
 from strongstab.stability import (
     AsymptoticData,
     ScanError,
@@ -212,23 +212,32 @@ class TestScan:
         with pytest.raises(ScanError, match="negative winding"):
             rhp_zero_scan(lambda s: 1.0 / p(s), 4.0, 4.0)
 
-    def test_zero_on_the_first_cut_line_moves_the_cut(self, monkeypatch):
+    def test_zero_on_the_first_cut_line_moves_the_cut(self):
         # the window [0, 4] x [-2, 2] is first cut at sigma = 2 (fraction
-        # 0.5), through both zeros; that march fails and the cut moves to
-        # fraction 0.45
-        cuts, safe_cut = [], stability._safe_cut
-
-        def recording(*args, **kwargs):
-            cuts.append(safe_cut(*args, **kwargs))
-            return cuts[-1]
-
-        monkeypatch.setattr(stability, "_safe_cut", recording)
+        # 0.5), through both zeros; that march fails in its place and the cut
+        # moves to fraction 0.45
         p = poly_from_roots([2.0 + 1.0j, 2.0 - 1.0j], 1.0)
+        [change] = stability._march(p, {}, [(2.0 - 2.0j, 2.0 + 2.0j)])
+        assert isinstance(change, ScanError)
+        [halves] = stability._split(p, {}, [(0.0, 4.0, -2.0, 2.0)])
+        cut = pytest.approx(1.8)
+        assert halves == [(0.0, cut, -2.0, 2.0), (cut, 4.0, -2.0, 2.0)]
         scan = rhp_zero_scan(lambda s: p(s), 4.0, 2.0)
-        assert cuts[0] == pytest.approx(1.8)
         assert scan.winding_total == 2
         zeros = sorted(scan.zeros, key=lambda z: z.imag)
         assert zeros == pytest.approx([2.0 - 1.0j, 2.0 + 1.0j], abs=1e-8)
+
+    def test_the_error_raised_is_the_first_in_depth_first_order(self):
+        # zeros on all nine candidate cut lines of the window's lower half
+        # [0, 4] x [-4, -0.4], and a pole in its upper half: both halves fail
+        # at depth 1, and a depth-first walk meets the lower half first
+        zs = [4.0 * frac - 2.0j for frac in stability._FRACS]
+
+        def f(s):
+            return np.prod([s - z for z in zs], axis=0) / (s - (2.0 + 2.0j))
+
+        with pytest.raises(ScanError, match="could not place a subdivision cut"):
+            rhp_zero_scan(f, 4.0, 4.0)
 
     def test_segment_table_marches_each_segment_once(self):
         # one segment passes 1e-3 from a zero and needs refinement
@@ -278,7 +287,26 @@ class TestScan:
     ])
     def test_leaf_newton_failures_raise(self, f, cell, match):
         with pytest.raises(ScanError, match=match):
-            stability._newton_zero(f, cell)
+            or_raise(stability._newton_zeros(f, [cell])[0])
+
+    def test_leaf_polish_is_one_call_per_iteration(self):
+        # two leaves that converge and one that never does, polished
+        # together: each result is its leaf's polished alone, and every
+        # iteration is one call of f
+        calls = []
+
+        def f(s):
+            calls.append(len(s))
+            return s * s + 1.0
+
+        cells = [(-5e-5, 5e-5, 1.0 - 5e-5, 1.0 + 5e-5), (0.5, 0.5001, 0.0, 0.0),
+                 (-5e-5, 5e-5, -1.0 - 5e-5, -1.0 + 5e-5)]
+        together = stability._newton_zeros(f, cells)
+        assert len(calls) == stability._NEWTON_ITERS and calls[0] == 9
+        alone = [stability._newton_zeros(f, [cell])[0] for cell in cells]
+        assert together[0] == alone[0] == pytest.approx(1j, abs=1e-12)
+        assert together[2] == alone[2] == pytest.approx(-1j, abs=1e-12)
+        assert isinstance(together[1], ScanError) and str(together[1]) == str(alone[1])
 
 
 class TestCertify:
@@ -287,5 +315,6 @@ class TestCertify:
         plant, weights, _ = ex1
         cert = certify(plant, weights, ex1_ctx, UParam(0.0), FrequencyGrid(), (6.0, 100.0))
         assert not cert.stable and len(cert.scan.zeros) == 4
+        assert np.isnan(cert.scan.zeros).all()      # counted, not located
         assert cert.norm is None and cert.norm_ok is False
         assert cert.scan.excluded == ex1_ctx.excluded_zeros()
