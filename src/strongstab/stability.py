@@ -297,7 +297,6 @@ class RegionScan:
     omega_bound: float
     zeros: list
     excluded: list
-    winding_total: int
     cells_scanned: int = 0
 
 
@@ -366,24 +365,19 @@ def _march(f, memo, segs):
             else new.get(s) or new[s[::-1]] for s in segs]
 
 
-def _windings(f, memo, groups):
-    """Winding number of f around each cell (slo, shi, wlo, whi) of each group
-    of cells in `groups`, one list per group, or, in its place, the ScanError
-    the group meets first: its first failed edge, else its first winding not
-    within 0.1 of an integer.  All the edges go through one `_march`."""
+def _windings(f, memo, cells):
+    """Winding number of f around each cell (slo, shi, wlo, whi) of `cells`.
+    All the edges go through one `_march`; the first failed edge raises, and
+    then the first winding not within 0.1 of an integer."""
     corners = [(complex(a, c), complex(b, c), complex(b, d), complex(a, d))
-               for group in groups for a, b, c, d in group]
-    changes = _march(f, memo, [(q[k], q[(k + 1) % 4]) for q in corners for k in range(4)])
-    out, at = [], 0
-    for group in groups:
-        mine, at = changes[at:at + 4 * len(group)], at + 4 * len(group)
-        err = next((c for c in mine if isinstance(c, ScanError)), None)
-        ws = [] if err else [sum(mine[i:i + 4]) / (2 * np.pi) for i in range(0, len(mine), 4)]
-        off = next((w for w in ws if abs(w - np.rint(w)) > 0.1), None)
-        if off is not None:
-            err = ScanError(f"winding number did not converge to an integer: {off:.4f}")
-        out.append(err or [int(np.rint(w)) for w in ws])
-    return out
+               for a, b, c, d in cells]
+    changes = [or_raise(c) for c in
+               _march(f, memo, [(q[k], q[(k + 1) % 4]) for q in corners for k in range(4)])]
+    ws = [sum(changes[i:i + 4]) / (2 * np.pi) for i in range(0, len(changes), 4)]
+    off = next((w for w in ws if abs(w - np.rint(w)) > 0.1), None)
+    if off is not None:
+        raise ScanError(f"winding number did not converge to an integer: {off:.4f}")
+    return [int(np.rint(w)) for w in ws]
 
 
 def _newton_zeros(f, cells):
@@ -446,28 +440,22 @@ def _cut_lines(cell):
 
 def _split(f, memo, cells):
     """The two halves of each cell of `cells`, on either side of its first
-    candidate cut (`_cut_lines`) whose line the phase march traverses, or, in
-    their place, a ScanError when none does.  The march fails when a zero
-    sits on the line, so a traversed cut is certified, and its value stays in
-    `memo` for the two halves that share the line.  Each round marches every
-    unsplit cell's next candidate in one `_march`."""
-    lines = [_cut_lines(cell) for cell in cells]
+    candidate cut (`_cut_lines`) whose line the phase march traverses; a
+    ScanError when a cell runs out of candidates.  The march fails when a
+    zero sits on the line, so a traversed cut is certified, and its value
+    stays in `memo` for the two halves that share the line.  Each round
+    marches every unsplit cell's next candidate in one `_march`."""
     out = [None] * len(cells)
-    todo = list(range(len(cells)))
-    while todo:
-        tries = {}
-        for i in todo:
-            tries[i] = next(lines[i], None)
-            if tries[i] is None:
-                out[i] = ScanError("could not place a subdivision cut away from zeros")
-                del tries[i]
+    lines = {i: _cut_lines(cell) for i, cell in enumerate(cells)}
+    while lines:
+        tries = {i: next(cuts, None) for i, cuts in lines.items()}
+        if None in tries.values():
+            raise ScanError("could not place a subdivision cut away from zeros")
         marched = _march(f, memo, [seg for seg, _ in tries.values()])
-        todo = []
         for (i, (_, halves)), change in zip(tries.items(), marched):
-            if isinstance(change, ScanError):
-                todo.append(i)
-            else:
+            if not isinstance(change, ScanError):
                 out[i] = halves
+                del lines[i]
     return out
 
 
@@ -476,55 +464,36 @@ def _subdivide(f, memo, window, wind):
     each polished in a leaf below 1e-4, and the number of cells wound below
     the window.
 
-    Level-synchronous: each depth splits all its live cells at once
-    (`_split`), winds all their halves in one `_windings` call and keeps
-    the halves with a nonzero winding; the leaves are polished together at
-    the end (`_newton_zeros`).  Cells, cuts and zeros are those of a
-    depth-first walk, and so is the error raised: each error is tied to the
-    cell a depth-first walk meets it at (a failed cut or halves at their
-    parent, a negative winding, a too-deep cell or a failed polish at the
-    cell itself), the first such cell in depth-first order (the least path)
-    wins, and no cell after it is worked on.
+    Level-synchronous: each depth checks its cells in order (a zero winding
+    is dropped, a negative winding or a cell past `_MAX_DEPTH` raises, a cell
+    below 1e-4 is a leaf), splits all the others at once (`_split`) and winds
+    all their halves in one `_windings` call; the leaves are polished
+    together at the end (`_newton_zeros`).  Every step raises its first
+    failure, so of two failing cells the one a depth reaches first is named.
     """
-    live, leaves, cells = [((), window, wind)], [], 0
-    errors = {}     # path of a cell (child indices from the window) -> its ScanError
+    live, leaves, cells = [(window, wind)], [], 0
     for depth in range(_MAX_DEPTH + 2):
         parents = []
-        for path, cell, w in live:
+        for cell, w in live:
             slo, shi, wlo, whi = cell
-            if w == 0 or (errors and path > min(errors)):
+            if w == 0:
                 continue
             if w < 0:
-                errors[path] = ScanError(_POLES)
-            elif max(shi - slo, whi - wlo) < 1e-4:
-                leaves.append((path, cell, w))
+                raise ScanError(_POLES)
+            if max(shi - slo, whi - wlo) < 1e-4:
+                leaves.append((cell, w))
             elif depth > _MAX_DEPTH:
-                errors[path] = ScanError("subdivision depth exceeded")
+                raise ScanError("subdivision depth exceeded")
             else:
-                parents.append((path, cell))
-        split = []
-        for (path, _), halves in zip(parents, _split(f, memo, [cell for _, cell in parents])):
-            if isinstance(halves, ScanError):
-                errors[path] = halves
-            else:
-                split.append((path, halves))
-        live = []
-        for (path, halves), winds in zip(split, _windings(f, memo, [h for _, h in split])):
-            if isinstance(winds, ScanError):
-                errors[path] = winds
-                continue
-            cells += len(halves)
-            live += [(path + (j,), half, w) for j, (half, w) in enumerate(zip(halves, winds))]
+                parents.append(cell)
+        halves = [half for pair in _split(f, memo, parents) for half in pair]
+        cells += len(halves)
+        live = list(zip(halves, _windings(f, memo, halves)))
         if not live:
             break
-    leaves = [leaf for leaf in leaves if not errors or leaf[0] < min(errors)]
     zeros = []
-    for (path, _, w), z in zip(leaves, _newton_zeros(f, [cell for _, cell, _ in leaves])):
-        if isinstance(z, ScanError):
-            errors[path] = z
-        zeros += [z] * w
-    if errors:
-        raise errors[min(errors)]
+    for (_, w), z in zip(leaves, _newton_zeros(f, [cell for cell, _ in leaves])):
+        zeros += [or_raise(z)] * w
     return zeros, cells
 
 
@@ -552,30 +521,24 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
     then subdivided level by level (`_subdivide`) until each zero sits in a
     leaf below 1e-4, where Newton polishes it; without, the scan stops at the
     count and `zeros` holds one NaN per zero counted.  Every contour segment
-    is marched once per scan, and a segment whose march fails yields its
-    ScanError in its place (`_march`): a cut moves to its next candidate, and
-    anything else raises the error a depth-first walk would meet first.
+    is marched once per scan.  A segment whose march fails moves a cut to its
+    next candidate; any other failure raises, the first one met.
     """
     excluded = [complex(z) for z in excluded]
     fd = _deflated(f, excluded)
     memo = {}
     window = (0.0, sigma_max, -omega_bound, omega_bound)
-    [wind] = or_raise(_windings(fd, memo, [[window]])[0])
+    [wind] = _windings(fd, memo, [window])
     if wind < 0:
         raise ScanError(_POLES)
     if locate:
         zeros, cells = _subdivide(fd, memo, window, wind)
     else:
         zeros, cells = [complex(np.nan, np.nan)] * wind, 0
-    inside = [
-        z for z in excluded
-        if 0.0 < z.real < sigma_max and -omega_bound < z.imag < omega_bound
-    ]
     return RegionScan(
         sigma_max=sigma_max, omega_bound=omega_bound,
         zeros=sorted(zeros, key=lambda z: (z.real, z.imag)),
-        excluded=excluded, winding_total=len(zeros) + len(inside),
-        cells_scanned=1 + cells,
+        excluded=excluded, cells_scanned=1 + cells,
     )
 
 

@@ -1,6 +1,6 @@
 """Level sweep: `stabilize`, then `verify`, at 40 levels above gamma_opt.
 
-    PYTHONPATH=src python tests/sweep.py [example1 | example2 ...]
+    PYTHONPATH=src python tests/sweep.py [--in-process] [example1 | example2 ...]
 
 For each config (both by default) it reads gamma_opt from `gamma-opt`'s
 output and runs, at each level rho = gamma_opt (1 + eps) with eps on 40
@@ -18,22 +18,35 @@ comparing two versions of the code is one diff:
          <(PYTHONPATH=src python tests/sweep.py)
 
 The whole sweep takes a few minutes.
+
+With `--in-process` every command runs through `strongstab.cli.main` in this
+interpreter instead (`in_process`: no memory limit, no timeout), which takes
+seconds, prints the same lines, and ends each config with its count of
+levels per class (`classify`).  tests/test_sweep.py runs a subset of the
+levels this way.
 """
 
+import collections
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import resource
 import subprocess
 import sys
 import tempfile
+import traceback
 
 import numpy as np
+
+from strongstab.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 EPS = np.geomspace(1e-5, 0.2, 40)
 ADDRESS_SPACE = 2 << 30
 TIMEOUT = 60
+CLASSES = ("certified", "refused", "numerical", "broken")
 
 
 def _limit():
@@ -51,36 +64,88 @@ def _cli(*args):
     return p.returncode, p.stdout, p.stderr
 
 
+def in_process(*args):
+    """(exit code, stdout, stderr) of one command run by `cli.main` in this
+    interpreter; an exception that escapes `main` reads as exit 1 with the
+    last line of its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(args))
+        except Exception as exc:
+            rc = 1
+            err.write("".join(traceback.format_exception_only(exc)))
+    return rc, out.getvalue(), err.getvalue()
+
+
 def _last(text):
     lines = text.strip().splitlines()
     return lines[-1] if lines else ""
 
 
-def sweep(config):
-    cfg = str(CONFIGS / f"{config}.json")
-    rc, out, err = _cli("gamma-opt", cfg)
+def classify(rc1, rc2, err):
+    """The class of a level from the exit codes of `stabilize` and `verify`
+    and the standard error of the command that failed: "certified" (both
+    exit 0), "refused" (exit 3, search exhausted), "numerical" (exit 3,
+    numerical failure) or "broken" (anything else: a report `verify`
+    rejects, exit 1, 2 or 4, a timeout or a traceback)."""
+    if (rc1, rc2) == (0, 0):
+        return "certified"
+    heads = {line.split(":")[0] for line in err.splitlines()}
+    if rc1 == 3 and "search exhausted" in heads:
+        return "refused"
+    if rc1 == 3 and "numerical failure" in heads:
+        return "numerical"
+    return "broken"
+
+
+def gamma_of(config, run=_cli):
+    """gamma_opt of `config` as `gamma-opt` prints it; None, after printing
+    the failure's line, when the command fails."""
+    rc, out, err = run("gamma-opt", str(CONFIGS / f"{config}.json"))
     if rc != 0:
         print(f"{config} gamma-opt={rc} stderr={_last(err)!r}")
-        return
-    gamma = json.loads(out)["gamma_opt"]
+        return None
+    return json.loads(out)["gamma_opt"]
+
+
+def level(config, i, gamma, report, run=_cli):
+    """The line and the class of level `i` of `config`, whose gamma_opt is
+    `gamma`; `report` is the path `stabilize` writes."""
+    cfg = str(CONFIGS / f"{config}.json")
+    rho = repr(float(gamma * (1 + EPS[i])))
+    report.unlink(missing_ok=True)
+    rc1, _, err = run("stabilize", cfg, "--rho", rho, "--out", str(report))
+    rc2, verdict, digest = "-", "", ""
+    if report.exists():
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()[:16]
+    if rc1 == 0:
+        rc2, out, err = run("verify", cfg, "--report", str(report))
+        verdict = out.strip().splitlines()[0] if out.strip() else ""
+        err = "" if rc2 == 0 else err
+    line = (f"{config} {i:2d} rho={rho} stabilize={rc1} verify={rc2} "
+            f"report={digest or '-'} verdict={verdict!r} stderr={_last(err)!r}")
+    return line, classify(rc1, rc2, err)
+
+
+def sweep(config, run=_cli):
+    """Print the line of every level of `config`; the count per class."""
+    classes = collections.Counter()
+    gamma = gamma_of(config, run)
+    if gamma is None:
+        return classes
     with tempfile.TemporaryDirectory() as tmp:
-        report = pathlib.Path(tmp) / "report.json"
-        for i, eps in enumerate(EPS):
-            rho = repr(float(gamma * (1 + eps)))
-            report.unlink(missing_ok=True)
-            rc1, _, err = _cli("stabilize", cfg, "--rho", rho, "--out", str(report))
-            rc2, verdict, digest = "-", "", ""
-            if report.exists():
-                digest = hashlib.sha256(report.read_bytes()).hexdigest()[:16]
-            if rc1 == 0:
-                rc2, out, err = _cli("verify", cfg, "--report", str(report))
-                verdict = out.strip().splitlines()[0] if out.strip() else ""
-                err = "" if rc2 == 0 else err
-            print(f"{config} {i:2d} rho={rho} stabilize={rc1} verify={rc2} "
-                  f"report={digest or '-'} verdict={verdict!r} stderr={_last(err)!r}",
-                  flush=True)
+        for i in range(len(EPS)):
+            line, cls = level(config, i, gamma, pathlib.Path(tmp) / "report.json", run)
+            print(line, flush=True)
+            classes[cls] += 1
+    return classes
 
 
 if __name__ == "__main__":
-    for name in sys.argv[1:] or ["example1", "example2"]:
-        sweep(name)
+    args = sys.argv[1:]
+    run = in_process if "--in-process" in args else _cli
+    for name in [a for a in args if a != "--in-process"] or ["example1", "example2"]:
+        classes = sweep(name, run)
+        if run is in_process:
+            print(f"{name} classes: " + " ".join(f"{c}={classes[c]}" for c in CLASSES))

@@ -146,6 +146,7 @@ def test_criterion_7_p1p2_and_pick_data(ex2_p1p2):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="reference w_i anchor encodes 4-digit root rounding (gap 0.0010 vs "
            "exact 0.000967 -> |w| 58.4 vs 60.4); unreachable by recomputation "
            "from the problem data",
@@ -168,6 +169,7 @@ def test_criterion_8_pick_bracketing(ex2_p1p2):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="reference mu_opt anchor 58.4167 rests on the rounded w_i; the "
            "recomputed Pick optimum is 60.374",
 )
@@ -191,6 +193,7 @@ def test_criterion_9_final_design_certificates(ex2_search):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="at mu = 64 no constant Q satisfies the norm condition with the "
            "recomputed chain (min grid norm ~1.036); the reference success at "
            "u_inf = 0.323 with ||U|| = 0.9924 is not reproducible",

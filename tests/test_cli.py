@@ -556,12 +556,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("config, rho", [
         # sweep levels gamma_opt (1 + eps) of tests/sweep.py that fail today
-        pytest.param(EX2, rho, id=f"ex2-{rho}", marks=pytest.mark.xfail(strict=True, reason=(
-            "item 4: stabilize exits 3, build_p1p2's P2 scan reads a negative winding")))
+        pytest.param(EX2, rho, id=f"ex2-{rho}", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "item 4: stabilize exits 3, build_p1p2's P2 scan reads a negative winding")))
         for rho in ("2.126843289826658", "2.2470270839893844")
     ] + [
         pytest.param(EX1, "0.8129742574", id="ex1-0.8129742574",
-                     marks=pytest.mark.xfail(strict=True, reason=(
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
                          "item 2(a): verify exits 3, its scan reads a negative winding"))),
     ])
     def test_sweep_level_stabilizes_and_verifies(self, config, rho, tmp_path, capsys):

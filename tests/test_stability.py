@@ -173,7 +173,7 @@ class TestScan:
             p = poly_from_roots(roots, rng.uniform(0.5, 2))
             expected = [r for r in roots if r.real > 0]
             scan = rhp_zero_scan(lambda s: p(s), 4.0, 4.0)
-            assert scan.winding_total == len(expected)
+            assert len(scan.zeros) == len(expected)
             got = list(scan.zeros)
             for e in expected:
                 i = min(range(len(got)), key=lambda k: abs(got[k] - e))
@@ -185,7 +185,8 @@ class TestScan:
         scan = rhp_zero_scan(lambda s: p(s), 4.0, 4.0, excluded=[1.0 + 1j, 1.0 - 1j])
         assert len(scan.zeros) == 1
         assert scan.zeros[0] == pytest.approx(2.0, abs=1e-8)
-        assert scan.winding_total == 3  # found + excluded inside
+        inside = [z for z in scan.excluded if 0.0 < z.real < 4.0 and -4.0 < z.imag < 4.0]
+        assert len(scan.zeros) + len(inside) == 3  # found + excluded inside
 
     def test_ex1_central_chain_count(self, ex1, ex1_ctx):
         # central controller: infinite chain at sigma ~ 2.445 spaced 2pi/h;
@@ -223,21 +224,25 @@ class TestScan:
         cut = pytest.approx(1.8)
         assert halves == [(0.0, cut, -2.0, 2.0), (cut, 4.0, -2.0, 2.0)]
         scan = rhp_zero_scan(lambda s: p(s), 4.0, 2.0)
-        assert scan.winding_total == 2
+        assert len(scan.zeros) == 2
         zeros = sorted(scan.zeros, key=lambda z: z.imag)
         assert zeros == pytest.approx([2.0 - 1.0j, 2.0 + 1.0j], abs=1e-8)
 
-    def test_the_error_raised_is_the_first_in_depth_first_order(self):
+    def test_each_depth_raises_its_first_failed_check(self):
         # zeros on all nine candidate cut lines of the window's lower half
-        # [0, 4] x [-4, -0.4], and a pole in its upper half: both halves fail
-        # at depth 1, and a depth-first walk meets the lower half first
+        # [0, 4] x [-4, -0.4], and a pole in its upper half: depth 1 checks
+        # the upper half's negative winding before it splits any cell, so
+        # none of the lower half's failing cuts is marched
         zs = [4.0 * frac - 2.0j for frac in stability._FRACS]
+        seen = []
 
         def f(s):
+            seen.extend(s)
             return np.prod([s - z for z in zs], axis=0) / (s - (2.0 + 2.0j))
 
-        with pytest.raises(ScanError, match="could not place a subdivision cut"):
+        with pytest.raises(ScanError, match="negative winding"):
             rhp_zero_scan(f, 4.0, 4.0)
+        assert seen and not any(0.0 < s.real < 4.0 and -4.0 < s.imag < -0.4 for s in seen)
 
     def test_segment_table_marches_each_segment_once(self):
         # one segment passes 1e-3 from a zero and needs refinement
@@ -267,6 +272,7 @@ class TestScan:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="ROADMAP item 4: two zeros within one of the march's 64 sample "
                "steps alias a -330 degree phase step to +30 degrees, below the "
                "pi/2 refinement rule",
