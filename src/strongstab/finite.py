@@ -282,13 +282,7 @@ def _design_tuples(z, bound):
 def fig3_tuples(z, bound):
     """(0, n2, 0, ...) feasibility tuples sweeping the second node's integer."""
     npts = len(np.asarray(z))
-    out = []
-    for n2 in range(-bound, bound + 1):
-        n = [0] * npts
-        if npts >= 2:
-            n[1] = n2
-        out.append(tuple(n))
-    return out
+    return [tuple(n2 if i == 1 else 0 for i in range(npts)) for n2 in range(-bound, bound + 1)]
 
 
 # Tuples per stacked eigenvalue call in pick_thresholds: bounds the memory of
@@ -406,11 +400,9 @@ def np_interpolant(pp: PickProblem) -> NPInterpolant:
     # Schur data: sigma = (1-b)/(1+b) in the open unit disk
     cur_pts = list(z)
     cur_vals = list((1.0 - b) / (1.0 + b))
-    sigmas, points_used = [], []
-    unique = False
+    sigmas, points_used, unique = [], [], False
     while cur_pts:
-        z0 = cur_pts[0]
-        s0 = cur_vals[0]
+        z0, s0 = cur_pts[0], cur_vals[0]
         points_used.append(z0)
         if abs(s0) >= 1.0 - 1e-9:
             if abs(s0) > 1.0 + 1e-9:
@@ -420,12 +412,9 @@ def np_interpolant(pp: PickProblem) -> NPInterpolant:
             unique = True
             break
         sigmas.append(complex(s0))
-        nxt_pts, nxt_vals = [], []
-        for zz, vv in zip(cur_pts[1:], cur_vals[1:]):
-            B = _blaschke_disk(zz, z0)
-            nxt_pts.append(zz)
-            nxt_vals.append((vv - s0) / (B * (1.0 - np.conj(s0) * vv)))
-        cur_pts, cur_vals = nxt_pts, nxt_vals
+        cur_vals = [(vv - s0) / (_blaschke_disk(zz, z0) * (1.0 - np.conj(s0) * vv))
+                    for zz, vv in zip(cur_pts[1:], cur_vals[1:])]
+        cur_pts = cur_pts[1:]
     interp = NPInterpolant(sigmas=sigmas, points_used=points_used, unique=unique)
     resid = np.abs(interp.g(z, 0.0) - b)
     if resid.max() > 1e-7 * (1 + np.abs(b).max()):
@@ -515,39 +504,43 @@ def _grid_peaks(u: UAtPoints, qs):
     return grid_peaks(lambda k0, k1: u(qs[k0:k1, None]), len(qs), u.size)
 
 
+def _sampled_peaks(p1p2, interp, mu, qs, a, om, thr):
+    """Largest |U| sampled on part of om for each constant in qs (inf where
+    U is not finite at a sampled point), a lower bound on its grid sup: every
+    q at the witnesses, the om[::10] argmax points of the pilots qs[::50]
+    whose om[::10] sup exceeds thr; then the q still at most thr on om[::10]."""
+    sub = om[::10]
+    u_sub = UAtPoints(p1p2, interp, mu, a, 1j * sub)
+    at, peak = _grid_peaks(u_sub, qs[::50])
+    # sorted(set(...)), not np.unique: the first np.unique call keeps ~1 MB
+    witness = sub[sorted(set(at[(at >= 0) & (peak > thr)].tolist()))]
+    low = np.zeros(len(qs))
+    if witness.size:
+        low = _grid_peaks(UAtPoints(p1p2, interp, mu, a, 1j * witness), qs)[1]
+    alive = np.flatnonzero(low <= thr)
+    low[alive] = _grid_peaks(u_sub, qs[alive])[1]
+    return low
+
+
 def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     """Indices of the q values whose grid sup of |U| over om is at most
     1 + U_NORM_TOL, in increasing order of that sup (ties by index), yielded
     lazily: the search stops at the first accepted candidate.
 
-    The sup over any subset of om is a lower bound on the full one, so a q it
-    already puts above the threshold (or where U is not finite) is dropped
-    without changing the result.  Two stages do that for every q, the second
-    on the survivors of the first: the witness frequencies, which are the
-    sub-grid argmax points of the pilot values q_grid[::50] whose sub-grid
-    sup exceeds the threshold; and the sub-grid om[::10].  Each survivor then
-    carries its sub-grid sup as a lower bound, and the full grid is taken
-    best first: the live q of smallest (bound, index) is yielded if its bound
-    is its full-grid sup, and otherwise evaluated on the full grid alone.
-    The argmax of that evaluation is one more witness: every other survivor
-    not yet on the full grid is evaluated there, its bound raised to the
-    value, and dropped if that is above the threshold.  A yielded q's sup is
-    at most every live bound, hence at most every live q's sup.
+    A q whose `_sampled_peaks` bound (at most its sup) is above the threshold
+    is dropped, and the survivors go to the full grid best first: the live q
+    of smallest (bound, index) is yielded if its bound is its full-grid sup,
+    and otherwise evaluated on the full grid alone.  The argmax of that
+    evaluation is one more witness: every other survivor not yet on the full
+    grid is evaluated there, its bound raised to the value, and dropped if
+    that is above the threshold.  A yielded q's sup is at most every live
+    bound, hence at most every live q's sup.
     """
     thr = 1.0 + U_NORM_TOL
     q_grid = np.asarray(q_grid)
-    sub = om[::10]
-    u_sub = UAtPoints(p1p2, interp, mu, a, 1j * sub)
-    at, peak = _grid_peaks(u_sub, q_grid[::50])
-    # sorted(set(...)), not np.unique: the first np.unique call keeps ~1 MB
-    witness = sub[sorted(set(at[(at >= 0) & (peak > thr)].tolist()))]
-    alive = np.arange(len(q_grid))
-    if witness.size:
-        u_wit = UAtPoints(p1p2, interp, mu, a, 1j * witness)
-        alive = np.flatnonzero(_grid_peaks(u_wit, q_grid)[1] <= thr)
-    bound = _grid_peaks(u_sub, q_grid[alive])[1]
-    keep = bound <= thr
-    alive, bound = alive[keep], bound[keep]
+    bound = _sampled_peaks(p1p2, interp, mu, q_grid, a, om, thr)
+    alive = np.flatnonzero(bound <= thr)
+    bound = bound[alive]
     exact = np.zeros(len(alive), dtype=bool)
     u_full = None
     while alive.size:
@@ -592,8 +585,10 @@ def _default_mu_schedule(mu_opt):
 
 def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a: float, grid: FrequencyGrid):
     """(mu, Q, ||U||, ||U|| <= 1) over the default mu steps above mu_opt and
-    constant Q in [-1, 1] at step 0.02; steps without an interpolant and Q
-    values at which U is not finite on the grid are left out."""
+    constant Q in [-1, 1] at step 0.02; steps without an interpolant are left
+    out.  A Q that `_sampled_peaks` puts above 1 reads that sampled |U|, a
+    lower bound on its grid sup; any other Q reads `certify_u_norm`, and is
+    left out where that is NaN (U not finite on the grid)."""
     qs = np.linspace(-1.0, 1.0, 101)
     rows = []
     for mu in _default_mu_schedule(mu_opt):
@@ -601,7 +596,9 @@ def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a: float, grid: FrequencyGr
             interp = np_interpolant(PickProblem(z=z, w=w, n=integers, mu=mu))
         except FiniteSearchError:
             continue
-        norms = certify_u_norm(FiniteU(p1p2, interp, mu, qs, a), grid)
+        norms = _sampled_peaks(p1p2, interp, mu, qs, a, grid.omegas(), 1.0)
+        rest = ~(np.isfinite(norms) & (norms > 1.0))
+        norms[rest] = certify_u_norm(FiniteU(p1p2, interp, mu, qs[rest], a), grid)
         keep = ~np.isnan(norms)
         rows += [(mu, qv, un, un <= 1.0)
                  for qv, un in zip(qs[keep].tolist(), norms[keep].tolist())]

@@ -18,6 +18,20 @@ EX1_RHO = 0.814
 EX2_RHO = 1.9454
 
 
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true",
+                     help="also run the tests marked slow (about a minute)")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow: run with --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def ex1():
     return load_problem(CONFIG_DIR / "example1.json")

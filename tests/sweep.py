@@ -17,13 +17,13 @@ comparing two versions of the code is one diff:
     diff <(PYTHONPATH=/path/to/parent/src python tests/sweep.py) \\
          <(PYTHONPATH=src python tests/sweep.py)
 
-The whole sweep takes a few minutes.
+The whole sweep takes about a minute on a 2-core host.
 
 With `--in-process` every command runs through `strongstab.cli.main` in this
 interpreter instead (`in_process`: no memory limit, no timeout), which takes
 seconds, prints the same lines, and ends each config with its count of
 levels per class (`classify`).  tests/test_sweep.py runs a subset of the
-levels this way.
+levels this way, and every level the subprocess way under `--runslow`.
 """
 
 import collections

@@ -21,7 +21,8 @@ from strongstab.finite import (
 )
 from strongstab import finite, stability
 from strongstab.finite import (
-    _default_mu_schedule, _design_tuples, _grid_peaks, _q_candidates, fig3_tuples,
+    _default_mu_schedule, _design_tuples, _grid_peaks, _q_candidates, _sampled_peaks,
+    fig3_tuples, fig5_lattice,
 )
 from strongstab.config import Options
 from strongstab.rational import _BLOCK, FrequencyGrid, Poly, RationalFn
@@ -734,3 +735,58 @@ class TestQSweep:
             assert np.isnan(norms[-1]) and np.isfinite(norms[:-1]).all()
         else:
             assert qs[0] == -1.0 and np.isfinite(norms).all()
+
+
+class TestFig5Lattice:
+    """`fig5_lattice` on example 2 at 1.9454 against `certify_u_norm` on all
+    101 Q at each mu step."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, ex2, ex2_p1p2, ex2_search):
+        opts = ex2[2]
+        z, w = pick_points(ex2_p1p2, opts.a)
+        qs = np.linspace(-1.0, 1.0, 101)
+        ref = []
+        for mu in _default_mu_schedule(ex2_search.mu_opt):
+            interp = np_interpolant(PickProblem(z=z, w=w, n=ex2_search.integers, mu=mu))
+            norms = certify_u_norm(FiniteU(ex2_p1p2, interp, mu, qs, opts.a), opts.grid)
+            ref += [(mu, qv, un) for qv, un in zip(qs.tolist(), norms.tolist())
+                    if not np.isnan(un)]
+        return z, w, ref
+
+    def _lattice(self, ex2, ex2_p1p2, ex2_search, reference):
+        z, w, _ = reference
+        return fig5_lattice(ex2_p1p2, z, w, ex2_search.mu_opt, ex2_search.integers,
+                            ex2[2].a, ex2[2].grid)
+
+    def test_rows_above_one_read_a_sample_and_the_rest_certify_u_norm(
+            self, ex2, ex2_p1p2, ex2_search, reference):
+        ref = reference[2]
+        rows = self._lattice(ex2, ex2_p1p2, ex2_search, reference)
+        assert [(mu, qv, st) for mu, qv, _, st in rows] == [(mu, qv, un <= 1.0)
+                                                            for mu, qv, un in ref]
+        pairs = [(un, r, st) for (_, _, un, st), (_, _, r) in zip(rows, ref)]
+        assert all(un == r for un, r, st in pairs if st)
+        assert all(1.0 < un <= r for un, r, st in pairs if not st)
+        # 29 rows are inside the ball; 530 of the 577 others read less than
+        # their grid sup
+        assert (len(pairs), sum(st for *_, st in pairs)) == (606, 29)
+        assert sum(un < r for un, r, _ in pairs) == 530
+
+    def test_q_not_finite_at_a_sample_reads_inf_and_is_left_out(
+            self, ex2, ex2_p1p2, ex2_search, reference, monkeypatch):
+        z, w, ref = reference
+        opts = ex2[2]
+        mu = _default_mu_schedule(ex2_search.mu_opt)[0]
+        interp = np_interpolant(PickProblem(z=z, w=w, n=ex2_search.integers, mu=mu))
+        low = _sampled_peaks(ex2_p1p2, interp, mu, np.array([0.5, np.nan, -0.5]),
+                             opts.a, opts.grid.omegas(), 1.0)
+        assert low[1] == np.inf and np.isfinite(low[[0, 2]]).all()
+        # U is NaN at every point for one Q of the lattice: its rows go
+        qv = np.linspace(-1.0, 1.0, 101)[75]
+        call = UAtPoints.__call__
+        monkeypatch.setattr(UAtPoints, "__call__",
+                            lambda self, q: np.where(np.asarray(q) == qv, np.nan, call(self, q)))
+        rows = self._lattice(ex2, ex2_p1p2, ex2_search, reference)
+        assert [row[:2] for row in rows] == [row[:2] for row in ref if row[1] != qv]
+        assert len(rows) == len(ref) - 6

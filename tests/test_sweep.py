@@ -1,5 +1,6 @@
-"""Every fourth level of the level sweep (tests/sweep.py), run in-process:
-no level is broken, and the levels certified today stay certified."""
+"""The level sweep (tests/sweep.py).  Every fourth level, run in-process: no
+level is broken, and the levels certified today stay certified.  Every level
+as subprocesses (marked slow, run with --runslow): no level is broken."""
 
 import functools
 
@@ -16,17 +17,31 @@ BROKEN = {
 
 
 @functools.cache
-def _gamma(config):
-    return sweep.gamma_of(config, sweep.in_process)
+def _gamma(config, run):
+    return sweep.gamma_of(config, run)
 
 
-@pytest.mark.parametrize("config, i", [
-    pytest.param(config, i, id=f"{config}-{i}", marks=[
-        pytest.mark.xfail(strict=True, raises=AssertionError, reason=BROKEN[config, i])
-    ] if (config, i) in BROKEN else [])
-    for config in CERTIFIED for i in SUBSET
-])
+def _levels(indices):
+    return [
+        pytest.param(config, i, id=f"{config}-{i}", marks=[
+            pytest.mark.xfail(strict=True, raises=AssertionError, reason=BROKEN[config, i])
+        ] if (config, i) in BROKEN else [])
+        for config in CERTIFIED for i in indices
+    ]
+
+
+@pytest.mark.parametrize("config, i", _levels(SUBSET))
 def test_sweep_level_keeps_its_class(config, i, tmp_path):
-    line, cls = sweep.level(config, i, _gamma(config), tmp_path / "report.json",
-                            sweep.in_process)
+    line, cls = sweep.level(config, i, _gamma(config, sweep.in_process),
+                            tmp_path / "report.json", sweep.in_process)
     assert cls == "certified" if i in CERTIFIED[config] else cls != "broken", line
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("config, i", _levels(range(len(sweep.EPS))))
+def test_subprocess_sweep_level_is_not_broken(config, i, tmp_path):
+    # every level as `tests/sweep.py` runs it by default: each command a
+    # subprocess under the 2 GB address-space cap and the 60 s timeout
+    line, cls = sweep.level(config, i, _gamma(config, sweep._cli),
+                            tmp_path / "report.json", sweep._cli)
+    assert cls != "broken", line
