@@ -24,7 +24,6 @@ from .synthesis import (
     UParam,
     WeightPair,
     build_context,
-    build_controller,
     build_E,
     build_F,
     gamma_opt,

@@ -7,9 +7,10 @@ is not a number > 0 with a finite square), 3 search exhausted or numerical
 failure (a zero scan or root extraction that did not converge, a spectral
 factorization or interpolation system that broke down, also at a level whose
 square overflows, an evaluation at a pole, or a closed-loop denominator that
-vanished on the axis), 4 certificate contradiction (a correctness alarm: the
-norm condition and the zero scan disagreed).  Reports are deterministic JSON;
-plot data goes to CSV.
+vanished on the axis), 4 certificate contradiction (a correctness alarm: a
+design that the theory makes stable, U in the unit ball or the finite
+branch's central U = 0, failed its certificate).  Reports are deterministic
+JSON; plot data goes to CSV.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .finite import (
     FiniteU,
     PickProblem,
     build_p1p2,
-    certify_u_norm,
     np_interpolant,
     p1p2_quasipolys,
     pick_points,
@@ -42,12 +42,14 @@ from .stability import (
     certify,
     finitely_many_poles,
     peak_data,
+    probe_window,
     properness_criterion,
     scan_window_for,
 )
 from .synthesis import (
     CertificateContradiction,
     ClosedLoopSingular,
+    Controller,
     FactorizationError,
     GammaSearchError,
     InterpolationError,
@@ -150,7 +152,7 @@ def _run_infinite(plant, weights, ctx, opts):
         "excluded_zeros": _complex_pairs(scan.excluded),
         "residual_zeros": _complex_pairs(scan.zeros),
         "candidates_tried": res.candidates_tried,
-        "U_norm": res.u.sup_norm(),
+        "U_norm": res.cert.u_norm,
         "verified_norm": res.cert.norm,
         "stable": res.cert.stable,
     }
@@ -258,7 +260,7 @@ def cmd_verify(args):
 
     dense = FrequencyGrid(opts.grid.lo, opts.grid.hi, opts.grid.points * 2)
     ctx = build_context(plant, weights, rho, opts.interp_a)
-    failures = []
+    # only the design is read from the report; its window is derived as in stabilize
     if branch == "infinite-search":
         u = UParam(number("u_inf"), number("u_z"), number("u_p"))
         if not finitely_many_poles(ctx, u):
@@ -282,27 +284,25 @@ def cmd_verify(args):
                       for k in ints)
             pp = PickProblem(z=z, w=w, n=n, mu=number("mu"))
             u = FiniteU(p1p2, np_interpolant(pp), pp.mu, number("q"), a)
-            un = certify_u_norm(u, dense)
-            if np.isnan(un):
-                raise FiniteSearchError("stored U is not finite on the frequency grid")
-            if un > 1.0 + 1e-6:
-                failures.append(f"free-parameter norm re-check failed: {un:.6f}")
-        sig, om = number("scan_sigma_max"), number("scan_omega_bound")
+        sig, om = probe_window(Controller(plant, ctx, u))
     else:
         print(f"fail: unknown branch {branch!r}")
         return 1
     # twice the stabilize window on each side
     cert = certify(plant, weights, ctx, u, dense, (sig * 2, om * 2))
+    if np.isnan(cert.u_norm):
+        raise FiniteSearchError("stored U is not finite on the frequency grid")
     bound = rho * (1 + NORM_SLACK)
-    if not cert.stable:
-        failures.append(f"scan found {len(cert.scan.zeros)} residual RHP zero(s)")
+    if not cert.u_ok:
+        print(f"fail: free-parameter norm {cert.u_norm:.6f} exceeds one")
+    elif not cert.stable:
+        print(f"fail: scan found {len(cert.scan.zeros)} residual RHP zero(s)")
     elif not cert.norm_ok:
-        failures.append(f"performance norm {cert.norm:.6f} exceeds {bound:.6f}")
-    if failures:
-        print("fail: " + "; ".join(failures))
-        return 1
-    print(f"pass: scan clean, norm {cert.norm:.6f} <= {bound:.6f}")
-    return 0
+        print(f"fail: performance norm {cert.norm:.6f} exceeds {bound:.6f}")
+    else:
+        print(f"pass: scan clean, norm {cert.norm:.6f} <= {bound:.6f}")
+        return 0
+    return 1
 
 
 def main(argv=None):

@@ -12,7 +12,8 @@ resulting U fits inside the unit ball.
 them; `UAtPoints` holds its q-independent parts at fixed points, among them
 the chart as one Mobius map of q per point, so many q share them;
 `certify_u_norm` is the one grid certificate of ||U||, one norm per
-constant, taken by `rational.grid_sup` like the closed-loop norm.
+constant, taken by `rational.grid_sup` like the closed-loop norm;
+`stability.certify` takes it through `FiniteU.grid_norm`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import Options
 from .rational import FrequencyGrid, Poly, RationalFn, blaschke, grid_peaks, grid_sup, poly_roots
-from .stability import Certificate, certify, rhp_zero_scan
+from .stability import U_NORM_TOL, Certificate, certify, rhp_zero_scan
 from .synthesis import CertificateContradiction, SynthesisContext, UParam
 
 __all__ = [
@@ -45,17 +46,11 @@ __all__ = [
     "certify_u_norm",
     "fig5_lattice",
     "stabilize_finite",
-    "U_NORM_TOL",
 ]
 
 
 class FiniteSearchError(RuntimeError):
     pass
-
-
-# A candidate U is inside the unit ball when its grid norm is at most
-# 1 + U_NORM_TOL.
-U_NORM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +464,10 @@ class FiniteU:
     def __call__(self, s):
         return self.at(s)(self.q)
 
+    def grid_norm(self, grid: FrequencyGrid):
+        """`certify_u_norm` of this U on `grid`."""
+        return certify_u_norm(self, grid)
+
 
 def certify_u_norm(U: FiniteU, grid: FrequencyGrid):
     """Grid-certified sup of |U(jw)| for each constant of U.q: an array for
@@ -605,25 +604,22 @@ def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a: float, grid: FrequencyGr
     return rows
 
 
-def _accepted(plant, weights, ctx, U: FiniteU, grid):
-    """(||U||, certificate) of a candidate, or None when ||U|| > 1 on the grid.
-
-    A candidate inside the unit ball must pass the independent certification:
-    when it does not, the norm condition and the certificate disagree, and
-    CertificateContradiction is raised rather than trying the next candidate.
-    """
-    un = certify_u_norm(U, grid)
-    if not un <= 1.0 + U_NORM_TOL:
-        return None
+def _accepted(plant, weights, ctx, U, grid):
+    """The certificate of a design, or None when its U is outside the unit
+    ball.  The theory makes a design stable when its U (an interpolant's, or
+    the central U = 0 when P1 has no RHP zeros) is in the ball, so a failed
+    certificate then raises CertificateContradiction instead of moving on."""
     cert = certify(plant, weights, ctx, U, grid=grid)
+    if not cert.u_ok:
+        return None
     if not (cert.stable and cert.norm_ok):
+        at = f"mu={U.mu:.6g}, q={U.q:.4g}" if isinstance(U, FiniteU) else "central U = 0"
         raise CertificateContradiction(
             "the free-parameter norm condition held but the "
-            f"independent certification failed (mu={U.mu:.6g}, "
-            f"q={U.q:.4g}, residual zeros={len(cert.scan.zeros)}, "
-            f"norm ok={cert.norm_ok})"
+            f"independent certification failed ({at}, "
+            f"residual zeros={len(cert.scan.zeros)}, norm ok={cert.norm_ok})"
         )
-    return un, cert
+    return cert
 
 
 def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> FinSearchResult:
@@ -635,18 +631,14 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
     last_exc = None
     p1p2 = build_p1p2(plant, ctx)
     if not p1p2.p_roots:
-        cert = certify(plant, weights, ctx, UParam(0.0), grid=grid)
-        if not (cert.stable and cert.norm_ok):
-            raise FiniteSearchError(
-                "central controller expected stable but certification failed"
-            )
+        cert = _accepted(plant, weights, ctx, UParam(0.0), grid)
         # No P1 zeros: M~_d = 1, so every w_i = 1.  The zero tuple's Pick
         # matrix is 2 log(mu) K, PSD exactly for mu >= 1; any other design
         # tuple's Q0 = -2 pi i (D K - K D), D = diag(n), is nonzero Hermitian
         # with tr(L^-1 Q0 L^-H) = tr(Q0 K^-1) = 0, so it has a negative
         # eigenvalue and mu_min > 1.  Hence mu_opt = 1, at the zero tuple.
         return FinSearchResult(
-            mu=np.nan, integers=(), q=0.0, U=None, U_norm=0.0, cert=cert,
+            mu=np.nan, integers=(), q=0.0, U=None, U_norm=cert.u_norm, cert=cert,
             p1p2=p1p2, mu_opt=1.0, central=True,
         )
     z, w = pick_points(p1p2, a)
@@ -660,11 +652,11 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
         last_exc = exc
     else:
         U0 = FiniteU(p1p2, interp0, pp0.mu, 0.0, a)
-        found = _accepted(plant, weights, ctx, U0, grid)
-        if found:
+        cert = _accepted(plant, weights, ctx, U0, grid)
+        if cert:
             return FinSearchResult(
-                mu=pp0.mu, integers=best_tuple, q=0.0, U=U0, U_norm=found[0],
-                cert=found[1], p1p2=p1p2, mu_opt=mu_opt,
+                mu=pp0.mu, integers=best_tuple, q=0.0, U=U0, U_norm=cert.u_norm,
+                cert=cert, p1p2=p1p2, mu_opt=mu_opt,
             )
 
     q_grid = np.arange(-1.0, 1.0 + opts.q_step / 2, opts.q_step)
@@ -686,11 +678,11 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
             for idx in _q_candidates(p1p2, interp, mu, q_grid, a, om_coarse):
                 qv = float(q_grid[idx])
                 U = FiniteU(p1p2, interp, mu, qv, a)
-                found = _accepted(plant, weights, ctx, U, grid)
-                if found:
+                cert = _accepted(plant, weights, ctx, U, grid)
+                if cert:
                     return FinSearchResult(
-                        mu=float(mu), integers=tup, q=qv, U=U, U_norm=found[0],
-                        cert=found[1], p1p2=p1p2, mu_opt=mu_opt,
+                        mu=float(mu), integers=tup, q=qv, U=U, U_norm=cert.u_norm,
+                        cert=cert, p1p2=p1p2, mu_opt=mu_opt,
                     )
     raise FiniteSearchError(
         "schedules exhausted: this method fails to provide a stable controller"

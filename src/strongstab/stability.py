@@ -7,8 +7,9 @@ argument-principle scan that counts right-half-plane zeros of an analytic
 callable on a rectangle and, on request, locates them by level-synchronous
 subdivision, with known cancelling zeros deflated out and each contour
 segment (subdivision cuts included) marched once per scan, and `certify`, the
-one acceptance test every design passes: no zero counted in the loop
-denominator's window, then the closed-loop norm bound.
+one place a design is judged: the free parameter in the unit ball, then no
+zero counted in the loop denominator's window, then the closed-loop norm
+bound.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .rational import (
     _top, or_raise, poly_roots,
 )
 from .synthesis import (
-    Controller, DelayPlant, SynthesisContext, UParam, WeightPair, build_controller,
-    verify_performance,
+    Controller, DelayPlant, SynthesisContext, UParam, WeightPair, verify_performance,
 )
 
 __all__ = [
@@ -39,9 +39,11 @@ __all__ = [
     "admissible_uinf",
     "peak_data",
     "chain_abscissa",
+    "probe_window",
     "properness_criterion",
     "rhp_zero_scan",
     "scan_window_for",
+    "U_NORM_TOL",
 ]
 
 
@@ -570,31 +572,43 @@ def scan_window_for(plant: DelayPlant, peak: PeakData):
 # sigma_max each time) before the window is declared unsound.
 EDGE_DOUBLINGS = 6
 
+# U is inside the unit ball when its norm is at most 1 + U_NORM_TOL.
+U_NORM_TOL = 1e-9
+
 
 @dataclass
 class Certificate:
-    """Both checks of one design.
+    """The three checks of one design, in the order `certify` makes them.
 
-    `scan` holds the window actually scanned, the excluded zeros and one NaN
-    per zero counted; `norm` and `norm_ok` stay None/False when the scan
-    counted zeros, because the norm check then has nothing left to decide.
+    `u_norm` is ||U||_inf (NaN when U is not finite on the grid); `scan` holds
+    the window actually scanned, the excluded zeros and one NaN per zero
+    counted.  A check runs only when the one before it passed, so `scan` stays
+    None when U is outside the unit ball, and `norm`/`norm_ok` None/False when
+    the scan counted zeros.
     """
 
     controller: Controller
-    scan: RegionScan
+    u_norm: float
+    scan: RegionScan | None = None
     norm: float | None = None
     norm_ok: bool = False
 
     @property
+    def u_ok(self):
+        """||U||_inf <= 1 + U_NORM_TOL (False for a NaN norm)."""
+        return self.u_norm <= 1.0 + U_NORM_TOL
+
+    @property
     def stable(self):
-        return not self.scan.zeros
+        return self.scan is not None and not self.scan.zeros
 
 
-def _probe_window(controller: Controller):
+def probe_window(controller: Controller):
     """(5, omega_bound) with omega_bound half again past the last axis
     frequency where |e^{-hs} M F L_U| >= 0.95, plus 5."""
     om = np.logspace(-3, 4, 1500)
-    mag = np.abs(controller.loop_gain(1j * om))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.abs(controller.loop_gain(1j * om))
     above = np.nonzero(mag >= 0.95)[0]
     return 5.0, (om[above[-1]] * 1.5 + 5.0 if len(above) else 5.0)
 
@@ -617,20 +631,26 @@ def _contracting_edge(controller: Controller, sigma_max, omega_bound):
 
 def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
             grid: FrequencyGrid, window=None) -> Certificate:
-    """Build the controller for `u`, count the RHP zeros of its loop
-    denominator and, only when there are none, check the closed-loop norm on
-    `grid`.  The zeros are counted, not located: a design with any is
-    rejected whatever their places.
+    """Judge the design of `u` (a `UParam` or a `finite.FiniteU`), as both
+    searches and `verify` do: ||U||_inf <= 1 + U_NORM_TOL (a `UParam` by its
+    closed-form `sup_norm`, a `FiniteU` by its `grid_norm` on `grid`), then
+    no RHP zero of the loop denominator counted (not located) in the scan
+    window, then the closed-loop norm on `grid`; each check only when the one
+    before it passed.
 
-    `window` is (sigma_max, omega_bound); None takes the bound from a probe of
-    the loop gain on the axis.  Either way the right edge is then pushed out
-    until the loop gain contracts along it (ScanError when it never does).
+    `window` is (sigma_max, omega_bound); None takes it from `probe_window`.
+    Either way the right edge is then pushed out until the loop gain
+    contracts along it (ScanError when it never does).
     """
-    controller = build_controller(plant, ctx, u)
-    sigma_max, omega_bound = window or _probe_window(controller)
+    controller = Controller(plant, ctx, u)
+    u_norm = u.sup_norm() if isinstance(u, UParam) else u.grid_norm(grid)
+    cert = Certificate(controller, u_norm)
+    if not cert.u_ok:
+        return cert
+    sigma_max, omega_bound = window or probe_window(controller)
     sigma_max = _contracting_edge(controller, sigma_max, omega_bound)
-    scan = rhp_zero_scan(controller.loop_denominator, sigma_max, omega_bound,
-                         excluded=ctx.excluded_zeros(), locate=False)
-    if scan.zeros:
-        return Certificate(controller, scan)
-    return Certificate(controller, scan, *verify_performance(controller, weights, grid))
+    cert.scan = rhp_zero_scan(controller.loop_denominator, sigma_max, omega_bound,
+                              excluded=ctx.excluded_zeros(), locate=False)
+    if cert.stable:
+        cert.norm, cert.norm_ok = verify_performance(controller, weights, grid)
+    return cert

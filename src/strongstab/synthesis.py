@@ -63,7 +63,6 @@ __all__ = [
     "build_context",
     "gamma_opt",
     "GammaOptResult",
-    "build_controller",
     "verify_performance",
     "NORM_SLACK",
 ]
@@ -784,17 +783,6 @@ class UParam:
     def is_constant(self):
         return self.u_z == 0.0 and self.u_p == 0.0
 
-    def validate(self):
-        if self.is_constant:
-            if abs(self.u_inf) > 1.0 + 1e-12:
-                raise ValueError("constant U must satisfy |u_inf| <= 1")
-            return self
-        if self.u_p <= 0:
-            raise ValueError("first-order U needs u_p > 0")
-        if self.sup_norm() > 1.0 + 1e-12:
-            raise ValueError("first-order U must satisfy ||U||_inf <= 1")
-        return self
-
     def sup_norm(self):
         if self.is_constant:
             return abs(self.u_inf)
@@ -815,13 +803,13 @@ class Controller:
         self.plant = plant
         self.ctx = ctx
         self.u = u  # callable s-array -> complex array (UParam or finite.FiniteU)
+        self._L1t, self._L2t = ctx.L1.mirror(), ctx.L2.mirror()   # L1~, L2~
 
     def _lu(self, s):
         s = np.asarray(s, dtype=complex)
         uv = self.u(s)
-        L1, L2 = self.ctx.L1, self.ctx.L2
-        num = L2(s) + L1.mirror()(s) * uv
-        den = L1(s) + L2.mirror()(s) * uv
+        num = self.ctx.L2(s) + self._L1t(s) * uv
+        den = self.ctx.L1(s) + self._L2t(s) * uv
         return num, den
 
     def L_U(self, s):
@@ -855,12 +843,6 @@ class Controller:
                 "the loop is unstable or marginal"
             )
         return (1.0 + x) / D, Ev * x / D
-
-
-def build_controller(plant, ctx: SynthesisContext, u) -> Controller:
-    if isinstance(u, UParam):
-        u.validate()
-    return Controller(plant, ctx, u)
 
 
 def verify_performance(controller: Controller, weights: WeightPair, grid: FrequencyGrid):

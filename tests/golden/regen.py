@@ -3,12 +3,14 @@
     PYTHONPATH=src python tests/golden/regen.py
 
 Runs `stabilize --emit-plots` for each golden report (example 1 at 0.814,
-example 2 at 1.9454 and at the central-stable level 1.96) and `gamma-opt` on
-both configs, then writes
-`<name>.json`, the CSV sha256 manifest `csv_sha256.json` and
-`gamma_opt_<config>.json`.  Run it only in a change that moves a report
-field, a CSV or the `gamma-opt` output on purpose, and name in that change
-what moved.
+example 2 at 1.9454 and at the central-stable level 1.96), `gamma-opt` on
+both configs and `tests/sweep.py --in-process`, then writes
+`<name>.json`, the CSV sha256 manifest `csv_sha256.json`,
+`gamma_opt_<config>.json` and `sweep_in_process.txt` (the sweep's 80 level
+lines and two class-count lines, which `tests/test_sweep.py` compares its
+levels to).  Run it only in a change that moves a report field, a CSV, the
+`gamma-opt` output or a sweep line on purpose, and name in that change what
+moved.
 
 For each golden file whose bytes change, and each CSV whose sha256 changes,
 it prints the number of changed lines, the largest relative move of any
@@ -155,6 +157,9 @@ def regenerate():
     for config in sorted({config for config, _ in REPORTS.values()}):
         text = _run(["gamma-opt", str(CONFIGS / f"{config}.json")])
         _write_golden(GOLDEN / f"gamma_opt_{config}.json", text)
+    sweep = subprocess.run([sys.executable, str(GOLDEN.parent / "sweep.py"), "--in-process"],
+                           capture_output=True, text=True, check=True).stdout
+    _write_golden(GOLDEN / "sweep_in_process.txt", sweep)
 
 
 if __name__ == "__main__":

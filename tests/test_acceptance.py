@@ -20,7 +20,7 @@ from strongstab import (
     asymptotics,
     blaschke,
     build_context,
-    build_controller,
+    Controller,
     FiniteU,
     UAtPoints,
     certify_u_norm,
@@ -116,7 +116,7 @@ def test_criterion_6_optimal_level_and_poles(ex2, ex2_gamma):
     plant, weights, _ = ex2
     g = ex2_gamma.gamma
     ctx_opt = build_context(plant, weights, g, None)
-    ctrl = build_controller(plant, ctx_opt, UParam(0.0))
+    ctrl = Controller(plant, ctx_opt, UParam(0.0))
     excl = [complex(b) for b in ctx_opt.betas]
     excl += [complex(np.conj(b)) for b in ctx_opt.betas]
     scan = rhp_zero_scan(ctrl.loop_denominator, 1.0, 4.0, excluded=excl)

@@ -104,6 +104,15 @@ def ex2_central_run(tmp_path_factory):
     return _golden_run(tmp_path_factory, "ex2_rho1.96", EX2, "1.96")
 
 
+@pytest.fixture(scope="module")
+def ex2_infinite_run(tmp_path_factory):
+    """`stabilize --method infinite` on example 2 at 1.96: (report, report path)."""
+    out = tmp_path_factory.mktemp("ex2_infinite") / "report.json"
+    assert main(["stabilize", EX2, "--rho", "1.96", "--method", "infinite",
+                 "--out", str(out)]) == 0
+    return json.loads(out.read_text()), out
+
+
 class TestConfigErrors:
     def test_missing_field_path_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -602,3 +611,47 @@ class TestVerify:
         rc = main(["verify", EX2, "--report", str(p)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("search exhausted:")
+
+    @pytest.mark.parametrize("field, value", [("scan_omega_bound", 0), ("scan_sigma_max", -1)])
+    @pytest.mark.parametrize("run", ["ex2_run", "ex2_central_run"])
+    def test_report_window_is_not_read(self, run, field, value, request, tmp_path, capsys):
+        # the scan window is derived from the design, as stabilize derives
+        # it: a window of zero height or negative width in the report changes
+        # nothing
+        rep, _, out = request.getfixturevalue(run)
+        assert main(["verify", EX2, "--report", str(out)]) == 0
+        want = capsys.readouterr().out
+        bad = json.loads(json.dumps(rep))
+        bad["result"][field] = value
+        p = tmp_path / "window.json"
+        p.write_text(json.dumps(bad))
+        assert main(["verify", EX2, "--report", str(p)]) == 0
+        assert capsys.readouterr().out == want and want.startswith("pass:")
+
+    def test_ex2_infinite_method_verifies(self, ex2_infinite_run, capsys):
+        rep, out = ex2_infinite_run
+        assert rep["branch"] == "infinite-search"
+        assert main(["verify", EX2, "--report", str(out)]) == 0
+        assert capsys.readouterr().out == "pass: scan clean, norm 1.955627 <= 1.961960\n"
+
+    @pytest.mark.parametrize("u_inf, u_z, u_p, norm", [
+        (1.5, 0.0, 0.0, "1.500000"),
+        (0.5, 3.0, 1.0, "1.500000"),    # peak |u_inf| u_z / u_p
+        (0.5, 0.3, -1.0, "inf"),        # a pole in the right half plane
+    ])
+    def test_stored_u_outside_the_ball_fails(self, u_inf, u_z, u_p, norm, ex2_infinite_run,
+                                             tmp_path, capsys):
+        rep, _ = ex2_infinite_run
+        bad = json.loads(json.dumps(rep))
+        bad["result"].update(u_inf=u_inf, u_z=u_z, u_p=u_p)
+        p = tmp_path / "outside.json"
+        p.write_text(json.dumps(bad))
+        assert main(["verify", EX2, "--report", str(p)]) == 1
+        assert capsys.readouterr() == (f"fail: free-parameter norm {norm} exceeds one\n", "")
+
+    def test_finite_method_needs_delay_dominated_quasipolys(self, capsys):
+        # example 1 at 0.814: P1 and P2 are not delay-dominated, so the
+        # finite branch cannot scan them
+        assert main(["stabilize", EX1, "--rho", "0.814", "--method", "finite"]) == 3
+        assert capsys.readouterr().err == (
+            "search exhausted: quasipolynomial is not delay-dominated\n")

@@ -561,7 +561,7 @@ class TestStabilizeFinite:
             seen.append((U.mu, U.q))
             if len(seen) == 1:
                 scan = RegionScan(1.0, 1.0, zeros=[0.5 + 1.0j], excluded=[])
-                return Certificate(controller=None, scan=scan)
+                return Certificate(controller=None, u_norm=0.5, scan=scan)
             return certify(plant, weights, ctx, U, grid, window)
 
         monkeypatch.setattr(finite, "certify_u_norm", lambda U, grid: 0.5)

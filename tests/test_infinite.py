@@ -73,14 +73,14 @@ class TestSufficientCondition:
         # with |F L_U| <= 1 everywhere and a Hurwitz L_1U the loop denominator
         # cannot vanish in the open right half plane; the scan must agree
         from strongstab.stability import peak_data, rhp_zero_scan, scan_window_for
-        from strongstab.synthesis import build_controller
+        from strongstab.synthesis import Controller
 
         plant, _, _ = ex1
         ctx = dataclasses.replace(ex1_ctx, L2=ex1_ctx.L2 * 0.4)
         u = UParam(0.0)
         pk = peak_data(ctx, [u])[0]
         assert pk.eta_max <= 1.0
-        ctrl = build_controller(plant, ctx, u)
+        ctrl = Controller(plant, ctx, u)
         sig, om = scan_window_for(plant, pk)
         excl = [complex(b) for b in ctx.betas]
         excl += [complex(np.conj(b)) for b in ctx.betas]

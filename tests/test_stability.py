@@ -192,9 +192,9 @@ class TestScan:
         # central controller: infinite chain at sigma ~ 2.445 spaced 2pi/h;
         # within |omega| < 100 exactly two conjugate pairs fall inside
         plant, _, _ = ex1
-        from strongstab.synthesis import build_controller
+        from strongstab.synthesis import Controller
 
-        ctrl = build_controller(plant, ex1_ctx, UParam(0.0))
+        ctrl = Controller(plant, ex1_ctx, UParam(0.0))
         excl = [complex(b) for b in ex1_ctx.betas]
         excl += [complex(np.conj(b)) for b in ex1_ctx.betas]
         scan = rhp_zero_scan(ctrl.loop_denominator, 6.0, 100.0, excluded=excl)

@@ -29,7 +29,6 @@ from strongstab.synthesis import (
     WeightPair,
     _refine_dip,
     build_context,
-    build_controller,
     build_E,
     build_F,
     gamma_opt,
@@ -806,7 +805,7 @@ class TestStackedLevels:
 class TestController:
     def test_central_lu_equals_l2_over_l1(self, ex1, ex1_ctx):
         plant, _, _ = ex1
-        ctrl = build_controller(plant, ex1_ctx, UParam(0.0))
+        ctrl = Controller(plant, ex1_ctx, UParam(0.0))
         s = np.array([0.3j, 1.2j, 0.5 + 0.2j])
         direct = ex1_ctx.L2(s) / ex1_ctx.L1(s)
         np.testing.assert_allclose(ctrl.L_U(s), direct, rtol=1e-12)
@@ -814,14 +813,14 @@ class TestController:
     def test_denominator_cancels_at_betas(self, ex1, ex1_ctx):
         plant, _, _ = ex1
         for u in (UParam(0.0), UParam(-0.813), UParam(0.4, 0.3, 0.9)):
-            ctrl = build_controller(plant, ex1_ctx, u)
+            ctrl = Controller(plant, ex1_ctx, u)
             for b in ex1_ctx.betas:
                 scale = abs(ctrl.loop_denominator(np.array([b + 0.5]))[0])
                 assert abs(ctrl.loop_denominator(np.array([b]))[0]) <= 1e-6 * max(scale, 1.0)
 
     def test_singular_closed_loop_raises_typed_error(self, ex1, ex1_ctx, monkeypatch):
         plant, _, _ = ex1
-        ctrl = build_controller(plant, ex1_ctx, UParam(0.0))
+        ctrl = Controller(plant, ex1_ctx, UParam(0.0))
         # a loop gain of -1/(1 + E) puts D = 1 + x (1 + E) at zero everywhere
         monkeypatch.setattr(Controller, "loop_gain", lambda self, s: -1.0 / (1.0 + self.ctx.E(s)))
         with pytest.raises(ClosedLoopSingular, match="omega=0.5"):
@@ -829,7 +828,7 @@ class TestController:
 
     def test_verify_performance_matches_manual_stack(self, ex1, ex1_ctx):
         plant, weights, opts = ex1
-        ctrl = build_controller(plant, ex1_ctx, UParam(-0.814))
+        ctrl = Controller(plant, ex1_ctx, UParam(-0.814))
         norm, ok = verify_performance(ctrl, weights, opts.grid)
         om = opts.grid.omegas()
         S, T = ctrl.sensitivity_pair(om)
@@ -842,7 +841,7 @@ class TestController:
                                                                        bracket_max):
         # the refined bracket sampled at 2M + 1 points reads no more
         plant, weights, opts = ex1
-        ctrl = build_controller(plant, ex1_ctx, UParam(-0.814))
+        ctrl = Controller(plant, ex1_ctx, UParam(-0.814))
 
         def stack(w):
             S, T = ctrl.sensitivity_pair(w)
@@ -859,10 +858,12 @@ class TestController:
         plant, weights, opts = ex1
         bad = opts.grid.omegas()[1234]
 
-        def u(s):
-            return np.where(s == 1j * bad, np.nan, -0.814)
+        class NanAtOneFrequency(UParam):
+            def __call__(self, s):
+                return np.where(s == 1j * bad, np.nan, super().__call__(s))
 
-        ctrl = build_controller(plant, ex1_ctx, u)
+        u = NanAtOneFrequency(-0.814)
+        ctrl = Controller(plant, ex1_ctx, u)
         assert verify_performance(ctrl, weights, opts.grid) == (float("inf"), False)
         cert = certify(plant, weights, ex1_ctx, u, grid=opts.grid)
         assert cert.stable and cert.norm == float("inf") and cert.norm_ok is False
@@ -878,8 +879,15 @@ class TestUParam:
         grid_norm = np.abs(u(1j * om)).max()
         assert u.sup_norm() == pytest.approx(grid_norm, rel=1e-3)
 
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            UParam(1.2).validate()
-        with pytest.raises(ValueError):
-            UParam(0.9, 5.0, 1.0).validate()  # peak |u| u_z / u_p > 1
+    def test_invalid_rejected(self, ex1, ex1_ctx):
+        # certify records the closed-form norm and stops: no scan, no norm check
+        plant, weights, opts = ex1
+        for u, norm in [
+            (UParam(1.2), 1.2),
+            (UParam(0.9, 5.0, 1.0), 4.5),       # peak |u| u_z / u_p > 1
+            (UParam(0.5, 0.3, -1.0), np.inf),   # a pole in the right half plane
+        ]:
+            cert = certify(plant, weights, ex1_ctx, u, grid=opts.grid)
+            assert cert.u_norm == pytest.approx(norm) and not cert.u_ok
+            assert cert.scan is None and not cert.stable
+            assert cert.norm is None and cert.norm_ok is False
