@@ -256,7 +256,10 @@ def cmd_verify(args):
     result = _need(rep, "result", "report", dict)
 
     def number(key):
-        return _report_number(result, key, "report.result")
+        v = _report_number(result, key, "report.result")
+        if not math.isfinite(v):
+            raise FiniteSearchError(f"stored U is not finite: {key} is {v}")
+        return v
 
     dense = FrequencyGrid(opts.grid.lo, opts.grid.hi, opts.grid.points * 2)
     ctx = build_context(plant, weights, rho, opts.interp_a)

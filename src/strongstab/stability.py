@@ -4,9 +4,10 @@ Four layers: leading-coefficient asymptotics (finite/infinite pole class and
 the admissible range of the free parameter's high-frequency gain), exact
 crossing/peak data for |F L_U| on the imaginary axis, a rigorous
 argument-principle scan that counts right-half-plane zeros of an analytic
-callable on a rectangle and, on request, locates them by level-synchronous
-subdivision, with known cancelling zeros deflated out and each contour
-segment (subdivision cuts included) marched once per scan, and `certify`, the
+callable on a rectangle and, on request, locates them (subdivision until
+Newton pins each zero alone in a cell), with known cancelling zeros deflated
+out and each contour segment (subdivision cuts included) marched once per
+scan, and `certify`, the
 one place a design is judged: the free parameter in the unit ball, then no
 zero counted in the loop denominator's window, then the closed-loop norm
 bound.
@@ -97,10 +98,9 @@ def _u_rows(us):
 
 
 def _lu_rows(ctx: SynthesisContext, num, den):
-    """The pair (L2U, L1U), cleared of the U denominator, stacked as one
-    array of shape (2, K, width): row k is L2 den + L1~ num and
-    L1 den + L2~ num for the U = num/den of row k of `num` and `den`.
-    Columns that are zero in every row are cut off (one is kept for K = 0)."""
+    """The pair (L2U, L1U) cleared of the U denominator, shape (2, K, width):
+    row k is L2 den + L1~ num and L1 den + L2~ num for U = num[k] / den[k].
+    All-zero columns are cut off (one is kept for K = 0)."""
     L = _stacked([ctx.L2.c, ctx.L1.c])[:, None]
     LU = 0.0 + _conv_rows(L, den) + _conv_rows(_mirror(L[::-1]), num)
     return LU[..., : max(_top(LU.any(axis=(0, 1))), 0) + 1]
@@ -216,12 +216,10 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     Everything is rational on the axis, so crossings and stationary points are
     polynomial roots in x = w^2; no frequency grid is involved.  When the
     controller has infinitely many unstable poles the crossing frequency is
-    reported as +inf.  The polynomials of all U are rows of stacked
-    coefficient arrays, built by row-wise products, solved in one
-    `poly_roots` call (crossing and stationary-point rows together) and
-    evaluated at their NaN-padded roots all at once.  A failed evenness test,
-    root extraction or division raises the error that a loop over the U one
-    at a time meets first (`_batched`).
+    reported as +inf.  The polynomials of all U are rows of stacked arrays,
+    solved in one `poly_roots` call and evaluated at their NaN-padded roots
+    at once; a failure raises the error that a loop over the U one at a time
+    meets first (`_batched`).
     """
     return _batched(lambda us: _peaks(ctx, us), us)
 
@@ -305,16 +303,15 @@ class RegionScan:
 _MARCH_TS = np.linspace(0.0, 1.0, 64)
 _SMALL_TOL = 1e-9   # a sample this small relative to the segment's largest is a zero on it
 _MARCH_MAX_N = 60000   # samples one segment's refinement may reach
-_NEWTON_TOL = 1e-11    # relative step at which a leaf cell's Newton iteration stops
+_NEWTON_TOL = 1e-11    # relative step at which a cell's Newton iteration settles
 _NEWTON_ITERS = 80
 _MAX_DEPTH = 60        # subdivision levels below the scan window
 _POLES = "negative winding: the function has poles in the region"
 
 
 def _refine_march(f, z0, z1, ts, vals):
-    """Total argument change of f along the straight segment z0 -> z1, from
-    its samples `vals` at `ts`, bisecting each step whose phase jumps by more
-    than pi/2."""
+    """Argument change of f along the segment z0 -> z1 from its samples
+    `vals` at `ts`, bisecting each step whose phase jumps by over pi/2."""
     for _ in range(40):
         mags = np.abs(vals)
         if np.any(~np.isfinite(mags)) or mags.min() <= _SMALL_TOL * max(mags.max(), 1e-30):
@@ -335,15 +332,11 @@ def _refine_march(f, z0, z1, ts, vals):
 
 
 def _march(f, memo, segs):
-    """Argument change of f along each segment (z0, z1) of `segs`, or, in its
-    place, the ScanError its march raised.
-
-    `memo` holds every segment marched so far in one scan; a segment found
-    there, or found reversed (read negated), is not marched again.  The first
-    samples of all new segments go through f in one call, and only the rows
-    that fail `_refine_march`'s checks enter its refinement loop.  A failed
-    segment is not kept, so a later call marches it again.
-    """
+    """Argument change of f along each segment (z0, z1) of `segs`, or the
+    ScanError its march raised.  `memo` keeps each good march of one scan (a
+    reversed segment reads negated).  The first samples of all new segments
+    go through f in one call; only rows failing `_refine_march`'s checks are
+    refined."""
     new = {}
     for seg in segs:
         if seg not in memo and seg[::-1] not in memo and seg[::-1] not in new:
@@ -368,9 +361,9 @@ def _march(f, memo, segs):
 
 
 def _windings(f, memo, cells):
-    """Winding number of f around each cell (slo, shi, wlo, whi) of `cells`.
-    All the edges go through one `_march`; the first failed edge raises, and
-    then the first winding not within 0.1 of an integer."""
+    """Winding number of f around each cell (slo, shi, wlo, whi) of `cells`,
+    all edges in one `_march`; raises the first failed edge, then the first
+    winding more than 0.1 off an integer."""
     corners = [(complex(a, c), complex(b, c), complex(b, d), complex(a, d))
                for a, b, c, d in cells]
     changes = [or_raise(c) for c in
@@ -383,10 +376,11 @@ def _windings(f, memo, cells):
 
 
 def _newton_zeros(f, cells):
-    """Newton's method from the centre of each leaf cell of `cells`: its zero,
-    or, in its place, the ScanError unless it converges to a point inside the
-    cell.  Each iteration sends the points of every unsettled leaf through
-    one f call; the step arithmetic is each leaf's own, in scalars."""
+    """Newton's method from the centre of each cell of `cells`: its zero, or
+    the ScanError of a zero derivative, of no settling in `_NEWTON_ITERS`
+    steps or of leaving the cell (a leaf may step out and back; only its
+    settled point must be inside).  Each iteration is one f call for all
+    unsettled cells; the step arithmetic is each cell's own, in scalars."""
     zs = [complex(0.5 * (slo + shi), 0.5 * (wlo + whi)) for slo, shi, wlo, whi in cells]
     out = [None] * len(cells)
     live = list(range(len(cells)))
@@ -395,19 +389,22 @@ def _newton_zeros(f, cells):
             break
         dzs = [1e-7 * (1.0 + abs(zs[i])) for i in live]
         pts = [p for i, dz in zip(live, dzs) for p in (zs[i] + dz, zs[i] - dz, zs[i])]
-        vals = np.asarray(f(np.array(pts)), dtype=complex)
+        vals = np.asarray(f(np.array(pts)), dtype=complex).reshape(-1, 3)
         still = []
-        for k, (i, dz) in enumerate(zip(live, dzs)):
-            d = (vals[3 * k] - vals[3 * k + 1]) / (2 * dz)
+        for i, dz, (up, down, v) in zip(live, dzs, vals):
+            d = (up - down) / (2 * dz)
             if d == 0:
                 out[i] = ScanError(f"zero derivative in a leaf cell near s={zs[i]:.6g}")
                 continue
-            step = vals[3 * k + 2] / d
+            step = v / d
             z = zs[i] = zs[i] - step
-            if abs(step) < _NEWTON_TOL * (1 + abs(z)):
-                slo, shi, wlo, whi = cells[i]
-                out[i] = (z if slo <= z.real <= shi and wlo <= z.imag <= whi
-                          else ScanError(f"Newton left its leaf cell for s={z:.6g}"))
+            slo, shi, wlo, whi = cells[i]
+            settled = abs(step) < _NEWTON_TOL * (1 + abs(z))
+            if not (slo <= z.real <= shi and wlo <= z.imag <= whi) and (
+                    settled or not _is_leaf(cells[i])):
+                out[i] = ScanError(f"Newton left its leaf cell for s={z:.6g}")
+            elif settled:
+                out[i] = z
             else:
                 still.append(i)
         live = still
@@ -421,32 +418,25 @@ _FRACS = (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7)
 
 def _cut_lines(cell):
     """Candidate cuts of `cell` across its longer side, in `_FRACS` order,
-    each as (segment, the two halves on either side of it).  Lines near the
-    real axis are skipped: there a real-coefficient function is real-valued,
-    and an even number of zeros between samples produces no observable phase
-    change, defeating the refinement criterion."""
+    each as (segment, its two halves).  Lines near the real axis are skipped:
+    a real-coefficient f is real there, and an even number of zeros between
+    samples shows no phase change."""
     slo, shi, wlo, whi = cell
-    if (shi - slo) >= (whi - wlo):
-        for frac in _FRACS:
-            cut = slo + frac * (shi - slo)
-            yield (complex(cut, wlo), complex(cut, whi)), [(slo, cut, wlo, whi),
-                                                           (cut, shi, wlo, whi)]
-    else:
-        avoid = wlo < 0.0 < whi
-        for frac in _FRACS:
-            cut = wlo + frac * (whi - wlo)
-            if not (avoid and abs(cut) < 0.02 * (whi - wlo)):
-                yield (complex(slo, cut), complex(shi, cut)), [(slo, shi, wlo, cut),
-                                                               (slo, shi, cut, whi)]
+    wide = shi - slo >= whi - wlo
+    lo, hi = (slo, shi) if wide else (wlo, whi)
+    for frac in _FRACS:
+        c = lo + frac * (hi - lo)
+        if wide:
+            yield (complex(c, wlo), complex(c, whi)), [(slo, c, wlo, whi), (c, shi, wlo, whi)]
+        elif not (wlo < 0.0 < whi and abs(c) < 0.02 * (whi - wlo)):
+            yield (complex(slo, c), complex(shi, c)), [(slo, shi, wlo, c), (slo, shi, c, whi)]
 
 
 def _split(f, memo, cells):
-    """The two halves of each cell of `cells`, on either side of its first
-    candidate cut (`_cut_lines`) whose line the phase march traverses; a
-    ScanError when a cell runs out of candidates.  The march fails when a
-    zero sits on the line, so a traversed cut is certified, and its value
-    stays in `memo` for the two halves that share the line.  Each round
-    marches every unsplit cell's next candidate in one `_march`."""
+    """The two halves of each cell of `cells` at its first `_cut_lines`
+    candidate that the march traverses (a zero on the line fails it, so a
+    traversed cut is certified); a ScanError when a cell runs out.  Each
+    round is one `_march` of every unsplit cell's next candidate."""
     out = [None] * len(cells)
     lines = {i: _cut_lines(cell) for i, cell in enumerate(cells)}
     while lines:
@@ -461,42 +451,61 @@ def _split(f, memo, cells):
     return out
 
 
+def _is_leaf(cell):
+    return max(cell[1] - cell[0], cell[3] - cell[2]) < 1e-4
+
+
+def _leaf(cell, z):
+    """The leaf holding `z`, halving `cell` at each first `_cut_lines`
+    candidate; None if one passes within `_SMALL_TOL` of its length from `z`,
+    where its march may fail."""
+    while not _is_leaf(cell):
+        (a, b), (lo, hi) = next(_cut_lines(cell))
+        t = (z - a).real if a.real == b.real else (z - a).imag
+        if abs(t) <= _SMALL_TOL * abs(b - a):
+            return None
+        cell = hi if t > 0 else lo
+    return cell
+
+
 def _subdivide(f, memo, window, wind):
-    """The zeros in `window` (slo, shi, wlo, whi), whose winding is `wind`,
-    each polished in a leaf below 1e-4, and the number of cells wound below
-    the window.
+    """The zeros in `window` of winding `wind`, each polished in a leaf
+    below 1e-4, and the number of cells wound below the window.
 
     Level-synchronous: each depth checks its cells in order (a zero winding
-    is dropped, a negative winding or a cell past `_MAX_DEPTH` raises, a cell
-    below 1e-4 is a leaf), splits all the others at once (`_split`) and winds
-    all their halves in one `_windings` call; the leaves are polished
-    together at the end (`_newton_zeros`).  Every step raises its first
-    failure, so of two failing cells the one a depth reaches first is named.
+    is dropped; a negative winding or a cell past `_MAX_DEPTH` raises) and
+    runs Newton in all its other winding-1 cells at once.  Where Newton
+    settles, the winding says the point is the cell's one zero, and `_leaf`
+    finds its leaf without a march.  The other cells are split and their
+    halves wound in one `_windings` call.  The leaves are polished together
+    at the end, from their centres.  Each step raises its first failure.
     """
     live, leaves, cells = [(window, wind)], [], 0
     for depth in range(_MAX_DEPTH + 2):
         parents = []
         for cell, w in live:
-            slo, shi, wlo, whi = cell
             if w == 0:
                 continue
             if w < 0:
                 raise ScanError(_POLES)
-            if max(shi - slo, whi - wlo) < 1e-4:
+            if _is_leaf(cell):
                 leaves.append((cell, w))
             elif depth > _MAX_DEPTH:
                 raise ScanError("subdivision depth exceeded")
             else:
-                parents.append(cell)
-        halves = [half for pair in _split(f, memo, parents) for half in pair]
+                parents.append((cell, w))
+        ones = [cell for cell, w in parents if w == 1]
+        found = {c: _leaf(c, z) for c, z in zip(ones, _newton_zeros(f, ones))
+                 if not isinstance(z, ScanError)}
+        leaves += [(leaf, 1) for leaf in found.values() if leaf]
+        halves = [half for pair in _split(f, memo, [c for c, _ in parents if not found.get(c)])
+                  for half in pair]
         cells += len(halves)
         live = list(zip(halves, _windings(f, memo, halves)))
         if not live:
             break
-    zeros = []
-    for (_, w), z in zip(leaves, _newton_zeros(f, [cell for cell, _ in leaves])):
-        zeros += [or_raise(z)] * w
-    return zeros, cells
+    zs = _newton_zeros(f, [cell for cell, _ in leaves])
+    return [or_raise(z) for (_, w), z in zip(leaves, zs) for _ in range(w)], cells
 
 
 def _deflated(f, excluded):
@@ -514,17 +523,15 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
                   locate=True) -> RegionScan:
     """Count and locate zeros of `f` in [0, sigma_max] x [-omega_bound, omega_bound].
 
-    `excluded` lists known zeros (for example the cancelled zeros of E and m_d
-    on or near the contour); they are divided out pointwise before the winding
-    computation, which both removes them from the count and keeps the contour
-    away from vanishing values.
+    `excluded` lists known zeros (such as the cancelled zeros of E and m_d);
+    dividing them out pointwise removes them from the count and keeps the
+    contour away from vanishing values.
 
-    The count is the window's winding number.  With `locate`, the window is
-    then subdivided level by level (`_subdivide`) until each zero sits in a
-    leaf below 1e-4, where Newton polishes it; without, the scan stops at the
-    count and `zeros` holds one NaN per zero counted.  Every contour segment
-    is marched once per scan.  A segment whose march fails moves a cut to its
-    next candidate; any other failure raises, the first one met.
+    The count is the window's winding number.  With `locate` (for `f`
+    analytic in the window), `_subdivide` locates each zero; without, the
+    scan stops at the count and `zeros` holds one NaN per zero counted.
+    Every contour segment is marched once per scan.  A failed march moves a
+    cut to its next candidate; any other failure raises, the first one met.
     """
     excluded = [complex(z) for z in excluded]
     fd = _deflated(f, excluded)
@@ -581,10 +588,9 @@ class Certificate:
     """The three checks of one design, in the order `certify` makes them.
 
     `u_norm` is ||U||_inf (NaN when U is not finite on the grid); `scan` holds
-    the window actually scanned, the excluded zeros and one NaN per zero
-    counted.  A check runs only when the one before it passed, so `scan` stays
-    None when U is outside the unit ball, and `norm`/`norm_ok` None/False when
-    the scan counted zeros.
+    the window scanned, the excluded zeros and one NaN per zero counted.  A
+    check runs only when the one before it passed (`scan` None outside the
+    unit ball, `norm`/`norm_ok` None/False when the scan counted zeros).
     """
 
     controller: Controller
@@ -632,15 +638,14 @@ def _contracting_edge(controller: Controller, sigma_max, omega_bound):
 def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
             grid: FrequencyGrid, window=None) -> Certificate:
     """Judge the design of `u` (a `UParam` or a `finite.FiniteU`), as both
-    searches and `verify` do: ||U||_inf <= 1 + U_NORM_TOL (a `UParam` by its
-    closed-form `sup_norm`, a `FiniteU` by its `grid_norm` on `grid`), then
-    no RHP zero of the loop denominator counted (not located) in the scan
-    window, then the closed-loop norm on `grid`; each check only when the one
-    before it passed.
+    searches and `verify` do: ||U||_inf <= 1 + U_NORM_TOL (`sup_norm`, or
+    `grid_norm` on `grid`), then no RHP zero of the loop denominator counted
+    in the scan window, then the closed-loop norm on `grid`; each check only
+    when the one before it passed.
 
-    `window` is (sigma_max, omega_bound); None takes it from `probe_window`.
-    Either way the right edge is then pushed out until the loop gain
-    contracts along it (ScanError when it never does).
+    `window` is (sigma_max, omega_bound), by default `probe_window`'s; its
+    right edge is pushed out until the loop gain contracts along it
+    (ScanError when it never does).
     """
     controller = Controller(plant, ctx, u)
     u_norm = u.sup_norm() if isinstance(u, UParam) else u.grid_norm(grid)

@@ -612,6 +612,21 @@ class TestVerify:
         assert rc == 3
         assert capsys.readouterr().err.startswith("search exhausted:")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field", ["u_inf", "u_z", "u_p"])
+    def test_non_finite_stored_first_order_u_exits_3(self, field, value, ex2_infinite_run,
+                                                     tmp_path, capsys):
+        # a non-finite parameter of a first-order U ends as a non-finite q
+        # does, before any root extraction sees it
+        rep, _ = ex2_infinite_run
+        bad = json.loads(json.dumps(rep))
+        bad["result"][field] = value
+        p = tmp_path / "non_finite_u.json"
+        p.write_text(json.dumps(bad))
+        assert main(["verify", EX2, "--report", str(p)]) == 3
+        assert capsys.readouterr() == (
+            "", f"search exhausted: stored U is not finite: {field} is {value}\n")
+
     @pytest.mark.parametrize("field, value", [("scan_omega_bound", 0), ("scan_sigma_max", -1)])
     @pytest.mark.parametrize("run", ["ex2_run", "ex2_central_run"])
     def test_report_window_is_not_read(self, run, field, value, request, tmp_path, capsys):

@@ -101,25 +101,31 @@ def _p1p2_scans(monkeypatch, plant, ctx):
 
 
 class TestP1P2Scans:
-    # Zeros with Im >= 0; the scans also find the conjugates.  The cell
-    # counts pin the subdivision tree.
+    # All zeros of each scan, in its (real, imag) order, by `float.hex`:
+    # moving the subdivision must not move a located zero by one bit.  The
+    # cell counts pin the subdivision tree.
     @pytest.mark.parametrize("rho, cells, zeros", [
-        (1.9454, (127, 195), ([0.0286982048540 + 2.2346468677508j],
-                              [0.0296651393454 + 2.2346456294617j, 3.0000005987995])),
-        (1.96, (1, 313), ([], [0.0490975993551 + 4.0252420972723j,
-                               0.0744618496888 + 2.1777343963856j, 3.0000533567300])),
+        (1.9454, (25, 43), (
+            [("0x1.d630fed354ab4p-6", "-0x1.1e08e8978c7c4p+1"),
+             ("0x1.d630fed354ab7p-6", "0x1.1e08e8978c7c4p+1")],
+            [("0x1.e6089cd4724c8p-6", "0x1.1e08de3457db0p+1"),
+             ("0x1.e6089cd4724d3p-6", "-0x1.1e08de3457db0p+1"),
+             ("0x1.80000505e97fcp+1", "0x1.68db700000000p-98")])),
+        (1.96, (1, 55), (
+            [],
+            [("0x1.923520f15aea3p-5", "0x1.019d91079114ep+2"),
+             ("0x1.923520f15aea4p-5", "-0x1.019d91079114ep+2"),
+             ("0x1.30fee89369296p-4", "-0x1.16c0002decda7p+1"),
+             ("0x1.30fee89369296p-4", "0x1.16c0002decda7p+1"),
+             ("0x1.8001bf96b48afp+1", "0x1.a2ce980000000p-97")])),
     ])
     def test_cells_and_zeros_pinned(self, ex2, monkeypatch, rho, cells, zeros):
         plant, weights, opts = ex2
         ctx = build_context(plant, weights, rho, opts.interp_a)
         scans = _p1p2_scans(monkeypatch, plant, ctx)
         assert tuple(scan.cells_scanned for scan, _ in scans) == cells
-        for (scan, _), upper in zip(scans, zeros):
-            want = sorted(upper + [np.conj(z) for z in upper if z.imag > 0],
-                          key=lambda z: (z.imag, z.real))
-            got = sorted(scan.zeros, key=lambda z: (z.imag, z.real))
-            assert len(got) == len(want)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for (scan, _), want in zip(scans, zeros):
+            assert [(z.real.hex(), z.imag.hex()) for z in scan.zeros] == want
 
     def test_central_p2_scan_samples_few_points_per_cell(self, ex2, monkeypatch):
         plant, weights, opts = ex2
@@ -129,9 +135,10 @@ class TestP1P2Scans:
 
 
 def test_central_p2_scan_is_level_synchronous(ex2):
-    # each depth places its cuts and winds its halves in stacked marches, and
-    # the leaves are polished together: a depth-first walk of the same 313
-    # cells called f 391 times (346 without the polish)
+    # each depth runs Newton in its winding-1 cells, places its cuts and winds
+    # its halves in stacked calls, and the leaves are polished together; the
+    # five zeros are pinned in 55 cells and 62 calls of f (313 cells and 105
+    # calls when every cell was split down to its leaf)
     plant, weights, opts = ex2
     ctx = build_context(plant, weights, 1.96, opts.interp_a)
     p2 = p1p2_quasipolys(plant, ctx)[1]
@@ -142,8 +149,8 @@ def test_central_p2_scan_is_level_synchronous(ex2):
         return p2(s)
 
     scan = rhp_zero_scan(counted, *p2.scan_window(), excluded=ctx.excluded_zeros())
-    assert scan.cells_scanned == 313 and len(scan.zeros) == 5
-    assert len(calls) <= 346 // 3
+    assert scan.cells_scanned == 55 and len(scan.zeros) == 5
+    assert len(calls) <= 62
 
 
 @pytest.mark.xfail(

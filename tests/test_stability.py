@@ -290,10 +290,28 @@ class TestScan:
         (lambda s: s - 5.0, (0.0, 1e-4, 0.0, 1e-4), "left its leaf cell"),
         # a real start stays on the real axis, where s^2 + 1 has no zero
         (lambda s: s * s + 1.0, (0.5, 0.5001, 0.0, 0.0), "did not converge"),
+        # above leaf size: the first iterate, -0.75, is outside the cell
+        (lambda s: s * s + 1.0, (0.4, 0.6, -0.1, 0.1), "left its leaf cell"),
+        # Newton's 2-cycle 0 <-> 1 of s^3 - 2s + 2, inside the cell
+        (lambda s: s * s * s - 2.0 * s + 2.0, (-1.2, 1.2, -0.5, 0.5), "did not converge"),
     ])
     def test_leaf_newton_failures_raise(self, f, cell, match):
         with pytest.raises(ScanError, match=match):
             or_raise(stability._newton_zeros(f, [cell])[0])
+
+    def test_newton_above_leaf_size_stops_at_its_first_iterate_outside(self):
+        # a leaf may step out of its cell and back; a larger cell, which is
+        # split when Newton fails, stops at once
+        calls = []
+
+        def f(s):
+            calls.append(len(s))
+            return s * s + 1.0
+
+        [err] = stability._newton_zeros(f, [(0.4, 0.6, -0.1, 0.1)])
+        assert isinstance(err, ScanError) and calls == [3]
+        leaf = (-5e-5, 5e-5, 1.0 - 5e-5, 1.0 + 5e-5)
+        assert stability._newton_zeros(f, [leaf])[0] == pytest.approx(1j, abs=1e-12)
 
     def test_leaf_polish_is_one_call_per_iteration(self):
         # two leaves that converge and one that never does, polished
@@ -313,6 +331,70 @@ class TestScan:
         assert together[0] == alone[0] == pytest.approx(1j, abs=1e-12)
         assert together[2] == alone[2] == pytest.approx(-1j, abs=1e-12)
         assert isinstance(together[1], ScanError) and str(together[1]) == str(alone[1])
+
+
+def _walked(f, cell, w, memo):
+    """Each (leaf, winding) below 1e-4 that `_split` and `_windings` reach
+    from `cell`, depth first with no Newton in between, and the number of
+    cells they wound."""
+    if max(cell[1] - cell[0], cell[3] - cell[2]) < 1e-4:
+        return [(cell, w)], 0
+    [halves] = stability._split(f, memo, [cell])
+    leaves, cells = [], 2
+    for half, hw in zip(halves, stability._windings(f, memo, halves)):
+        if hw:
+            below, n = _walked(f, half, hw, memo)
+            leaves, cells = leaves + below, cells + n
+    return leaves, cells
+
+
+def _hex(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+class TestNewtonPinnedScan:
+    # A winding-1 cell where Newton settles is not split further: its leaf
+    # is found by halving, and the zero is polished from the same leaf
+    # centre as when every cell is marched down to its leaf.
+    @pytest.mark.parametrize("roots", [
+        # the first cut of the cell [0, 2] x [-0.4, 1.8] passes 2e-16 from
+        # 1.3 + 0.7j: its march fails and moves the cut, so that cell is
+        # split, not halved
+        [1.3 + 0.7j, 1.3 - 0.7j, 2.6],
+        # pairs of zeros 1e-2 apart: a cell holding both (winding 2) is
+        # split until each is alone in a winding-1 cell
+        [1.23 + 0.77j, 1.24 + 0.77j, 1.23 - 0.77j, 1.24 - 0.77j],
+    ])
+    def test_zeros_equal_the_walk_to_the_leaves_bit_for_bit(self, roots):
+        f = poly_from_roots(roots, 1.0)
+        window = (0.0, 4.0, -4.0, 4.0)
+        memo = {}
+        [wind] = stability._windings(f, memo, [window])
+        leaves, cells = _walked(f, window, wind, memo)
+        want = sorted((or_raise(z) for (leaf, w) in leaves
+                       for z in stability._newton_zeros(f, [leaf]) * w),
+                      key=lambda z: (z.real, z.imag))
+        scan = rhp_zero_scan(f, 4.0, 4.0)
+        assert _hex(scan.zeros) == _hex(want)
+        assert len(scan.zeros) == len(roots)
+        assert all(min(abs(z - r) for z in scan.zeros) < 1e-12 for r in roots)
+        assert scan.cells_scanned < 1 + cells
+
+    def test_newton_leaving_a_winding_one_cell_falls_back_to_splitting(self):
+        # from the window's centre 2, Newton heads for the zero at -0.5,
+        # outside the window, so the window is split as before
+        z0 = 3.3 + 3.6j
+
+        def f(s):
+            return (s - z0) * (s + 0.5)
+
+        window = (0.0, 4.0, -4.0, 4.0)
+        assert stability._windings(f, {}, [window]) == [1]
+        [err] = stability._newton_zeros(f, [window])
+        assert isinstance(err, ScanError) and "left its leaf cell" in str(err)
+        scan = rhp_zero_scan(f, 4.0, 4.0)
+        assert scan.cells_scanned > 1
+        assert scan.zeros == [pytest.approx(z0, abs=1e-12)]
 
 
 class TestCertify:
