@@ -18,7 +18,7 @@ constant, taken by `rational.grid_sup` like the closed-loop norm;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -228,41 +228,25 @@ def pick_min_eig(pp: PickProblem) -> float:
     return float(np.linalg.eigvalsh(pick_matrix(pp)).min())
 
 
-def _classify_points(z):
-    """Indices of conjugate pairs and of real points in the node list."""
-    z = np.asarray(z)
-    used = np.zeros(len(z), dtype=bool)
-    pairs, reals = [], []
-    for i in range(len(z)):
-        if used[i]:
-            continue
-        if abs(z[i].imag) < 1e-12 * (1 + abs(z[i])):
-            reals.append(i)
-            used[i] = True
-            continue
-        partner = None
-        for j in range(i + 1, len(z)):
-            if not used[j] and abs(z[j] - np.conj(z[i])) < 1e-9 * (1 + abs(z[i])):
-                partner = j
-                break
-        if partner is None:
-            raise FiniteSearchError("interpolation nodes not conjugate-closed")
-        pairs.append((i, partner))
-        used[i] = used[partner] = True
-    return pairs, reals
-
-
 def _design_tuples(z, bound):
     """Branch-integer tuples compatible with a real-coefficient design.
 
     A conjugate node pair carries opposite integers (n, -n); real nodes carry
-    zero (their targets must stay real).
+    zero (their targets must stay real).  Past two pairs the bound is cut to 3.
     """
     from itertools import product
 
-    pairs, _ = _classify_points(z)
-    if len(pairs) == 0:
-        return [tuple([0] * len(z))]
+    z = np.asarray(z)
+    pairs, used = [], np.zeros(len(z), dtype=bool)
+    for i in range(len(z)):
+        if used[i] or abs(z[i].imag) < 1e-12 * (1 + abs(z[i])):
+            continue
+        partner = next((j for j in range(i + 1, len(z)) if not used[j]
+                        and abs(z[j] - np.conj(z[i])) < 1e-9 * (1 + abs(z[i]))), None)
+        if partner is None:
+            raise FiniteSearchError("interpolation nodes not conjugate-closed")
+        pairs.append((i, partner))
+        used[partner] = True
     if len(pairs) > 2:
         bound = min(bound, 3)  # keep the product enumeration tractable
     tuples = []
@@ -503,28 +487,29 @@ def _grid_peaks(u: UAtPoints, qs):
     return grid_peaks(lambda k0, k1: u(qs[k0:k1, None]), len(qs), u.size)
 
 
-def _sampled_peaks(p1p2, interp, mu, qs, a, om, thr):
-    """Largest |U| sampled on part of om for each constant in qs (inf where
+def _sampled_peaks(U: FiniteU, om, thr):
+    """Largest |U| sampled on part of om for each constant of U.q (inf where
     U is not finite at a sampled point), a lower bound on its grid sup: every
-    q at the witnesses, the om[::10] argmax points of the pilots qs[::50]
+    q at the witnesses, the om[::10] argmax points of the pilots q[::50]
     whose om[::10] sup exceeds thr; then the q still at most thr on om[::10]."""
+    qs = np.asarray(U.q)
     sub = om[::10]
-    u_sub = UAtPoints(p1p2, interp, mu, a, 1j * sub)
+    u_sub = U.at(1j * sub)
     at, peak = _grid_peaks(u_sub, qs[::50])
     # sorted(set(...)), not np.unique: the first np.unique call keeps ~1 MB
     witness = sub[sorted(set(at[(at >= 0) & (peak > thr)].tolist()))]
     low = np.zeros(len(qs))
     if witness.size:
-        low = _grid_peaks(UAtPoints(p1p2, interp, mu, a, 1j * witness), qs)[1]
+        low = _grid_peaks(U.at(1j * witness), qs)[1]
     alive = np.flatnonzero(low <= thr)
     low[alive] = _grid_peaks(u_sub, qs[alive])[1]
     return low
 
 
-def _q_candidates(p1p2, interp, mu, q_grid, a, om):
-    """Indices of the q values whose grid sup of |U| over om is at most
-    1 + U_NORM_TOL, in increasing order of that sup (ties by index), yielded
-    lazily: the search stops at the first accepted candidate.
+def _q_candidates(U: FiniteU, om):
+    """Indices of the constants of U.q whose grid sup of |U| over om is at
+    most 1 + U_NORM_TOL, in increasing order of that sup (ties by index),
+    yielded lazily: the search stops at the first accepted candidate.
 
     A q whose `_sampled_peaks` bound (at most its sup) is above the threshold
     is dropped, and the survivors go to the full grid best first: the live q
@@ -536,8 +521,8 @@ def _q_candidates(p1p2, interp, mu, q_grid, a, om):
     bound, hence at most every live q's sup.
     """
     thr = 1.0 + U_NORM_TOL
-    q_grid = np.asarray(q_grid)
-    bound = _sampled_peaks(p1p2, interp, mu, q_grid, a, om, thr)
+    q_grid = np.asarray(U.q)
+    bound = _sampled_peaks(U, om, thr)
     alive = np.flatnonzero(bound <= thr)
     bound = bound[alive]
     exact = np.zeros(len(alive), dtype=bool)
@@ -550,13 +535,13 @@ def _q_candidates(p1p2, interp, mu, q_grid, a, om):
             bound[k] = np.inf   # taken: the filter below drops it
         else:
             if u_full is None:
-                u_full = UAtPoints(p1p2, interp, mu, a, 1j * om)
+                u_full = U.at(1j * om)
             i, full = _grid_peaks(u_full, q_grid[alive[k:k + 1]])
             bound[k], exact[k] = full[0], True
             rest = ~exact
             if i[0] >= 0 and rest.any():
-                u_wit = UAtPoints(p1p2, interp, mu, a, 1j * om[i])
-                bound[rest] = np.fmax(bound[rest], _grid_peaks(u_wit, q_grid[alive[rest]])[1])
+                bound[rest] = np.fmax(bound[rest],
+                                      _grid_peaks(U.at(1j * om[i]), q_grid[alive[rest]])[1])
         keep = bound <= thr
         alive, bound, exact = alive[keep], bound[keep], exact[keep]
 
@@ -595,9 +580,10 @@ def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a: float, grid: FrequencyGr
             interp = np_interpolant(PickProblem(z=z, w=w, n=integers, mu=mu))
         except FiniteSearchError:
             continue
-        norms = _sampled_peaks(p1p2, interp, mu, qs, a, grid.omegas(), 1.0)
+        U = FiniteU(p1p2, interp, mu, qs, a)
+        norms = _sampled_peaks(U, grid.omegas(), 1.0)
         rest = ~(np.isfinite(norms) & (norms > 1.0))
-        norms[rest] = certify_u_norm(FiniteU(p1p2, interp, mu, qs[rest], a), grid)
+        norms[rest] = certify_u_norm(replace(U, q=qs[rest]), grid)
         keep = ~np.isnan(norms)
         rows += [(mu, qv, un, un <= 1.0)
                  for qv, un in zip(qs[keep].tolist(), norms[keep].tolist())]
@@ -628,7 +614,6 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
     unit ball; the accepted controller is re-certified by an independent scan
     and a closed-loop norm check."""
     grid, a = opts.grid, opts.a
-    last_exc = None
     p1p2 = build_p1p2(plant, ctx)
     if not p1p2.p_roots:
         cert = _accepted(plant, weights, ctx, UParam(0.0), grid)
@@ -643,45 +628,32 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
         )
     z, w = pick_points(p1p2, a)
     mu_opt, best_tuple, table = mu_opt_search(z, w, opts.integer_bound)
-
-    # unique interpolant exactly at the optimum
-    pp0 = PickProblem(z=z, w=w, n=best_tuple, mu=mu_opt * (1 + 1e-9))
-    try:
-        interp0 = np_interpolant(pp0)
-    except FiniteSearchError as exc:
-        last_exc = exc
-    else:
-        U0 = FiniteU(p1p2, interp0, pp0.mu, 0.0, a)
-        cert = _accepted(plant, weights, ctx, U0, grid)
-        if cert:
-            return FinSearchResult(
-                mu=pp0.mu, integers=best_tuple, q=0.0, U=U0, U_norm=cert.u_norm,
-                cert=cert, p1p2=p1p2, mu_opt=mu_opt,
-            )
-
+    # the steps (mu, tuples, q): the unique interpolant just above the optimum
+    # at q = 0, certified directly; then each schedule level above the
+    # optimum with its feasible tuples in table order and the q grid in
+    # `_q_candidates` order, so an accepted design carries the largest
+    # margin the sweep can offer
     q_grid = np.arange(-1.0, 1.0 + opts.q_step / 2, opts.q_step)
-    om_coarse = grid.omegas()
-    for mu in (opts.mu_schedule or _default_mu_schedule(mu_opt)):
-        if mu <= mu_opt:
-            continue
-        feasible_tuples = [tup for tup, mu_min in table if mu_min < mu]
-        for tup in feasible_tuples:
-            pp = PickProblem(z=z, w=w, n=tup, mu=mu)
+    steps = [(mu_opt * (1 + 1e-9), [best_tuple], 0.0)] + [
+        (float(mu), [tup for tup, mu_min in table if mu_min < mu], q_grid)
+        for mu in (opts.mu_schedule or _default_mu_schedule(mu_opt)) if mu > mu_opt]
+    om = grid.omegas()
+    last_exc = None
+    for mu, tuples, qs in steps:
+        for tup in tuples:
             try:
-                interp = np_interpolant(pp)
+                interp = np_interpolant(PickProblem(z=z, w=w, n=tup, mu=mu))
             except FiniteSearchError as exc:
                 last_exc = exc
                 continue
-            # coarse vectorized sweep first, then fully certify candidates
-            # in order of increasing grid norm: the accepted design carries
-            # the largest margin the sweep can offer
-            for idx in _q_candidates(p1p2, interp, mu, q_grid, a, om_coarse):
-                qv = float(q_grid[idx])
-                U = FiniteU(p1p2, interp, mu, qv, a)
+            sweep = FiniteU(p1p2, interp, mu, qs, a)
+            order = [qs] if np.ndim(qs) == 0 else (float(qs[i]) for i in _q_candidates(sweep, om))
+            for qv in order:
+                U = replace(sweep, q=qv)
                 cert = _accepted(plant, weights, ctx, U, grid)
                 if cert:
                     return FinSearchResult(
-                        mu=float(mu), integers=tup, q=qv, U=U, U_norm=cert.u_norm,
+                        mu=mu, integers=tup, q=qv, U=U, U_norm=cert.u_norm,
                         cert=cert, p1p2=p1p2, mu_opt=mu_opt,
                     )
     raise FiniteSearchError(

@@ -59,9 +59,7 @@ class InfSearchResult:
 def l1u_stability_range(ctx: SynthesisContext, step: float):
     """Largest interval of constant u_inf in [-1, 1] keeping L_1U Hurwitz."""
     us = np.arange(-1.0, 1.0 + step / 2, step)
-    num = np.stack([us, 0 * us], axis=1)       # constant U: u_inf / 1
-    den = np.broadcast_to([1.0, 0.0], num.shape)
-    ok = np.array(_l1u_hurwitz(_lu_rows(ctx, num, den)[1]))
+    ok = np.array(_l1u_hurwitz(ctx, [UParam(float(u)) for u in us]))
     if not ok.any():
         return None
     runs = []
@@ -78,13 +76,14 @@ def l1u_stability_range(ctx: SynthesisContext, step: float):
     return float(us[lo]), float(us[hi])
 
 
-def _l1u_hurwitz(L1U):
-    """Per row of L1U, the cleared L_1U = L1 (u_p + s) + u_inf (u_z + s) L2~
-    of one U (`stability._lu_rows`): is it Hurwitz?
+def _l1u_hurwitz(ctx: SynthesisContext, us):
+    """Per U of `us`, whether its L_1U = L1 (u_p + s) + u_inf (u_z + s) L2~,
+    cleared of U's denominator (`stability._lu_rows`), is Hurwitz.
 
     All roots come from one stacked `poly_roots` call; the first failed
     extraction, in row order, raises.
     """
+    L1U = _lu_rows(ctx, *_u_rows(us))[1]
     return [bool(row.any()) and all(r.real < 0 for r in or_raise(rs).roots)
             for row, rs in zip(L1U, _roots_of_nonzero(L1U))]
 
@@ -103,6 +102,14 @@ def _interval_grid(intervals, step):
     return np.array(sorted(set(np.round(pts, 12))))
 
 
+def _u_grid(intervals, step, ups, uzs):
+    """Every U(u_inf, u_z, u_p) with ||U|| <= 1 over u_p in `ups`, u_z in
+    `uzs` and u_inf on `_interval_grid(intervals, step)`."""
+    uis = _interval_grid(intervals, step)
+    us = [UParam(float(ui), float(uz), float(up)) for up in ups for uz in uzs for ui in uis]
+    return [u for u in us if u.sup_norm() <= 1.0]
+
+
 def _rank_key(entry):
     u, pk = entry
     wm = pk.omega_max if pk.omega_max is not None else 0.0
@@ -118,16 +125,10 @@ def _candidates(ctx, opts: Options, intervals, peaks):
     computed, also of a U dropped for its infinite crossing, goes into the
     dict `peaks`.
     """
-    us = []
-    for up in opts.up_grid:
-        for uz in opts.uz_grid:
-            for ui in _interval_grid(intervals, opts.uinf_step):
-                u = UParam(float(ui), float(uz), float(up))
-                if u.sup_norm() <= 1.0:
-                    us.append(u)
+    us = _u_grid(intervals, opts.uinf_step, opts.up_grid, opts.uz_grid)
 
     def sweep(us):
-        stable = [u for u, h in zip(us, _l1u_hurwitz(_lu_rows(ctx, *_u_rows(us))[1])) if h]
+        stable = [u for u, h in zip(us, _l1u_hurwitz(ctx, us)) if h]
         return list(zip(stable, peak_data(ctx, stable)))
 
     found = _batched(sweep, us)
@@ -185,13 +186,9 @@ def sweep_report(ctx: SynthesisContext, opts: Options, peaks):
     `peaks` (UParam -> PeakData, as `InfSearchResult.peaks` holds them) gives
     rows already computed; only the others go through `peak_data`.
     """
-    asym = asymptotics(ctx)
-    us = []
-    for lo, hi in admissible_uinf(asym):
-        for ui in _interval_grid([(lo, hi)], opts.uinf_step):
-            u = UParam(float(ui))
-            if u.sup_norm() <= 1.0:
-                us.append(u)
+    # each interval's own grid, not one merged across intervals: the fig-1 rows
+    us = [u for iv in admissible_uinf(asymptotics(ctx))
+          for u in _u_grid([iv], opts.uinf_step, (0.0,), (0.0,))]
     known = dict(peaks)     # a copy: the caller's search result stays as it was
     todo = [u for u in us if u not in known]
     known.update(zip(todo, peak_data(ctx, todo)))

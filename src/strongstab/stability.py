@@ -121,8 +121,12 @@ def _fl_limits(f_inf, LU):
     return np.where(c1 != 0.0, lim, np.where(c2 != 0, np.inf, f_inf))
 
 
+# The limit of |F L_U| at infinity up to which the unstable poles are finite.
+FL_LIMIT_MAX = 1.0 + 1e-12
+
+
 def finitely_many_poles(ctx: SynthesisContext, u: UParam) -> bool:
-    return fl_limit_at_infinity(ctx, u) <= 1.0 + 1e-12
+    return fl_limit_at_infinity(ctx, u) <= FL_LIMIT_MAX
 
 
 def admissible_uinf(asym: AsymptoticData):
@@ -246,7 +250,7 @@ def _peaks(ctx: SynthesisContext, us) -> list[PeakData]:
     dx = 1e-6 * (1 + x)
     cross &= _horner(T, x - dx) * _horner(T, x + dx) < 0
     omega = np.sqrt(x, out=np.full_like(x, -np.inf), where=cross).max(axis=1, initial=-np.inf)
-    omega = np.where(lim > 1.0 + 1e-12, np.inf, omega)
+    omega = np.where(lim > FL_LIMIT_MAX, np.inf, omega)
 
     # supremum: N/D at x = 0, at its stationary points (x = 0 again in the
     # padding) and in the limit

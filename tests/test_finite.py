@@ -577,6 +577,53 @@ class TestStabilizeFinite:
             stabilize_finite(plant, weights, ex2_ctx, opts)
         assert seen == [(ex2_search.mu_opt * (1 + 1e-9), 0.0)]
 
+    def test_schedule_levels_at_or_below_the_optimum_are_skipped(self, ex2, ex2_ctx,
+                                                                  ex2_search):
+        plant, weights, opts = ex2
+        mu_opt = ex2_search.mu_opt
+        schedule = (0.5 * mu_opt, mu_opt, *_default_mu_schedule(mu_opt))
+        res = stabilize_finite(plant, weights, ex2_ctx,
+                               dataclasses.replace(opts, mu_schedule=schedule))
+        assert (res.mu, res.integers, res.q) == (ex2_search.mu, ex2_search.integers,
+                                                 ex2_search.q)
+
+    def test_a_failed_interpolant_moves_the_search_on(self, ex2, ex2_ctx, ex2_search,
+                                                      monkeypatch):
+        plant, weights, opts = ex2
+        tried = []
+
+        def failing(pp, fail=lambda pp: (pp.mu, pp.n) == (ex2_search.mu, ex2_search.integers)):
+            tried.append((pp.mu, pp.n))
+            if fail(pp):
+                raise FiniteSearchError(f"no interpolant at mu={pp.mu}, n={pp.n}")
+            return np_interpolant(pp)
+
+        monkeypatch.setattr(finite, "np_interpolant", failing)
+        res = stabilize_finite(plant, weights, ex2_ctx, opts)
+        failed = tried.index((ex2_search.mu, ex2_search.integers))
+        assert tried[failed + 1:] and tried[-1] == (res.mu, res.integers)
+        assert res.cert.stable and res.U_norm <= 1.0 + 1e-9
+        # every interpolant fails: the exhausted search names the last failure
+        tried.clear()
+        monkeypatch.setattr(finite, "np_interpolant", lambda pp: failing(pp, lambda pp: True))
+        with pytest.raises(FiniteSearchError, match="schedules exhausted") as err:
+            stabilize_finite(plant, weights, ex2_ctx, opts)
+        mu, n = tried[-1]
+        assert mu == _default_mu_schedule(ex2_search.mu_opt)[-1]
+        assert str(err.value).endswith(f"(last issue: no interpolant at mu={mu}, n={n})")
+
+    def test_accepted_optimum_step_is_the_best_tuple_at_q_zero(self, ex2, ex2_ctx,
+                                                               ex2_search, monkeypatch):
+        plant, weights, opts = ex2
+        clean = RegionScan(1.0, 1.0, zeros=[], excluded=[])
+        monkeypatch.setattr(finite, "certify", lambda *args, **kwargs: Certificate(
+            controller=None, u_norm=0.5, scan=clean, norm=1.0, norm_ok=True))
+        res = stabilize_finite(plant, weights, ex2_ctx, opts)
+        z, w = pick_points(ex2_search.p1p2, opts.a)
+        _, best_tuple, _ = mu_opt_search(z, w, opts.integer_bound)
+        assert (res.mu, res.q, res.integers) == (ex2_search.mu_opt * (1 + 1e-9), 0.0, best_tuple)
+        assert res.U.mu == res.mu and res.U.q == 0.0
+
 
 Q_GRID = np.arange(-1.0, 1.0 + 5e-4, 1e-3)   # the search's q grid at the default q_step
 
@@ -648,7 +695,7 @@ class TestQSweep:
                                q_grid[alive])[1]
             ok = full <= 1.0 + 1e-9
             ref = alive[ok][np.argsort(full[ok], kind="stable")]
-            got = _q_candidates(ex2_p1p2, interp, mu, q_grid, opts.a, om)
+            got = _q_candidates(FiniteU(ex2_p1p2, interp, mu, q_grid, opts.a), om)
             assert list(got) == ref.tolist(), (mu, tup)
             survivors.append(len(alive))
         # the search's steps: six reject every q on the sub-grid
@@ -670,12 +717,12 @@ class TestQSweep:
         sub = _grid_peaks(UAtPoints(ex2_p1p2, interp, mu, a, 1j * om[::10]), Q_GRID)[1]
         assert np.all(sub <= full)
         assert one_stage   # the accepting step has candidates to order
-        assert list(_q_candidates(ex2_p1p2, interp, mu, Q_GRID, a, om)) == one_stage
+        assert list(_q_candidates(FiniteU(ex2_p1p2, interp, mu, Q_GRID, a), om)) == one_stage
 
     def test_duplicated_q_values_come_out_by_index(self, ex2_p1p2, accepting, full_sups):
         # each q twice: the two copies tie exactly, and the lower index goes first
         mu, a, interp = accepting
-        got = _q_candidates(ex2_p1p2, interp, mu, np.repeat(Q_GRID, 2), a,
+        got = _q_candidates(FiniteU(ex2_p1p2, interp, mu, np.repeat(Q_GRID, 2), a),
                             FrequencyGrid().omegas())
         assert list(got) == [j for i in full_sups[1] for j in (2 * i, 2 * i + 1)]
 
@@ -786,8 +833,8 @@ class TestFig5Lattice:
         opts = ex2[2]
         mu = _default_mu_schedule(ex2_search.mu_opt)[0]
         interp = np_interpolant(PickProblem(z=z, w=w, n=ex2_search.integers, mu=mu))
-        low = _sampled_peaks(ex2_p1p2, interp, mu, np.array([0.5, np.nan, -0.5]),
-                             opts.a, opts.grid.omegas(), 1.0)
+        low = _sampled_peaks(FiniteU(ex2_p1p2, interp, mu, np.array([0.5, np.nan, -0.5]), opts.a),
+                             opts.grid.omegas(), 1.0)
         assert low[1] == np.inf and np.isfinite(low[[0, 2]]).all()
         # U is NaN at every point for one Q of the lattice: its rows go
         qv = np.linspace(-1.0, 1.0, 101)[75]
