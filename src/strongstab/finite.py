@@ -120,7 +120,7 @@ class QuasiPoly:
 
     def rhp_zeros(self, excluded):
         sig_max, om_bound = self.scan_window()
-        return rhp_zero_scan(self, sig_max, om_bound, excluded=excluded).zeros
+        return rhp_zero_scan(self, sig_max, om_bound, excluded=excluded, h=self.h).zeros
 
 
 @dataclass

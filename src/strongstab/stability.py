@@ -335,43 +335,59 @@ def _refine_march(f, z0, z1, ts, vals):
     raise ScanError("edge refinement did not settle")
 
 
-def _march(f, memo, segs):
+def _march(f, memo, segs, h=0.0):
     """Argument change of f along each segment (z0, z1) of `segs`, or the
     ScanError its march raised.  `memo` keeps each good march of one scan (a
-    reversed segment reads negated).  The first samples of all new segments
-    go through f in one call; only rows failing `_refine_march`'s checks are
-    refined."""
+    reversed segment reads negated).  A segment takes max(64, 2h|z1 - z0|/pi
+    + 1) samples, so e^{-hs} turns by at most pi/2 between two of them, and
+    one over `_MARCH_MAX_N` fails.  The first samples of all new segments go
+    through f in one call, each sample count checked as one block; only rows
+    failing `_refine_march`'s checks are refined."""
     new = {}
     for seg in segs:
         if seg not in memo and seg[::-1] not in memo and seg[::-1] not in new:
             new[seg] = None
     if new:
-        z0, z1 = np.array(list(new)).T[:, :, None]
-        vals = np.asarray(f((z0 + (z1 - z0) * _MARCH_TS).ravel()), dtype=complex)
-        vals = vals.reshape(len(new), len(_MARCH_TS))
-        mags = np.abs(vals)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dph = np.angle(vals[:, 1:] / vals[:, :-1])
-            ok = (np.isfinite(mags).all(axis=1)
-                  & (mags.min(axis=1) > _SMALL_TOL * np.maximum(mags.max(axis=1), 1e-30))
-                  & (np.abs(dph) <= np.pi / 2).all(axis=1))
-        for seg, row, d, good in zip(new, vals, dph, ok):
-            try:
-                memo[seg] = float(d.sum()) if good else _refine_march(f, *seg, _MARCH_TS, row)
-            except ScanError as err:
-                new[seg] = err
+        z0, z1 = np.array(list(new)).T
+        ns = np.maximum(len(_MARCH_TS), np.ceil(2 * h * np.abs(z1 - z0) / np.pi).astype(int) + 1)
+        groups = {}
+        for k, (seg, n) in enumerate(zip(new, ns.tolist())):
+            if n > _MARCH_MAX_N:
+                new[seg] = ScanError(
+                    f"a segment needs {n} samples, over the budget of {_MARCH_MAX_N}")
+            else:
+                groups.setdefault(n, []).append(k)
+        ts = {n: _MARCH_TS if n == len(_MARCH_TS) else np.linspace(0.0, 1.0, n) for n in groups}
+        pts = [(z0[ks, None] + (z1 - z0)[ks, None] * ts[n]).ravel() for n, ks in groups.items()]
+        vals = np.asarray(f(np.concatenate(pts)), dtype=complex) if pts else None
+        start, segs_new = 0, list(new)
+        for n, ks in groups.items():
+            rows = vals[start:start + n * len(ks)].reshape(len(ks), n)
+            start += n * len(ks)
+            mags = np.abs(rows)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dph = np.angle(rows[:, 1:] / rows[:, :-1])
+                ok = (np.isfinite(mags).all(axis=1)
+                      & (mags.min(axis=1) > _SMALL_TOL * np.maximum(mags.max(axis=1), 1e-30))
+                      & (np.abs(dph) <= np.pi / 2).all(axis=1))
+            for k, row, d, good in zip(ks, rows, dph, ok):
+                seg = segs_new[k]
+                try:
+                    memo[seg] = float(d.sum()) if good else _refine_march(f, *seg, ts[n], row)
+                except ScanError as err:
+                    new[seg] = err
     return [memo[s] if s in memo else -memo[s[::-1]] if s[::-1] in memo
             else new.get(s) or new[s[::-1]] for s in segs]
 
 
-def _windings(f, memo, cells):
+def _windings(f, memo, cells, h=0.0):
     """Winding number of f around each cell (slo, shi, wlo, whi) of `cells`,
-    all edges in one `_march`; raises the first failed edge, then the first
-    winding more than 0.1 off an integer."""
+    all edges in one `_march` (delay h); raises the first failed edge, then
+    the first winding more than 0.1 off an integer."""
     corners = [(complex(a, c), complex(b, c), complex(b, d), complex(a, d))
                for a, b, c, d in cells]
     changes = [or_raise(c) for c in
-               _march(f, memo, [(q[k], q[(k + 1) % 4]) for q in corners for k in range(4)])]
+               _march(f, memo, [(q[k], q[(k + 1) % 4]) for q in corners for k in range(4)], h)]
     ws = [sum(changes[i:i + 4]) / (2 * np.pi) for i in range(0, len(changes), 4)]
     off = next((w for w in ws if abs(w - np.rint(w)) > 0.1), None)
     if off is not None:
@@ -436,18 +452,18 @@ def _cut_lines(cell):
             yield (complex(slo, c), complex(shi, c)), [(slo, shi, wlo, c), (slo, shi, c, whi)]
 
 
-def _split(f, memo, cells):
+def _split(f, memo, cells, h=0.0):
     """The two halves of each cell of `cells` at its first `_cut_lines`
-    candidate that the march traverses (a zero on the line fails it, so a
-    traversed cut is certified); a ScanError when a cell runs out.  Each
-    round is one `_march` of every unsplit cell's next candidate."""
+    candidate that the march (delay h) traverses (a zero on the line fails
+    it, so a traversed cut is certified); a ScanError when a cell runs out.
+    Each round is one `_march` of every unsplit cell's next candidate."""
     out = [None] * len(cells)
     lines = {i: _cut_lines(cell) for i, cell in enumerate(cells)}
     while lines:
         tries = {i: next(cuts, None) for i, cuts in lines.items()}
         if None in tries.values():
             raise ScanError("could not place a subdivision cut away from zeros")
-        marched = _march(f, memo, [seg for seg, _ in tries.values()])
+        marched = _march(f, memo, [seg for seg, _ in tries.values()], h)
         for (i, (_, halves)), change in zip(tries.items(), marched):
             if not isinstance(change, ScanError):
                 out[i] = halves
@@ -472,16 +488,18 @@ def _leaf(cell, z):
     return cell
 
 
-def _subdivide(f, memo, window, wind):
+def _subdivide(f, memo, window, wind, h):
     """The zeros in `window` of winding `wind`, each polished in a leaf
-    below 1e-4, and the number of cells wound below the window.
+    below 1e-4, and the number of cells wound below the window (marched with
+    delay h).
 
     Level-synchronous: each depth checks its cells in order (a zero winding
     is dropped; a negative winding or a cell past `_MAX_DEPTH` raises) and
     runs Newton in all its other winding-1 cells at once.  Where Newton
     settles, the winding says the point is the cell's one zero, and `_leaf`
     finds its leaf without a march.  The other cells are split and their
-    halves wound in one `_windings` call.  The leaves are polished together
+    halves wound in one `_windings` call; two halves that do not wind to
+    their cell's winding raise.  The leaves are polished together
     at the end, from their centres.  Each step raises its first failure.
     """
     live, leaves, cells = [(window, wind)], [], 0
@@ -502,10 +520,14 @@ def _subdivide(f, memo, window, wind):
         found = {c: _leaf(c, z) for c, z in zip(ones, _newton_zeros(f, ones))
                  if not isinstance(z, ScanError)}
         leaves += [(leaf, 1) for leaf in found.values() if leaf]
-        halves = [half for pair in _split(f, memo, [c for c, _ in parents if not found.get(c)])
-                  for half in pair]
+        split = [(c, w) for c, w in parents if not found.get(c)]
+        halves = [half for pair in _split(f, memo, [c for c, _ in split], h) for half in pair]
         cells += len(halves)
-        live = list(zip(halves, _windings(f, memo, halves)))
+        live = list(zip(halves, _windings(f, memo, halves, h)))
+        for (cell, w), (_, w0), (_, w1) in zip(split, live[::2], live[1::2]):
+            if w0 + w1 != w:
+                raise ScanError(f"winding not conserved: a cell of winding {w} "
+                                f"splits into {w0} + {w1} at {cell}")
         if not live:
             break
     zs = _newton_zeros(f, [cell for cell, _ in leaves])
@@ -524,7 +546,7 @@ def _deflated(f, excluded):
 
 
 def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
-                  locate=True) -> RegionScan:
+                  locate=True, h=0.0) -> RegionScan:
     """Count and locate zeros of `f` in [0, sigma_max] x [-omega_bound, omega_bound].
 
     `excluded` lists known zeros (such as the cancelled zeros of E and m_d);
@@ -534,18 +556,20 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
     The count is the window's winding number.  With `locate` (for `f`
     analytic in the window), `_subdivide` locates each zero; without, the
     scan stops at the count and `zeros` holds one NaN per zero counted.
-    Every contour segment is marched once per scan.  A failed march moves a
-    cut to its next candidate; any other failure raises, the first one met.
+    Every contour segment is marched once per scan, sampled densely enough
+    for a factor e^{-hs} of `f` (`_march`; h = 0 for none).  A failed march
+    moves a cut to its next candidate; any other failure raises, the first
+    one met.
     """
     excluded = [complex(z) for z in excluded]
     fd = _deflated(f, excluded)
     memo = {}
     window = (0.0, sigma_max, -omega_bound, omega_bound)
-    [wind] = _windings(fd, memo, [window])
+    [wind] = _windings(fd, memo, [window], h)
     if wind < 0:
         raise ScanError(_POLES)
     if locate:
-        zeros, cells = _subdivide(fd, memo, window, wind)
+        zeros, cells = _subdivide(fd, memo, window, wind, h)
     else:
         zeros, cells = [complex(np.nan, np.nan)] * wind, 0
     return RegionScan(
@@ -659,7 +683,7 @@ def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
     sigma_max, omega_bound = window or probe_window(controller)
     sigma_max = _contracting_edge(controller, sigma_max, omega_bound)
     cert.scan = rhp_zero_scan(controller.loop_denominator, sigma_max, omega_bound,
-                              excluded=ctx.excluded_zeros(), locate=False)
+                              excluded=ctx.excluded_zeros(), locate=False, h=plant.h)
     if cert.stable:
         cert.norm, cert.norm_ok = verify_performance(controller, weights, grid)
     return cert

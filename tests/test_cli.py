@@ -564,10 +564,9 @@ class TestVerify:
         assert capsys.readouterr().out.startswith("pass:")
 
     @pytest.mark.parametrize("config, rho", [
-        # sweep levels gamma_opt (1 + eps) of tests/sweep.py that fail today
-        pytest.param(EX2, rho, id=f"ex2-{rho}", marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError, reason=(
-                "item 4: stabilize exits 3, build_p1p2's P2 scan reads a negative winding")))
+        # sweep levels gamma_opt (1 + eps) of tests/sweep.py: the two example-2
+        # levels certify once the P2 march samples the delay's period
+        pytest.param(EX2, rho, id=f"ex2-{rho}")
         for rho in ("2.126843289826658", "2.2470270839893844")
     ] + [
         pytest.param(EX1, "0.8129742574", id="ex1-0.8129742574",

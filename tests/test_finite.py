@@ -148,28 +148,24 @@ def test_central_p2_scan_is_level_synchronous(ex2):
         calls.append(np.size(s))
         return p2(s)
 
-    scan = rhp_zero_scan(counted, *p2.scan_window(), excluded=ctx.excluded_zeros())
+    scan = rhp_zero_scan(counted, *p2.scan_window(), excluded=ctx.excluded_zeros(), h=p2.h)
     assert scan.cells_scanned == 55 and len(scan.zeros) == 5
     assert len(calls) <= 62
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 4: the P2 window of example 2 at this sweep level "
-           "spans |omega| <= 36.8, and the 64-sample marches read a window "
-           "winding of 23 where its two halves read 13 + 16",
-)
 def test_p2_window_winding_is_its_halves_sum(ex2):
+    # the window spans |omega| <= 36.8: 64 samples per edge read its winding
+    # as 23, where its halves wind 13 + 16; sampling the period of e^{-3s}
+    # reads 29
     plant, weights, opts = ex2
     ctx = build_context(plant, weights, 2.0861145983058385, opts.interp_a)
     p2 = p1p2_quasipolys(plant, ctx)[1]
     sigma_max, omega_bound = p2.scan_window()
     f = stability._deflated(p2, ctx.excluded_zeros())
     memo, window = {}, (0.0, sigma_max, -omega_bound, omega_bound)
-    [wind] = stability._windings(f, memo, [window])
-    [halves] = stability._split(f, memo, [window])
-    winds = stability._windings(f, memo, halves)
+    [wind] = stability._windings(f, memo, [window], p2.h)
+    [halves] = stability._split(f, memo, [window], p2.h)
+    winds = stability._windings(f, memo, halves, p2.h)
     assert wind == sum(winds)
 
 

@@ -285,6 +285,29 @@ class TestScan:
         assert dense == pytest.approx(-6.2751, abs=1e-4)
         assert stability._march(p, {}, [(z0, z1)])[0] == pytest.approx(dense, abs=0.1)
 
+    def test_march_samples_the_delay_period(self):
+        # 1 - 2 e^{-3s} vanishes at s = ln(2)/3 + 2 pi k j / 3: 95 zeros with
+        # |omega| <= 100.  64 samples per edge read the window's winding as 15.
+        def f(s):
+            return 1.0 - 2.0 * np.exp(-3.0 * np.asarray(s))
+
+        exact = np.log(2.0) / 3.0 + 2j * np.pi / 3.0 * np.arange(-47, 48)
+        assert len(rhp_zero_scan(f, 1.0, 100.0, locate=False, h=3.0).zeros) == 95
+        zeros = sorted(rhp_zero_scan(f, 1.0, 100.0, h=3.0).zeros, key=lambda z: z.imag)
+        assert np.abs(np.array(zeros) - exact).max() < 1e-10
+        # a segment that needs more than _MARCH_MAX_N samples fails
+        [change] = stability._march(f, {}, [(0.0j, 1e5j)], 3.0)
+        assert isinstance(change, ScanError) and "samples, over the budget" in str(change)
+
+    def test_split_cell_whose_halves_lose_its_winding_raises(self):
+        # a close pair 3.1e-4 apart: a cell of winding 1 splits into halves
+        # of winding 0 + 0, where the scan used to return 5 of the 6 zeros
+        zs = [1.1446433125512019 + 3.8617866277902904j, 1.144910064740574 + 3.8616335443943033j,
+              3.379813021154276 + 2.9498064177259438j]
+        p = poly_from_roots(zs + [z.conjugate() for z in zs], 1.0)
+        with pytest.raises(ScanError, match="winding not conserved"):
+            rhp_zero_scan(lambda s: p(s), 4.0, 4.0)
+
     @pytest.mark.parametrize("f, cell, match", [
         (lambda s: np.ones_like(s), (0.0, 1e-4, 0.0, 1e-4), "zero derivative"),
         (lambda s: s - 5.0, (0.0, 1e-4, 0.0, 1e-4), "left its leaf cell"),

@@ -14,7 +14,7 @@ import sweep
 
 # levels 2, 6, ..., 38 of each config
 SUBSET = range(2, len(sweep.EPS), 4)
-CERTIFIED = {"example1": {26, 30, 34, 38}, "example2": {2, 6, 10, 14, 18, 22, 26, 30, 34}}
+CERTIFIED = {"example1": {26, 30, 34, 38}, "example2": {2, 6, 10, 14, 18, 22, 26, 30, 34, 38}}
 BROKEN = {
     ("example1", 22): "item 2(a): stabilize exits 0 at 0.8129742573682219, and "
                       "verify exits 3: its scan reads a negative winding",
