@@ -136,12 +136,12 @@ def admissible_uinf(asym: AsymptoticData):
     gives a single quadratic whose discriminant is the perfect square
     (f_inf (1 - k^2))^2, so the admissible set is one or two exact intervals.
     """
-    f = asym.f_inf
-    if f <= 1.0:
-        return [(-1.0, 1.0)]
-    k = asym.k
+    f, k = asym.f_inf, asym.k
     if not np.isfinite(k):
-        return []  # |v| >= f_inf > 1 has no admissible point in [-1, 1]
+        # divided by |k| -> infinity the inequality reads f_inf <= |v|
+        return [] if f > 1.0 else [(-1.0, 1.0)] if f == 0.0 else [(-1.0, -f), (f, 1.0)]
+    if f <= 1.0 and abs(k) <= 1.0:
+        return [(-1.0, 1.0)]    # f_inf |k + v| <= |k + v| <= |1 + k v| for |v| <= 1
     a = f * f - k * k
     b = 2.0 * k * (f * f - 1.0)
     c = f * f * k * k - 1.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import strongstab.cli as cli
-from strongstab import finite
+from strongstab import finite, stability
 from strongstab.cli import main
 from strongstab.config import ConfigError, load_problem
 from strongstab.rational import PoleEvaluationError
@@ -270,6 +270,27 @@ class TestGammaOpt:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["gamma_opt"] == pytest.approx(1.9452, abs=1e-3)
+
+    @pytest.mark.parametrize("config, gamma", [(EX1, 0.8108), (EX2, 1.9452)],
+                             ids=["example1", "example2"])
+    def test_default_bracket_finds_the_anchor(self, config, gamma, tmp_path, capsys):
+        # without options.gamma_bracket the bracket comes from |W1| on the
+        # grid: 0.810810833625 and 1.94522813829
+        doc = json.loads(pathlib.Path(config).read_text())
+        del doc["options"]["gamma_bracket"]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gamma-opt", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma_opt"] == pytest.approx(gamma, abs=1e-3)
+
+    def test_flat_weight_without_a_bracket_exits_1(self, tmp_path, capsys):
+        doc = json.loads(pathlib.Path(EX1).read_text())
+        del doc["options"]["gamma_bracket"]
+        doc["weights"]["W1"] = {"num": [2.0], "den": [1.0]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gamma-opt", str(path)]) == 1
+        assert "weight magnitude is nearly flat" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [EX1, EX2], ids=["example1", "example2"])
     def test_stdout_matches_golden(self, config, capsys):
@@ -539,6 +560,24 @@ class TestVerify:
         rc = main(["verify", EX2, "--report", str(out)])
         assert rc == 0
         assert capsys.readouterr().out.startswith("pass")
+
+    def test_design_with_a_zero_in_its_window_fails(self, ex2_run, tmp_path, capsys):
+        # U = 0 at 1.9454, where P1 has two RHP zeros: the central controller
+        # is unstable
+        rep, _, _ = ex2_run
+        bad = json.loads(json.dumps(rep))
+        bad["branch"] = "central-stable"
+        p = tmp_path / "central.json"
+        p.write_text(json.dumps(bad))
+        assert main(["verify", EX2, "--report", str(p)]) == 1
+        assert capsys.readouterr().out == "fail: scan found 2 residual RHP zero(s)\n"
+
+    def test_design_over_the_norm_bound_fails(self, ex2_run, monkeypatch, capsys):
+        _, _, out = ex2_run
+        monkeypatch.setattr(stability, "verify_performance", lambda c, w, g: (2.5, False))
+        assert main(["verify", EX2, "--report", str(out)]) == 1
+        bound = 1.9454 * (1 + cli.NORM_SLACK)
+        assert capsys.readouterr().out == f"fail: performance norm 2.500000 exceeds {bound:.6f}\n"
 
     @pytest.mark.parametrize("rho", ["2.030", "2.334"])
     def test_ex2_central_sweep_levels_pass(self, rho, tmp_path, capsys):

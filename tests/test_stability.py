@@ -72,8 +72,8 @@ class TestAdmissibleUinf:
         ivs = admissible_uinf(AsymptoticData(f_inf=2.0, k=0.0, degree=1))
         assert ivs == [(-0.5, 0.5)]
 
-    def test_small_f_inf_everything(self):
-        ivs = admissible_uinf(AsymptoticData(f_inf=0.9, k=5.0, degree=2))
+    def test_small_f_inf_and_k_everything(self):
+        ivs = admissible_uinf(AsymptoticData(f_inf=0.9, k=0.5, degree=2))
         assert ivs == [(-1.0, 1.0)]
 
     def test_sweep_agreement(self, ex1_ctx):
@@ -85,6 +85,28 @@ class TestAdmissibleUinf:
             if boundary:
                 continue
             assert finitely_many_poles(ex1_ctx, UParam(float(u))) == inside, u
+
+    @pytest.mark.parametrize("f_inf, k, degree", [
+        (0.5, 0.3, 1), (1.0, -1.0, 2),                  # f_inf, |k| <= 1: all of [-1, 1]
+        (0.9, 5.0, 2), (1.0, -2.0, 1), (0.3, 1.5, 1),   # f_inf <= 1 < |k|: a < 0
+        (1.5, np.inf, 1), (0.5, -np.inf, 2), (0.0, np.inf, 1),  # infinite k
+        (1.3567, -0.9413, 1), (1.3567, -0.9413, 2),     # one interval (a > 0)
+        (2.0, 0.0, 1), (1.1, 0.5, 2), (1.1, -0.99, 1),
+        (1.5, 1.5, 1), (1.5, -1.5, 2), (1.0000001, 1.0000001, 1),  # linear (a = 0)
+        (1.2, 2.0, 1), (1.2, -3.0, 2),                  # a < 0, f_inf > 1: empty
+    ])
+    def test_intervals_hold_their_inequality(self, f_inf, k, degree):
+        # u_inf inside a returned interval exactly where
+        # f_inf |k + v| <= |1 + k v|, v = (-1)^degree u_inf (f_inf <= |v| for
+        # infinite k), on a fine grid away from the interval endpoints
+        ivs = admissible_uinf(AsymptoticData(f_inf=f_inf, k=k, degree=degree))
+        ends = np.array([e for iv in ivs for e in iv])
+        for u in np.linspace(-1.0, 1.0, 20001)[1:-1]:
+            if ends.size and np.abs(ends - u).min() < 1e-6:
+                continue
+            v = (-1.0) ** degree * u
+            holds = f_inf <= abs(v) if np.isinf(k) else f_inf * abs(k + v) <= abs(1.0 + k * v)
+            assert any(lo <= u <= hi for lo, hi in ivs) == holds, u
 
 
 class TestPeakData:
