@@ -186,7 +186,7 @@ def sweep_report(ctx: SynthesisContext, opts: Options, peaks):
     `peaks` (UParam -> PeakData, as `InfSearchResult.peaks` holds them) gives
     rows already computed; only the others go through `peak_data`.
     """
-    # each interval's own grid, not one merged across intervals: the fig-1 rows
+    # one grid per interval (the fig-1 rows), not `_candidates`' merged grid
     us = [u for iv in admissible_uinf(asymptotics(ctx))
           for u in _u_grid([iv], opts.uinf_step, (0.0,), (0.0,))]
     known = dict(peaks)     # a copy: the caller's search result stays as it was

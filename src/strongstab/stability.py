@@ -304,9 +304,9 @@ class RegionScan:
     cells_scanned: int = 0
 
 
-_MARCH_TS = np.linspace(0.0, 1.0, 64)
+_MARCH_MIN_N = 64      # samples of a segment's first march, at least
 _SMALL_TOL = 1e-9   # a sample this small relative to the segment's largest is a zero on it
-_MARCH_MAX_N = 60000   # samples one segment's refinement may reach
+_MARCH_MAX_N = 60000   # samples one segment's march, refinement included, may take
 _NEWTON_TOL = 1e-11    # relative step at which a cell's Newton iteration settles
 _NEWTON_ITERS = 80
 _MAX_DEPTH = 60        # subdivision levels below the scan window
@@ -349,7 +349,7 @@ def _march(f, memo, segs, h=0.0):
             new[seg] = None
     if new:
         z0, z1 = np.array(list(new)).T
-        ns = np.maximum(len(_MARCH_TS), np.ceil(2 * h * np.abs(z1 - z0) / np.pi).astype(int) + 1)
+        ns = np.maximum(_MARCH_MIN_N, np.ceil(2 * h * np.abs(z1 - z0) / np.pi).astype(int) + 1)
         groups = {}
         for k, (seg, n) in enumerate(zip(new, ns.tolist())):
             if n > _MARCH_MAX_N:
@@ -357,7 +357,7 @@ def _march(f, memo, segs, h=0.0):
                     f"a segment needs {n} samples, over the budget of {_MARCH_MAX_N}")
             else:
                 groups.setdefault(n, []).append(k)
-        ts = {n: _MARCH_TS if n == len(_MARCH_TS) else np.linspace(0.0, 1.0, n) for n in groups}
+        ts = {n: np.linspace(0.0, 1.0, n) for n in groups}
         pts = [(z0[ks, None] + (z1 - z0)[ks, None] * ts[n]).ravel() for n, ks in groups.items()]
         vals = np.asarray(f(np.concatenate(pts)), dtype=complex) if pts else None
         start, segs_new = 0, list(new)
