@@ -46,7 +46,6 @@ from .stability import (
     peak_data,
     properness_criterion,
     rhp_zero_scan,
-    scan_window_for,
 )
 from .infinite import (
     InfSearchResult,

@@ -42,14 +42,11 @@ from .stability import (
     certify,
     finitely_many_poles,
     peak_data,
-    probe_window,
     properness_criterion,
-    scan_window_for,
 )
 from .synthesis import (
     CertificateContradiction,
     ClosedLoopSingular,
-    Controller,
     FactorizationError,
     GammaSearchError,
     InterpolationError,
@@ -263,14 +260,15 @@ def cmd_verify(args):
 
     dense = FrequencyGrid(opts.grid.lo, opts.grid.hi, opts.grid.points * 2)
     ctx = build_context(plant, weights, rho, opts.interp_a)
-    # only the design is read from the report; its window is derived as in stabilize
+    # only the design is read from the report; `certify` derives its window
+    peak = None
     if branch == "infinite-search":
         u = UParam(number("u_inf"), number("u_z"), number("u_p"))
         if not finitely_many_poles(ctx, u):
             print("fail: stored U lies in the infinite-pole class "
                   "(limit of |F L_U| exceeds one)")
             return 1
-        sig, om = scan_window_for(plant, peak_data(ctx, [u])[0])
+        peak = peak_data(ctx, [u])[0]
     elif branch in ("finite-search", "central-stable"):
         if branch == "central-stable":
             u = UParam(0.0)
@@ -287,12 +285,11 @@ def cmd_verify(args):
                       for k in ints)
             pp = PickProblem(z=z, w=w, n=n, mu=number("mu"))
             u = FiniteU(p1p2, np_interpolant(pp), pp.mu, number("q"), a)
-        sig, om = probe_window(Controller(plant, ctx, u))
     else:
         print(f"fail: unknown branch {branch!r}")
         return 1
     # twice the stabilize window on each side
-    cert = certify(plant, weights, ctx, u, dense, (sig * 2, om * 2))
+    cert = certify(plant, weights, ctx, u, dense, peak, widen=2)
     if np.isnan(cert.u_norm):
         raise FiniteSearchError("stored U is not finite on the frequency grid")
     bound = rho * (1 + NORM_SLACK)

@@ -26,7 +26,6 @@ from .stability import (
     asymptotics,
     certify,
     peak_data,
-    scan_window_for,
 )
 from .synthesis import CertificateContradiction, SynthesisContext, UParam
 
@@ -162,8 +161,7 @@ def stabilize_infinite(plant, weights, ctx: SynthesisContext,
     candidates.sort(key=_rank_key)
     frontier = []
     for u, pk in candidates[: opts.scan_budget]:
-        window = scan_window_for(plant, pk)
-        cert = certify(plant, weights, ctx, u, opts.grid, window)
+        cert = certify(plant, weights, ctx, u, opts.grid, pk)
         frontier.append((u, pk, len(cert.scan.zeros)))
         if not cert.stable:
             continue

@@ -40,10 +40,8 @@ __all__ = [
     "admissible_uinf",
     "peak_data",
     "chain_abscissa",
-    "probe_window",
     "properness_criterion",
     "rhp_zero_scan",
-    "scan_window_for",
     "U_NORM_TOL",
 ]
 
@@ -579,26 +577,6 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
     )
 
 
-def scan_window_for(plant: DelayPlant, peak: PeakData):
-    """Sound truncation window for the loop-denominator scan of a U with
-    peak data `peak`.
-
-    Beyond sigma_max the delay factor contracts the loop gain below one, and
-    beyond the omega bound |F L_U| stays below one, so no zeros are lost.
-    """
-    if peak.omega_max is not None and not np.isfinite(peak.omega_max):
-        raise ScanError("infinitely many unstable poles: no finite window exists")
-    eta = max(peak.eta_max, 1.0)
-    h = plant.h
-    if h > 0:
-        sigma_max = max(5.0, 3.0 * np.log(eta) / h + 1.0)
-        omega_bound = (peak.omega_max or 0.0) * 1.1 + 2 * np.pi / h + 2.0
-    else:
-        sigma_max = 5.0 + 10.0 * eta
-        omega_bound = (peak.omega_max or 0.0) * 1.1 + 10.0
-    return float(sigma_max), float(omega_bound)
-
-
 # ---------------------------------------------------------------------------
 # certificate
 # ---------------------------------------------------------------------------
@@ -637,25 +615,40 @@ class Certificate:
         return self.scan is not None and not self.scan.zeros
 
 
-def probe_window(controller: Controller):
-    """(5, omega_bound) with omega_bound half again past the last axis
-    frequency where |e^{-hs} M F L_U| >= 0.95, plus 5."""
-    om = np.logspace(-3, 4, 1500)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mag = np.abs(controller.loop_gain(1j * om))
-    above = np.nonzero(mag >= 0.95)[0]
-    return 5.0, (om[above[-1]] * 1.5 + 5.0 if len(above) else 5.0)
+def _scan_window(controller: Controller, peak: PeakData | None, widen):
+    """(sigma_max, omega_bound) of the loop-denominator scan, both sides
+    times `widen`, with the right edge then pushed out (doubling sigma_max)
+    until the delay contracts the loop gain below one along it, so no zero
+    lies beyond the window (ScanError when it never does).
 
-
-def _contracting_edge(controller: Controller, sigma_max, omega_bound):
-    """Move the right edge out until the delay contracts the loop gain below
-    one along it, so no zero lies beyond the window."""
+    With an infinite-branch U's `peak`, beyond sigma_max the delay factor
+    contracts the loop gain below one, and beyond the omega bound |F L_U|
+    stays below one.  Without, the window is (5, omega_bound), omega_bound
+    half again past the last axis frequency where |e^{-hs} M F L_U| >= 0.95,
+    plus 5.
+    """
+    if peak is None:
+        om = np.logspace(-3, 4, 1500)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.abs(controller.loop_gain(1j * om))
+        above = np.nonzero(mag >= 0.95)[0]
+        sigma_max, omega_bound = 5.0, (om[above[-1]] * 1.5 + 5.0 if len(above) else 5.0)
+    elif peak.omega_max is not None and not np.isfinite(peak.omega_max):
+        raise ScanError("infinitely many unstable poles: no finite window exists")
+    else:
+        eta, h, om = max(peak.eta_max, 1.0), controller.plant.h, peak.omega_max or 0.0
+        if h > 0:
+            sigma_max = max(5.0, 3.0 * np.log(eta) / h + 1.0)
+            omega_bound = om * 1.1 + 2 * np.pi / h + 2.0
+        else:
+            sigma_max, omega_bound = 5.0 + 10.0 * eta, om * 1.1 + 10.0
+    sigma_max, omega_bound = float(sigma_max) * widen, float(omega_bound) * widen
     for _ in range(EDGE_DOUBLINGS + 1):
         edge = sigma_max + 1j * np.linspace(0.0, omega_bound, 400)
         with np.errstate(over="ignore", invalid="ignore"):
             gain = np.abs(controller.loop_gain(edge))
         if gain.max() < 1.0:
-            return sigma_max
+            return sigma_max, omega_bound
         sigma_max *= 2.0
     raise ScanError(
         f"loop gain still reaches one on the right edge sigma={sigma_max / 2:g} "
@@ -664,24 +657,23 @@ def _contracting_edge(controller: Controller, sigma_max, omega_bound):
 
 
 def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
-            grid: FrequencyGrid, window=None) -> Certificate:
+            grid: FrequencyGrid, peak: PeakData | None = None, widen=1) -> Certificate:
     """Judge the design of `u` (a `UParam` or a `finite.FiniteU`), as both
     searches and `verify` do: ||U||_inf <= 1 + U_NORM_TOL (`sup_norm`, or
     `grid_norm` on `grid`), then no RHP zero of the loop denominator counted
     in the scan window, then the closed-loop norm on `grid`; each check only
     when the one before it passed.
 
-    `window` is (sigma_max, omega_bound), by default `probe_window`'s; its
-    right edge is pushed out until the loop gain contracts along it
-    (ScanError when it never does).
+    The window is `_scan_window`'s: from `peak` (an infinite-branch U's
+    `PeakData`) or, by default, the axis probe, `widen` times on each side
+    (1 in both searches, 2 in `verify`).
     """
     controller = Controller(plant, ctx, u)
     u_norm = u.sup_norm() if isinstance(u, UParam) else u.grid_norm(grid)
     cert = Certificate(controller, u_norm)
     if not cert.u_ok:
         return cert
-    sigma_max, omega_bound = window or probe_window(controller)
-    sigma_max = _contracting_edge(controller, sigma_max, omega_bound)
+    sigma_max, omega_bound = _scan_window(controller, peak, widen)
     cert.scan = rhp_zero_scan(controller.loop_denominator, sigma_max, omega_bound,
                               excluded=ctx.excluded_zeros(), locate=False, h=plant.h)
     if cert.stable:

@@ -72,7 +72,7 @@ class TestSufficientCondition:
     def test_sufficiency_confirmed_by_scan(self, ex1, ex1_ctx):
         # with |F L_U| <= 1 everywhere and a Hurwitz L_1U the loop denominator
         # cannot vanish in the open right half plane; the scan must agree
-        from strongstab.stability import peak_data, rhp_zero_scan, scan_window_for
+        from strongstab.stability import _scan_window, peak_data, rhp_zero_scan
         from strongstab.synthesis import Controller
 
         plant, _, _ = ex1
@@ -81,7 +81,7 @@ class TestSufficientCondition:
         pk = peak_data(ctx, [u])[0]
         assert pk.eta_max <= 1.0
         ctrl = Controller(plant, ctx, u)
-        sig, om = scan_window_for(plant, pk)
+        sig, om = _scan_window(ctrl, pk, 1)
         excl = [complex(b) for b in ctx.betas]
         excl += [complex(np.conj(b)) for b in ctx.betas]
         # the scaled pair no longer interpolates, so nothing cancels at the

@@ -443,10 +443,11 @@ class TestNewtonPinnedScan:
 
 
 class TestCertify:
-    def test_dirty_scan_skips_the_norm_check(self, ex1, ex1_ctx):
+    def test_dirty_scan_skips_the_norm_check(self, ex1, ex1_ctx, monkeypatch):
         # the central controller keeps its pole chain, so the norm is not run
         plant, weights, _ = ex1
-        cert = certify(plant, weights, ex1_ctx, UParam(0.0), FrequencyGrid(), (6.0, 100.0))
+        monkeypatch.setattr(stability, "_scan_window", lambda *_: (6.0, 100.0))
+        cert = certify(plant, weights, ex1_ctx, UParam(0.0), FrequencyGrid())
         assert not cert.stable and len(cert.scan.zeros) == 4
         assert np.isnan(cert.scan.zeros).all()      # counted, not located
         assert cert.norm is None and cert.norm_ok is False
