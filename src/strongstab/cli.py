@@ -176,7 +176,7 @@ def _run_finite(plant, weights, ctx, opts):
         "scan_omega_bound": scan.omega_bound,
         "residual_zeros": _complex_pairs(scan.zeros),
     }
-    if p1p2.s_roots:
+    if p1p2.node_roots:
         z, w = pick_points(p1p2, opts.a)
         payload["z_points"] = _complex_pairs(z)
         payload["w_points"] = _complex_pairs(w)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import Options
 from .rational import FrequencyGrid, Poly, RationalFn, blaschke, grid_peaks, grid_sup, poly_roots
-from .stability import U_NORM_TOL, Certificate, certify, rhp_zero_scan
+from .stability import U_NORM_MAX, Certificate, ScanError, certify, rhp_zero_scan
 from .synthesis import CertificateContradiction, SynthesisContext, UParam
 
 __all__ = [
@@ -119,8 +119,22 @@ class QuasiPoly:
         return float(sigma_max), float(max(R, 5.0))
 
     def rhp_zeros(self, excluded):
+        """The zeros located in `scan_window`.  A and B are real, so they
+        come in conjugate pairs: a zero with |Im z| > 1e-9 (1 + |z|) and no
+        unused partner within that distance of its conjugate raises."""
         sig_max, om_bound = self.scan_window()
-        return rhp_zero_scan(self, sig_max, om_bound, excluded=excluded, h=self.h).zeros
+        zeros = rhp_zero_scan(self, sig_max, om_bound, excluded=excluded, h=self.h).zeros
+        used = set()
+        for i, z in enumerate(zeros):
+            tol = 1e-9 * (1 + abs(z))
+            if i in used or abs(z.imag) <= tol:
+                continue
+            j = next((j for j, y in enumerate(zeros)
+                      if j not in used and abs(y - z.conjugate()) <= tol), None)
+            if j is None:
+                raise ScanError(f"located zero {z:.6g} has no conjugate partner")
+            used.update((i, j))
+        return zeros
 
 
 @dataclass
@@ -508,7 +522,7 @@ def _sampled_peaks(U: FiniteU, om, thr):
 
 def _q_candidates(U: FiniteU, om):
     """Indices of the constants of U.q whose grid sup of |U| over om is at
-    most 1 + U_NORM_TOL, in increasing order of that sup (ties by index),
+    most U_NORM_MAX, in increasing order of that sup (ties by index),
     yielded lazily: the search stops at the first accepted candidate.
 
     A q whose `_sampled_peaks` bound (at most its sup) is above the threshold
@@ -520,7 +534,7 @@ def _q_candidates(U: FiniteU, om):
     that is above the threshold.  A yielded q's sup is at most every live
     bound, hence at most every live q's sup.
     """
-    thr = 1.0 + U_NORM_TOL
+    thr = U_NORM_MAX
     q_grid = np.asarray(U.q)
     bound = _sampled_peaks(U, om, thr)
     alive = np.flatnonzero(bound <= thr)
@@ -568,11 +582,12 @@ def _default_mu_schedule(mu_opt):
 
 
 def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a: float, grid: FrequencyGrid):
-    """(mu, Q, ||U||, ||U|| <= 1) over the default mu steps above mu_opt and
-    constant Q in [-1, 1] at step 0.02; steps without an interpolant are left
-    out.  A Q that `_sampled_peaks` puts above 1 reads that sampled |U|, a
-    lower bound on its grid sup; any other Q reads `certify_u_norm`, and is
-    left out where that is NaN (U not finite on the grid)."""
+    """(mu, Q, ||U||, ||U|| <= U_NORM_MAX) over the default mu steps above
+    mu_opt and constant Q in [-1, 1] at step 0.02; steps without an
+    interpolant are left out.  A Q that `_sampled_peaks` puts above
+    U_NORM_MAX reads that sampled |U|, a lower bound on its grid sup; any
+    other Q reads `certify_u_norm`, and is left out where that is NaN (U not
+    finite on the grid)."""
     qs = np.linspace(-1.0, 1.0, 101)
     rows = []
     for mu in _default_mu_schedule(mu_opt):
@@ -581,11 +596,11 @@ def fig5_lattice(p1p2: P1P2, z, w, mu_opt, integers, a: float, grid: FrequencyGr
         except FiniteSearchError:
             continue
         U = FiniteU(p1p2, interp, mu, qs, a)
-        norms = _sampled_peaks(U, grid.omegas(), 1.0)
-        rest = ~(np.isfinite(norms) & (norms > 1.0))
+        norms = _sampled_peaks(U, grid.omegas(), U_NORM_MAX)
+        rest = ~(np.isfinite(norms) & (norms > U_NORM_MAX))
         norms[rest] = certify_u_norm(replace(U, q=qs[rest]), grid)
         keep = ~np.isnan(norms)
-        rows += [(mu, qv, un, un <= 1.0)
+        rows += [(mu, qv, un, un <= U_NORM_MAX)
                  for qv, un in zip(qs[keep].tolist(), norms[keep].tolist())]
     return rows
 

@@ -26,6 +26,7 @@ from .stability import (
     asymptotics,
     certify,
     peak_data,
+    U_NORM_MAX,
 )
 from .synthesis import CertificateContradiction, SynthesisContext, UParam
 
@@ -102,11 +103,11 @@ def _interval_grid(intervals, step):
 
 
 def _u_grid(intervals, step, ups, uzs):
-    """Every U(u_inf, u_z, u_p) with ||U|| <= 1 over u_p in `ups`, u_z in
-    `uzs` and u_inf on `_interval_grid(intervals, step)`."""
+    """Every U(u_inf, u_z, u_p) with ||U|| <= U_NORM_MAX over u_p in `ups`,
+    u_z in `uzs` and u_inf on `_interval_grid(intervals, step)`."""
     uis = _interval_grid(intervals, step)
     us = [UParam(float(ui), float(uz), float(up)) for up in ups for uz in uzs for ui in uis]
-    return [u for u in us if u.sup_norm() <= 1.0]
+    return [u for u in us if u.sup_norm() <= U_NORM_MAX]
 
 
 def _rank_key(entry):
@@ -116,7 +117,8 @@ def _rank_key(entry):
 
 
 def _candidates(ctx, opts: Options, intervals, peaks):
-    """(u, PeakData) of every grid U with ||U|| <= 1, a Hurwitz L_1U and a finite crossing.
+    """(u, PeakData) of every grid U with ||U|| <= U_NORM_MAX, a Hurwitz L_1U
+    and a finite crossing.
 
     All grid U go through one stacked Hurwitz test, and the Hurwitz ones
     through one `peak_data` call; a failure raises the error that a loop over

@@ -121,7 +121,8 @@ def write_fig5_ranges(directory, rows):
 def write_figures(directory, ctx, opts, res):
     """The `stabilize --emit-plots` CSVs of the search result `res`: fig 2;
     fig 1 for the infinite branch; for the finite one figs 3 and 5 when P2 has
-    RHP zeros, and fig 4 when U is not central.  A central design has no
+    node zeros (RHP zeros besides the interp_a artifact), and fig 4 when U is
+    not central.  A central design has no
     branch integers, so fig 5 takes the zero tuple, where mu_opt = 1 sits."""
     os.makedirs(directory, exist_ok=True)
     scan = res.cert.scan
@@ -130,7 +131,7 @@ def write_figures(directory, ctx, opts, res):
     if isinstance(res, InfSearchResult):
         write_fig1_sweep(directory, sweep_report(ctx, opts, res.peaks))
         return
-    if not res.p1p2.s_roots:
+    if not res.p1p2.node_roots:
         return
     z, w = pick_points(res.p1p2, opts.a)
     tuples = fig3_tuples(z, opts.integer_bound)

@@ -42,7 +42,7 @@ __all__ = [
     "chain_abscissa",
     "properness_criterion",
     "rhp_zero_scan",
-    "U_NORM_TOL",
+    "U_NORM_MAX",
 ]
 
 
@@ -585,8 +585,8 @@ def rhp_zero_scan(f, sigma_max: float, omega_bound: float, excluded=(),
 # sigma_max each time) before the window is declared unsound.
 EDGE_DOUBLINGS = 6
 
-# U is inside the unit ball when its norm is at most 1 + U_NORM_TOL.
-U_NORM_TOL = 1e-9
+# U is inside the unit ball when its norm is at most U_NORM_MAX.
+U_NORM_MAX = 1.0 + 1e-9
 
 
 @dataclass
@@ -607,8 +607,8 @@ class Certificate:
 
     @property
     def u_ok(self):
-        """||U||_inf <= 1 + U_NORM_TOL (False for a NaN norm)."""
-        return self.u_norm <= 1.0 + U_NORM_TOL
+        """||U||_inf <= U_NORM_MAX (False for a NaN norm)."""
+        return self.u_norm <= U_NORM_MAX
 
     @property
     def stable(self):
@@ -659,7 +659,7 @@ def _scan_window(controller: Controller, peak: PeakData | None, widen):
 def certify(plant: DelayPlant, weights: WeightPair, ctx: SynthesisContext, u,
             grid: FrequencyGrid, peak: PeakData | None = None, widen=1) -> Certificate:
     """Judge the design of `u` (a `UParam` or a `finite.FiniteU`), as both
-    searches and `verify` do: ||U||_inf <= 1 + U_NORM_TOL (`sup_norm`, or
+    searches and `verify` do: ||U||_inf <= U_NORM_MAX (`sup_norm`, or
     `grid_norm` on `grid`), then no RHP zero of the loop denominator counted
     in the scan window, then the closed-loop norm on `grid`; each check only
     when the one before it passed.

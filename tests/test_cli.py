@@ -28,6 +28,17 @@ def _with_search(tmp_path, config, key, value):
     return path
 
 
+def _with_delay(tmp_path, config, h, bracket=None):
+    """A copy of `config` with plant.h = h and, if given, that gamma_bracket."""
+    doc = json.loads(pathlib.Path(config).read_text())
+    doc["plant"]["h"] = h
+    if bracket:
+        doc["options"]["gamma_bracket"] = bracket
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _with_raw(tmp_path, path, raw):
     """A copy of example 1 whose field at dotted `path` is the JSON text
     `raw`; a key that indexes a list, like options.gamma_bracket.0, sets
@@ -701,6 +712,43 @@ class TestVerify:
         p.write_text(json.dumps(bad))
         assert main(["verify", EX2, "--report", str(p)]) == 1
         assert capsys.readouterr() == (f"fail: free-parameter norm {norm} exceeds one\n", "")
+
+    def test_central_design_with_only_the_artifact_p2_zero(self, tmp_path, capsys):
+        # example 2 with h = 0.5 at 1.44, just above gamma_opt 1.43562905665:
+        # P2's one RHP zero is the interp_a artifact, so there is no Pick data
+        # to report or plot, and U = 0 certifies
+        cfg = str(_with_delay(tmp_path, EX2, 0.5, [1.01, 2.2]))
+        out, plots = tmp_path / "report.json", tmp_path / "plots"
+        assert main(["stabilize", cfg, "--rho", "1.44", "--emit-plots", str(plots),
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["branch"] == "central-stable"
+        assert rep["result"]["node_roots"] == [] and len(rep["result"]["artifact_roots"]) == 1
+        assert not {"z_points", "w_points", "mu_opt"} & set(rep["result"])
+        assert [p.name for p in plots.glob("*.csv")] == ["fig2_zgrid.csv"]
+        assert main(["verify", cfg, "--report", str(out)]) == 0
+        assert capsys.readouterr().out == "pass: scan clean, norm 1.437624 <= 1.441440\n"
+
+    @pytest.mark.parametrize("config, rho, branch, sigma_max, verdict", [
+        pytest.param(EX1, "0.9", "infinite-search", 15.2947071935, "norm 0.893665 <= 0.900900",
+                     id="ex1-0.9"),
+        pytest.param(EX2, "1.5", "central-stable", 5, "norm 1.208624 <= 1.501500",
+                     id="ex2-1.5"),
+    ])
+    def test_delay_free_plant(self, config, rho, branch, sigma_max, verdict, tmp_path,
+                              capsys):
+        # h = 0: the infinite branch's window is (5 + 10 eta_max, ...) with no
+        # delay to contract the loop gain
+        cfg = str(_with_delay(tmp_path, config, 0.0))
+        out = tmp_path / "report.json"
+        assert main(["stabilize", cfg, "--rho", rho, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["branch"] == branch
+        assert rep["result"]["scan_sigma_max"] == sigma_max
+        if branch == "infinite-search":
+            assert sigma_max == pytest.approx(5 + 10 * rep["result"]["eta_max"], rel=1e-11)
+        assert main(["verify", cfg, "--report", str(out)]) == 0
+        assert capsys.readouterr().out == f"pass: scan clean, {verdict}\n"
 
     def test_finite_method_needs_delay_dominated_quasipolys(self, capsys):
         # example 1 at 0.814: P1 and P2 are not delay-dominated, so the

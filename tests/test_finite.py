@@ -26,7 +26,7 @@ from strongstab.finite import (
 )
 from strongstab.config import Options
 from strongstab.rational import _BLOCK, FrequencyGrid, Poly, RationalFn
-from strongstab.stability import Certificate, RegionScan, certify, rhp_zero_scan
+from strongstab.stability import Certificate, RegionScan, ScanError, certify, rhp_zero_scan
 from strongstab.synthesis import CertificateContradiction, DelayPlant, WeightPair, build_context
 
 
@@ -64,6 +64,20 @@ class TestP1P2:
             for q in (ex2_p1p2.p1, ex2_p1p2.p2):
                 scale = q.A.scale_at(b) + q.B.scale_at(b)
                 assert abs(q(b)) <= 1e-9 * scale
+
+    def test_located_zeros_must_close_under_conjugation(self, ex2, ex2_ctx, monkeypatch):
+        # P1 and P2 have real coefficients: a located zero whose conjugate is
+        # missing is a failed scan, not interpolation data
+        plant, _, _ = ex2
+
+        def one_dropped(*args, **kwargs):
+            scan = rhp_zero_scan(*args, **kwargs)
+            lone = next(z for z in scan.zeros if z.imag > 0)
+            return dataclasses.replace(scan, zeros=[z for z in scan.zeros if z != lone])
+
+        monkeypatch.setattr(finite, "rhp_zero_scan", one_dropped)
+        with pytest.raises(ScanError, match="has no conjugate partner"):
+            build_p1p2(plant, ex2_ctx)
 
     def test_delay_free_reduction_matches_poly_roots(self):
         # h = 0 collapses the quasipolynomial to a polynomial

@@ -67,6 +67,12 @@ class TestSearch:
         with pytest.raises(SearchExhausted):
             stabilize_infinite(plant, weights, ex1_ctx, opts)
 
+    def test_u_grid_keeps_norms_up_to_the_ball_bound(self):
+        # the grid keeps U by the bound `certify` accepts, not by 1.0
+        u = UParam(1.0, 1 + 5e-10, 1.0)
+        assert u.sup_norm() == 1 + 5e-10
+        assert u in infinite._u_grid([(-1, 1)], 0.5, (1.0,), (1 + 5e-10,))
+
 
 class TestSufficientCondition:
     def test_sufficiency_confirmed_by_scan(self, ex1, ex1_ctx):

@@ -442,6 +442,18 @@ class TestNewtonPinnedScan:
         assert scan.zeros == [pytest.approx(z0, abs=1e-12)]
 
 
+    def test_double_zero_is_one_leaf_of_winding_two(self):
+        # Newton runs only in cells of winding 1, so the double zero's cell is
+        # split down to a leaf, polished once and listed twice
+        def f(s):
+            return (s - 1) ** 2 * (s - 2 - 1j) * (s - 2 + 1j)
+
+        zeros = rhp_zero_scan(f, 4.0, 4.0).zeros
+        assert zeros == [pytest.approx(1, abs=1e-9)] * 2 + [
+            pytest.approx(2 - 1j, abs=1e-9), pytest.approx(2 + 1j, abs=1e-9)]
+        assert zeros[0] == zeros[1]
+
+
 class TestCertify:
     def test_dirty_scan_skips_the_norm_check(self, ex1, ex1_ctx, monkeypatch):
         # the central controller keeps its pole chain, so the norm is not run
