@@ -122,8 +122,8 @@ def write_figures(directory, ctx, opts, res):
     """The `stabilize --emit-plots` CSVs of the search result `res`: fig 2;
     fig 1 for the infinite branch; for the finite one figs 3 and 5 when P2 has
     node zeros (RHP zeros besides the interp_a artifact), and fig 4 when U is
-    not central.  A central design has no
-    branch integers, so fig 5 takes the zero tuple, where mu_opt = 1 sits."""
+    not central.  A central design has no branch integers, so fig 5 takes the
+    zero tuple, where mu_opt = 1 sits."""
     os.makedirs(directory, exist_ok=True)
     scan = res.cert.scan
     write_fig2_zgrid(directory, res.cert.controller.loop_denominator,

@@ -24,20 +24,22 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "strongstab"
-PREFIX = str(SRC)
-
-executed = collections.defaultdict(set)
 
 
-def _line(frame, event, arg):
-    if event == "line":
-        executed[frame.f_code.co_filename].add(frame.f_lineno)
-    return _line
+def _tracer(executed):
+    """A `sys.settrace` function adding each line run in the package's files
+    to executed[filename]; other frames are not traced line by line."""
+    prefix = str(SRC)
 
+    def line(frame, event, arg):
+        if event == "line":
+            executed[frame.f_code.co_filename].add(frame.f_lineno)
+        return line
 
-def _call(frame, event, arg):
-    """Trace a frame line by line only when its code is the package's."""
-    return _line if frame.f_code.co_filename.startswith(PREFIX) else None
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(prefix) else None
+
+    return call
 
 
 def _spans(tree):
@@ -55,8 +57,8 @@ def _spans(tree):
         yield first, range(first, last + 1)
 
 
-def unreached():
-    """(path, line, text) of each statement no traced run reached."""
+def unreached(executed):
+    """(path, line, text) of each statement of which `executed` holds no line."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text().splitlines()
@@ -68,7 +70,8 @@ def unreached():
 
 
 def main():
-    sys.settrace(_call)
+    executed = collections.defaultdict(set)
+    sys.settrace(_tracer(executed))
     try:
         pytest.main(["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
                      str(ROOT / "tests")])
@@ -79,7 +82,7 @@ def main():
                 sweep.sweep(name, sweep.in_process)
     finally:
         sys.settrace(None)
-    missed = unreached()
+    missed = unreached(executed)
     for path, line, text in missed:
         print(f"{path}:{line}: {text}")
     print(f"{len(missed)} statements unreached")
