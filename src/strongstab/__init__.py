@@ -6,7 +6,6 @@ from .rational import (
     Poly,
     RationalFn,
     RootConvergenceError,
-    RootSet,
     blaschke,
     grid_sup,
     poly_from_roots,

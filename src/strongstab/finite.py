@@ -102,9 +102,7 @@ class QuasiPoly:
         R = self._tail_radius()
         sig0 = 0.0
         if self.A.degree > 0:
-            sig0 = max(
-                [0.0] + [r.real for r in poly_roots(self.A).expanded()]
-            ) + 0.25
+            sig0 = max([0.0] + [r.real for r in poly_roots(self.A)]) + 0.25
         om = np.concatenate([np.linspace(0.0, R, 4000), [R * 1.0001]])
         sigma_max = None
         for sig in (sig0, sig0 + 0.5, sig0 + 1.0, sig0 + 2.0, sig0 + 4.0,

@@ -84,7 +84,7 @@ def _l1u_hurwitz(ctx: SynthesisContext, us):
     extraction, in row order, raises.
     """
     L1U = _lu_rows(ctx, *_u_rows(us))[1]
-    return [bool(row.any()) and all(r.real < 0 for r in or_raise(rs).roots)
+    return [bool(row.any()) and all(r.real < 0 for r in or_raise(rs))
             for row, rs in zip(L1U, _roots_of_nonzero(L1U))]
 
 

@@ -22,14 +22,13 @@ coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Poly",
     "RationalFn",
-    "RootSet",
     "FrequencyGrid",
     "RootConvergenceError",
     "PoleEvaluationError",
@@ -146,27 +145,6 @@ def _as_poly(p):
     return Poly(p)
 
 
-@dataclass
-class RootSet:
-    """Roots of a real polynomial; complex roots occur in conjugate pairs."""
-
-    roots: list
-    multiplicities: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.multiplicities:
-            self.multiplicities = [1] * len(self.roots)
-
-    def expanded(self):
-        out = []
-        for r, m in zip(self.roots, self.multiplicities):
-            out.extend([r] * m)
-        return out
-
-    def __len__(self):
-        return len(self.roots)
-
-
 def poly_from_roots(roots, leading=1.0):
     """Expand a conjugate-closed root list into a real monic-times-leading Poly."""
     c, open_ = _from_roots_rows([roots], np.array([leading]))
@@ -210,7 +188,7 @@ def poly_roots(p):
 
     `p` may also be a sequence of polynomials, or a 2-D array whose rows are
     ascending coefficients (each row trimmed of its trailing zeros).  The
-    result is then a list holding, per polynomial, its `RootSet` or the
+    result is then a list holding, per polynomial, its root list or the
     exception its extraction raised (returned, not raised, so that each
     failure stays with its polynomial; `or_raise` raises it).
     Polynomials of one length and one count of low-order zeros share one
@@ -381,7 +359,7 @@ def _at(num, den, Z):
 
 
 def _stacked_roots(C, low):
-    """RootSet or exception per row of C, whose rows share `low` low-order zeros.
+    """Root list or exception per row of C, whose rows share `low` low-order zeros.
 
     The companion matrices are those of `np.roots` (zero roots appended), and
     one `eigvals` call solves the stack.  The guarded Newton polish keeps a
@@ -391,7 +369,7 @@ def _stacked_roots(C, low):
     """
     K, m = C.shape
     if m == 1:
-        return [RootSet([], []) for _ in range(K)]
+        return [[] for _ in range(K)]
     Z = np.zeros((K, m - 1), dtype=complex)
     n = m - 1 - low
     if n:
@@ -428,7 +406,9 @@ def _stacked_roots(C, low):
 
 
 def _paired_roots(z):
-    """Pair complex roots with their conjugates, then cluster multiplicities."""
+    """Pair complex roots with their conjugates, then cluster repeated roots:
+    the list holds each cluster's copies side by side, each equal to the
+    cluster's first root, and the clusters in first-seen order."""
     used = np.zeros(len(z), dtype=bool)
     roots = []
     for i in np.argsort(z.real):
@@ -462,17 +442,11 @@ def _paired_roots(z):
         roots.append(complex(np.conj(paired)))
         used[i] = used[best] = True
 
-    # cluster for multiplicities
-    out_roots, out_mult = [], []
+    clusters = {}       # each cluster's first root: its count
     for r in roots:
-        for k, rr in enumerate(out_roots):
-            if abs(r - rr) <= ROOT_MATCH_TOL * (1 + abs(rr)):
-                out_mult[k] += 1
-                break
-        else:
-            out_roots.append(r)
-            out_mult.append(1)
-    return RootSet(out_roots, out_mult)
+        first = next((rr for rr in clusters if abs(r - rr) <= ROOT_MATCH_TOL * (1 + abs(rr))), r)
+        clusters[first] = clusters.get(first, 0) + 1
+    return [r for r, m in clusters.items() for _ in range(m)]
 
 
 class RationalFn:
@@ -532,7 +506,7 @@ class RationalFn:
         their reclosed root lists."""
         if self.num.is_zero or self.num.degree == 0 or self.den.degree == 0:
             return self
-        zn, zd = (or_raise(rs).expanded() for rs in poly_roots([self.num, self.den]))
+        zn, zd = map(or_raise, poly_roots([self.num, self.den]))
         keep_n, keep_d = _cancelled(zn, zd)
         out = RationalFn(poly_from_roots(_reclose(keep_n), self.num.c[-1] / self.den.c[-1]),
                          poly_from_roots(_reclose(keep_d), 1.0))

@@ -186,12 +186,11 @@ def _to_x(S):
     return _mirror(even), odd
 
 
-def _root_matrix(sets):
-    """The distinct roots of each RootSet in `sets`, NaN-padded into one
-    complex array."""
-    R = np.full((len(sets), max(map(len, sets), default=0)), np.nan + 0j)
-    for row, rs in zip(R, sets):
-        row[: len(rs)] = rs.roots
+def _root_matrix(lists):
+    """The root lists `lists`, NaN-padded into one complex array."""
+    R = np.full((len(lists), max(map(len, lists), default=0)), np.nan + 0j)
+    for row, rs in zip(R, lists):
+        row[: len(rs)] = rs
     return R
 
 
@@ -262,7 +261,7 @@ def _peaks(ctx: SynthesisContext, us) -> list[PeakData]:
 
 
 def _roots_of_nonzero(C):
-    """`poly_roots` per row of C (RootSet or exception), a zero row counted root-free."""
+    """`poly_roots` per row of C (root list or exception), a zero row counted root-free."""
     C = C.copy()
     C[~C.any(axis=1), 0] = 1.0
     return poly_roots(C)

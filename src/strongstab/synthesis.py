@@ -16,6 +16,7 @@ downstream search coordinates (k, u_inf ranges) depend on it.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -121,7 +122,7 @@ def _is_inner(f: RationalFn, grid: FrequencyGrid):
 def _roots_strictly_lhp(p: Poly):
     if p.degree == 0:
         return True
-    return all(r.real < 0 for r in poly_roots(p).expanded())
+    return all(r.real < 0 for r in poly_roots(p))
 
 
 @dataclass
@@ -162,7 +163,7 @@ class DelayPlant:
         """Right-half-plane poles of the plant (= RHP zeros of m_d)."""
         if self.m_d.num.degree == 0:
             return []
-        return [r for r in poly_roots(self.m_d.num).expanded() if r.real > 0]
+        return [r for r in poly_roots(self.m_d.num) if r.real > 0]
 
 
 @dataclass
@@ -198,7 +199,7 @@ _NUMERATOR, _DENOMINATOR = "spectral factor numerator", "spectral factor denomin
 
 class _Level:
     """One level's E, R, G and F as (num, den) coefficient rows, the roots of
-    E.num (a RootSet, None for a constant, or the exception its extraction
+    E.num (a list, empty for a constant, or the exception its extraction
     returned; see `_betas`) and, once `LevelBuilder` has solved its optimal
     system, `sigma`: (sigma_min, null vector, degree)."""
 
@@ -255,13 +256,13 @@ def _stable_half(rs, what: str):
     the roots `rs` of its half in x = s^2.
 
     Each x-root contributes the pair +-sqrt(x).  Purely imaginary pairs
-    (x < 0) cannot be split and raise, except when the x-multiplicity is
-    even, in which case half goes to each side.
+    (x < 0) cannot be split and raise, except when the x-multiplicity (the
+    length of a run of equal roots) is even, in which case half goes to each
+    side.
     """
-    if or_raise(rs) is None:
-        return []
     stable = []
-    for x, mult in zip(rs.roots, rs.multiplicities):
+    for x, run in itertools.groupby(or_raise(rs)):
+        mult = len(list(run))
         # x < 0 means the s-pair sits on the imaginary axis
         if x.imag == 0 and x.real < 0:
             if mult % 2 != 0:
@@ -285,11 +286,9 @@ def _stable_half(rs, what: str):
 
 def _betas(rs):
     """One representative per mirror pair of RHP zeros of E (Im >= 0 on the
-    axis), from the roots `rs` of E.num (None for a constant)."""
-    if or_raise(rs) is None:
-        return []
+    axis), from the roots `rs` of E.num."""
     reps = []
-    for r in rs.expanded():
+    for r in or_raise(rs):
         if r.real > 1e-9 * (1 + abs(r)):
             reps.append(r)
         elif abs(r.real) <= 1e-9 * (1 + abs(r)) and r.imag > 0:
@@ -348,7 +347,7 @@ def _build_levels(w1para, w2para, etas, levels):
         odd = np.append(odd, np.zeros((1, K), dtype=bool), axis=0).T
         want = (_top(rows) >= 1) & ~odd
         found = iter(poly_roots(rows[want]) if want.any() else [])
-        roots = [[next(found) if w else ValueError("polynomial is not even in s") if o else None
+        roots = [[next(found) if w else ValueError("polynomial is not even in s") if o else []
                   for w, o in zip(*wo)] for wo in zip(want.tolist(), odd.tolist())]
 
         # G's zeros and poles, then G expanded from them and its gain fixed
@@ -429,7 +428,7 @@ def eta_mirror_poles(W1: RationalFn):
     """RHP poles of W1(-s): the mirrored (stable) poles of the weight."""
     if W1.den.degree == 0:
         return []
-    return [-r for r in poly_roots(W1.den).expanded()]
+    return [-r for r in poly_roots(W1.den)]
 
 
 def build_F(level: float, W1: RationalFn, W2: RationalFn):

@@ -89,7 +89,7 @@ class TestP1P2:
         q = QuasiPoly(A, B, 0.0)
         zeros = q.rhp_zeros([])
         total = A + B
-        expected = [r for r in poly_roots(total).expanded() if r.real > 0]
+        expected = [r for r in poly_roots(total) if r.real > 0]
         assert len(zeros) == len(expected)
         for e in expected:
             assert min(abs(z - e) for z in zeros) < 1e-8

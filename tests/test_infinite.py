@@ -207,7 +207,7 @@ def reference_peak(ctx, u):
     N_x, D_x, T, Q = x_polys(ctx, u)
     lim = fl_limit(stability._f_infinity(ctx), *cleared_lu_polys(ctx, u))
     crossings = []
-    for r in roots_of(T).roots:
+    for r in roots_of(T):
         if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 1e-12:
             x = r.real
             dx = 1e-6 * (1 + x)
@@ -216,7 +216,7 @@ def reference_peak(ctx, u):
     omega_max = max(crossings) if crossings else None
     if lim > 1.0 + 1e-12:
         omega_max = float(np.inf)
-    xs = [0.0] + [r.real for r in roots_of(Q).roots
+    xs = [0.0] + [r.real for r in roots_of(Q)
                   if abs(r.imag) < 1e-7 * (1 + abs(r)) and r.real > 0]
     eta = max(np.sqrt(max(N_x(x).real / D_x(x).real, 0.0)) for x in xs)
     return PeakData(omega_max=None if omega_max is None else float(omega_max),
@@ -227,7 +227,7 @@ def reference_hurwitz(ctx, u):
     L1U = cleared_lu_polys(ctx, u)[1]
     if L1U.degree == 0:
         return L1U.c[0] != 0.0
-    return all(r.real < 0 for r in poly_roots(L1U).expanded())
+    return all(r.real < 0 for r in poly_roots(L1U))
 
 
 def reference_candidates(ctx, opts, intervals):

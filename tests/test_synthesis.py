@@ -10,7 +10,6 @@ from strongstab.rational import (
     Poly,
     RationalFn,
     RootConvergenceError,
-    RootSet,
     _cancelled,
     _reclose,
     blaschke,
@@ -134,7 +133,7 @@ class TestSpectralFactor:
                             rational([r5 / 2, 0.5]))
         for p in (G.num, G.den):
             if p.degree > 0:
-                assert all(r.real < 0 for r in poly_roots(p).expanded())
+                assert all(r.real < 0 for r in poly_roots(p))
 
     def test_axis_obstruction_raises(self):
         # a weight zero on the axis puts an odd-order zero of G G(-s)^{-1}
@@ -254,7 +253,7 @@ def ref_roots(p):
         px = Poly(p.even_part_coeffs())
     except ValueError as exc:
         return exc
-    return poly_roots(px) if px.degree else None
+    return poly_roots(px) if px.degree else []
 
 
 def ref_factor(R):
@@ -297,7 +296,7 @@ def ref_complete(R, etas):
 
 
 def ref_beta_zeros(E):
-    return synthesis._betas(poly_roots(E.num) if E.num.degree else None)
+    return synthesis._betas(poly_roots(E.num) if E.num.degree else [])
 
 
 def ref_level(W1, W2, level):
@@ -588,7 +587,7 @@ def fail_level(monkeypatch, weights, level, kinds):
             c = Poly(q).c       # an array row, trimmed of its zero padding
             if np.array_equal(c, r_num) and "factorization" in kinds:
                 fired.append("factorization")
-                out[i] = RootSet([complex(-1.0)], [1])
+                out[i] = [complex(-1.0)]
             if np.array_equal(c, e_num) and "convergence" in kinds:
                 fired.append("convergence")
                 out[i] = RootConvergenceError("forced")
@@ -797,9 +796,10 @@ class TestStackedLevels:
     def test_double_root_level_is_a_double_root(self, ex2):
         _, weights, _ = ex2
         R = ref_ratios(weights.W1, weights.W2, 1.945440617813759)[1]
-        assert ref_roots(R.num).multiplicities == [2]
-        assert ref_roots(ref_ratios(weights.W1, weights.W2, 1.945398944586238)[1].num
-                         ).multiplicities == [1, 1]
+        a, b = ref_roots(R.num)
+        assert a == b
+        a, b = ref_roots(ref_ratios(weights.W1, weights.W2, 1.945398944586238)[1].num)
+        assert a != b
 
 
 class TestController:
