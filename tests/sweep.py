@@ -109,11 +109,12 @@ def gamma_of(config, run=_cli):
     return json.loads(out)["gamma_opt"]
 
 
-def level(config, i, gamma, report, run=_cli):
-    """The line and the class of level `i` of `config`, whose gamma_opt is
-    `gamma`; `report` is the path `stabilize` writes."""
-    cfg = str(CONFIGS / f"{config}.json")
-    rho = repr(float(gamma * (1 + EPS[i])))
+def commands(cfg, rho, report, run=_cli):
+    """`stabilize` at level `rho` (a string) of the problem file `cfg`, then
+    `verify` when it exits 0: the two exit codes ("-" for a `verify` that
+    did not run), the first 16 hex digits of the report's sha256 ("" for
+    none), the first line `verify` printed and the standard error of the
+    command that failed.  `report` is the path `stabilize` writes."""
     report.unlink(missing_ok=True)
     rc1, _, err = run("stabilize", cfg, "--rho", rho, "--out", str(report))
     rc2, verdict, digest = "-", "", ""
@@ -123,6 +124,14 @@ def level(config, i, gamma, report, run=_cli):
         rc2, out, err = run("verify", cfg, "--report", str(report))
         verdict = out.strip().splitlines()[0] if out.strip() else ""
         err = "" if rc2 == 0 else err
+    return rc1, rc2, digest, verdict, err
+
+
+def level(config, i, gamma, report, run=_cli):
+    """The line and the class of level `i` of `config`, whose gamma_opt is
+    `gamma`; `report` is the path `stabilize` writes."""
+    rho = repr(float(gamma * (1 + EPS[i])))
+    rc1, rc2, digest, verdict, err = commands(str(CONFIGS / f"{config}.json"), rho, report, run)
     line = (f"{config} {i:2d} rho={rho} stabilize={rc1} verify={rc2} "
             f"report={digest or '-'} verdict={verdict!r} stderr={_last(err)!r}")
     return line, classify(rc1, rc2, err)

@@ -17,6 +17,7 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 EX1 = str(CONFIG_DIR / "example1.json")
 EX2 = str(CONFIG_DIR / "example2.json")
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+FOOLING = pathlib.Path(__file__).resolve().parent / "fooling"
 
 
 def _with_search(tmp_path, config, key, value):
@@ -622,6 +623,15 @@ class TestVerify:
         pytest.param(EX1, "0.8129742574", id="ex1-0.8129742574",
                      marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
                          "item 2(a): verify exits 3, its scan reads a negative winding"))),
+        # example 2 with a first-order W2 at 1.001 gamma_opt: |U| peaks at
+        # 1.0759 near w = 8.1832, between grid points 8.1701 (0.8808) and
+        # 8.2031 (0.7614), so stabilize certifies U_norm 0.8827 and verify's
+        # doubled grid finds 1.0759
+        pytest.param(str(FOOLING / "w2_u_peak_between_grid_points.json"), "1.93510236162",
+                     id="fooling-w2_u_peak_between_grid_points",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "item 3: stabilize certifies a U outside the unit ball; "
+                         "verify exits 1"))),
     ])
     def test_sweep_level_stabilizes_and_verifies(self, config, rho, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -574,12 +574,12 @@ class TestStabilizeFinite:
         plant, weights, opts = ex2
         seen = []
 
-        def dirty_first(plant, weights, ctx, U, grid, window=None):
+        def dirty_first(plant, weights, ctx, U, grid, peak=None, widen=1):
             seen.append((U.mu, U.q))
             if len(seen) == 1:
                 scan = RegionScan(1.0, 1.0, zeros=[0.5 + 1.0j], excluded=[])
                 return Certificate(controller=None, u_norm=0.5, scan=scan)
-            return certify(plant, weights, ctx, U, grid, window)
+            return certify(plant, weights, ctx, U, grid, peak=peak, widen=widen)
 
         monkeypatch.setattr(finite, "certify_u_norm", lambda U, grid: 0.5)
         monkeypatch.setattr(finite, "certify", dirty_first)

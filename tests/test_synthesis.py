@@ -142,6 +142,14 @@ class TestSpectralFactor:
         with pytest.raises(FactorizationError):
             spectral_factor(1.0, W1, RationalFn.zero())
 
+    def test_even_axis_multiplicity_splits_half_to_each_side(self):
+        # x = -4 twice: the pair s = +-2j twice, one copy to each half
+        assert synthesis._stable_half([complex(-4.0)] * 2, "G") == [2j, -2j]
+
+    def test_odd_axis_multiplicity_raises(self):
+        with pytest.raises(FactorizationError, match="odd multiplicity"):
+            synthesis._stable_half([complex(-4.0)], "G")
+
 
 class TestBuildF:
     def test_single_eta_is_mirrored_pole(self):
