@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Options
-from .rational import _batched, or_raise
+from .rational import or_raise
 from .stability import (
     AsymptoticData,
     Certificate,
@@ -121,18 +121,13 @@ def _candidates(ctx, opts: Options, intervals, peaks):
     and a finite crossing.
 
     All grid U go through one stacked Hurwitz test, and the Hurwitz ones
-    through one `peak_data` call; a failure raises the error that a loop over
-    the candidates one at a time meets first (`_batched`).  Every PeakData
-    computed, also of a U dropped for its infinite crossing, goes into the
-    dict `peaks`.
+    through one `peak_data` call; a failure raises at the first failed check,
+    every L_1U row before any peak row.  Every PeakData computed, also of a U
+    dropped for its infinite crossing, goes into the dict `peaks`.
     """
     us = _u_grid(intervals, opts.uinf_step, opts.up_grid, opts.uz_grid)
-
-    def sweep(us):
-        stable = [u for u, h in zip(us, _l1u_hurwitz(ctx, us)) if h]
-        return list(zip(stable, peak_data(ctx, stable)))
-
-    found = _batched(sweep, us)
+    stable = [u for u, h in zip(us, _l1u_hurwitz(ctx, us)) if h]
+    found = list(zip(stable, peak_data(ctx, stable)))
     peaks.update(found)
     return [(u, pk) for u, pk in found if pk.omega_max is None or np.isfinite(pk.omega_max)]
 

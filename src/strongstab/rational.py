@@ -233,23 +233,6 @@ def or_raise(res):
     return res
 
 
-def _batched(fn, items):
-    """fn(items), for a function `fn` of a list of items that raises at its
-    first failed check.  Where a batch of two or more items raises,
-    fn([item]) for each item in order, so that the error raised is the first
-    one a loop over the items meets (the batch's own error where no item
-    alone raises)."""
-    try:
-        return fn(items)
-    except Exception as exc:
-        if len(items) < 2:
-            raise
-        failed = exc
-    for item in items:
-        fn([item])
-    raise failed
-
-
 # Row functions (see the module docstring).  Sums are formed as 0.0 + a + b,
 # so that even the signs of zero coefficients are those of one row alone.
 

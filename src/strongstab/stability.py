@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rational import (
-    FrequencyGrid, _batched, _conv_rows, _deriv_rows, _even_rows, _horner, _mirror, _stacked,
+    FrequencyGrid, _conv_rows, _deriv_rows, _even_rows, _horner, _mirror, _stacked,
     _top, or_raise, poly_roots,
 )
 from .synthesis import (
@@ -219,14 +219,9 @@ def peak_data(ctx: SynthesisContext, us) -> list[PeakData]:
     controller has infinitely many unstable poles the crossing frequency is
     reported as +inf.  The polynomials of all U are rows of stacked arrays,
     solved in one `poly_roots` call and evaluated at their NaN-padded roots
-    at once; a failure raises the error that a loop over the U one at a time
-    meets first (`_batched`).
+    at once; a failure raises at the first failed check, the crossing rows of
+    all U (in order) before their stationary-point rows.
     """
-    return _batched(lambda us: _peaks(ctx, us), us)
-
-
-def _peaks(ctx: SynthesisContext, us) -> list[PeakData]:
-    """`peak_data` of all of `us` at once; raises at the first failed check."""
     LU = _lu_rows(ctx, *_u_rows(us))
     lim = _fl_limits(_f_infinity(ctx), LU)
     ND, odd = _nd_rows(ctx, LU)

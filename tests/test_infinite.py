@@ -294,18 +294,24 @@ class TestStackedCandidates:
         lo, hi = max(runs, key=lambda r: r[1] - r[0])
         assert l1u_stability_range(ctx, 1e-3) == (float(us[lo]), float(us[hi]))
 
-    @pytest.mark.parametrize("fails", ["T", "Q", None])
-    def test_first_failure_in_candidate_order_is_raised(self, level, monkeypatch, fails):
-        # L_1U of the sixth candidate fails; the crossing (T) or stationary-point
-        # (Q) polynomial of the third fails too when `fails` says so, and that
-        # candidate comes first.  Failures are injected by polynomial content,
-        # so they hold in any batching of the calls.
+    @pytest.mark.parametrize("fails, raised", [
+        ([("L_1U", 5), ("T", 2)], "L_1U of candidate 5"),
+        ([("T", 2)], "T of candidate 2"),
+        ([("Q", 1), ("T", 2)], "T of candidate 2"),
+    ], ids=["L_1U-before-T", "T", "T-before-Q"])
+    def test_first_failure_in_batch_order_is_raised(self, level, monkeypatch, fails, raised):
+        # each (kind, k) of `fails` makes one root extraction fail: L_1U, the
+        # crossing (T) or the stationary-point (Q) polynomial of candidate k.
+        # The batch raises its first failure: every L_1U row before any peak
+        # row, T rows before Q rows, candidates in grid order.  Failures are
+        # injected by polynomial content, so they hold in any stacking of the
+        # rows.
         ctx, opts = level
         intervals = admissible_uinf(asymptotics(ctx))
         us = [UParam(float(ui)) for ui in infinite._interval_grid(intervals, opts.uinf_step)]
-        bad = {"L_1U of candidate 5": cleared_lu_polys(ctx, us[5])[1].c}
-        if fails:
-            bad[f"{fails} of candidate 2"] = x_polys(ctx, us[2])[2 if fails == "T" else 3].c
+        bad = {f"{kind} of candidate {k}": (cleared_lu_polys(ctx, us[k])[1] if kind == "L_1U"
+                                            else x_polys(ctx, us[k])["TQ".index(kind) + 2]).c
+               for kind, k in fails}
         real = poly_roots
 
         def failing_roots(ps):
@@ -319,7 +325,7 @@ class TestStackedCandidates:
         monkeypatch.setattr(stability, "poly_roots", failing_roots)
         with pytest.raises(RootConvergenceError) as info:
             infinite._candidates(ctx, opts, intervals, {})
-        assert str(info.value) == (f"{fails} of candidate 2" if fails else "L_1U of candidate 5")
+        assert str(info.value) == raised
 
     def test_dropped_candidate_failures_are_not_raised(self, ex1, ex1_ctx, monkeypatch):
         # L_1U stops being Hurwitz at about u_inf = 0.98: a failing root

@@ -241,42 +241,6 @@ class TestStackedPolyRoots:
             poly_roots(polys[1])
 
 
-class TestBatched:
-    """`_batched`: the batch's result, or the error a loop over the items
-    meets first."""
-
-    def test_batch_result_when_nothing_raises(self):
-        calls = []
-
-        def double(items):
-            calls.append(list(items))
-            return [2 * x for x in items]
-
-        assert rational._batched(double, [1, 2, 3]) == [2, 4, 6]
-        assert calls == [[1, 2, 3]]     # one call, no item alone
-
-    def test_earliest_item_error_is_raised(self):
-        # the batch checks its items last to first, so it meets item 3's
-        # error first; a loop over the items meets item 1's
-        def check(items):
-            for x in items[::-1]:
-                if x in (1, 3):
-                    raise ValueError(f"item {x}")
-            return items
-
-        with pytest.raises(ValueError, match="item 1"):
-            rational._batched(check, [0, 1, 2, 3])
-
-    def test_batch_error_when_no_item_alone_raises(self):
-        def pairs_only(items):
-            if len(items) > 1:
-                raise RuntimeError("batch")
-            return items
-
-        with pytest.raises(RuntimeError, match="batch"):
-            rational._batched(pairs_only, [0, 1])
-
-
 class TestRowsFromRoots:
     def test_rows_equal_the_convolve_chain(self):
         # the expansion poly_from_roots made one np.convolve per root, whose
