@@ -62,12 +62,12 @@ __all__ = ["main"]
 def _default_bracket(weights, grid: FrequencyGrid):
     om = grid.omegas()
     mags = np.abs(weights.W1(1j * om))
-    lo, hi = float(mags.min()), float(mags.max())
-    if hi / lo < 1.01:
+    lo, hi = float(mags.min()) * 1.02, float(mags.max()) * 0.98
+    if not lo < hi:
         raise GammaSearchError(
             "weight magnitude is nearly flat; supply options.gamma_bracket"
         )
-    return lo * 1.02, hi * 0.98
+    return lo, hi
 
 
 def _complex_pairs(zs):

@@ -39,11 +39,13 @@ class Options:
 
 
 def _need(d, key, path, typ=None):
+    """d[key], a JSON object or array when `typ` is dict or list."""
     if not isinstance(d, dict) or key not in d:
         raise ConfigError(f"{path}.{key}", "missing required field")
     v = d[key]
     if typ is not None and not isinstance(v, typ):
-        raise ConfigError(f"{path}.{key}", f"expected {typ}")
+        raise ConfigError(f"{path}.{key}",
+                          f"expected {'an object' if typ is dict else 'an array'}")
     return v
 
 

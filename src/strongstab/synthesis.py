@@ -564,13 +564,13 @@ class SynthesisContext:
     residual: float
 
     def excluded_zeros(self):
-        """RHP zeros of E and m_d with their conjugates: the interpolation
-        conditions cancel them structurally, so every zero scan divides them out."""
+        """RHP zeros of E and m_d, each once and closed under conjugation: the
+        interpolation conditions cancel them structurally, so every zero scan
+        divides them out.  `betas` holds both members of an off-axis pair but
+        one of an axis pair, and `alphas` is already closed."""
         out = [complex(b) for b in self.betas]
-        out += [complex(np.conj(b)) for b in self.betas if b.imag != 0]
-        out += [complex(a) for a in self.alphas]
-        out += [complex(np.conj(a)) for a in self.alphas if a.imag != 0]
-        return out
+        out += [complex(np.conj(b)) for b in self.betas if b.real == 0.0]
+        return out + [complex(a) for a in self.alphas]
 
 
 class LevelBuilder:

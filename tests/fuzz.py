@@ -4,9 +4,13 @@
 
 Problem k is `configs/example1.json` or `configs/example2.json` with one or
 two fields redrawn from a fixed menu (`MENU`): the plant's delay `h`, an
-all-pass `M = (s - z)/(s + z)`, an outer factor `N_o = 1/(s + p)`, the W1
-zero and pole (the config's `gamma_bracket` is then dropped, so `gamma-opt`
-derives one from W1), `W2` ("zero" or first order) and `options.interp_a`.
+all-pass `M = (s - z)/(s + z)`, an inner `m_d = (s^2 - 2 zeta w s + w^2) /
+(s^2 + 2 zeta w s + w^2)` (a complex pair of unstable plant poles), an outer
+factor `N_o = 1/(s + p)`, the W1 zero and pole or a second-order biproper W1
+(numerator and denominator each s^2 + 2 zeta w s + w^2; the config's
+`gamma_bracket` is then dropped, so `gamma-opt` derives one from W1), `W2`
+("zero" or first order) and `options.interp_a`.  Each w is log-uniform in
+[0.25, 4] and each zeta uniform in [0.1, 0.9].
 Its draws come from a generator seeded by (seed, k) alone, so the first N
 problems of a seed are the same for every `--problems` above N.
 
@@ -20,8 +24,8 @@ level and the count of levels per class.  The lines hold no timing, so a
 seed's output is the same on every run, except for a command whose time
 is close to the limit.
 
-A problem that fools a sampling rule becomes a case in `tests/fooling/`:
-the example's config with the printed fields set.
+A problem that fools a sampling rule or trips a bug becomes a case in
+`tests/fooling/`: the example's config with the printed fields set.
 """
 
 import argparse
@@ -61,10 +65,23 @@ def _outer_pole(doc, rng):
     return {"plant.N_o": {"num": [1.0], "den": [_log_uniform(rng, 0.25, 4.0), 1.0]}}
 
 
+def _inner_md(doc, rng):
+    w, z = _log_uniform(rng, 0.25, 4.0), float(rng.uniform(0.1, 0.9))
+    return {"plant.m_d": {"num": [w * w, -2 * z * w, 1.0], "den": [w * w, 2 * z * w, 1.0]}}
+
+
 def _w1(doc, rng):
     num, den = doc["weights"]["W1"]["num"], doc["weights"]["W1"]["den"]
     return {"weights.W1": {"num": [num[0] * _log_uniform(rng, 0.5, 2.0), num[1]],
                            "den": [den[0] * _log_uniform(rng, 0.5, 2.0), den[1]]},
+            "options.gamma_bracket": None}
+
+
+def _w1_second_order(doc, rng):
+    def quadratic():
+        w, z = _log_uniform(rng, 0.25, 4.0), float(rng.uniform(0.1, 0.9))
+        return [w * w, 2 * z * w, 1.0]
+    return {"weights.W1": {"num": quadratic(), "den": quadratic()},
             "options.gamma_bracket": None}
 
 
@@ -78,7 +95,7 @@ def _interp_a(doc, rng):
     return {"options.interp_a": doc["options"]["interp_a"] * _log_uniform(rng, 0.5, 2.0)}
 
 
-MENU = (_delay, _allpass, _outer_pole, _w1, _w2, _interp_a)
+MENU = (_delay, _allpass, _inner_md, _outer_pole, _w1, _w1_second_order, _w2, _interp_a)
 
 
 def problem(seed, k):

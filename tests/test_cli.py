@@ -133,6 +133,27 @@ class TestConfigErrors:
         assert rc == 2
         assert "config.plant.M" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, raw, err", [
+        ("plant", "1", "config.plant: expected an object"),
+        ("weights.W1", "[1.0]", "config.weights.W1: expected an object"),
+        ("options", "[]", "config.options: expected an object"),
+        ("options.search", "1", "config.options.search: expected an object"),
+        ("options.grid.lo", "1e5", "config.options.grid: need 0 < lo < hi"),
+        ("options.gamma_bracket", "[0.62, 0.8, 0.99]",
+         "config.options.gamma_bracket: expected [lo, hi] with 0 < lo < hi"),
+        ("options.gamma_bracket", "[0.99, 0.62]",
+         "config.options.gamma_bracket: expected [lo, hi] with 0 < lo < hi"),
+        ("weights.W1.den", "[0, 0]", "config.weights.W1.den: denominator is identically zero"),
+    ])
+    def test_malformed_config_exits_2_before_any_search(self, tmp_path, capsys, monkeypatch,
+                                                        field, raw, err):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "gamma_opt", no_search)
+        assert main(["stabilize", str(_with_raw(tmp_path, field, raw)), "--rho", "0.814"]) == 2
+        assert capsys.readouterr().err == f"input error: {err}\n"
+
     def test_negative_delay(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -247,6 +268,7 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"input error: {bad}: invalid JSON")
 
     @pytest.mark.parametrize("flag, target", [("--out", "missing/report.json"),
+                                              ("--out", "a_dir"),
                                               ("--emit-plots", "plain_file")])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, flag, target):
         # the path is checked before any search: gamma_opt is never reached
@@ -255,6 +277,7 @@ class TestConfigErrors:
 
         monkeypatch.setattr(cli, "gamma_opt", no_search)
         (tmp_path / "plain_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
         assert main(["stabilize", EX1, "--rho", "0.814", flag, str(tmp_path / target)]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {flag}: cannot write")
 
@@ -295,10 +318,16 @@ class TestGammaOpt:
         assert main(["gamma-opt", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["gamma_opt"] == pytest.approx(gamma, abs=1e-3)
 
-    def test_flat_weight_without_a_bracket_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("W1", [
+        {"num": [2.0], "den": [1.0]},
+        # |W1| runs from 0.97638 to 1.0: a ratio of 1.0242, too small for the
+        # bracket (1.02 lo, 0.98 hi) to be one
+        {"num": [1.4363194665295553, 1], "den": [1.4710623335082198, 1]},
+    ], ids=["constant", "ratio-1.024"])
+    def test_flat_weight_without_a_bracket_exits_1(self, W1, tmp_path, capsys):
         doc = json.loads(pathlib.Path(EX1).read_text())
         del doc["options"]["gamma_bracket"]
-        doc["weights"]["W1"] = {"num": [2.0], "den": [1.0]}
+        doc["weights"]["W1"] = W1
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         assert main(["gamma-opt", str(path)]) == 1
@@ -573,6 +602,26 @@ class TestVerify:
         assert rc == 0
         assert capsys.readouterr().out.startswith("pass")
 
+    def test_unknown_branch_fails(self, ex1_run, tmp_path, capsys):
+        rep, _, _ = ex1_run
+        p = tmp_path / "report.json"
+        p.write_text(json.dumps({**rep, "branch": "bogus"}))
+        assert main(["verify", EX1, "--report", str(p)]) == 1
+        assert capsys.readouterr().out == "fail: unknown branch 'bogus'\n"
+
+    @pytest.mark.parametrize("key, value, err", [
+        ("result", 1, "report.result: expected an object"),
+        ("integers", 3, "report.result.integers: expected an array"),
+    ])
+    def test_wrong_json_type_in_report_exits_2(self, ex2_run, tmp_path, capsys, key, value, err):
+        rep, _, _ = ex2_run
+        bad = json.loads(json.dumps(rep))
+        (bad if key == "result" else bad["result"])[key] = value
+        p = tmp_path / "report.json"
+        p.write_text(json.dumps(bad))
+        assert main(["verify", EX2, "--report", str(p)]) == 2
+        assert capsys.readouterr().err == f"input error: {err}\n"
+
     def test_design_with_a_zero_in_its_window_fails(self, ex2_run, tmp_path, capsys):
         # U = 0 at 1.9454, where P1 has two RHP zeros: the central controller
         # is unstable
@@ -632,6 +681,14 @@ class TestVerify:
                      marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
                          "item 3: stabilize certifies a U outside the unit ball; "
                          "verify exits 1"))),
+        # structurally cancelled complex pairs, each once divided out twice,
+        # gave the scanned function poles (exit 3, "negative winding"): plant
+        # poles 0.2 +- 0.9798j at 1.05 gamma_opt, and RHP zeros of E
+        # 0.43302 +- 0.29211j at 1.3 gamma_opt
+        pytest.param(str(FOOLING / "complex_plant_poles.json"), "1.41567825597",
+                     id="complex-plant-poles"),
+        pytest.param(str(FOOLING / "off_axis_e_zeros.json"), "4.14805777559",
+                     id="off-axis-E-zeros"),
     ])
     def test_sweep_level_stabilizes_and_verifies(self, config, rho, tmp_path, capsys):
         out = tmp_path / "report.json"

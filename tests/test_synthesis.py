@@ -1,10 +1,12 @@
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
 from strongstab import synthesis
+from strongstab.config import load_problem
 from strongstab.rational import (
     FrequencyGrid,
     Poly,
@@ -899,3 +901,32 @@ class TestUParam:
             assert cert.u_norm == pytest.approx(norm) and not cert.u_ok
             assert cert.scan is None and not cert.stable
             assert cert.norm is None and cert.norm_ok is False
+
+
+FOOLING = pathlib.Path(__file__).resolve().parent / "fooling"
+
+
+class TestExcludedZeros:
+    """`excluded_zeros` lists each structurally cancelled zero once, closed
+    under conjugation: listed twice, a zero would be divided out twice and
+    leave the scanned function a pole."""
+
+    @pytest.mark.parametrize("name, rho, want", [
+        # an axis zero of E (betas keeps its upper member) and a complex pair
+        # of plant poles (alphas holds both)
+        ("complex_plant_poles", 1.41567825597,
+         [1.72728j, -1.72728j, 0.2 + 0.97980j, 0.2 - 0.97980j]),
+        # an off-axis pair of RHP zeros of E (betas holds both)
+        ("off_axis_e_zeros", 4.14805777559, [0.43302 + 0.29211j, 0.43302 - 0.29211j]),
+    ])
+    def test_each_zero_once_and_closed(self, name, rho, want):
+        plant, weights, opts = load_problem(FOOLING / f"{name}.json")
+        zs = build_context(plant, weights, rho, opts.interp_a).excluded_zeros()
+        np.testing.assert_allclose(zs, want, atol=1e-5)
+        assert len(set(zs)) == len(zs) and set(zs) == {z.conjugate() for z in zs}
+
+    def test_axis_pair_of_the_examples(self, ex1_ctx, ex2_ctx):
+        for ctx in (ex1_ctx, ex2_ctx):
+            (beta,) = ctx.betas
+            assert beta.real == 0.0 and not ctx.alphas
+            assert ctx.excluded_zeros() == [beta, beta.conjugate()]
