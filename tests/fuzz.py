@@ -65,9 +65,15 @@ def _outer_pole(doc, rng):
     return {"plant.N_o": {"num": [1.0], "den": [_log_uniform(rng, 0.25, 4.0), 1.0]}}
 
 
-def _inner_md(doc, rng):
+def _quadratic(rng):
+    """Ascending coefficients of s^2 + 2 zeta w s + w^2 for a drawn w and zeta."""
     w, z = _log_uniform(rng, 0.25, 4.0), float(rng.uniform(0.1, 0.9))
-    return {"plant.m_d": {"num": [w * w, -2 * z * w, 1.0], "den": [w * w, 2 * z * w, 1.0]}}
+    return [w * w, 2 * z * w, 1.0]
+
+
+def _inner_md(doc, rng):
+    c0, c1, c2 = _quadratic(rng)
+    return {"plant.m_d": {"num": [c0, -c1, c2], "den": [c0, c1, c2]}}
 
 
 def _w1(doc, rng):
@@ -78,10 +84,7 @@ def _w1(doc, rng):
 
 
 def _w1_second_order(doc, rng):
-    def quadratic():
-        w, z = _log_uniform(rng, 0.25, 4.0), float(rng.uniform(0.1, 0.9))
-        return [w * w, 2 * z * w, 1.0]
-    return {"weights.W1": {"num": quadratic(), "den": quadratic()},
+    return {"weights.W1": {"num": _quadratic(rng), "den": _quadratic(rng)},
             "options.gamma_bracket": None}
 
 
