@@ -70,10 +70,6 @@ def _default_bracket(weights, grid: FrequencyGrid):
     return lo, hi
 
 
-def _complex_pairs(zs):
-    return [[z.real, z.imag] for z in zs]
-
-
 def _report_number(doc, key, path):
     """doc[key] as a float: a number or a string that float() reads, not a bool."""
     v = _need(doc, key, path)
@@ -146,8 +142,8 @@ def _run_infinite(plant, weights, ctx, opts):
         "k": res.asym.k,
         "scan_sigma_max": scan.sigma_max,
         "scan_omega_bound": scan.omega_bound,
-        "excluded_zeros": _complex_pairs(scan.excluded),
-        "residual_zeros": _complex_pairs(scan.zeros),
+        "excluded_zeros": scan.excluded,
+        "residual_zeros": scan.zeros,
         "candidates_tried": res.candidates_tried,
         "U_norm": res.cert.u_norm,
         "verified_norm": res.cert.norm,
@@ -165,21 +161,21 @@ def _run_finite(plant, weights, ctx, opts):
         "integers": list(res.integers),
         "q": res.q,
         "conformal_a": opts.a,
-        "U_norm": res.U_norm,
+        "U_norm": res.cert.u_norm,
         "verified_norm": res.cert.norm,
         "stable": res.cert.stable,
-        "p_roots": _complex_pairs(p1p2.p_roots),
-        "s_roots": _complex_pairs(p1p2.s_roots),
-        "node_roots": _complex_pairs(p1p2.node_roots),
-        "artifact_roots": _complex_pairs(p1p2.artifact_roots),
+        "p_roots": p1p2.p_roots,
+        "s_roots": p1p2.s_roots,
+        "node_roots": p1p2.node_roots,
+        "artifact_roots": p1p2.artifact_roots,
         "scan_sigma_max": scan.sigma_max,
         "scan_omega_bound": scan.omega_bound,
-        "residual_zeros": _complex_pairs(scan.zeros),
+        "residual_zeros": scan.zeros,
     }
     if p1p2.node_roots:
         z, w = pick_points(p1p2, opts.a)
-        payload["z_points"] = _complex_pairs(z)
-        payload["w_points"] = _complex_pairs(w)
+        payload["z_points"] = list(z)
+        payload["w_points"] = list(w)
         payload["mu_opt"] = res.mu_opt
     return payload, res
 

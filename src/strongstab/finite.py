@@ -568,7 +568,6 @@ class FinSearchResult:
     integers: tuple
     q: float
     U: FiniteU | None
-    U_norm: float
     cert: Certificate
     p1p2: P1P2
     mu_opt: float           # the Pick optimum of the level
@@ -636,7 +635,7 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
         # with tr(L^-1 Q0 L^-H) = tr(Q0 K^-1) = 0, so it has a negative
         # eigenvalue and mu_min > 1.  Hence mu_opt = 1, at the zero tuple.
         return FinSearchResult(
-            mu=np.nan, integers=(), q=0.0, U=None, U_norm=cert.u_norm, cert=cert,
+            mu=np.nan, integers=(), q=0.0, U=None, cert=cert,
             p1p2=p1p2, mu_opt=1.0, central=True,
         )
     z, w = pick_points(p1p2, a)
@@ -665,10 +664,8 @@ def stabilize_finite(plant, weights, ctx: SynthesisContext, opts: Options) -> Fi
                 U = replace(sweep, q=qv)
                 cert = _accepted(plant, weights, ctx, U, grid)
                 if cert:
-                    return FinSearchResult(
-                        mu=mu, integers=tup, q=qv, U=U, U_norm=cert.u_norm,
-                        cert=cert, p1p2=p1p2, mu_opt=mu_opt,
-                    )
+                    return FinSearchResult(mu=mu, integers=tup, q=qv, U=U, cert=cert,
+                                           p1p2=p1p2, mu_opt=mu_opt)
     raise FiniteSearchError(
         "schedules exhausted: this method fails to provide a stable controller"
         + (f" (last issue: {last_exc})" if last_exc else "")

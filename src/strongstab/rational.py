@@ -123,9 +123,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def __repr__(self):
         return f"Poly({list(self.c)})"
 
@@ -138,11 +135,7 @@ class Poly:
 
 
 def _as_poly(p):
-    if isinstance(p, Poly):
-        return p
-    if np.isscalar(p):
-        return Poly([float(p)])
-    return Poly(p)
+    return p if isinstance(p, Poly) else Poly(p)
 
 
 def poly_from_roots(roots, leading=1.0):
@@ -271,11 +264,8 @@ def _conv_rows(a, B):
 
 
 def _mul_rows(A, B):
-    """Row-wise products of the 2-D rows A and B: `_conv_rows` when a factor
-    has at most two columns, else `np.convolve` of each pair of trimmed
-    rows."""
-    if min(A.shape[1], B.shape[1]) <= 2:
-        return _conv_rows(A, B)
+    """Row-wise products of the 2-D rows A and B: `np.convolve` of each pair
+    of trimmed rows."""
     out = np.zeros((len(A), A.shape[1] + B.shape[1] - 1))
     for row, a, b, na, nb in zip(out, A, B, _top(A), _top(B)):
         p = np.convolve(a[: max(na, 0) + 1], b[: max(nb, 0) + 1])
@@ -437,16 +427,13 @@ class RationalFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, normalize=True):
+    def __init__(self, num, den=None):
         num = _as_poly(num)
         den = _as_poly(den if den is not None else [1.0])
         if den.is_zero:
             raise ZeroDivisionError("denominator is identically zero")
-        if normalize:
-            n, d = _normalized(num.c[None], den.c[None])
-            num, den = Poly(n[0]), Poly(d[0])
-        self.num = num
-        self.den = den
+        n, d = _normalized(num.c[None], den.c[None])
+        self.num, self.den = Poly(n[0]), Poly(d[0])
 
     @classmethod
     def zero(cls):
@@ -470,8 +457,7 @@ class RationalFn:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return RationalFn(self.num * float(other), self.den, normalize=False)
-        other = _as_rational(other)
+            return RationalFn(self.num * float(other), self.den)
         return RationalFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -538,14 +524,6 @@ def _reclose(roots):
         out.extend([rr, np.conj(rr)])
         used[i] = used[best] = True
     return out
-
-
-def _as_rational(f):
-    if isinstance(f, RationalFn):
-        return f
-    if isinstance(f, Poly):
-        return RationalFn(f, [1.0])
-    raise TypeError(f"cannot interpret {f!r} as a rational function")
 
 
 def blaschke(roots) -> RationalFn:

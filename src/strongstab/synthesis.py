@@ -208,7 +208,7 @@ class _Level:
 
 def _fn(rows) -> RationalFn:
     num, den = rows
-    return RationalFn(Poly(num), Poly(den), normalize=False)
+    return RationalFn(Poly(num), Poly(den))
 
 
 def _square(level):

@@ -183,11 +183,11 @@ def test_criterion_9_final_design_certificates(ex2_search):
     res = ex2_search
     ok = (
         res.cert.stable
-        and res.U_norm <= 1.0 + 1e-9
+        and res.cert.u_norm <= 1.0 + 1e-9
         and len(res.cert.scan.zeros) == 0
         and res.cert.norm <= 1.9454 * (1 + 1e-3)
     )
-    record(9, ok, f"mu={res.mu:.4f}, q={res.q}, ||U||={res.U_norm:.5f}, "
+    record(9, ok, f"mu={res.mu:.4f}, q={res.q}, ||U||={res.cert.u_norm:.5f}, "
                   f"norm={res.cert.norm:.6f}, scan clean={not res.cert.scan.zeros}")
 
 

@@ -518,7 +518,7 @@ class TestStabilizeFinite:
     def test_ex2_outcome(self, ex2_search):
         res = ex2_search
         assert res.cert.stable and not res.central
-        assert res.U_norm <= 1.0 + 1e-9
+        assert res.cert.u_norm <= 1.0 + 1e-9
         assert res.cert.norm <= 1.9454 * 1.001
         assert res.cert.scan.zeros == []
         assert res.mu > 60.0
@@ -558,7 +558,7 @@ class TestStabilizeFinite:
         ctx = build_context(plant, weights, 1.2987, 1.0)
         res = stabilize_finite(plant, weights, ctx, Options())
         assert res.central and res.cert.stable
-        assert res.U is None and res.U_norm == 0.0
+        assert res.U is None and res.cert.u_norm == 0.0
         assert res.cert.norm <= 1.2987 * 1.001
 
     def test_exhausted_schedule(self, ex2, ex2_ctx):
@@ -612,7 +612,7 @@ class TestStabilizeFinite:
         res = stabilize_finite(plant, weights, ex2_ctx, opts)
         failed = tried.index((ex2_search.mu, ex2_search.integers))
         assert tried[failed + 1:] and tried[-1] == (res.mu, res.integers)
-        assert res.cert.stable and res.U_norm <= 1.0 + 1e-9
+        assert res.cert.stable and res.cert.u_norm <= 1.0 + 1e-9
         # every interpolant fails: the exhausted search names the last failure
         tried.clear()
         monkeypatch.setattr(finite, "np_interpolant", lambda pp: failing(pp, lambda pp: True))
@@ -753,7 +753,7 @@ class TestQSweep:
         first, second = full_sups[1][:2]
         assert rejected == [Q_GRID[first]] == [ex2_search.q]
         assert (res.mu, res.integers, res.q) == (ex2_search.mu, (0, 0), Q_GRID[second])
-        assert res.U_norm <= 1.0 + 1e-9 and res.cert.stable
+        assert res.cert.u_norm <= 1.0 + 1e-9 and res.cert.stable
 
     def test_search_evaluates_few_full_grid_rows(self, ex2, ex2_ctx, monkeypatch):
         # at 1.9454 the search took 515 full-grid q rows when it ranked every
