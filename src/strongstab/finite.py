@@ -240,11 +240,17 @@ def pick_min_eig(pp: PickProblem) -> float:
     return float(np.linalg.eigvalsh(pick_matrix(pp)).min())
 
 
+# Most design tuples `_design_tuples` enumerates: the largest enumeration a
+# known level completes is 7^6 = 117,649, and 7^8 runs past 10 s.
+TUPLE_BUDGET = 200_000
+
+
 def _design_tuples(z, bound):
     """Branch-integer tuples compatible with a real-coefficient design.
 
     A conjugate node pair carries opposite integers (n, -n); real nodes carry
     zero (their targets must stay real).  Past two pairs the bound is cut to 3.
+    More than TUPLE_BUDGET tuples raise FiniteSearchError before any is built.
     """
     from itertools import product
 
@@ -261,6 +267,9 @@ def _design_tuples(z, bound):
         used[partner] = True
     if len(pairs) > 2:
         bound = min(bound, 3)  # keep the product enumeration tractable
+    if (2 * bound + 1) ** len(pairs) > TUPLE_BUDGET:
+        raise FiniteSearchError(f"{2 * bound + 1}^{len(pairs)} design tuples ({len(pairs)} node "
+                                f"pairs) exceed the budget of {TUPLE_BUDGET} (ROADMAP item 8)")
     tuples = []
     for combo in product(range(-bound, bound + 1), repeat=len(pairs)):
         n = [0] * len(z)

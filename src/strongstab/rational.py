@@ -177,7 +177,10 @@ def _dot_rows(X, Y):
 
 
 def poly_roots(p):
-    """Roots of `p` with conjugate symmetry enforced by explicit pairing.
+    """Roots of `p`, each repeated root once per copy (`_paired_roots`).
+    The list is not always closed under conjugation: a double real root split
+    further than REAL_SNAP_TOL off the axis comes back as two copies of one
+    member of the pair ((s^2 - 5)^2 gives -sqrt(5) + 5.2e-9j twice).
 
     `p` may also be a sequence of polynomials, or a 2-D array whose rows are
     ascending coefficients (each row trimmed of its trailing zeros).  The

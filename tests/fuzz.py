@@ -17,8 +17,10 @@ problems of a seed are the same for every `--problems` above N.
 Each problem runs `gamma-opt`, then, at rho = gamma_opt f for each f of
 `LEVELS` (rho printed to 12 digits), `stabilize` and, when that exits 0,
 `verify`, all through `sweep.in_process`.  A command still running after
-`--limit` seconds of wall clock is stopped, and its level's class is
-"slow"; the other classes come from `sweep.classify`.  It prints one line
+`--limit` seconds of wall clock is stopped, its level's class is "slow",
+and its stderr field names the function of the package it was in (such
+as "slow in strongstab.finite._design_tuples"); the other classes come
+from `sweep.classify`.  It prints one line
 per problem (the fields it changed, as JSON, and gamma_opt), one line per
 level and the count of levels per class.  The lines hold no timing, so a
 seed's output is the same on every run, except for a command whose time
@@ -125,19 +127,31 @@ class _Slow(BaseException):
     program and not `sweep.in_process` takes it."""
 
 
+def _where(frame):
+    """`module.function` of the innermost frame of the package in the stack
+    from `frame` outward; None when there is none."""
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("strongstab."):
+            return f"{module}.{getattr(frame.f_code, 'co_qualname', frame.f_code.co_name)}"
+        frame = frame.f_back
+    return None
+
+
 def limited(limit):
     """`sweep.in_process`, with exit code "slow" for a command still
-    running after `limit` seconds."""
+    running after `limit` seconds, and as its standard error "slow in"
+    the function of the package that was running then."""
     def alarm(signum, frame):
-        raise _Slow
+        raise _Slow(_where(frame))
 
     def run(*args):
         old = signal.signal(signal.SIGALRM, alarm)
         signal.setitimer(signal.ITIMER_REAL, limit)
         try:
             return sweep.in_process(*args)
-        except _Slow:
-            return "slow", "", ""
+        except _Slow as exc:
+            return "slow", "", f"slow in {exc.args[0]}"
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old)

@@ -572,6 +572,15 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err.startswith("numerical failure: forced")
 
+    def test_pick_enumeration_past_the_budget_exits_3(self, capsys):
+        # fuzz seed 0 problem 88 at 1.05 gamma_opt: 24 node pairs would make
+        # 7^24 design tuples, which the search refuses before building any
+        rc = main(["stabilize", str(FOOLING / "pick_tuples_past_budget.json"),
+                   "--rho", "16.0947416452"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("search exhausted: 7^24 design tuples (24 node pairs)")
+
     def test_repeated_plant_poles_exit_3(self, tmp_path, capsys):
         cfg = json.loads(pathlib.Path(EX1).read_text())
         cfg["plant"]["m_d"] = {"num": [1.0, -2.0, 1.0], "den": [1.0, 2.0, 1.0]}
@@ -689,6 +698,26 @@ class TestVerify:
                      id="complex-plant-poles"),
         pytest.param(str(FOOLING / "off_axis_e_zeros.json"), "4.14805777559",
                      id="off-axis-E-zeros"),
+        # fuzz seed 0 problem 48 at 1.05 gamma_opt: the loop denominator has a
+        # real zero at s = 0.00526, 0.005 inside the scan window's left edge,
+        # which stabilize's march misses and verify's doubled window counts
+        pytest.param(str(FOOLING / "real_zero_near_scan_edge.json"), "0.569197298031",
+                     id="fooling-real_zero_near_scan_edge",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "item 4: verify finds 1 residual RHP zero"))),
+        # fuzz seed 0 problem 59 at 1.001 gamma_opt: a lightly damped W1 pole
+        # pair; stabilize certifies U_norm 0.9713, verify's doubled grid 29.007
+        pytest.param(str(FOOLING / "damped_w1_poles_u_norm.json"), "2.10599537656",
+                     id="fooling-damped_w1_poles_u_norm",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "item 3: stabilize certifies a U outside the unit ball; "
+                         "verify exits 1"))),
+        # fuzz seed 0 problem 72 at 1.001 gamma_opt: a second-order W1 on
+        # example 1
+        pytest.param(str(FOOLING / "second_order_w1_negative_winding.json"), "4.04038031502",
+                     id="fooling-second_order_w1_negative_winding",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "item 2(a): verify exits 3, its scan reads a negative winding"))),
     ])
     def test_sweep_level_stabilizes_and_verifies(self, config, rho, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -276,6 +276,17 @@ class TestPickMatrix:
             assert len(mu) == 7 ** len(top) - 1
             assert min(mu.values()) > 1.0
 
+    def test_enumeration_past_the_budget_raises(self, monkeypatch):
+        # three conjugate node pairs at bound 3 make 7^3 = 343 tuples: built
+        # at a budget of 343, refused before any is built at 342
+        top = np.array([0.5 + 0.3j, -0.2 + 0.6j, 0.1 + 0.9j])
+        z = np.concatenate([top, np.conj(top)])
+        monkeypatch.setattr(finite, "TUPLE_BUDGET", 343)
+        assert len(_design_tuples(z, 3)) == 343
+        monkeypatch.setattr(finite, "TUPLE_BUDGET", 342)
+        with pytest.raises(FiniteSearchError, match=r"7\^3 design tuples \(3 node pairs"):
+            _design_tuples(z, 20)
+
     @pytest.mark.parametrize("z", [[0.3 + 0.1j, 0.3 + 0.1j], [2.0 + 0j]])
     def test_nodes_off_the_open_disk_rejected(self, z):
         z = np.array(z)

@@ -65,6 +65,19 @@ class TestPolyRoots:
             if r.imag != 0:
                 assert any(abs(rr - np.conj(r)) < 1e-12 for rr in roots)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "item 9(d): a double real root split further than REAL_SNAP_TOL off the "
+        "axis comes back as two copies of one member of the pair"))
+    def test_double_real_root_lists_are_closed(self):
+        # (s + a)^2 (s + b): 8 of these 100 lists hold one of -a +- e j
+        # twice and the other not at all, e from 3.0e-9 to 1.8e-8
+        rng = np.random.default_rng(0)
+        key = lambda r: (r.real, r.imag)        # noqa: E731
+        for _ in range(100):
+            a, b = rng.uniform(0.1, 5.0, 2)
+            roots = poly_roots(poly_from_roots([-a, -a, -b]))
+            assert sorted(roots, key=key) == sorted((r.conjugate() for r in roots), key=key), roots
+
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             poly_roots(Poly([0.0]))

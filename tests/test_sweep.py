@@ -4,11 +4,13 @@ stay certified.  Every level as subprocesses (marked slow, run with
 --runslow): its line is the golden one, and no level is broken.
 
 The golden lines, golden/sweep_in_process.txt, are what `tests/sweep.py
---in-process` prints; `tests/golden/regen.py` rewrites them."""
+--in-process` prints; `tests/golden/regen.py` rewrites them.  A command that
+`tests/fuzz.py` stops as slow names the function it was in."""
 
 import functools
 import pathlib
 
+import fuzz
 import pytest
 import sweep
 
@@ -59,3 +61,11 @@ def test_subprocess_sweep_level_is_not_broken(config, i, tmp_path):
                             tmp_path / "report.json", sweep._cli)
     assert line == _golden()[f"{config} {i:2d}"]
     assert cls != "broken", line
+
+
+def test_slow_command_names_the_function_it_was_in():
+    # example 2's stabilize at 1.9454 runs about 0.12 s in-process
+    rc, out, err = fuzz.limited(0.05)("stabilize", str(sweep.CONFIGS / "example2.json"),
+                                      "--rho", "1.9454")
+    assert (rc, out) == ("slow", "")
+    assert err.startswith("slow in strongstab."), err
